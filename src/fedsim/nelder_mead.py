@@ -96,33 +96,21 @@ def minimize(objective: Objective, x0: Sequence[float], config: SimplexConfig = 
     if not math.isfinite(f0):
         raise NumericError("objective is non-finite at the start point")
 
-    # Simplex state: parallel lists of vertices, stored objective values and
-    # creation ids.  Ordering ties break on creation id for determinism.
-    vertices: list[np.ndarray] = [start.copy()]
-    fvalues: list[float] = [f0]
-    created: list[int] = [0]
-    next_id = 1
-    for i in range(dim):
-        vertex = start.copy()
-        vertex[i] += config.initial_step
-        vertices.append(vertex)
-        fvalues.append(evaluate(vertex))
-        created.append(next_id)
-        next_id += 1
-
-    def reorder() -> None:
-        order = sorted(range(dim + 1), key=lambda k: (fvalues[k], created[k]))
-        nonlocal vertices, fvalues, created
-        vertices = [vertices[k] for k in order]
-        fvalues = [fvalues[k] for k in order]
-        created = [created[k] for k in order]
+    # Simplex state: one row per vertex, with its stored objective value and
+    # creation id.  Ordering ties break on creation id for determinism.
+    vertices = np.tile(start, (dim + 1, 1))
+    axes = np.arange(dim)
+    vertices[axes + 1, axes] += config.initial_step
+    fvalues = np.array([f0] + [evaluate(v) for v in vertices[1:]])
+    created = np.arange(dim + 1)
+    next_id = dim + 1
 
     iterations = 0
     converged = False
     while True:
-        reorder()
-        best = vertices[0]
-        x_spread = max(float(np.max(np.abs(v - best))) for v in vertices[1:])
+        order = np.lexsort((created, fvalues))
+        vertices, fvalues, created = vertices[order], fvalues[order], created[order]
+        x_spread = float(np.max(np.abs(vertices[1:] - vertices[0])))
         f_spread = fvalues[-1] - fvalues[0]
         if x_spread < config.x_tolerance and f_spread < config.f_tolerance:
             converged = True
@@ -131,70 +119,50 @@ def minimize(objective: Objective, x0: Sequence[float], config: SimplexConfig = 
             break
         iterations += 1
 
-        centroid = np.mean(np.stack(vertices[:-1]), axis=0)
+        centroid = vertices[:-1].mean(axis=0)
         worst = vertices[-1]
         f_worst = fvalues[-1]
-        f_second = fvalues[-2]
-
-        def replace_worst(x: np.ndarray, fx: float) -> None:
-            nonlocal next_id
-            vertices[-1] = x
-            fvalues[-1] = fx
-            created[-1] = next_id
-            next_id += 1
 
         x_reflect = centroid + config.reflection * (centroid - worst)
         f_reflect = evaluate(x_reflect)
-
+        replacement: tuple[np.ndarray, float] | None
         if f_reflect < fvalues[0]:
             x_expand = centroid + config.expansion * (centroid - worst)
             f_expand = evaluate(x_expand)
             if f_expand < f_reflect:
-                replace_worst(x_expand, f_expand)
+                replacement = (x_expand, f_expand)
             else:
-                replace_worst(x_reflect, f_reflect)
-        elif f_reflect < f_second:
-            replace_worst(x_reflect, f_reflect)
+                replacement = (x_reflect, f_reflect)
+        elif f_reflect < fvalues[-2]:
+            replacement = (x_reflect, f_reflect)
         elif f_reflect < f_worst:
             # Outside contraction, between centroid and reflected point.
             x_contract = centroid + config.contraction * (x_reflect - centroid)
             f_contract = evaluate(x_contract)
-            if f_contract <= f_reflect:
-                replace_worst(x_contract, f_contract)
-            else:
-                _shrink(vertices, fvalues, created, config.shrink, evaluate)
-                next_id = max(created) + 1
+            replacement = (x_contract, f_contract) if f_contract <= f_reflect else None
         else:
             # Inside contraction, between centroid and the worst vertex.
             x_contract = centroid - config.contraction * (centroid - worst)
             f_contract = evaluate(x_contract)
-            if f_contract < f_worst:
-                replace_worst(x_contract, f_contract)
-            else:
-                _shrink(vertices, fvalues, created, config.shrink, evaluate)
-                next_id = max(created) + 1
+            replacement = (x_contract, f_contract) if f_contract < f_worst else None
+
+        if replacement is not None:
+            vertices[-1], fvalues[-1] = replacement
+            created[-1] = next_id
+            next_id += 1
+        else:
+            # Shrink: pull every non-best vertex toward the best one.
+            vertices[1:] = vertices[0] + config.shrink * (vertices[1:] - vertices[0])
+            for i in range(1, dim + 1):
+                fvalues[i] = evaluate(vertices[i])
+            created[1:] = np.arange(next_id, next_id + dim)
+            next_id += dim
 
     best_x = vertices[0].copy()
     best_x.setflags(write=False)
     return MinimizeResult(
         x_star=best_x,
-        f_star=fvalues[0],
+        f_star=float(fvalues[0]),
         iterations=iterations,
         converged=converged,
     )
-
-
-def _shrink(
-    vertices: list[np.ndarray],
-    fvalues: list[float],
-    created: list[int],
-    factor: float,
-    evaluate: Callable[[np.ndarray], float],
-) -> None:
-    """Pull every non-best vertex toward the best one, re-evaluating each."""
-    best = vertices[0]
-    base = max(created) + 1
-    for i in range(1, len(vertices)):
-        vertices[i] = best + factor * (vertices[i] - best)
-        fvalues[i] = evaluate(vertices[i])
-        created[i] = base + i - 1

@@ -21,8 +21,9 @@ from .exceptions import NumericError, ShapeMismatchError
 class ShapeManifest:
     """Ordered (name, shape) entries describing one model architecture.
 
-    The entry order is fixed for a given architecture so that flatten and
-    unflatten are exact inverses.
+    The entry order is fixed for a given architecture so that
+    :meth:`ParamVector.from_tensors` and :meth:`ParamVector.to_tensors` are
+    exact inverses.
     """
 
     entries: tuple[tuple[str, tuple[int, ...]], ...]
@@ -94,10 +95,6 @@ def zeros_like(vector: ParamVector) -> ParamVector:
     return ParamVector(np.zeros(len(vector)), vector.manifest)
 
 
-def full_like(vector: ParamVector, fill: float) -> ParamVector:
-    return ParamVector(np.full(len(vector), float(fill)), vector.manifest)
-
-
 def _require_shared_manifest(vectors: Iterable[ParamVector]) -> ShapeManifest:
     it = iter(vectors)
     first = next(it)
@@ -157,8 +154,3 @@ def coordinate_median(vectors: Sequence[ParamVector]) -> ParamVector:
     manifest = _require_shared_manifest(vectors)
     stacked = np.stack([v.values for v in vectors], axis=0)
     return ParamVector(np.median(stacked, axis=0), manifest)
-
-
-def unflatten(values: np.ndarray, manifest: ShapeManifest) -> dict[str, np.ndarray]:
-    """Module-level convenience mirroring :meth:`ParamVector.to_tensors`."""
-    return ParamVector(values, manifest).to_tensors()

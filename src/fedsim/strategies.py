@@ -20,17 +20,17 @@ state), produce the next global parameter vector.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .exceptions import NumericError
-from .nelder_mead import MinimizeResult, SimplexConfig, minimize
+from .nelder_mead import Objective, SimplexConfig, minimize
 from .params import (
     ParamVector,
     coordinate_median,
-    full_like,
     l2_distance,
     l2_norm_sum,
     linear_combination,
@@ -43,6 +43,12 @@ SERVER_OPTIMIZERS = ("sgd", "adagrad", "adam", "yogi")
 #: Floor applied to the objective denominators so candidate aggregates that
 #: nearly cancel a client's parameters stay finite for the solver.
 DENOMINATOR_FLOOR = 1e-12
+
+#: Smallest ratio of a squared norm to the square of its terms' size that
+#: :func:`gram_objective` evaluates through the Gram matrix.  Rounding in the
+#: Gram entries is about 1e-14 of that size for vectors of a few thousand
+#: entries, so the norms it keeps are accurate to about 1e-10.
+GRAM_CANCELLATION = 1e-4
 
 
 @dataclass(frozen=True)
@@ -206,7 +212,7 @@ def aggregate_fedopt(
     v_prev = (
         state.second_moment
         if state.second_moment is not None
-        else full_like(previous_global, hp.tau**2)
+        else previous_global.with_values(np.full(len(previous_global), hp.tau**2))
     )
     m = linear_combination([m_prev, delta], [hp.beta1, 1.0 - hp.beta1])
 
@@ -267,6 +273,75 @@ def objective_f(
     )
 
 
+def gram_objective(
+    client_params: Sequence[ParamVector],
+    counts: Sequence[int],
+) -> Objective:
+    """:func:`objective_f` for fixed clients, at O(K^2) per call for K clients.
+
+    The objective sees the client vectors only through inner products, so
+    they are summarized once, in O(K^2 P), by the Gram matrix of K + 1 basis
+    vectors: each client's offset d_j from the count-weighted mean m, and m
+    itself.  With c = n * x / sum(n) and s = sum(c),
+    w(x) -/+ w_j = sum_i c_i d_i -/+ d_j + (s -/+ 1) m, so each norm is a
+    quadratic form in the Gram matrix.  Centering keeps ||w(x) - w_j||
+    accurate when the candidate nears a client; the uncentered Gram matrix
+    loses half the digits there.
+
+    A quadratic form loses digits to cancellation when the norm is far
+    smaller than the terms it sums.  An evaluation where some squared norm
+    falls below :data:`GRAM_CANCELLATION` times the square of a bound on
+    those terms (the candidate nearly cancels a client, or sits on one) is
+    computed directly from the vectors instead, at O(K P).
+
+    The vectors are first scaled by a power of two so that every entry is
+    below 1 in magnitude: this is exact, keeps the Gram products from
+    overflowing, and scales the denominator floor with them.  A non-finite
+    ``x``, or one whose norms overflow, scores ``inf``; NumPy may warn about
+    the overflow.
+    """
+    weights = np.asarray(counts, dtype=np.float64) / float(sum(counts))
+    stacked = np.stack([w.values for w in client_params])
+    _, exponent = math.frexp(float(np.max(np.abs(stacked))))
+    stacked = np.ldexp(stacked, -exponent)
+    floor = math.ldexp(DENOMINATOR_FLOOR, -exponent)
+    mean = weights @ stacked
+    basis = np.vstack([stacked - mean, mean])
+    gram = basis @ basis.T
+    k = len(weights)
+    offsets_sq = np.diag(gram)[:k].copy()
+    largest_offset = math.sqrt(float(offsets_sq.max()))
+    mean_norm = math.sqrt(float(gram[k, k]))
+    signs = np.array([[-2.0], [2.0]])
+
+    def evaluate(x: np.ndarray) -> float:
+        c = weights * x
+        s = float(c.sum())
+        # Row 0 expands ||w(x) - w_j||^2, row 1 ||w(x) + w_j||^2.
+        coeffs = np.empty((2, k + 1))
+        coeffs[:, :k] = c
+        coeffs[:, k] = (s - 1.0, s + 1.0)
+        products = coeffs @ gram
+        q = (products * coeffs).sum(axis=1, keepdims=True)
+        squares = q + signs * products[:, :k] + offsets_sq
+        offset_terms = (float(np.abs(c).sum()) + 1.0) * largest_offset
+        smallest = squares.min(axis=1)
+        if (
+            smallest[0] < GRAM_CANCELLATION * (offset_terms + abs(s - 1.0) * mean_norm) ** 2
+            or smallest[1] < GRAM_CANCELLATION * (offset_terms + abs(s + 1.0) * mean_norm) ** 2
+        ):
+            candidate = c @ stacked
+            squares = np.stack([
+                np.square(candidate - stacked).sum(axis=1),
+                np.square(candidate + stacked).sum(axis=1),
+            ])
+        norms = np.sqrt(np.maximum(squares, 0.0))
+        value = float((norms[0] / np.maximum(norms[1], floor)).sum())
+        return value if math.isfinite(value) else math.inf
+
+    return evaluate
+
+
 def aggregate_fedavgopt(
     updates: Sequence[ClientUpdate],
     config: SimplexConfig = SimplexConfig(),
@@ -274,25 +349,32 @@ def aggregate_fedavgopt(
     """Solve for per-client scaling coefficients starting from all-ones, then
     aggregate with them.
 
-    Because the start point is a vertex of the initial simplex, the solved
-    coefficients never score worse than plain fedavg under the objective.
+    The search scores candidates with :func:`gram_objective`.  The reported
+    objective values are :func:`objective_f` at the solution and at
+    all-ones, and a solution that scores worse than all-ones under
+    :func:`objective_f` is replaced by all-ones, so the coefficients never
+    score worse than plain fedavg.
     """
     params, counts = _params_and_counts(updates)
     x0 = np.ones(len(updates))
-
-    def solver_objective(x: np.ndarray) -> float:
-        try:
-            return objective_f(x, params, counts)
-        except NumericError:
-            # Overflowing candidates are rejected vertices, not run failures.
-            return float("inf")
-
-    result: MinimizeResult = minimize(solver_objective, x0, config)
-    aggregate = candidate_aggregate(params, counts, result.x_star)
+    at_ones = objective_f(x0, params, counts)
+    if not math.isfinite(at_ones):
+        raise NumericError("fedavgopt objective is non-finite at all-ones")
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = minimize(gram_objective(params, counts), x0, config)
+    try:
+        at_alpha = objective_f(result.x_star, params, counts)
+    except NumericError:
+        # The unscaled candidate overflows where the scaled search did not.
+        at_alpha = math.inf
+    alpha = result.x_star
+    if not at_alpha <= at_ones:
+        alpha, at_alpha = x0, at_ones
+    aggregate = candidate_aggregate(params, counts, alpha)
     solution = AlphaSolution(
-        alpha=result.x_star,
-        objective_at_alpha=result.f_star,
-        objective_at_ones=objective_f(x0, params, counts),
+        alpha=alpha,
+        objective_at_alpha=at_alpha,
+        objective_at_ones=at_ones,
         converged=result.converged,
     )
     return aggregate, solution

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from fedsim import NumericError, SimplexConfig, minimize
+from fedsim.strategies import gram_objective
+from helpers import random_vectors
 
 
 def quadratic(x):
@@ -147,3 +150,51 @@ class TestMinimize:
     def test_inf_at_start_raises(self):
         with pytest.raises(NumericError):
             minimize(lambda x: math.inf, [0.0, 0.0])
+
+
+def rosenbrock_nd(x):
+    """Chained Rosenbrock, with a (1 - x_n)^2 term so dimension 1 is valid."""
+    return float(np.sum(100 * (x[1:] - x[:-1] ** 2) ** 2 + (1 - x[:-1]) ** 2) + (1 - x[-1]) ** 2)
+
+
+def assert_same_result(new, old):
+    assert new.x_star.tobytes() == old.x_star.tobytes()
+    assert new.f_star == old.f_star
+    assert new.iterations == old.iterations
+    assert new.converged == old.converged
+
+
+class TestMatchesListOracle:
+    """The array-backed simplex reproduces the list-based one bit for bit."""
+
+    @pytest.mark.parametrize("dim", range(1, 33))
+    def test_quadratic_rosenbrock_and_plateaus(self, dim):
+        rng = np.random.default_rng(dim)
+        center = rng.uniform(-1, 1, size=dim)
+        scales = rng.uniform(0.5, 3.0, size=dim)
+
+        def quadratic_nd(x):
+            return float(np.sum(scales * (x - center) ** 2))
+
+        def staircase(x):
+            # Plateaus make contractions fail, so shrink steps and
+            # creation-order tie-breaks both run.
+            return float(np.sum(np.floor(8 * np.abs(x - center))))
+
+        config = SimplexConfig(max_iterations=100)
+        for objective, x0 in (
+            (quadratic_nd, np.zeros(dim)),
+            (rosenbrock_nd, np.full(dim, -1.0)),
+            (staircase, np.zeros(dim)),
+        ):
+            assert_same_result(
+                minimize(objective, x0, config), oracles.minimize(objective, x0, config)
+            )
+
+    def test_sixteen_client_fedavgopt_objective(self):
+        rng = np.random.default_rng(16)
+        base = rng.normal(size=200)
+        params = [v.with_values(base + 0.1 * v.values) for v in random_vectors(rng, 16, 200)]
+        objective = gram_objective(params, rng.integers(1, 100, size=16))
+        x0 = np.ones(16)
+        assert_same_result(minimize(objective, x0), oracles.minimize(objective, x0))

@@ -107,6 +107,23 @@ class TestRunFederation:
             assert report.alpha.alpha.shape == (4,)
             assert report.alpha.objective_at_alpha <= report.alpha.objective_at_ones
 
+    @pytest.mark.parametrize("num_clients", [16, 32])
+    def test_search_improves_on_ones_at_many_clients(self, num_clients):
+        data = generate_blobs(200, 4, 10, 1.8, 0)
+        shards = make_client_shards(data, num_clients, 0.5, 0)
+        config = FederationConfig(
+            model=ModelSpec(input_dim=10, num_classes=4),
+            train=TrainConfig(learning_rate=0.1, batch_size=32, local_epochs=1),
+            strategy="fedavgopt",
+            rounds=2,
+            seed=0,
+        )
+        reports = run_federation(config, shards)
+        assert len(reports) == 2
+        for report in reports:
+            assert report.alpha.alpha.shape == (num_clients,)
+            assert report.alpha.objective_at_alpha < report.alpha.objective_at_ones
+
     def test_single_client_round_matches_local_training(self):
         shards = blob_shards(1, 2)
         config = FederationConfig(

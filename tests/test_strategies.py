@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsim import (
     Aggregator,
@@ -16,7 +18,9 @@ from fedsim import (
     default_hyperparams,
     objective_f,
 )
-from fedsim.strategies import STRATEGIES, candidate_aggregate
+from fedsim.exceptions import NumericError
+from fedsim.nelder_mead import MinimizeResult
+from fedsim.strategies import STRATEGIES, candidate_aggregate, gram_objective
 from helpers import make_updates, make_vec, random_vectors
 
 
@@ -327,6 +331,88 @@ class TestObjectiveF:
             assert objective_f(x, params, [1, 2, 3]) >= 0.0
 
 
+def clustered_clients(seed, num_clients, size, spread, scale=1.0):
+    """Client vectors at ``spread`` around a shared N(0, 1) center, times
+    ``scale``, with counts in [1, 500]."""
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=size) + spread * rng.normal(size=(num_clients, size))
+    updates = make_updates(rows * scale, rng.integers(1, 501, size=num_clients))
+    return [u.params for u in updates], [u.num_examples for u in updates], rng
+
+
+def same_value(gram_value, oracle_value):
+    # Absolute while the objective is O(1); relative once the denominator
+    # floor makes it huge.
+    return gram_value == pytest.approx(oracle_value, rel=1e-9, abs=1e-9)
+
+
+gram_settings = settings(max_examples=60, deadline=None)
+num_clients = st.integers(1, 32)
+sizes = st.integers(1, 4000)
+seeds = st.integers(0, 2**32 - 1)
+# From near-identical clients to clients with nothing in common.
+spreads = st.sampled_from([1e-8, 1e-4, 0.1, 1.0, 100.0])
+
+
+class TestGramObjective:
+    """gram_objective against the direct evaluation objective_f."""
+
+    @gram_settings
+    @given(seed=seeds, k=num_clients, size=sizes, spread=spreads)
+    def test_matches_objective_f(self, seed, k, size, spread):
+        params, counts, rng = clustered_clients(seed, k, size, spread)
+        gram = gram_objective(params, counts)
+        for x in (np.ones(k), rng.uniform(-2, 2, size=k)):
+            assert same_value(gram(x), objective_f(x, params, counts))
+
+    @gram_settings
+    @given(seed=seeds, k=num_clients, size=sizes)
+    def test_identical_clients(self, seed, k, size):
+        params, counts, rng = clustered_clients(seed, k, size, 0.0)
+        assert all(np.array_equal(w.values, params[0].values) for w in params)
+        gram = gram_objective(params, counts)
+        assert gram(np.ones(k)) <= 1e-9
+        x = rng.uniform(-2, 2, size=k)
+        assert same_value(gram(x), objective_f(x, params, counts))
+
+    def test_denominator_floor(self):
+        params = [make_vec([1.0, 0.0]), make_vec([-3.0, 0.0])]
+        value = gram_objective(params, [1, 1])(np.ones(2))
+        assert value == pytest.approx(2.0 / 1e-12 + 0.5, rel=1e-15)
+        assert same_value(value, objective_f([1.0, 1.0], params, [1, 1]))
+
+    @gram_settings
+    @given(seed=seeds, k=num_clients, size=st.integers(1, 200), spread=spreads,
+           scale=st.sampled_from([1e200, 2.0**600, 1e300]))
+    def test_huge_entries(self, seed, k, size, spread, scale):
+        # objective_f's norms overflow above about 1e154, so the unscaled
+        # clients are the oracle: without the floor the objective is scale
+        # invariant.
+        params, counts, rng = clustered_clients(seed, k, size, spread)
+        huge, _, _ = clustered_clients(seed, k, size, spread, scale)
+        x = rng.uniform(-2, 2, size=k)
+        assert same_value(gram_objective(huge, counts)(x), objective_f(x, params, counts))
+
+    @gram_settings
+    @given(seed=seeds, k=num_clients, size=st.integers(1, 200), spread=spreads,
+           scale=st.sampled_from([1e-200, 2.0**-600, 1e-300]))
+    def test_tiny_entries(self, seed, k, size, spread, scale):
+        # Every denominator sits below the floor, so both evaluations are ~0.
+        params, counts, rng = clustered_clients(seed, k, size, spread, scale)
+        x = rng.uniform(-2, 2, size=k)
+        assert same_value(gram_objective(params, counts)(x), objective_f(x, params, counts))
+
+    @given(k=num_clients, data=st.data())
+    def test_non_finite_x_scores_inf(self, k, data):
+        params, counts, rng = clustered_clients(k, k, 5, 0.1)
+        x = rng.uniform(-2, 2, size=k)
+        x[data.draw(st.integers(0, k - 1))] = data.draw(
+            st.sampled_from([math.inf, -math.inf, math.nan])
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert gram_objective(params, counts)(x) == math.inf
+
+
 class TestFedAvgOpt:
     def test_forcing_ones_is_bitwise_fedavg(self):
         rng = np.random.default_rng(71)
@@ -373,6 +459,30 @@ class TestFedAvgOpt:
             _, solution = aggregate_fedavgopt(make_updates(rows, counts))
             assert solution.objective_at_alpha <= solution.objective_at_ones
             assert len(solution.alpha) == k
+
+    @pytest.mark.parametrize("bad_alpha", [0.01, 1e200])
+    def test_solution_worse_than_ones_falls_back_to_fedavg(self, monkeypatch, bad_alpha):
+        # 0.01 scores worse than all-ones; at 1e200 the candidate overflows.
+        rng = np.random.default_rng(74)
+        rows = 1e150 * (1.0 + 0.1 * rng.normal(size=(4, 3)))
+        updates = make_updates(rows, counts=[3, 1, 4, 1])
+        params, counts = [u.params for u in updates], [3, 1, 4, 1]
+        x_bad = np.full(4, bad_alpha)
+        if bad_alpha < 1:
+            assert objective_f(x_bad, params, counts) > objective_f(np.ones(4), params, counts)
+        monkeypatch.setattr(
+            "fedsim.strategies.minimize",
+            lambda objective, x0, config: MinimizeResult(x_bad, 0.0, 1, True),
+        )
+        out, solution = aggregate_fedavgopt(updates)
+        assert np.array_equal(solution.alpha, np.ones(4))
+        assert np.array_equal(out.values, aggregate_fedavg(updates).values)
+        assert solution.objective_at_alpha == solution.objective_at_ones
+
+    def test_non_finite_objective_at_ones_raises(self):
+        # objective_f's norms overflow at 1e200, so it is non-finite at all-ones.
+        with pytest.raises(NumericError), np.errstate(over="ignore"):
+            aggregate_fedavgopt(make_updates([[1e200, 0.0], [0.0, 1e200]]))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
