@@ -30,7 +30,7 @@ import yaml
 
 from .data import ClientShard, generate_blobs, load_csv, make_client_shards
 from .exceptions import ConfigError, FedsimError
-from .models import ModelSpec, TrainConfig
+from .models import ACTIVATIONS, ModelSpec, TrainConfig
 from .nelder_mead import SimplexConfig
 from .orchestrator import ComparisonResult, FederationConfig, compare_strategies
 from .strategies import STRATEGIES, StrategyHyperparams, default_hyperparams
@@ -43,7 +43,6 @@ HISTORY_HEADER = (
 )
 
 _DATASET_KINDS = ("blobs", "csv")
-_ACTIVATIONS = ("relu", "tanh")
 
 
 @dataclass(frozen=True)
@@ -181,17 +180,33 @@ def _replace_validated(instance, section: str, updates: dict):
         raise ConfigError(f"{section}: {exc}") from exc
 
 
-def _parse_train(raw) -> TrainConfig:
-    mapping = _as_mapping(raw, "train")
-    _check_keys("train", mapping, ("learning_rate", "batch_size", "local_epochs"))
+def _parse_section(
+    raw,
+    section: str,
+    defaults,
+    floats: Sequence[str],
+    ints: Sequence[str] = (),
+    strs: Sequence[str] = (),
+):
+    """Apply one flat config section to the ``defaults`` dataclass.
+
+    Float keys must be numbers and int keys integers >= 1; string keys are
+    left to the dataclass's own validation.  Only keys present in ``raw``
+    override the defaults.
+    """
+    mapping = _as_mapping(raw, section)
+    _check_keys(section, mapping, (*floats, *ints, *strs))
     updates: dict = {}
-    if "learning_rate" in mapping:
-        updates["learning_rate"] = _as_float(mapping["learning_rate"], "train.learning_rate")
-    if "batch_size" in mapping:
-        updates["batch_size"] = _as_int(mapping["batch_size"], "train.batch_size", minimum=1)
-    if "local_epochs" in mapping:
-        updates["local_epochs"] = _as_int(mapping["local_epochs"], "train.local_epochs", minimum=1)
-    return _replace_validated(TrainConfig(), "train", updates)
+    for key in floats:
+        if key in mapping:
+            updates[key] = _as_float(mapping[key], f"{section}.{key}")
+    for key in ints:
+        if key in mapping:
+            updates[key] = _as_int(mapping[key], f"{section}.{key}", minimum=1)
+    for key in strs:
+        if key in mapping:
+            updates[key] = mapping[key]
+    return _replace_validated(defaults, section, updates)
 
 
 def _parse_hyperparams(raw) -> dict[str, StrategyHyperparams]:
@@ -199,40 +214,12 @@ def _parse_hyperparams(raw) -> dict[str, StrategyHyperparams]:
     out: dict[str, StrategyHyperparams] = {}
     for name, section in mapping.items():
         _as_choice(name, "hyperparams", STRATEGIES)
-        values = _as_mapping(section, f"hyperparams.{name}")
-        _check_keys(
-            f"hyperparams.{name}",
-            values,
-            ("server_lr", "momentum_beta", "tau", "beta1", "beta2", "server_optimizer"),
-        )
-        updates: dict = {}
-        for key in ("server_lr", "momentum_beta", "tau", "beta1", "beta2"):
-            if key in values:
-                updates[key] = _as_float(values[key], f"hyperparams.{name}.{key}")
-        if "server_optimizer" in values:
-            updates["server_optimizer"] = values["server_optimizer"]
-        out[name] = _replace_validated(
-            default_hyperparams(name), f"hyperparams.{name}", updates
+        out[name] = _parse_section(
+            section, f"hyperparams.{name}", default_hyperparams(name),
+            ("server_lr", "momentum_beta", "tau", "beta1", "beta2"),
+            strs=("server_optimizer",),
         )
     return out
-
-
-def _parse_solver(raw) -> SimplexConfig:
-    mapping = _as_mapping(raw, "solver")
-    allowed = (
-        "reflection", "expansion", "contraction", "shrink",
-        "initial_step", "x_tolerance", "f_tolerance", "max_iterations",
-    )
-    _check_keys("solver", mapping, allowed)
-    updates: dict = {}
-    for key in allowed:
-        if key not in mapping:
-            continue
-        if key == "max_iterations":
-            updates[key] = _as_int(mapping[key], "solver.max_iterations", minimum=1)
-        else:
-            updates[key] = _as_float(mapping[key], f"solver.{key}")
-    return _replace_validated(SimplexConfig(), "solver", updates)
 
 
 def _parse_model(raw) -> tuple[tuple[int, ...], str]:
@@ -245,7 +232,7 @@ def _parse_model(raw) -> tuple[tuple[int, ...], str]:
             raise ConfigError("model.hidden_dims: expected a list of integers")
         hidden = tuple(_as_int(d, "model.hidden_dims", minimum=1) for d in dims)
     activation = _as_choice(
-        mapping.get("activation", "relu"), "model.activation", _ACTIVATIONS
+        mapping.get("activation", "relu"), "model.activation", ACTIVATIONS
     )
     return hidden, activation
 
@@ -288,9 +275,17 @@ def parse_config(path: str) -> ExperimentConfig:
         train_fraction=train_fraction,
         hidden_dims=hidden_dims,
         activation=activation,
-        train=_parse_train(mapping.get("train", {})),
+        train=_parse_section(
+            mapping.get("train", {}), "train", TrainConfig(),
+            ("learning_rate",), ints=("batch_size", "local_epochs"),
+        ),
         hyperparams=_parse_hyperparams(mapping.get("hyperparams", {})),
-        simplex=_parse_solver(mapping.get("solver", {})),
+        simplex=_parse_section(
+            mapping.get("solver", {}), "solver", SimplexConfig(),
+            ("reflection", "expansion", "contraction", "shrink",
+             "initial_step", "x_tolerance", "f_tolerance"),
+            ints=("max_iterations",),
+        ),
         output_dir=output_dir,
     )
 
@@ -370,19 +365,16 @@ def write_summary(result: ComparisonResult, path: Path) -> None:
     """Mean-over-rounds aggregated accuracy per strategy and seed, plus the
     across-seed mean, at 6 significant digits."""
     seeds = result.seeds
-    columns = [f"seed={s}" for s in seeds] + ["mean"]
-    width = 12
-    lines = ["mean aggregated accuracy over rounds (test-count weighted)", ""]
-    lines.append(
-        ("strategy".ljust(width) + "".join(c.ljust(width) for c in columns)).rstrip()
-    )
+    rows = [["strategy", *(f"seed={s}" for s in seeds), "mean"]]
     for strategy in result.strategies:
         by_seed = {run.seed: run.mean_accuracy for run in result.runs_for(strategy)}
         cells = [format(by_seed[s], ".6g") for s in seeds]
         cells.append(format(result.mean_accuracy(strategy), ".6g"))
-        lines.append(
-            (strategy.ljust(width) + "".join(c.ljust(width) for c in cells)).rstrip()
-        )
+        rows.append([strategy, *cells])
+    # Every cell keeps at least one space before the next column.
+    width = max(12, 1 + max(len(cell) for row in rows for cell in row))
+    lines = ["mean aggregated accuracy over rounds (test-count weighted)", ""]
+    lines.extend("".join(cell.ljust(width) for cell in row).rstrip() for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -20,7 +20,7 @@ from .params import ParamVector, ShapeManifest
 if TYPE_CHECKING:
     from .data import Dataset
 
-_ACTIVATIONS = ("relu", "tanh")
+ACTIVATIONS = ("relu", "tanh")
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,8 @@ class ModelSpec:
             raise ValueError("input_dim must be >= 1")
         if any(h < 1 for h in self.hidden_dims):
             raise ValueError("hidden layer widths must be >= 1")
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"activation must be one of {_ACTIVATIONS}")
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(f"activation must be one of {ACTIVATIONS}")
         if self.num_classes < 2:
             raise ValueError("num_classes must be >= 2")
 
@@ -105,9 +105,8 @@ def _check_features(spec: ModelSpec, features: np.ndarray) -> np.ndarray:
     return x
 
 
-def _forward(params: ParamVector, spec: ModelSpec, x: np.ndarray):
+def _forward(layers: list[tuple[np.ndarray, np.ndarray]], spec: ModelSpec, x: np.ndarray):
     """Returns (per-layer inputs, pre-activations, logits)."""
-    layers = _layers(params, spec)
     inputs = [x]
     pre_acts = []
     h = x
@@ -126,10 +125,17 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=1, keepdims=True)
 
 
+def _cross_entropy(logits: np.ndarray, y: np.ndarray) -> float:
+    """Stable mean cross-entropy via log-sum-exp."""
+    max_logit = logits.max(axis=1, keepdims=True)
+    log_norm = max_logit[:, 0] + np.log(np.exp(logits - max_logit).sum(axis=1))
+    return float(np.mean(log_norm - logits[np.arange(y.shape[0]), y]))
+
+
 def predict_proba(params: ParamVector, spec: ModelSpec, features: np.ndarray) -> np.ndarray:
     """Row-wise class probabilities from the softmax head."""
     x = _check_features(spec, features)
-    _, _, logits = _forward(params, spec, x)
+    _, _, logits = _forward(_layers(params, spec), spec, x)
     return _softmax(logits)
 
 
@@ -152,19 +158,14 @@ def loss_and_gradient(
     x = _check_features(spec, features)
     y = _check_labels(spec, labels, x.shape[0])
     n = x.shape[0]
-    inputs, pre_acts, logits = _forward(params, spec, x)
+    layers = _layers(params, spec)
+    inputs, pre_acts, logits = _forward(layers, spec, x)
+    loss = _cross_entropy(logits, y)
 
-    # Stable mean cross-entropy via log-sum-exp.
-    max_logit = logits.max(axis=1, keepdims=True)
-    log_norm = max_logit[:, 0] + np.log(np.exp(logits - max_logit).sum(axis=1))
-    loss = float(np.mean(log_norm - logits[np.arange(n), y]))
-
-    probs = _softmax(logits)
-    delta = probs
+    delta = _softmax(logits)
     delta[np.arange(n), y] -= 1.0
     delta /= n
 
-    layers = _layers(params, spec)
     grads: list[np.ndarray | None] = [None] * (2 * len(layers))
     for k in range(len(layers) - 1, -1, -1):
         w, _ = layers[k]
@@ -214,10 +215,7 @@ def evaluate(params: ParamVector, spec: ModelSpec, dataset: "Dataset") -> dict[s
         raise ValueError("cannot evaluate on an empty dataset")
     x = _check_features(spec, dataset.features)
     y = _check_labels(spec, dataset.labels, x.shape[0])
-    _, _, logits = _forward(params, spec, x)
+    _, _, logits = _forward(_layers(params, spec), spec, x)
     predictions = np.argmax(logits, axis=1)
     accuracy = float(np.mean(predictions == y))
-    max_logit = logits.max(axis=1, keepdims=True)
-    log_norm = max_logit[:, 0] + np.log(np.exp(logits - max_logit).sum(axis=1))
-    loss = float(np.mean(log_norm - logits[np.arange(x.shape[0]), y]))
-    return {"accuracy": accuracy, "loss": loss}
+    return {"accuracy": accuracy, "loss": _cross_entropy(logits, y)}

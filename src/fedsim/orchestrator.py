@@ -5,8 +5,8 @@ evaluate each client's freshly trained model on its own test set, then fold
 the updates into the next global model with the configured strategy.
 
 Per-round accuracy is deliberately measured on the local models *before*
-aggregation (metrics travel with the updates); the aggregated model's own
-test accuracy is logged alongside for transparency.
+aggregation, from the per-client metrics the round loop records; the
+aggregated model's own test accuracy is logged alongside for transparency.
 """
 
 from __future__ import annotations
@@ -136,7 +136,6 @@ def run_federation(
                     client_id=shard.client_id,
                     num_examples=len(shard.train),
                     params=local,
-                    local_metrics=metrics,
                 )
             )
         aggregated_accuracy = weighted_accuracy(

@@ -9,8 +9,9 @@ a :class:`ShapeManifest` that remembers how to restore the tensor structure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -35,7 +36,7 @@ class ShapeManifest:
 
     @property
     def total_size(self) -> int:
-        return int(sum(int(np.prod(shape)) for _, shape in self.entries))
+        return sum(math.prod(shape) for _, shape in self.entries)
 
     @classmethod
     def from_shapes(cls, shapes: Sequence[tuple[str, Sequence[int]]]) -> "ShapeManifest":
@@ -85,7 +86,7 @@ class ParamVector:
         out: dict[str, np.ndarray] = {}
         offset = 0
         for name, shape in self.manifest.entries:
-            size = int(np.prod(shape))
+            size = math.prod(shape)
             out[name] = self.values[offset : offset + size].reshape(shape)
             offset += size
         return out

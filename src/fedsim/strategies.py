@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -53,13 +53,12 @@ GRAM_CANCELLATION = 1e-4
 
 @dataclass(frozen=True)
 class ClientUpdate:
-    """One client's round output: trained parameters, its data count, and
-    whatever local metrics accompanied them (test accuracy included)."""
+    """One client's round output: its trained parameters and the number of
+    training examples that weights them in the aggregate."""
 
     client_id: str
     num_examples: int
     params: ParamVector
-    local_metrics: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.num_examples < 1:
@@ -205,8 +204,6 @@ def aggregate_fedopt(
     """
     average = aggregate_fedavg(updates)
     delta = linear_combination([average, previous_global], [1.0, -1.0])
-    if not np.isfinite(delta.values).all():  # defensive; construction enforces it
-        raise NumericError("non-finite averaged delta")
 
     m_prev = state.first_moment if state.first_moment is not None else zeros_like(previous_global)
     v_prev = (

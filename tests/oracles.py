@@ -3,6 +3,10 @@
 ``minimize`` is the list-based Nelder-Mead simplex that
 :func:`fedsim.nelder_mead.minimize` replaced with an array-backed one; the
 two must agree bit for bit.
+
+``sgd_train`` is mini-batch SGD written on plain per-layer numpy arrays,
+with no ``ParamVector`` or manifest; :func:`fedsim.models.sgd_train` must
+match it bit for bit.
 """
 
 from __future__ import annotations
@@ -143,3 +147,68 @@ def _shrink(
         vertices[i] = best + factor * (vertices[i] - best)
         fvalues[i] = evaluate(vertices[i])
         created[i] = base + i - 1
+
+
+def sgd_train(
+    values: np.ndarray,
+    layer_dims: Sequence[tuple[int, int]],
+    activation: str,
+    features: np.ndarray,
+    labels: np.ndarray,
+    learning_rate: float,
+    batch_size: int,
+    local_epochs: int,
+    seed: int,
+) -> np.ndarray:
+    """Mini-batch SGD on mean cross-entropy; returns the flat trained weights.
+
+    ``values`` holds each dense layer's (fan_in, fan_out) weight matrix in
+    row-major order followed by its bias, layer by layer.  Batches are the
+    sorted indices of consecutive slices of one seeded permutation per epoch.
+    """
+    layers = []
+    offset = 0
+    for fan_in, fan_out in layer_dims:
+        w = values[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
+        offset += fan_in * fan_out
+        b = values[offset : offset + fan_out]
+        offset += fan_out
+        layers.append((w.copy(), b.copy()))
+
+    rng = np.random.default_rng(seed)
+    n = features.shape[0]
+    for _ in range(local_epochs):
+        perm = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            batch = np.sort(perm[start : start + batch_size])
+            x, y = features[batch], labels[batch]
+            m = x.shape[0]
+
+            inputs, pre_acts = [x], []
+            for k, (w, b) in enumerate(layers):
+                z = inputs[-1] @ w + b
+                pre_acts.append(z)
+                if k < len(layers) - 1:
+                    inputs.append(np.maximum(z, 0.0) if activation == "relu" else np.tanh(z))
+
+            logits = pre_acts[-1]
+            exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+            delta = exp / exp.sum(axis=1, keepdims=True)
+            delta[np.arange(m), y] -= 1.0
+            delta /= m
+
+            grads = [None] * len(layers)
+            for k in range(len(layers) - 1, -1, -1):
+                grads[k] = (inputs[k].T @ delta, delta.sum(axis=0))
+                if k > 0:
+                    upstream = delta @ layers[k][0].T
+                    z = pre_acts[k - 1]
+                    if activation == "relu":
+                        delta = upstream * (z > 0)
+                    else:
+                        delta = upstream * (1.0 - np.tanh(z) ** 2)
+            layers = [
+                (w - learning_rate * gw, b - learning_rate * gb)
+                for (w, b), (gw, gb) in zip(layers, grads)
+            ]
+    return np.concatenate([a.reshape(-1) for layer in layers for a in layer])

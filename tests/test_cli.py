@@ -2,6 +2,7 @@ import csv
 import filecmp
 import json
 import logging
+import re
 import textwrap
 
 import pytest
@@ -198,12 +199,73 @@ class TestParseConfig:
                 "solver: {x_tolerance: -1}\n",
                 "solver",
             ),
+            (
+                "dataset: {kind: blobs}\nstrategy: fedavg\n"
+                "train: {epochs: 2}\n",
+                "unknown key 'epochs' in train",
+            ),
+            (
+                "dataset: {kind: blobs}\nstrategy: fedavg\n"
+                "train: {batch_size: 0}\n",
+                "train.batch_size: must be >= 1",
+            ),
+            (
+                "dataset: {kind: blobs}\nstrategy: fedavg\n"
+                "train: {learning_rate: fast}\n",
+                "train.learning_rate: expected a number",
+            ),
+            (
+                "dataset: {kind: blobs}\nstrategy: fedavg\n"
+                "solver: {max_iterations: 0}\n",
+                "solver.max_iterations: must be >= 1",
+            ),
+            (
+                "dataset: {kind: blobs}\nstrategy: fedavg\n"
+                "solver: {max_iterations: 1.5}\n",
+                "solver.max_iterations: expected an integer",
+            ),
+            (
+                "dataset: {kind: blobs}\nstrategy: fedavg\n"
+                "hyperparams: {fedopt: {server_optimizer: sgdm}}\n",
+                "hyperparams.fedopt: server_optimizer must be one of",
+            ),
+            (
+                "dataset: {kind: blobs}\nstrategy: fedavg\n"
+                "hyperparams: {fedavg: {lr: 1}}\n",
+                "unknown key 'lr' in hyperparams.fedavg",
+            ),
         ],
     )
     def test_invalid_configs(self, tmp_path, text, fragment):
         path = write_config(tmp_path, text)
         with pytest.raises(ConfigError, match=fragment):
             parse_config(path)
+
+    @pytest.mark.parametrize(
+        "section, message",
+        [
+            (
+                "train: {bogus: 1}",
+                "unknown key 'bogus' in train; allowed keys: "
+                "learning_rate, batch_size, local_epochs",
+            ),
+            (
+                "solver: {bogus: 1}",
+                "unknown key 'bogus' in solver; allowed keys: reflection, expansion, "
+                "contraction, shrink, initial_step, x_tolerance, f_tolerance, max_iterations",
+            ),
+            (
+                "hyperparams: {fedyogi: {bogus: 1}}",
+                "unknown key 'bogus' in hyperparams.fedyogi; allowed keys: "
+                "server_lr, momentum_beta, tau, beta1, beta2, server_optimizer",
+            ),
+        ],
+    )
+    def test_section_allowed_keys_message(self, tmp_path, section, message):
+        path = write_config(tmp_path, f"dataset: {{kind: blobs}}\nstrategy: fedavg\n{section}\n")
+        with pytest.raises(ConfigError) as info:
+            parse_config(path)
+        assert str(info.value) == message
 
     def test_empty_file(self, tmp_path):
         path = write_config(tmp_path, "")
@@ -251,6 +313,18 @@ class TestOutputs:
             "fedavg.dat",
             "fedavgopt.dat",
         ]
+
+    def test_summary_columns_stay_separated_for_wide_seeds(self, tmp_path):
+        out = tmp_path / "out"
+        config = small_config(tmp_path, extra="seeds: [12345678, 1]\n", output_dir=str(out))
+        run_experiment(config)
+        lines = (out / "summary.txt").read_text(encoding="utf-8").splitlines()
+        header, rows = lines[2], lines[3:]
+        assert header.split() == ["strategy", "seed=12345678", "seed=1", "mean"]
+        starts = [m.start() for m in re.finditer(r"\S+", header)]
+        for row in rows:
+            assert len(row.split()) == 4
+            assert [m.start() for m in re.finditer(r"\S+", row)] == starts
 
     def test_curve_matches_history_precision(self, tmp_path):
         out = tmp_path / "out"

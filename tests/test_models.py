@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsim import (
     Dataset,
@@ -16,6 +18,7 @@ from fedsim import (
 )
 from fedsim.exceptions import ShapeMismatchError
 from helpers import finite_difference_gradient
+import oracles
 
 
 def dataset_from(features, labels, num_classes):
@@ -266,3 +269,64 @@ class TestEvaluate:
         empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), ("a", "b"))
         with pytest.raises(ValueError):
             evaluate(init_params(spec, 0), spec, empty)
+
+
+@st.composite
+def training_cases(draw):
+    """A small model, dataset and training config.
+
+    The batch size divides the example count, leaves a remainder, or covers
+    the whole set in one batch.
+    """
+    n = draw(st.integers(5, 24))
+    mode = draw(st.sampled_from(["divides", "remainder", "full"]))
+    if mode == "divides":
+        batch_size = draw(st.sampled_from([b for b in range(1, n) if n % b == 0]))
+    elif mode == "remainder":
+        batch_size = draw(st.sampled_from([b for b in range(2, n) if n % b]))
+    else:
+        batch_size = draw(st.integers(n, n + 5))
+    spec = ModelSpec(
+        input_dim=draw(st.integers(1, 5)),
+        hidden_dims=draw(st.sampled_from([(), (3,), (6,), (4, 2), (2, 5)])),
+        activation=draw(st.sampled_from(["relu", "tanh"])),
+        num_classes=draw(st.integers(2, 4)),
+    )
+    config = TrainConfig(
+        learning_rate=draw(st.sampled_from([0.05, 0.3, 1.0])),
+        batch_size=batch_size,
+        local_epochs=draw(st.integers(1, 2)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    data = dataset_from(
+        rng.normal(size=(n, spec.input_dim)),
+        rng.integers(0, spec.num_classes, size=n),
+        spec.num_classes,
+    )
+    return spec, config, data
+
+
+class TestAgainstRawArrayOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(case=training_cases(), init_seed=st.integers(0, 2**16))
+    def test_sgd_train_matches_raw_array_sgd_bit_for_bit(self, case, init_seed):
+        spec, config, data = case
+        params = init_params(spec, init_seed)
+        trained = sgd_train(params, spec, data, config)
+        expected = oracles.sgd_train(
+            params.values,
+            spec.layer_dims(),
+            spec.activation,
+            data.features,
+            data.labels,
+            config.learning_rate,
+            config.batch_size,
+            config.local_epochs,
+            config.seed,
+        )
+        assert trained.values.tobytes() == expected.tobytes()
+
+        # One cross-entropy: evaluation and training report the same loss.
+        loss, _ = loss_and_gradient(trained, spec, data.features, data.labels)
+        assert evaluate(trained, spec, data)["loss"] == loss

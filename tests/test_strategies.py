@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fedsim import (
@@ -20,7 +20,12 @@ from fedsim import (
 )
 from fedsim.exceptions import NumericError
 from fedsim.nelder_mead import MinimizeResult
-from fedsim.strategies import STRATEGIES, candidate_aggregate, gram_objective
+from fedsim.strategies import (
+    DENOMINATOR_FLOOR,
+    STRATEGIES,
+    candidate_aggregate,
+    gram_objective,
+)
 from helpers import make_updates, make_vec, random_vectors
 
 
@@ -527,3 +532,82 @@ class TestAggregator:
         agg = Aggregator("fedyogi")
         assert agg.hyperparams.server_optimizer == "yogi"
         assert agg.hyperparams.server_lr == 0.01
+
+
+def random_clients(seed, k, size):
+    """``k`` N(0, 1) client rows of length ``size`` and counts in [1, 50]."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(k, size)), rng.integers(1, 51, size=k)
+
+
+def clear_of_floor(x, rows, counts, s):
+    """True when every objective denominator, at scale 1 and at scale ``s``,
+    stays far above DENOMINATOR_FLOOR; only then is the objective scale
+    invariant."""
+    candidate = candidate_aggregate([make_vec(r) for r in rows], counts, x).values
+    smallest = np.linalg.norm(candidate + rows, axis=1).min()
+    return smallest * min(abs(s), 1.0) > 1e6 * DENOMINATOR_FLOOR
+
+
+property_settings = settings(max_examples=60, deadline=None)
+
+
+class TestAggregationProperties:
+    @property_settings
+    @given(seed=seeds, k=st.integers(1, 9), size=st.integers(1, 50),
+           lr=st.sampled_from([1.0, 0.5, 0.0]), data=st.data())
+    def test_fedmedian_permutation_invariant_bitwise(self, seed, k, size, lr, data):
+        rows, counts = random_clients(seed, k, size)
+        order = data.draw(st.permutations(range(k)))
+        previous = make_vec(np.linspace(-1.0, 1.0, size))
+        hp = StrategyHyperparams(server_lr=lr)
+        out = aggregate_fedmedian(make_updates(rows, counts), previous, hp)
+        permuted = aggregate_fedmedian(make_updates(rows[order], counts[order]), previous, hp)
+        assert permuted.values.tobytes() == out.values.tobytes()
+
+    @property_settings
+    @given(seed=seeds, k=st.integers(1, 9), size=st.integers(1, 50), data=st.data())
+    def test_fedavg_permutation_invariant(self, seed, k, size, data):
+        rows, counts = random_clients(seed, k, size)
+        order = data.draw(st.permutations(range(k)))
+        out = aggregate_fedavg(make_updates(rows, counts)).values
+        permuted = aggregate_fedavg(make_updates(rows[order], counts[order])).values
+        # Relative to the clients' scale: a coordinate that cancels to ~0
+        # keeps only absolute rounding error.
+        np.testing.assert_allclose(permuted, out, rtol=1e-12, atol=1e-12 * np.abs(rows).max())
+
+    @property_settings
+    @given(seed=seeds, k=st.integers(1, 9), size=st.integers(1, 50),
+           shift=st.floats(-100.0, 100.0))
+    def test_fedmedian_translation_equivariant(self, seed, k, size, shift):
+        rows, counts = random_clients(seed, k, size)
+        translation = shift * np.random.default_rng(seed + 1).normal(size=size)
+        previous = make_vec(np.zeros(size))
+        hp = StrategyHyperparams(server_lr=1.0)
+        out = aggregate_fedmedian(make_updates(rows, counts), previous, hp).values
+        moved = aggregate_fedmedian(make_updates(rows + translation, counts), previous, hp).values
+        scale = np.abs(rows).max() + np.abs(translation).max()
+        np.testing.assert_allclose(moved, out + translation, rtol=1e-12, atol=1e-12 * scale)
+
+    @property_settings
+    @given(seed=seeds, k=st.integers(1, 9), size=st.integers(1, 50),
+           exponent=st.integers(-60, 60), data=st.data())
+    def test_objective_f_scale_invariant_at_powers_of_two(self, seed, k, size, exponent, data):
+        rows, counts = random_clients(seed, k, size)
+        x = data.draw(st.lists(st.floats(0.1, 3.0), min_size=k, max_size=k))
+        s = 2.0**exponent
+        assume(clear_of_floor(x, rows, counts, s))
+        base = objective_f(x, [make_vec(r) for r in rows], counts)
+        scaled = objective_f(x, [make_vec(s * r) for r in rows], counts)
+        assert scaled == base
+
+    @property_settings
+    @given(seed=seeds, k=st.integers(1, 9), size=st.integers(1, 50),
+           s=st.sampled_from([3.0, 0.7, 1e-3, 1e3, -2.5]), data=st.data())
+    def test_objective_f_scale_invariant(self, seed, k, size, s, data):
+        rows, counts = random_clients(seed, k, size)
+        x = data.draw(st.lists(st.floats(0.1, 3.0), min_size=k, max_size=k))
+        assume(clear_of_floor(x, rows, counts, s))
+        base = objective_f(x, [make_vec(r) for r in rows], counts)
+        scaled = objective_f(x, [make_vec(s * r) for r in rows], counts)
+        assert scaled == pytest.approx(base, rel=1e-12)
