@@ -112,6 +112,13 @@ def _as_choice(value, key: str, choices: Sequence[str]) -> str:
     return value
 
 
+def _distinct(values: tuple, key: str) -> tuple:
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(f"{key}: {value!r} is listed more than once")
+    return values
+
+
 def _parse_dataset(raw) -> DatasetConfig:
     mapping = _as_mapping(raw, "dataset")
     kind = _as_choice(mapping.get("kind"), "dataset.kind", _DATASET_KINDS)
@@ -157,7 +164,7 @@ def _parse_strategies(raw: Mapping) -> tuple[str, ...]:
             raise ConfigError("strategies: expected a nonempty list of strategy names")
     else:
         raise ConfigError("config must name a strategy ('strategy' or 'strategies')")
-    return tuple(_as_choice(n, "strategy", STRATEGIES) for n in names)
+    return _distinct(tuple(_as_choice(n, "strategy", STRATEGIES) for n in names), "strategies")
 
 
 def _parse_seeds(raw: Mapping) -> tuple[int, ...]:
@@ -169,7 +176,7 @@ def _parse_seeds(raw: Mapping) -> tuple[int, ...]:
         seeds = raw["seeds"]
         if not isinstance(seeds, list) or not seeds:
             raise ConfigError("seeds: expected a nonempty list of integers")
-        return tuple(_as_int(s, "seeds", minimum=0) for s in seeds)
+        return _distinct(tuple(_as_int(s, "seeds", minimum=0) for s in seeds), "seeds")
     return (0,)
 
 

@@ -119,16 +119,17 @@ def _forward(layers: list[tuple[np.ndarray, np.ndarray]], spec: ModelSpec, x: np
     return inputs, pre_acts, pre_acts[-1]
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
-
-
-def _cross_entropy(logits: np.ndarray, y: np.ndarray) -> float:
-    """Stable mean cross-entropy via log-sum-exp."""
+def _softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise class probabilities and the log of each row's normalizer
+    (a stable log-sum-exp), both from one max-shifted exponential."""
     max_logit = logits.max(axis=1, keepdims=True)
-    log_norm = max_logit[:, 0] + np.log(np.exp(logits - max_logit).sum(axis=1))
+    exp = np.exp(logits - max_logit)
+    row_sums = exp.sum(axis=1, keepdims=True)
+    return exp / row_sums, max_logit[:, 0] + np.log(row_sums[:, 0])
+
+
+def _cross_entropy(logits: np.ndarray, y: np.ndarray, log_norm: np.ndarray) -> float:
+    """Mean cross-entropy, given the log-normalizers from :func:`_softmax`."""
     return float(np.mean(log_norm - logits[np.arange(y.shape[0]), y]))
 
 
@@ -136,7 +137,7 @@ def predict_proba(params: ParamVector, spec: ModelSpec, features: np.ndarray) ->
     """Row-wise class probabilities from the softmax head."""
     x = _check_features(spec, features)
     _, _, logits = _forward(_layers(params, spec), spec, x)
-    return _softmax(logits)
+    return _softmax(logits)[0]
 
 
 def _check_labels(spec: ModelSpec, labels: np.ndarray, n_rows: int) -> np.ndarray:
@@ -160,9 +161,8 @@ def loss_and_gradient(
     n = x.shape[0]
     layers = _layers(params, spec)
     inputs, pre_acts, logits = _forward(layers, spec, x)
-    loss = _cross_entropy(logits, y)
-
-    delta = _softmax(logits)
+    delta, log_norm = _softmax(logits)
+    loss = _cross_entropy(logits, y, log_norm)
     delta[np.arange(n), y] -= 1.0
     delta /= n
 
@@ -218,4 +218,5 @@ def evaluate(params: ParamVector, spec: ModelSpec, dataset: "Dataset") -> dict[s
     _, _, logits = _forward(_layers(params, spec), spec, x)
     predictions = np.argmax(logits, axis=1)
     accuracy = float(np.mean(predictions == y))
-    return {"accuracy": accuracy, "loss": _cross_entropy(logits, y)}
+    _, log_norm = _softmax(logits)
+    return {"accuracy": accuracy, "loss": _cross_entropy(logits, y, log_norm)}

@@ -248,7 +248,7 @@ def compare_strategies(
             config = dataclasses.replace(
                 base_config,
                 strategy=strategy,
-                strategy_hp=overrides.get(strategy, default_hyperparams(strategy)),
+                strategy_hp=overrides.get(strategy),
                 seed=seed,
             )
             logger.info("running strategy=%s seed=%d", strategy, seed)

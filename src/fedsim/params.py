@@ -1,17 +1,18 @@
-"""Flat parameter vectors and the small linear-algebra kernel used by every
-aggregation strategy.
+"""Flat parameter vectors and the one ordered weighted sum over them.
 
 A model's parameters live in named, shaped tensors only at the model
-boundary.  Everything the server does (weighted sums, norms, medians,
-objective evaluations) operates on a single flat float64 vector paired with
-a :class:`ShapeManifest` that remembers how to restore the tensor structure.
+boundary.  Between client training and the server step they travel as a
+single flat float64 vector paired with a :class:`ShapeManifest` that
+remembers how to restore the tensor structure.  Server steps compute on the
+raw ``values`` arrays and wrap only what they hand back in a
+:class:`ParamVector`, which is where finiteness is checked.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -92,19 +93,6 @@ class ParamVector:
         return out
 
 
-def zeros_like(vector: ParamVector) -> ParamVector:
-    return ParamVector(np.zeros(len(vector)), vector.manifest)
-
-
-def _require_shared_manifest(vectors: Iterable[ParamVector]) -> ShapeManifest:
-    it = iter(vectors)
-    first = next(it)
-    for v in it:
-        if v.manifest is not first.manifest and v.manifest != first.manifest:
-            raise ShapeMismatchError("parameter vectors do not share a manifest")
-    return first.manifest
-
-
 def linear_combination(
     vectors: Sequence[ParamVector], coefficients: Sequence[float]
 ) -> ParamVector:
@@ -122,36 +110,13 @@ def linear_combination(
     coeffs = [float(c) for c in coefficients]
     if not all(np.isfinite(coeffs)):
         raise NumericError("non-finite coefficient in linear combination")
-    manifest = _require_shared_manifest(vectors)
-    with np.errstate(over="ignore"):  # overflow is reported as NumericError below
+    manifest = vectors[0].manifest
+    if any(v.manifest is not manifest and v.manifest != manifest for v in vectors[1:]):
+        raise ShapeMismatchError("parameter vectors do not share a manifest")
+    # Overflow surfaces as NumericError when the result vector is built.
+    with np.errstate(over="ignore"):
         acc = coeffs[0] * vectors[0].values
         for c, v in zip(coeffs[1:], vectors[1:]):
             acc += c * v.values
-    if not np.isfinite(acc).all():
-        raise NumericError("linear combination overflowed to a non-finite value")
     return ParamVector(acc, manifest)
 
-
-def l2_distance(a: ParamVector, b: ParamVector) -> float:
-    """Euclidean norm of ``a - b``; zero iff the vectors are elementwise equal."""
-    _require_shared_manifest((a, b))
-    return float(np.linalg.norm(a.values - b.values))
-
-
-def l2_norm_sum(a: ParamVector, b: ParamVector) -> float:
-    """Euclidean norm of ``a + b``.
-
-    Can be zero when ``a == -b``; callers dividing by it must guard.
-    """
-    _require_shared_manifest((a, b))
-    return float(np.linalg.norm(a.values + b.values))
-
-
-def coordinate_median(vectors: Sequence[ParamVector]) -> ParamVector:
-    """Per-coordinate median; even counts use the midpoint of the two middle
-    order statistics."""
-    if len(vectors) == 0:
-        raise ValueError("coordinate_median needs at least one vector")
-    manifest = _require_shared_manifest(vectors)
-    stacked = np.stack([v.values for v in vectors], axis=0)
-    return ParamVector(np.median(stacked, axis=0), manifest)

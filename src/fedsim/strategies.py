@@ -2,7 +2,10 @@
 
 All six strategies share one shape of contract: given this round's client
 updates (and, for the stateful ones, the previous global model plus carried
-state), produce the next global parameter vector.
+state), produce the next global parameter vector.  A server step computes
+on the raw ``values`` arrays; only the vectors it hands back (the new global
+model and the arrays carried in :class:`StrategyState`) are wrapped in a
+:class:`ParamVector`, so each is checked finite once per round.
 
 * ``fedavg``     -- data-count weighted mean of client parameters.
 * ``fedavgm``    -- fedavg plus a server-side momentum recursion on the
@@ -28,14 +31,7 @@ import numpy as np
 
 from .exceptions import NumericError
 from .nelder_mead import Objective, SimplexConfig, minimize
-from .params import (
-    ParamVector,
-    coordinate_median,
-    l2_distance,
-    l2_norm_sum,
-    linear_combination,
-    zeros_like,
-)
+from .params import ParamVector, linear_combination
 
 STRATEGIES = ("fedavg", "fedavgm", "fedmedian", "fedopt", "fedyogi", "fedavgopt")
 SERVER_OPTIMIZERS = ("sgd", "adagrad", "adam", "yogi")
@@ -163,12 +159,14 @@ def aggregate_fedavgm(
     v <- beta * v + (previous - fedavg);  next = previous - lr * v.
     With beta = 0 and lr = 1 this collapses to plain fedavg.
     """
-    average = aggregate_fedavg(updates)
-    delta = linear_combination([previous_global, average], [1.0, -1.0])
-    momentum = state.momentum if state.momentum is not None else zeros_like(previous_global)
-    velocity = linear_combination([momentum, delta], [hp.momentum_beta, 1.0])
-    new_global = linear_combination([previous_global, velocity], [1.0, -hp.server_lr])
-    new_state = dataclasses.replace(state, momentum=velocity, round=state.round + 1)
+    previous = previous_global.values
+    delta = previous - aggregate_fedavg(updates).values
+    momentum = state.momentum.values if state.momentum is not None else 0.0
+    velocity = hp.momentum_beta * momentum + delta
+    new_global = previous_global.with_values(previous - hp.server_lr * velocity)
+    new_state = dataclasses.replace(
+        state, momentum=previous_global.with_values(velocity), round=state.round + 1
+    )
     return new_global, new_state
 
 
@@ -181,11 +179,12 @@ def aggregate_fedmedian(
     pseudo-gradient; at lr = 1 this is exactly the coordinate median of the
     client parameters (translation equivariance)."""
     params, _ = _params_and_counts(updates)
-    median = coordinate_median(params)
+    # Even counts take the midpoint of the two middle order statistics.
+    median = np.median(np.stack([p.values for p in params]), axis=0)
     if hp.server_lr == 1.0:
-        return median
-    gradient = linear_combination([previous_global, median], [1.0, -1.0])
-    return linear_combination([previous_global, gradient], [1.0, -hp.server_lr])
+        return previous_global.with_values(median)
+    previous = previous_global.values
+    return previous_global.with_values(previous - hp.server_lr * (previous - median))
 
 
 def aggregate_fedopt(
@@ -202,34 +201,35 @@ def aggregate_fedopt(
     lr * m / (sqrt(v) + tau), or just lr * m for the sgd variant.  The second
     moment starts at tau^2 so the first division is well conditioned.
     """
-    average = aggregate_fedavg(updates)
-    delta = linear_combination([average, previous_global], [1.0, -1.0])
-
-    m_prev = state.first_moment if state.first_moment is not None else zeros_like(previous_global)
+    previous = previous_global.values
+    delta = aggregate_fedavg(updates).values - previous
+    m_prev = state.first_moment.values if state.first_moment is not None else 0.0
     v_prev = (
-        state.second_moment
+        state.second_moment.values
         if state.second_moment is not None
-        else previous_global.with_values(np.full(len(previous_global), hp.tau**2))
+        else np.full(len(previous_global), hp.tau**2)
     )
-    m = linear_combination([m_prev, delta], [hp.beta1, 1.0 - hp.beta1])
+    m = hp.beta1 * m_prev + (1.0 - hp.beta1) * delta
 
-    d2 = delta.values**2
+    d2 = delta**2
     if hp.server_optimizer == "sgd":
         v = v_prev
-        step = hp.server_lr * m.values
+        step = hp.server_lr * m
     else:
         if hp.server_optimizer == "adagrad":
-            v_values = v_prev.values + d2
+            v = v_prev + d2
         elif hp.server_optimizer == "adam":
-            v_values = hp.beta2 * v_prev.values + (1.0 - hp.beta2) * d2
+            v = hp.beta2 * v_prev + (1.0 - hp.beta2) * d2
         else:  # yogi
-            v_values = v_prev.values - (1.0 - hp.beta2) * d2 * np.sign(v_prev.values - d2)
-        v = previous_global.with_values(v_values)
-        step = hp.server_lr * m.values / (np.sqrt(v.values) + hp.tau)
+            v = v_prev - (1.0 - hp.beta2) * d2 * np.sign(v_prev - d2)
+        step = hp.server_lr * m / (np.sqrt(v) + hp.tau)
 
-    new_global = previous_global.with_values(previous_global.values + step)
+    new_global = previous_global.with_values(previous + step)
     new_state = dataclasses.replace(
-        state, first_moment=m, second_moment=v, round=state.round + 1
+        state,
+        first_moment=previous_global.with_values(m),
+        second_moment=previous_global.with_values(v),
+        round=state.round + 1,
     )
     return new_global, new_state
 
@@ -263,9 +263,10 @@ def objective_f(
         raise ValueError(
             "x, client_params, and counts must have equal nonzero length"
         )
-    candidate = candidate_aggregate(client_params, counts, xs)
+    candidate = candidate_aggregate(client_params, counts, xs).values
     return sum(
-        l2_distance(candidate, w) / max(l2_norm_sum(candidate, w), DENOMINATOR_FLOOR)
+        float(np.linalg.norm(candidate - w.values))
+        / max(float(np.linalg.norm(candidate + w.values)), DENOMINATOR_FLOOR)
         for w in client_params
     )
 

@@ -7,17 +7,34 @@ two must agree bit for bit.
 ``sgd_train`` is mini-batch SGD written on plain per-layer numpy arrays,
 with no ``ParamVector`` or manifest; :func:`fedsim.models.sgd_train` must
 match it bit for bit.
+
+``aggregate_fedavgm``, ``aggregate_fedmedian`` and ``aggregate_fedopt`` build
+every intermediate as a ``ParamVector`` through ``linear_combination``; the
+array-based server steps in :mod:`fedsim.strategies` must match them bit for
+bit, global model and carried state alike.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import Callable, Sequence
 
 import numpy as np
 
-from fedsim import MinimizeResult, NumericError, SimplexConfig
+from fedsim import (
+    ClientUpdate,
+    MinimizeResult,
+    NumericError,
+    ParamVector,
+    SimplexConfig,
+    StrategyHyperparams,
+    StrategyState,
+    aggregate_fedavg,
+    linear_combination,
+)
 from fedsim.nelder_mead import Objective
+from fedsim.strategies import _params_and_counts
 
 
 def minimize(objective: Objective, x0: Sequence[float], config: SimplexConfig = SimplexConfig()) -> MinimizeResult:
@@ -212,3 +229,96 @@ def sgd_train(
                 for (w, b), (gw, gb) in zip(layers, grads)
             ]
     return np.concatenate([a.reshape(-1) for layer in layers for a in layer])
+
+
+def zeros_like(vector: ParamVector) -> ParamVector:
+    return ParamVector(np.zeros(len(vector)), vector.manifest)
+
+
+def coordinate_median(vectors: Sequence[ParamVector]) -> ParamVector:
+    """Per-coordinate median; even counts use the midpoint of the two middle
+    order statistics."""
+    stacked = np.stack([v.values for v in vectors], axis=0)
+    return ParamVector(np.median(stacked, axis=0), vectors[0].manifest)
+
+
+def aggregate_fedavgm(
+    updates: Sequence[ClientUpdate],
+    previous_global: ParamVector,
+    state: StrategyState,
+    hp: StrategyHyperparams,
+) -> tuple[ParamVector, StrategyState]:
+    """Server momentum over the pseudo-gradient previous - fedavg.
+
+    v <- beta * v + (previous - fedavg);  next = previous - lr * v.
+    With beta = 0 and lr = 1 this collapses to plain fedavg.
+    """
+    average = aggregate_fedavg(updates)
+    delta = linear_combination([previous_global, average], [1.0, -1.0])
+    momentum = state.momentum if state.momentum is not None else zeros_like(previous_global)
+    velocity = linear_combination([momentum, delta], [hp.momentum_beta, 1.0])
+    new_global = linear_combination([previous_global, velocity], [1.0, -hp.server_lr])
+    new_state = dataclasses.replace(state, momentum=velocity, round=state.round + 1)
+    return new_global, new_state
+
+
+def aggregate_fedmedian(
+    updates: Sequence[ClientUpdate],
+    previous_global: ParamVector,
+    hp: StrategyHyperparams,
+) -> ParamVector:
+    """Step from the previous global along the coordinate-median
+    pseudo-gradient; at lr = 1 this is exactly the coordinate median of the
+    client parameters (translation equivariance)."""
+    params, _ = _params_and_counts(updates)
+    median = coordinate_median(params)
+    if hp.server_lr == 1.0:
+        return median
+    gradient = linear_combination([previous_global, median], [1.0, -1.0])
+    return linear_combination([previous_global, gradient], [1.0, -hp.server_lr])
+
+
+def aggregate_fedopt(
+    updates: Sequence[ClientUpdate],
+    previous_global: ParamVector,
+    state: StrategyState,
+    hp: StrategyHyperparams,
+) -> tuple[ParamVector, StrategyState]:
+    """Adaptive server step driven by the averaged client delta.
+
+    delta = fedavg - previous;  m <- beta1 * m + (1 - beta1) * delta, and the
+    second moment follows the configured rule (adagrad accumulates, adam
+    decays, yogi moves toward delta^2 by sign).  The step is
+    lr * m / (sqrt(v) + tau), or just lr * m for the sgd variant.  The second
+    moment starts at tau^2 so the first division is well conditioned.
+    """
+    average = aggregate_fedavg(updates)
+    delta = linear_combination([average, previous_global], [1.0, -1.0])
+
+    m_prev = state.first_moment if state.first_moment is not None else zeros_like(previous_global)
+    v_prev = (
+        state.second_moment
+        if state.second_moment is not None
+        else previous_global.with_values(np.full(len(previous_global), hp.tau**2))
+    )
+    m = linear_combination([m_prev, delta], [hp.beta1, 1.0 - hp.beta1])
+
+    d2 = delta.values**2
+    if hp.server_optimizer == "sgd":
+        v = v_prev
+        step = hp.server_lr * m.values
+    else:
+        if hp.server_optimizer == "adagrad":
+            v_values = v_prev.values + d2
+        elif hp.server_optimizer == "adam":
+            v_values = hp.beta2 * v_prev.values + (1.0 - hp.beta2) * d2
+        else:  # yogi
+            v_values = v_prev.values - (1.0 - hp.beta2) * d2 * np.sign(v_prev.values - d2)
+        v = previous_global.with_values(v_values)
+        step = hp.server_lr * m.values / (np.sqrt(v.values) + hp.tau)
+
+    new_global = previous_global.with_values(previous_global.values + step)
+    new_state = dataclasses.replace(
+        state, first_moment=m, second_moment=v, round=state.round + 1
+    )
+    return new_global, new_state

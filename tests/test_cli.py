@@ -234,6 +234,18 @@ class TestParseConfig:
                 "hyperparams: {fedavg: {lr: 1}}\n",
                 "unknown key 'lr' in hyperparams.fedavg",
             ),
+            (
+                "dataset: {kind: blobs}\nstrategies: [fedavg, fedavgm, fedavg]\n",
+                "strategies: 'fedavg' is listed more than once",
+            ),
+            (
+                "dataset: {kind: blobs}\nstrategies: [fedavg, fedavg]\nseeds: [0, 0]\n",
+                "strategies: 'fedavg' is listed more than once",
+            ),
+            (
+                "dataset: {kind: blobs}\nstrategy: fedavg\nseeds: [3, 1, 3]\n",
+                "seeds: 3 is listed more than once",
+            ),
         ],
     )
     def test_invalid_configs(self, tmp_path, text, fragment):

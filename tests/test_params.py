@@ -6,11 +6,7 @@ from fedsim import (
     ParamVector,
     ShapeManifest,
     ShapeMismatchError,
-    coordinate_median,
-    l2_distance,
-    l2_norm_sum,
     linear_combination,
-    zeros_like,
 )
 from helpers import make_vec, random_vectors
 
@@ -113,74 +109,3 @@ class TestLinearCombination:
             b = linear_combination([vectors[k] for k in perm], [coeffs[k] for k in perm])
             assert np.allclose(a.values, b.values, rtol=0, atol=1e-12)
 
-
-class TestNorms:
-    def test_distance_zero_on_equal(self):
-        v = make_vec([1.5, -2.0, 7.0])
-        assert l2_distance(v, v) == 0.0
-
-    def test_distance_3_4_5(self):
-        assert l2_distance(make_vec([0, 0]), make_vec([3, 4])) == 5.0
-
-    def test_distance_orthogonal_unit(self):
-        d = l2_distance(make_vec([1, 0]), make_vec([0, 1]))
-        assert d == pytest.approx(np.sqrt(2.0), abs=1e-9)
-
-    def test_distance_manifest_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
-            l2_distance(make_vec([1.0]), make_vec([1.0, 2.0]))
-
-    def test_triangle_inequality(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            a, b, c = random_vectors(rng, 3, 9)
-            assert l2_distance(a, c) <= l2_distance(a, b) + l2_distance(b, c) + 1e-9
-
-    def test_norm_sum_cancellation(self):
-        v = make_vec([2.0, -3.0])
-        neg = v.with_values(-v.values)
-        assert l2_norm_sum(v, neg) == 0.0
-
-    def test_norm_sum_orthogonal_unit(self):
-        s = l2_norm_sum(make_vec([1, 0]), make_vec([0, 1]))
-        assert s == pytest.approx(np.sqrt(2.0), abs=1e-9)
-
-    def test_norm_sum_with_zero_vector(self):
-        v = make_vec([3, 4])
-        assert l2_norm_sum(zeros_like(v), v) == 5.0
-
-
-class TestCoordinateMedian:
-    def test_odd_count(self):
-        out = coordinate_median([make_vec([1]), make_vec([2]), make_vec([9])])
-        assert np.array_equal(out.values, [2.0])
-
-    def test_even_count_midpoint(self):
-        out = coordinate_median([make_vec([1]), make_vec([3])])
-        assert np.array_equal(out.values, [2.0])
-
-    def test_identical_inputs(self):
-        v = make_vec([4.0, -1.0, 0.5])
-        out = coordinate_median([v, v, v, v])
-        assert np.array_equal(out.values, v.values)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            coordinate_median([])
-
-    def test_permutation_invariant_exactly(self):
-        rng = np.random.default_rng(8)
-        vectors = random_vectors(rng, 6, 13)
-        perm = rng.permutation(6)
-        a = coordinate_median(vectors)
-        b = coordinate_median([vectors[k] for k in perm])
-        assert np.array_equal(a.values, b.values)
-
-    def test_translation_equivariance(self):
-        rng = np.random.default_rng(9)
-        vectors = random_vectors(rng, 4, 13)
-        shift = rng.normal(size=13)
-        shifted = [v.with_values(v.values + shift) for v in vectors]
-        lhs = coordinate_median(shifted).values
-        rhs = coordinate_median(vectors).values + shift
-        assert np.allclose(lhs, rhs, rtol=0, atol=1e-9)

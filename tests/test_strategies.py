@@ -27,6 +27,7 @@ from fedsim.strategies import (
     gram_objective,
 )
 from helpers import make_updates, make_vec, random_vectors
+import oracles
 
 
 class TestHyperparams:
@@ -146,13 +147,26 @@ class TestFedAvgM:
 
 
 class TestFedMedian:
-    def test_mu1_is_direct_coordinate_median(self):
-        updates = make_updates([[1.0], [2.0], [9.0]])
-        for prev in ([0.0], [100.0], [-3.5]):
+    @pytest.mark.parametrize(
+        "rows, expected",
+        [
+            ([[1.0], [2.0], [9.0]], [2.0]),  # odd count: the middle value
+            ([[1.0], [3.0]], [2.0]),  # even count: midpoint of the middle two
+            ([[4.0, -1.0, 0.5]] * 4, [4.0, -1.0, 0.5]),  # identical clients
+        ],
+    )
+    def test_mu1_is_direct_coordinate_median(self, rows, expected):
+        updates = make_updates(rows)
+        for prev in (0.0, 100.0, -3.5):
             out = aggregate_fedmedian(
-                updates, make_vec(prev), StrategyHyperparams(server_lr=1.0)
+                updates, make_vec(np.full(len(expected), prev)),
+                StrategyHyperparams(server_lr=1.0),
             )
-            assert np.array_equal(out.values, [2.0])
+            assert np.array_equal(out.values, expected)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            aggregate_fedmedian([], make_vec([0.0]), StrategyHyperparams(server_lr=1.0))
 
     def test_identical_clients_partial_step(self):
         w = make_vec([1.0, -2.0])
@@ -611,3 +625,84 @@ class TestAggregationProperties:
         base = objective_f(x, [make_vec(r) for r in rows], counts)
         scaled = objective_f(x, [make_vec(s * r) for r in rows], counts)
         assert scaled == pytest.approx(base, rel=1e-12)
+
+
+def chained_rounds(step, hp, seed, k, size, scale, rounds=3):
+    """(new global, state) after each of ``rounds`` chained server steps on
+    fresh seeded clients, each step starting from the last one's output."""
+    rng = np.random.default_rng(seed)
+    previous, state, history = make_vec(scale * rng.normal(size=size)), StrategyState(), []
+    for _ in range(rounds):
+        updates = make_updates(scale * rng.normal(size=(k, size)), rng.integers(1, 51, size=k))
+        previous, state = step(updates, previous, state, hp)
+        history.append((previous, state))
+    return history
+
+
+def stateless(aggregate):
+    return lambda updates, previous, state, hp: (aggregate(updates, previous, hp), state)
+
+
+def assert_same_bits(a, b):
+    assert (a is None) == (b is None)
+    if a is not None:
+        assert a.manifest == b.manifest
+        assert a.values.tobytes() == b.values.tobytes()
+
+
+def assert_matches_oracle(step, oracle, hp, seed, k, size, scale):
+    got = chained_rounds(step, hp, seed, k, size, scale)
+    want = chained_rounds(oracle, hp, seed, k, size, scale)
+    for (got_global, got_state), (want_global, want_state) in zip(got, want):
+        assert_same_bits(got_global, want_global)
+        assert got_state.round == want_state.round
+        for name in ("momentum", "first_moment", "second_moment"):
+            assert_same_bits(getattr(got_state, name), getattr(want_state, name))
+
+
+unit_interval = st.floats(0.0, 1.0, exclude_max=True)
+client_shapes = dict(seed=seeds, k=st.integers(1, 6), size=st.integers(1, 40),
+                     scale=st.sampled_from([1e-3, 1.0, 1e3]))
+
+
+class TestServerStepsMatchOracle:
+    """The array-based server steps match the ParamVector-based oracles in
+    ``tests/oracles.py`` bit for bit, global model and carried state alike,
+    over three chained rounds."""
+
+    @property_settings
+    @given(beta=unit_interval, lr=st.floats(0.0, 2.0), **client_shapes)
+    def test_fedavgm(self, beta, lr, seed, k, size, scale):
+        hp = StrategyHyperparams(server_lr=lr, momentum_beta=beta)
+        assert_matches_oracle(
+            aggregate_fedavgm, oracles.aggregate_fedavgm, hp, seed, k, size, scale
+        )
+
+    @property_settings
+    @given(lr=st.sampled_from([0.0, 1.0, 0.3, 1.7]), **client_shapes)
+    def test_fedmedian(self, lr, seed, k, size, scale):
+        hp = StrategyHyperparams(server_lr=lr)
+        assert_matches_oracle(
+            stateless(aggregate_fedmedian), stateless(oracles.aggregate_fedmedian),
+            hp, seed, k, size, scale,
+        )
+
+    @property_settings
+    @given(optimizer=st.sampled_from(["sgd", "adagrad", "adam", "yogi"]),
+           lr=st.floats(0.0, 1.0), tau=st.floats(1e-9, 1.0), beta1=unit_interval,
+           beta2=unit_interval, **client_shapes)
+    def test_fedopt(self, optimizer, lr, tau, beta1, beta2, seed, k, size, scale):
+        hp = StrategyHyperparams(
+            server_lr=lr, tau=tau, beta1=beta1, beta2=beta2, server_optimizer=optimizer
+        )
+        assert_matches_oracle(
+            aggregate_fedopt, oracles.aggregate_fedopt, hp, seed, k, size, scale
+        )
+
+    @property_settings
+    @given(**client_shapes)
+    def test_fedyogi_defaults(self, seed, k, size, scale):
+        assert_matches_oracle(
+            aggregate_fedopt, oracles.aggregate_fedopt, default_hyperparams("fedyogi"),
+            seed, k, size, scale,
+        )
