@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exceptions import NumericError
+from .exceptions import NumericError, ShapeMismatchError
 from .nelder_mead import Objective, SimplexConfig, minimize
 from .params import ParamVector, linear_combination
 
@@ -141,6 +141,13 @@ def _params_and_counts(updates: Sequence[ClientUpdate]) -> tuple[list[ParamVecto
     return [u.params for u in updates], [u.num_examples for u in updates]
 
 
+def _values_under(previous_global: ParamVector, vector: ParamVector) -> np.ndarray:
+    """Raw array of a vector the step hands back under the previous global's manifest."""
+    if vector.manifest != previous_global.manifest:
+        raise ShapeMismatchError("client parameters do not match the previous global's manifest")
+    return vector.values
+
+
 def aggregate_fedavg(updates: Sequence[ClientUpdate]) -> ParamVector:
     """Weighted mean of client parameters, weights = client data counts."""
     params, counts = _params_and_counts(updates)
@@ -160,7 +167,7 @@ def aggregate_fedavgm(
     With beta = 0 and lr = 1 this collapses to plain fedavg.
     """
     previous = previous_global.values
-    delta = previous - aggregate_fedavg(updates).values
+    delta = previous - _values_under(previous_global, aggregate_fedavg(updates))
     momentum = state.momentum.values if state.momentum is not None else 0.0
     velocity = hp.momentum_beta * momentum + delta
     new_global = previous_global.with_values(previous - hp.server_lr * velocity)
@@ -180,7 +187,7 @@ def aggregate_fedmedian(
     client parameters (translation equivariance)."""
     params, _ = _params_and_counts(updates)
     # Even counts take the midpoint of the two middle order statistics.
-    median = np.median(np.stack([p.values for p in params]), axis=0)
+    median = np.median(np.stack([_values_under(previous_global, p) for p in params]), axis=0)
     if hp.server_lr == 1.0:
         return previous_global.with_values(median)
     previous = previous_global.values
@@ -202,7 +209,7 @@ def aggregate_fedopt(
     moment starts at tau^2 so the first division is well conditioned.
     """
     previous = previous_global.values
-    delta = aggregate_fedavg(updates).values - previous
+    delta = _values_under(previous_global, aggregate_fedavg(updates)) - previous
     m_prev = state.first_moment.values if state.first_moment is not None else 0.0
     v_prev = (
         state.second_moment.values

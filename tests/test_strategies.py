@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from fedsim import (
     Aggregator,
     ClientUpdate,
+    ParamVector,
+    ShapeManifest,
     StrategyHyperparams,
     StrategyState,
     aggregate_fedavg,
@@ -18,7 +20,7 @@ from fedsim import (
     default_hyperparams,
     objective_f,
 )
-from fedsim.exceptions import NumericError
+from fedsim.exceptions import NumericError, ShapeMismatchError
 from fedsim.nelder_mead import MinimizeResult
 from fedsim.strategies import (
     DENOMINATOR_FLOOR,
@@ -546,6 +548,26 @@ class TestAggregator:
         agg = Aggregator("fedyogi")
         assert agg.hyperparams.server_optimizer == "yogi"
         assert agg.hyperparams.server_lr == 0.01
+
+
+class TestManifestChecks:
+    """A server step combines the clients' arrays elementwise with the previous
+    global's and hands the result back under its manifest, so a client vector
+    of another manifest is rejected, not broadcast or relabelled."""
+
+    @pytest.mark.parametrize("strategy", ["fedavgm", "fedmedian", "fedopt"])
+    @pytest.mark.parametrize(
+        "client",
+        [
+            make_vec([5.0]),  # size 1: numpy would broadcast it
+            ParamVector(np.array([1.0, 2.0]), ShapeManifest.from_shapes([("w", (2, 1))])),
+        ],
+        ids=["size-1", "same-size-other-shape"],
+    )
+    def test_client_manifest_differs_from_previous_global(self, strategy, client):
+        updates = [ClientUpdate(client_id="c0", num_examples=3, params=client)]
+        with pytest.raises(ShapeMismatchError):
+            Aggregator(strategy).aggregate(updates, make_vec([0.0, 0.0]))
 
 
 def random_clients(seed, k, size):
