@@ -21,6 +21,7 @@ import dataclasses
 import json
 import logging
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -43,6 +44,10 @@ HISTORY_HEADER = (
 )
 
 _DATASET_KINDS = ("blobs", "csv")
+
+# Every curve file name emit_plot_data can write: <strategy>.dat,
+# <strategy>_seed<N>.dat and <strategy>_mean.dat.
+_CURVE_NAME = re.compile(rf"(?:{'|'.join(STRATEGIES)})(?:_seed[0-9]+|_mean)?\.dat")
 
 
 @dataclass(frozen=True)
@@ -395,11 +400,18 @@ def _write_curve(path: Path, accuracies: Sequence[float]) -> Path:
 
 def emit_plot_data(result: ComparisonResult, directory: Path) -> list[Path]:
     """Two-column (round, accuracy) files: one per strategy for single-seed
-    runs; per-seed files plus a mean curve when several seeds ran."""
+    runs; per-seed files plus a mean curve when several seeds ran.
+
+    Curve files an earlier run left in ``directory`` are deleted first, so
+    the directory holds only this result's curves; other files are kept.
+    """
     if len(result.runs) == 0:
         raise ValueError("empty history: nothing to plot")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    for stale in directory.iterdir():
+        if _CURVE_NAME.fullmatch(stale.name) and stale.is_file():
+            stale.unlink()
     written: list[Path] = []
     multi_seed = len(result.seeds) > 1
     for strategy in result.strategies:

@@ -94,8 +94,10 @@ def generate_blobs(
 
 def load_csv(path: str, label_column: str) -> Dataset:
     """Parse a comma-separated file: header row, numeric feature columns, one
-    label column mapped to class indices by first appearance."""
-    with open(path, newline="", encoding="utf-8") as handle:
+    label column mapped to class indices by first appearance.  A leading
+    UTF-8 byte-order mark, as spreadsheet "CSV UTF-8" exports write, is
+    dropped."""
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)

@@ -88,12 +88,22 @@ def init_params(spec: ModelSpec, seed: int) -> ParamVector:
     return ParamVector(np.concatenate(flat), spec.manifest())
 
 
-def _layers(params: ParamVector, spec: ModelSpec) -> list[tuple[np.ndarray, np.ndarray]]:
-    tensors = params.to_tensors()
-    return [
-        (tensors[f"dense{i}.weight"], tensors[f"dense{i}.bias"])
-        for i in range(len(spec.layer_dims()))
-    ]
+def _layers(flat: np.ndarray, spec: ModelSpec) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(weight, bias) views of each dense layer of a flat vector laid out as
+    :meth:`ModelSpec.manifest` describes."""
+    dims = spec.layer_dims()
+    expected = sum((fan_in + 1) * fan_out for fan_in, fan_out in dims)
+    if flat.size != expected:
+        raise ShapeMismatchError(
+            f"model expects {expected} parameters, got {flat.size}"
+        )
+    layers = []
+    offset = 0
+    for fan_in, fan_out in dims:
+        end = offset + fan_in * fan_out
+        layers.append((flat[offset:end].reshape(fan_in, fan_out), flat[end : end + fan_out]))
+        offset = end + fan_out
+    return layers
 
 
 def _check_features(spec: ModelSpec, features: np.ndarray) -> np.ndarray:
@@ -106,17 +116,25 @@ def _check_features(spec: ModelSpec, features: np.ndarray) -> np.ndarray:
 
 
 def _forward(layers: list[tuple[np.ndarray, np.ndarray]], spec: ModelSpec, x: np.ndarray):
-    """Returns (per-layer inputs, pre-activations, logits)."""
+    """Returns (per-layer inputs, logits).
+
+    Each hidden activation overwrites its pre-activation, which backprop
+    does not need: relu's mask is ``h > 0`` and tanh's derivative is
+    ``1 - h**2``, the same bits as computed from the pre-activation.
+    """
     inputs = [x]
-    pre_acts = []
     h = x
     for k, (w, b) in enumerate(layers):
-        z = h @ w + b
-        pre_acts.append(z)
+        z = h @ w
+        z += b
         if k < len(layers) - 1:
-            h = np.maximum(z, 0.0) if spec.activation == "relu" else np.tanh(z)
-            inputs.append(h)
-    return inputs, pre_acts, pre_acts[-1]
+            if spec.activation == "relu":
+                np.maximum(z, 0.0, out=z)
+            else:
+                np.tanh(z, out=z)
+            inputs.append(z)
+        h = z
+    return inputs, h
 
 
 def _softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -128,15 +146,18 @@ def _softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return exp / row_sums, max_logit[:, 0] + np.log(row_sums[:, 0])
 
 
-def _cross_entropy(logits: np.ndarray, y: np.ndarray, log_norm: np.ndarray) -> float:
-    """Mean cross-entropy, given the log-normalizers from :func:`_softmax`."""
-    return float(np.mean(log_norm - logits[np.arange(y.shape[0]), y]))
+def _cross_entropy(
+    logits: np.ndarray, rows: np.ndarray, y: np.ndarray, log_norm: np.ndarray
+) -> float:
+    """Mean cross-entropy, given ``rows = arange(n)`` and the log-normalizers
+    from :func:`_softmax`.  The sum over n is the bits of ``np.mean``."""
+    return float((log_norm - logits[rows, y]).sum() / rows.size)
 
 
 def predict_proba(params: ParamVector, spec: ModelSpec, features: np.ndarray) -> np.ndarray:
     """Row-wise class probabilities from the softmax head."""
     x = _check_features(spec, features)
-    _, _, logits = _forward(_layers(params, spec), spec, x)
+    _, logits = _forward(_layers(params.values, spec), spec, x)
     return _softmax(logits)[0]
 
 
@@ -149,7 +170,7 @@ def _check_labels(spec: ModelSpec, labels: np.ndarray, n_rows: int) -> np.ndarra
             f"labels must lie in [0, {spec.num_classes}), got range "
             f"[{y.min()}, {y.max()}]"
         )
-    return y.astype(np.int64)
+    return y.astype(np.int64, copy=False)
 
 
 def loss_and_gradient(
@@ -159,26 +180,28 @@ def loss_and_gradient(
     x = _check_features(spec, features)
     y = _check_labels(spec, labels, x.shape[0])
     n = x.shape[0]
-    layers = _layers(params, spec)
-    inputs, pre_acts, logits = _forward(layers, spec, x)
+    layers = _layers(params.values, spec)
+    inputs, logits = _forward(layers, spec, x)
+    rows = np.arange(n)
     delta, log_norm = _softmax(logits)
-    loss = _cross_entropy(logits, y, log_norm)
-    delta[np.arange(n), y] -= 1.0
+    loss = _cross_entropy(logits, rows, y, log_norm)
+    delta[rows, y] -= 1.0
     delta /= n
 
-    grads: list[np.ndarray | None] = [None] * (2 * len(layers))
+    # Each layer's gradient is written into its views of one flat buffer.
+    flat = np.empty(params.values.size)
+    grads = _layers(flat, spec)
     for k in range(len(layers) - 1, -1, -1):
-        w, _ = layers[k]
-        grads[2 * k] = inputs[k].T @ delta
-        grads[2 * k + 1] = delta.sum(axis=0)
+        grad_w, grad_b = grads[k]
+        np.matmul(inputs[k].T, delta, out=grad_w)
+        delta.sum(axis=0, out=grad_b)
         if k > 0:
-            upstream = delta @ w.T
-            z = pre_acts[k - 1]
+            delta = delta @ layers[k][0].T
+            h = inputs[k]
             if spec.activation == "relu":
-                delta = upstream * (z > 0)
+                delta *= h > 0
             else:
-                delta = upstream * (1.0 - np.tanh(z) ** 2)
-    flat = np.concatenate([g.reshape(-1) for g in grads])
+                delta *= 1.0 - h**2
     return loss, ParamVector(flat, params.manifest)
 
 
@@ -215,8 +238,9 @@ def evaluate(params: ParamVector, spec: ModelSpec, dataset: "Dataset") -> dict[s
         raise ValueError("cannot evaluate on an empty dataset")
     x = _check_features(spec, dataset.features)
     y = _check_labels(spec, dataset.labels, x.shape[0])
-    _, _, logits = _forward(_layers(params, spec), spec, x)
-    predictions = np.argmax(logits, axis=1)
-    accuracy = float(np.mean(predictions == y))
+    _, logits = _forward(_layers(params.values, spec), spec, x)
+    n = x.shape[0]
+    # A Python float: its repr goes into history.csv.
+    accuracy = int(np.count_nonzero(np.argmax(logits, axis=1) == y)) / n
     _, log_norm = _softmax(logits)
-    return {"accuracy": accuracy, "loss": _cross_entropy(logits, y, log_norm)}
+    return {"accuracy": accuracy, "loss": _cross_entropy(logits, np.arange(n), y, log_norm)}

@@ -94,15 +94,7 @@ def weighted_accuracy(entries: Sequence[tuple[int, float]]) -> float:
     return sum(count * acc for count, acc in entries) / total
 
 
-def run_federation(
-    config: FederationConfig, shards: Sequence[ClientShard]
-) -> list[RoundReport]:
-    """Run the configured number of rounds over the given clients.
-
-    Deterministic: the global model starts from ``init_params(model, seed)``
-    and client ``i`` always trains with seed ``config.seed + i``, so a fixed
-    (config, shards) pair reproduces the same reports bit for bit.
-    """
+def _check_shards(config: FederationConfig, shards: Sequence[ClientShard]) -> None:
     if len(shards) < config.min_clients:
         raise ConfigError(
             f"need at least {config.min_clients} clients, got {len(shards)}"
@@ -111,33 +103,64 @@ def run_federation(
         if len(shard.train) == 0 or len(shard.test) == 0:
             raise ConfigError(f"{shard.client_id}: empty train or test split")
 
+
+def _train_round(
+    config: FederationConfig, shards: Sequence[ClientShard], global_params: ParamVector
+) -> tuple[list[ClientUpdate], list[ClientRoundMetrics]]:
+    """Train every client from ``global_params`` and score each local model on
+    its own test split; client ``i`` trains with seed ``config.seed + i``."""
+    updates: list[ClientUpdate] = []
+    per_client: list[ClientRoundMetrics] = []
+    for i, shard in enumerate(shards):
+        train_cfg = dataclasses.replace(config.train, seed=config.seed + i)
+        local = sgd_train(global_params, config.model, shard.train, train_cfg)
+        metrics = evaluate(local, config.model, shard.test)
+        per_client.append(
+            ClientRoundMetrics(
+                client_id=shard.client_id,
+                num_test_examples=len(shard.test),
+                accuracy=metrics["accuracy"],
+                loss=metrics["loss"],
+            )
+        )
+        updates.append(
+            ClientUpdate(
+                client_id=shard.client_id,
+                num_examples=len(shard.train),
+                params=local,
+            )
+        )
+    return updates, per_client
+
+
+def run_federation(
+    config: FederationConfig,
+    shards: Sequence[ClientShard],
+    *,
+    first_round: tuple[Sequence[ClientUpdate], Sequence[ClientRoundMetrics]] | None = None,
+) -> list[RoundReport]:
+    """Run the configured number of rounds over the given clients.
+
+    Deterministic: the global model starts from ``init_params(model, seed)``
+    and client ``i`` always trains with seed ``config.seed + i``, so a fixed
+    (config, shards) pair reproduces the same reports bit for bit.
+
+    ``first_round``, when given, is round 1's client updates and metrics as
+    :func:`_train_round` computes them from that starting model; round 1 is
+    then not trained again.  They depend only on the model, training config,
+    seed and shards, never on the strategy.
+    """
+    _check_shards(config, shards)
     global_params = init_params(config.model, config.seed)
     aggregator = Aggregator(
         config.strategy, config.resolved_hyperparams(), config.simplex
     )
     reports: list[RoundReport] = []
     for round_idx in range(1, config.rounds + 1):
-        updates: list[ClientUpdate] = []
-        per_client: list[ClientRoundMetrics] = []
-        for i, shard in enumerate(shards):
-            train_cfg = dataclasses.replace(config.train, seed=config.seed + i)
-            local = sgd_train(global_params, config.model, shard.train, train_cfg)
-            metrics = evaluate(local, config.model, shard.test)
-            per_client.append(
-                ClientRoundMetrics(
-                    client_id=shard.client_id,
-                    num_test_examples=len(shard.test),
-                    accuracy=metrics["accuracy"],
-                    loss=metrics["loss"],
-                )
-            )
-            updates.append(
-                ClientUpdate(
-                    client_id=shard.client_id,
-                    num_examples=len(shard.train),
-                    params=local,
-                )
-            )
+        if round_idx == 1 and first_round is not None:
+            updates, per_client = first_round
+        else:
+            updates, per_client = _train_round(config, shards, global_params)
         aggregated_accuracy = weighted_accuracy(
             [(m.num_test_examples, m.accuracy) for m in per_client]
         )
@@ -233,8 +256,10 @@ def compare_strategies(
 
     For each seed, ``shard_factory(seed)`` builds the client shards once and
     every strategy reuses them; the shared seed also fixes w0, so curves
-    differ only through the aggregation rule.  ``hyperparams`` overrides the
-    per-strategy defaults where present.
+    differ only through the aggregation rule.  Round 1's client training and
+    local evaluation therefore do not depend on the strategy: they run once
+    per seed and every strategy's federation starts from them.
+    ``hyperparams`` overrides the per-strategy defaults where present.
     """
     if len(strategies) == 0:
         raise ValueError("need at least one strategy")
@@ -244,16 +269,25 @@ def compare_strategies(
     runs: list[StrategyRun] = []
     for seed in seeds:
         shards = shard_factory(seed)
-        for strategy in strategies:
-            config = dataclasses.replace(
+        configs = [
+            dataclasses.replace(
                 base_config,
                 strategy=strategy,
                 strategy_hp=overrides.get(strategy),
                 seed=seed,
             )
-            logger.info("running strategy=%s seed=%d", strategy, seed)
-            reports = run_federation(config, shards)
+            for strategy in strategies
+        ]
+        _check_shards(configs[0], shards)
+        first_round = _train_round(
+            configs[0], shards, init_params(base_config.model, seed)
+        )
+        for config in configs:
+            logger.info("running strategy=%s seed=%d", config.strategy, seed)
+            reports = run_federation(config, shards, first_round=first_round)
             runs.append(
-                StrategyRun(strategy=strategy, seed=seed, reports=tuple(reports))
+                StrategyRun(strategy=config.strategy, seed=seed, reports=tuple(reports))
             )
+        # Release this seed's round-1 models before the next seed trains its own.
+        del first_round
     return ComparisonResult(runs=tuple(runs))

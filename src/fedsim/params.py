@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -35,8 +36,9 @@ class ShapeManifest:
             if not shape or any(int(d) < 1 for d in shape):
                 raise ValueError(f"manifest entry {name!r} has invalid shape {shape}")
 
-    @property
+    @cached_property
     def total_size(self) -> int:
+        # Read by every ParamVector construction, so it is summed once.
         return sum(math.prod(shape) for _, shape in self.entries)
 
     @classmethod

@@ -4,9 +4,17 @@
 :func:`fedsim.nelder_mead.minimize` replaced with an array-backed one; the
 two must agree bit for bit.
 
-``sgd_train`` is mini-batch SGD written on plain per-layer numpy arrays,
-with no ``ParamVector`` or manifest; :func:`fedsim.models.sgd_train` must
-match it bit for bit.
+``forward`` is the model's forward pass keeping every pre-activation, with
+each activation a fresh array; ``loss_and_gradient``, ``evaluate``,
+``predict_proba`` and ``sgd_train`` are written on it with plain per-layer
+numpy arrays, no ``ParamVector`` or manifest, and backprop derives the
+activation derivatives from the pre-activations.  The fedsim functions of the
+same names, which overwrite pre-activations in place and write gradients
+into one flat buffer, must match them bit for bit.
+
+``compare_strategies`` runs every (strategy, seed) pair as its own
+``run_federation``; :func:`fedsim.orchestrator.compare_strategies`, which
+trains round 1 once per seed and shares it, must write the same files.
 
 ``aggregate_fedavgm``, ``aggregate_fedmedian`` and ``aggregate_fedopt`` build
 every intermediate as a ``ParamVector`` through ``linear_combination``; the
@@ -18,20 +26,25 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from fedsim import (
+    ClientShard,
     ClientUpdate,
+    ComparisonResult,
+    FederationConfig,
     MinimizeResult,
     NumericError,
     ParamVector,
     SimplexConfig,
     StrategyHyperparams,
+    StrategyRun,
     StrategyState,
     aggregate_fedavg,
     linear_combination,
+    run_federation,
 )
 from fedsim.nelder_mead import Objective
 from fedsim.strategies import _params_and_counts
@@ -166,6 +179,104 @@ def _shrink(
         created[i] = base + i - 1
 
 
+def _split(values: np.ndarray, layer_dims: Sequence[tuple[int, int]]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Copies of each dense layer's (fan_in, fan_out) weight matrix and bias
+    from a flat vector holding them layer by layer, weight row-major first."""
+    layers = []
+    offset = 0
+    for fan_in, fan_out in layer_dims:
+        w = values[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
+        offset += fan_in * fan_out
+        b = values[offset : offset + fan_out]
+        offset += fan_out
+        layers.append((w.copy(), b.copy()))
+    return layers
+
+
+def forward(layers: Sequence[tuple[np.ndarray, np.ndarray]], activation: str, x: np.ndarray):
+    """Returns (per-layer inputs, pre-activations, logits), each activation a
+    fresh array computed from its kept pre-activation."""
+    inputs, pre_acts = [x], []
+    for k, (w, b) in enumerate(layers):
+        z = inputs[-1] @ w + b
+        pre_acts.append(z)
+        if k < len(layers) - 1:
+            inputs.append(np.maximum(z, 0.0) if activation == "relu" else np.tanh(z))
+    return inputs, pre_acts, pre_acts[-1]
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return exp / exp.sum(axis=1, keepdims=True)
+
+
+def _mean_cross_entropy(logits: np.ndarray, y: np.ndarray) -> float:
+    max_logit = logits.max(axis=1, keepdims=True)
+    log_norm = max_logit[:, 0] + np.log(np.exp(logits - max_logit).sum(axis=1))
+    return float(np.mean(log_norm - logits[np.arange(y.shape[0]), y]))
+
+
+def _backprop(layers, activation, inputs, pre_acts, delta) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-layer (weight, bias) gradients, given the logits' gradient."""
+    grads = [None] * len(layers)
+    for k in range(len(layers) - 1, -1, -1):
+        grads[k] = (inputs[k].T @ delta, delta.sum(axis=0))
+        if k > 0:
+            upstream = delta @ layers[k][0].T
+            z = pre_acts[k - 1]
+            if activation == "relu":
+                delta = upstream * (z > 0)
+            else:
+                delta = upstream * (1.0 - np.tanh(z) ** 2)
+    return grads
+
+
+def _logit_gradient(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
+    m = logits.shape[0]
+    delta = _softmax(logits)
+    delta[np.arange(m), y] -= 1.0
+    delta /= m
+    return delta
+
+
+def loss_and_gradient(
+    values: np.ndarray,
+    layer_dims: Sequence[tuple[int, int]],
+    activation: str,
+    features: np.ndarray,
+    labels: np.ndarray,
+) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy and its flat gradient, laid out like ``values``."""
+    layers = _split(values, layer_dims)
+    inputs, pre_acts, logits = forward(layers, activation, features)
+    grads = _backprop(layers, activation, inputs, pre_acts, _logit_gradient(logits, labels))
+    flat = np.concatenate([g.reshape(-1) for pair in grads for g in pair])
+    return _mean_cross_entropy(logits, labels), flat
+
+
+def evaluate(
+    values: np.ndarray,
+    layer_dims: Sequence[tuple[int, int]],
+    activation: str,
+    features: np.ndarray,
+    labels: np.ndarray,
+) -> dict[str, float]:
+    """Argmax accuracy (ties to the lowest class) and mean cross-entropy."""
+    _, _, logits = forward(_split(values, layer_dims), activation, features)
+    accuracy = float(np.mean(np.argmax(logits, axis=1) == labels))
+    return {"accuracy": accuracy, "loss": _mean_cross_entropy(logits, labels)}
+
+
+def predict_proba(
+    values: np.ndarray,
+    layer_dims: Sequence[tuple[int, int]],
+    activation: str,
+    features: np.ndarray,
+) -> np.ndarray:
+    _, _, logits = forward(_split(values, layer_dims), activation, features)
+    return _softmax(logits)
+
+
 def sgd_train(
     values: np.ndarray,
     layer_dims: Sequence[tuple[int, int]],
@@ -179,19 +290,10 @@ def sgd_train(
 ) -> np.ndarray:
     """Mini-batch SGD on mean cross-entropy; returns the flat trained weights.
 
-    ``values`` holds each dense layer's (fan_in, fan_out) weight matrix in
-    row-major order followed by its bias, layer by layer.  Batches are the
-    sorted indices of consecutive slices of one seeded permutation per epoch.
+    Batches are the sorted indices of consecutive slices of one seeded
+    permutation per epoch.
     """
-    layers = []
-    offset = 0
-    for fan_in, fan_out in layer_dims:
-        w = values[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
-        offset += fan_in * fan_out
-        b = values[offset : offset + fan_out]
-        offset += fan_out
-        layers.append((w.copy(), b.copy()))
-
+    layers = _split(values, layer_dims)
     rng = np.random.default_rng(seed)
     n = features.shape[0]
     for _ in range(local_epochs):
@@ -199,36 +301,34 @@ def sgd_train(
         for start in range(0, n, batch_size):
             batch = np.sort(perm[start : start + batch_size])
             x, y = features[batch], labels[batch]
-            m = x.shape[0]
-
-            inputs, pre_acts = [x], []
-            for k, (w, b) in enumerate(layers):
-                z = inputs[-1] @ w + b
-                pre_acts.append(z)
-                if k < len(layers) - 1:
-                    inputs.append(np.maximum(z, 0.0) if activation == "relu" else np.tanh(z))
-
-            logits = pre_acts[-1]
-            exp = np.exp(logits - logits.max(axis=1, keepdims=True))
-            delta = exp / exp.sum(axis=1, keepdims=True)
-            delta[np.arange(m), y] -= 1.0
-            delta /= m
-
-            grads = [None] * len(layers)
-            for k in range(len(layers) - 1, -1, -1):
-                grads[k] = (inputs[k].T @ delta, delta.sum(axis=0))
-                if k > 0:
-                    upstream = delta @ layers[k][0].T
-                    z = pre_acts[k - 1]
-                    if activation == "relu":
-                        delta = upstream * (z > 0)
-                    else:
-                        delta = upstream * (1.0 - np.tanh(z) ** 2)
+            inputs, pre_acts, logits = forward(layers, activation, x)
+            grads = _backprop(layers, activation, inputs, pre_acts, _logit_gradient(logits, y))
             layers = [
                 (w - learning_rate * gw, b - learning_rate * gb)
                 for (w, b), (gw, gb) in zip(layers, grads)
             ]
     return np.concatenate([a.reshape(-1) for layer in layers for a in layer])
+
+
+def compare_strategies(
+    base_config: FederationConfig,
+    strategies: Sequence[str],
+    seeds: Sequence[int],
+    shard_factory: Callable[[int], Sequence[ClientShard]],
+    hyperparams: Mapping[str, StrategyHyperparams] | None = None,
+) -> ComparisonResult:
+    """Every (strategy, seed) pair as one plain ``run_federation`` that trains
+    all its rounds itself, round 1 included."""
+    overrides = dict(hyperparams) if hyperparams is not None else {}
+    runs = []
+    for seed in seeds:
+        shards = shard_factory(seed)
+        for strategy in strategies:
+            config = dataclasses.replace(
+                base_config, strategy=strategy, strategy_hp=overrides.get(strategy), seed=seed
+            )
+            runs.append(StrategyRun(strategy, seed, tuple(run_federation(config, shards))))
+    return ComparisonResult(tuple(runs))
 
 
 def zeros_like(vector: ParamVector) -> ParamVector:

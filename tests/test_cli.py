@@ -396,6 +396,24 @@ class TestMain:
                 tmp_path / "first" / name, tmp_path / "second" / name, shallow=False
             ), name
 
+    def test_rerun_into_same_directory_removes_stale_curves(self, tmp_path):
+        path = write_config(tmp_path, SMALL_YAML + "seeds: [0, 1]\n")
+        out = tmp_path / "out"
+        assert main(["compare", path, "--output-dir", str(out)]) == 0
+        curves = out / "curves"
+        # Names fedsim never writes for a strategy it knows are left alone.
+        for keep in ("notes.dat", "fedprox_seed1.dat", "fedavg_seed1.txt"):
+            (curves / keep).write_text("mine\n", encoding="utf-8")
+        (curves / "fedyogi_mean.dat").write_text("old\n", encoding="utf-8")
+        assert main(["compare", path, "--output-dir", str(out), "--seed", "0"]) == 0
+        assert sorted(p.name for p in curves.iterdir()) == [
+            "fedavg.dat",
+            "fedavg_seed1.txt",
+            "fedavgopt.dat",
+            "fedprox_seed1.dat",
+            "notes.dat",
+        ]
+
     def test_run_requires_single_strategy(self, tmp_path, capsys):
         path = write_config(tmp_path, SMALL_YAML)
         assert main(["run", path, "--output-dir", str(tmp_path / "out")]) == 2

@@ -114,6 +114,19 @@ class TestLoadCsv:
         assert data.class_names == ("b", "a")
         assert np.array_equal(data.labels, [0, 1])
 
+    @pytest.mark.parametrize(
+        "text",
+        ["label,x1,x2\nb,1.0,2.0\na,3.0,4.0\n", "x1,x2,label\n1.0,2.0,b\n3.0,4.0,a\n"],
+        ids=["label-first", "label-last"],
+    )
+    def test_utf8_byte_order_mark_is_dropped(self, tmp_path, text):
+        # Spreadsheet "CSV UTF-8" exports start the file with U+FEFF.
+        path = self.write(tmp_path, "\ufeff" + text)
+        data = load_csv(path, "label")
+        assert np.array_equal(data.features, [[1.0, 2.0], [3.0, 4.0]])
+        assert np.array_equal(data.labels, [0, 1])
+        assert data.class_names == ("b", "a")
+
     def test_header_only_file_rejected(self, tmp_path):
         path = self.write(tmp_path, "x1,x2,label\n")
         with pytest.raises(CsvParseError):

@@ -330,3 +330,37 @@ class TestAgainstRawArrayOracle:
         # One cross-entropy: evaluation and training report the same loss.
         loss, _ = loss_and_gradient(trained, spec, data.features, data.labels)
         assert evaluate(trained, spec, data)["loss"] == loss
+
+
+class TestAgainstPreActivationOracle:
+    """The in-place forward pass, the derivatives taken from activations and
+    the one gradient buffer give the bits of the forward pass that keeps
+    every pre-activation."""
+
+    @pytest.mark.parametrize("hidden", [(), (5,), (6, 3)], ids=["h0", "h1", "h2"])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("n", [1, 7, 40])
+    def test_bit_for_bit(self, hidden, activation, n):
+        spec = ModelSpec(input_dim=4, hidden_dims=hidden, activation=activation, num_classes=3)
+        rng = np.random.default_rng([n, len(hidden), len(activation)])
+        params = init_params(spec, 0).with_values(rng.normal(size=spec.num_params))
+        x = rng.normal(size=(n, spec.input_dim))
+        y = rng.integers(0, spec.num_classes, size=n)
+        x_before = x.copy()
+        dims, values = spec.layer_dims(), params.values
+
+        loss, grad = loss_and_gradient(params, spec, x, y)
+        expected_loss, expected_grad = oracles.loss_and_gradient(values, dims, activation, x, y)
+        assert type(loss) is float and loss == expected_loss
+        assert grad.values.tobytes() == expected_grad.tobytes()
+
+        metrics = evaluate(params, spec, dataset_from(x, y, spec.num_classes))
+        expected = oracles.evaluate(values, dims, activation, x, y)
+        assert type(metrics["accuracy"]) is float
+        assert repr(metrics["accuracy"]) == repr(expected["accuracy"])
+        assert metrics["loss"] == expected["loss"]
+
+        proba = predict_proba(params, spec, x)
+        assert proba.tobytes() == oracles.predict_proba(values, dims, activation, x).tobytes()
+        # The in-place forward pass never writes into the caller's features.
+        assert x.tobytes() == x_before.tobytes()

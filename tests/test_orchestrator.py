@@ -1,8 +1,11 @@
 import dataclasses
+import filecmp
 
 import numpy as np
 import pytest
 
+import fedsim.orchestrator
+import oracles
 from fedsim import (
     AlphaSolution,
     ClientShard,
@@ -24,7 +27,9 @@ from fedsim import (
     sgd_train,
     weighted_accuracy,
 )
+from fedsim.cli import emit_plot_data, write_history_csv, write_summary
 from fedsim.exceptions import ConfigError, NumericError
+from fedsim.strategies import STRATEGIES
 
 SPEC = ModelSpec(input_dim=3, num_classes=2)
 TRAIN = TrainConfig(learning_rate=0.2, batch_size=16, local_epochs=2)
@@ -320,3 +325,76 @@ class TestCompareStrategies:
             compare_strategies(base, (), (0,), lambda s: blob_shards(4, s))
         with pytest.raises(ValueError):
             compare_strategies(base, ("fedavg",), (), lambda s: blob_shards(4, s))
+
+
+def count_calls(monkeypatch, name):
+    """Count the calls the orchestrator makes to one of its model functions."""
+    calls = []
+    original = getattr(fedsim.orchestrator, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fedsim.orchestrator, name, counted)
+    return calls
+
+
+def write_outputs(result, directory):
+    directory.mkdir()
+    write_history_csv(result, directory / "history.csv")
+    write_summary(result, directory / "summary.txt")
+    emit_plot_data(result, directory / "curves")
+
+
+class TestSharedFirstRound:
+    ROUNDS = 3
+    SEEDS = (0, 1)
+
+    @pytest.mark.parametrize(
+        "model",
+        [SPEC, ModelSpec(input_dim=3, hidden_dims=(5,), activation="tanh", num_classes=2)],
+        ids=["logistic", "mlp"],
+    )
+    def test_outputs_match_one_run_federation_per_pair(self, tmp_path, model):
+        base = FederationConfig(model=model, train=TRAIN, rounds=self.ROUNDS)
+        factory = lambda seed: blob_shards(4, seed)
+        shared = compare_strategies(base, STRATEGIES, self.SEEDS, factory)
+        plain = oracles.compare_strategies(base, STRATEGIES, self.SEEDS, factory)
+        write_outputs(shared, tmp_path / "shared")
+        write_outputs(plain, tmp_path / "plain")
+        names = ["history.csv", "summary.txt"]
+        names += [f"curves/{p.name}" for p in (tmp_path / "plain" / "curves").iterdir()]
+        assert len(names) == 2 + len(STRATEGIES) * (len(self.SEEDS) + 1)
+        _, mismatch, errors = filecmp.cmpfiles(
+            tmp_path / "shared", tmp_path / "plain", names, shallow=False
+        )
+        assert (mismatch, errors) == ([], [])
+
+    def test_round_one_trained_once_per_seed(self, monkeypatch):
+        trained = count_calls(monkeypatch, "sgd_train")
+        evaluated = count_calls(monkeypatch, "evaluate")
+        clients, strategies = 4, ("fedavg", "fedmedian", "fedyogi")
+        base = FederationConfig(model=SPEC, train=TRAIN, rounds=self.ROUNDS)
+        compare_strategies(
+            base, strategies, self.SEEDS, lambda seed: blob_shards(clients, seed)
+        )
+        local = clients * len(self.SEEDS) * (1 + len(strategies) * (self.ROUNDS - 1))
+        assert len(trained) == local
+        # One local evaluation per trained model, one global one per client
+        # and round of every federation.
+        federations = len(strategies) * len(self.SEEDS)
+        assert len(evaluated) == local + federations * self.ROUNDS * clients
+
+    def test_run_federation_alone_trains_round_one(self, monkeypatch):
+        trained = count_calls(monkeypatch, "sgd_train")
+        config = FederationConfig(model=SPEC, train=TRAIN, rounds=self.ROUNDS)
+        run_federation(config, blob_shards(4, 0))
+        assert len(trained) == 4 * self.ROUNDS
+
+    def test_invalid_shards_rejected_before_training(self, monkeypatch):
+        trained = count_calls(monkeypatch, "sgd_train")
+        base = FederationConfig(model=SPEC, train=TRAIN, rounds=2, min_clients=4)
+        with pytest.raises(ConfigError, match="at least 4"):
+            compare_strategies(base, ("fedavg", "fedavgm"), (0,), lambda s: blob_shards(3, s))
+        assert trained == []
