@@ -106,6 +106,9 @@ def _as_int(value, key: str, minimum: int | None = None) -> int:
 def _as_float(value, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key}: expected a number, got {value!r}")
+    # The comparison is False for nan, for inf and for ints too large for a float.
+    if not -sys.float_info.max <= value <= sys.float_info.max:
+        raise ConfigError(f"{key}: expected a finite number, got {value!r}")
     return float(value)
 
 

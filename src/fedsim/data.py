@@ -9,6 +9,7 @@ with a configurable (typically small) train fraction.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,12 +122,16 @@ def load_csv(path: str, label_column: str) -> Dataset:
                 if i == label_idx:
                     continue
                 try:
-                    values.append(float(cell))
+                    value = float(cell)
                 except ValueError:
+                    value = None
+                # float() also accepts nan and inf, and rounds 1e400 to inf.
+                if value is None or not math.isfinite(value):
                     raise CsvParseError(
                         f"{path}: row {row_num}, column {header[i]!r}: "
-                        f"non-numeric value {cell!r}"
-                    ) from None
+                        f"{'non-numeric' if value is None else 'non-finite'} value {cell!r}"
+                    )
+                values.append(value)
             rows.append(values)
             raw_labels.append(row[label_idx])
 

@@ -6,7 +6,8 @@ class FedsimError(Exception):
 
 
 class ShapeMismatchError(FedsimError):
-    """Parameter vectors with incompatible manifests were combined."""
+    """Parameter vectors of different lengths were combined, or a vector or
+    feature matrix does not fit its :class:`~fedsim.models.ModelSpec`."""
 
 
 class NumericError(FedsimError):

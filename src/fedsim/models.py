@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .exceptions import ShapeMismatchError
-from .params import ParamVector, ShapeManifest
+from .params import ParamVector
 
 if TYPE_CHECKING:
     from .data import Dataset
@@ -25,7 +25,8 @@ ACTIVATIONS = ("relu", "tanh")
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Architecture description; the parameter manifest derives from it."""
+    """Architecture description and the one owner of the parameter layout: per
+    layer of :meth:`layer_dims`, the row-major weight, then the bias."""
 
     input_dim: int
     hidden_dims: tuple[int, ...] = ()
@@ -48,16 +49,9 @@ class ModelSpec:
         widths = [self.input_dim, *self.hidden_dims, self.num_classes]
         return [(widths[i], widths[i + 1]) for i in range(len(widths) - 1)]
 
-    def manifest(self) -> ShapeManifest:
-        shapes: list[tuple[str, tuple[int, ...]]] = []
-        for i, (fan_in, fan_out) in enumerate(self.layer_dims()):
-            shapes.append((f"dense{i}.weight", (fan_in, fan_out)))
-            shapes.append((f"dense{i}.bias", (fan_out,)))
-        return ShapeManifest.from_shapes(shapes)
-
     @property
     def num_params(self) -> int:
-        return self.manifest().total_size
+        return sum((fan_in + 1) * fan_out for fan_in, fan_out in self.layer_dims())
 
 
 @dataclass(frozen=True)
@@ -85,21 +79,19 @@ def init_params(spec: ModelSpec, seed: int) -> ParamVector:
         bound = 1.0 / np.sqrt(fan_in)
         flat.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)).reshape(-1))
         flat.append(np.zeros(fan_out))
-    return ParamVector(np.concatenate(flat), spec.manifest())
+    return ParamVector(np.concatenate(flat))
 
 
 def _layers(flat: np.ndarray, spec: ModelSpec) -> list[tuple[np.ndarray, np.ndarray]]:
     """(weight, bias) views of each dense layer of a flat vector laid out as
-    :meth:`ModelSpec.manifest` describes."""
-    dims = spec.layer_dims()
-    expected = sum((fan_in + 1) * fan_out for fan_in, fan_out in dims)
-    if flat.size != expected:
+    :class:`ModelSpec` describes; a vector of any other size is rejected."""
+    if flat.size != spec.num_params:
         raise ShapeMismatchError(
-            f"model expects {expected} parameters, got {flat.size}"
+            f"model expects {spec.num_params} parameters, got {flat.size}"
         )
     layers = []
     offset = 0
-    for fan_in, fan_out in dims:
+    for fan_in, fan_out in spec.layer_dims():
         end = offset + fan_in * fan_out
         layers.append((flat[offset:end].reshape(fan_in, fan_out), flat[end : end + fan_out]))
         offset = end + fan_out
@@ -137,28 +129,21 @@ def _forward(layers: list[tuple[np.ndarray, np.ndarray]], spec: ModelSpec, x: np
     return inputs, h
 
 
-def _softmax(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise class probabilities and the log of each row's normalizer
-    (a stable log-sum-exp), both from one max-shifted exponential."""
+def _shifted_exp(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Max-shifted exponentials of the logits, their (n, 1) row sums (the
+    softmax divides by them), and each row's log-normalizer (log-sum-exp)."""
     max_logit = logits.max(axis=1, keepdims=True)
     exp = np.exp(logits - max_logit)
     row_sums = exp.sum(axis=1, keepdims=True)
-    return exp / row_sums, max_logit[:, 0] + np.log(row_sums[:, 0])
+    return exp, row_sums, max_logit[:, 0] + np.log(row_sums[:, 0])
 
 
 def _cross_entropy(
     logits: np.ndarray, rows: np.ndarray, y: np.ndarray, log_norm: np.ndarray
 ) -> float:
     """Mean cross-entropy, given ``rows = arange(n)`` and the log-normalizers
-    from :func:`_softmax`.  The sum over n is the bits of ``np.mean``."""
+    from :func:`_shifted_exp`.  The sum over n is the bits of ``np.mean``."""
     return float((log_norm - logits[rows, y]).sum() / rows.size)
-
-
-def predict_proba(params: ParamVector, spec: ModelSpec, features: np.ndarray) -> np.ndarray:
-    """Row-wise class probabilities from the softmax head."""
-    x = _check_features(spec, features)
-    _, logits = _forward(_layers(params.values, spec), spec, x)
-    return _softmax(logits)[0]
 
 
 def _check_labels(spec: ModelSpec, labels: np.ndarray, n_rows: int) -> np.ndarray:
@@ -183,8 +168,9 @@ def loss_and_gradient(
     layers = _layers(params.values, spec)
     inputs, logits = _forward(layers, spec, x)
     rows = np.arange(n)
-    delta, log_norm = _softmax(logits)
+    delta, row_sums, log_norm = _shifted_exp(logits)
     loss = _cross_entropy(logits, rows, y, log_norm)
+    delta /= row_sums
     delta[rows, y] -= 1.0
     delta /= n
 
@@ -202,7 +188,7 @@ def loss_and_gradient(
                 delta *= h > 0
             else:
                 delta *= 1.0 - h**2
-    return loss, ParamVector(flat, params.manifest)
+    return loss, ParamVector(flat)
 
 
 def sgd_train(
@@ -224,12 +210,12 @@ def sgd_train(
             # Sorted batch indices keep the full-batch case bit-identical to
             # a single loss_and_gradient step.
             batch = np.sort(perm[start : start + config.batch_size])
-            current = ParamVector(values, params.manifest)
+            current = ParamVector(values)
             _, grad = loss_and_gradient(
                 current, spec, dataset.features[batch], dataset.labels[batch]
             )
             values = values - config.learning_rate * grad.values
-    return ParamVector(values, params.manifest)
+    return ParamVector(values)
 
 
 def evaluate(params: ParamVector, spec: ModelSpec, dataset: "Dataset") -> dict[str, float]:
@@ -242,5 +228,5 @@ def evaluate(params: ParamVector, spec: ModelSpec, dataset: "Dataset") -> dict[s
     n = x.shape[0]
     # A Python float: its repr goes into history.csv.
     accuracy = int(np.count_nonzero(np.argmax(logits, axis=1) == y)) / n
-    _, log_norm = _softmax(logits)
+    log_norm = _shifted_exp(logits)[2]
     return {"accuracy": accuracy, "loss": _cross_entropy(logits, np.arange(n), y, log_norm)}

@@ -66,10 +66,9 @@ class StrategyState:
     """Cross-round server state.
 
     ``momentum`` is carried only by fedavgm; ``first_moment``/``second_moment``
-    only by the fedopt family.  ``round`` counts completed aggregations.
+    only by the fedopt family.
     """
 
-    round: int = 0
     momentum: ParamVector | None = None
     first_moment: ParamVector | None = None
     second_moment: ParamVector | None = None
@@ -142,9 +141,10 @@ def _params_and_counts(updates: Sequence[ClientUpdate]) -> tuple[list[ParamVecto
 
 
 def _values_under(previous_global: ParamVector, vector: ParamVector) -> np.ndarray:
-    """Raw array of a vector the step hands back under the previous global's manifest."""
-    if vector.manifest != previous_global.manifest:
-        raise ShapeMismatchError("client parameters do not match the previous global's manifest")
+    """Raw array of a client vector, checked to be as long as the previous
+    global so that numpy cannot broadcast a size-1 client vector."""
+    if len(vector) != len(previous_global):
+        raise ShapeMismatchError("client parameters differ in length from the previous global")
     return vector.values
 
 
@@ -171,9 +171,7 @@ def aggregate_fedavgm(
     momentum = state.momentum.values if state.momentum is not None else 0.0
     velocity = hp.momentum_beta * momentum + delta
     new_global = previous_global.with_values(previous - hp.server_lr * velocity)
-    new_state = dataclasses.replace(
-        state, momentum=previous_global.with_values(velocity), round=state.round + 1
-    )
+    new_state = dataclasses.replace(state, momentum=previous_global.with_values(velocity))
     return new_global, new_state
 
 
@@ -236,7 +234,6 @@ def aggregate_fedopt(
         state,
         first_moment=previous_global.with_values(m),
         second_moment=previous_global.with_values(v),
-        round=state.round + 1,
     )
     return new_global, new_state
 
@@ -414,19 +411,16 @@ class Aggregator:
         self.last_alpha = None
         if self.strategy == "fedavg":
             new_global = aggregate_fedavg(updates)
-            self.state = dataclasses.replace(self.state, round=self.state.round + 1)
         elif self.strategy == "fedavgm":
             new_global, self.state = aggregate_fedavgm(
                 updates, previous_global, self.state, self.hyperparams
             )
         elif self.strategy == "fedmedian":
             new_global = aggregate_fedmedian(updates, previous_global, self.hyperparams)
-            self.state = dataclasses.replace(self.state, round=self.state.round + 1)
         elif self.strategy in ("fedopt", "fedyogi"):
             new_global, self.state = aggregate_fedopt(
                 updates, previous_global, self.state, self.hyperparams
             )
         else:  # fedavgopt
             new_global, self.last_alpha = aggregate_fedavgopt(updates, self.simplex)
-            self.state = dataclasses.replace(self.state, round=self.state.round + 1)
         return new_global

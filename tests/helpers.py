@@ -2,18 +2,16 @@
 
 import numpy as np
 
-from fedsim import ClientUpdate, ParamVector, ShapeManifest
+from fedsim import ClientUpdate, ParamVector
 
 
 def make_vec(values) -> ParamVector:
-    """ParamVector over a single flat tensor of matching length."""
-    arr = np.asarray(values, dtype=np.float64).reshape(-1)
-    manifest = ShapeManifest.from_shapes([("w", (arr.size,))])
-    return ParamVector(arr, manifest)
+    """ParamVector holding ``values``, flattened."""
+    return ParamVector(np.asarray(values, dtype=np.float64))
 
 
 def make_updates(param_rows, counts=None) -> list[ClientUpdate]:
-    """One ClientUpdate per row, sharing a manifest."""
+    """One ClientUpdate per row."""
     vectors = [make_vec(row) for row in param_rows]
     if counts is None:
         counts = [1] * len(vectors)
@@ -24,9 +22,8 @@ def make_updates(param_rows, counts=None) -> list[ClientUpdate]:
 
 
 def random_vectors(rng, num, size):
-    """A list of ParamVectors with shared manifest and N(0,1) entries."""
-    manifest = ShapeManifest.from_shapes([("w", (size,))])
-    return [ParamVector(rng.normal(size=size), manifest) for _ in range(num)]
+    """A list of ``num`` ParamVectors of length ``size`` with N(0,1) entries."""
+    return [ParamVector(rng.normal(size=size)) for _ in range(num)]
 
 
 def finite_difference_gradient(params, spec, features, labels, h=1e-5):

@@ -5,12 +5,12 @@
 two must agree bit for bit.
 
 ``forward`` is the model's forward pass keeping every pre-activation, with
-each activation a fresh array; ``loss_and_gradient``, ``evaluate``,
-``predict_proba`` and ``sgd_train`` are written on it with plain per-layer
-numpy arrays, no ``ParamVector`` or manifest, and backprop derives the
-activation derivatives from the pre-activations.  The fedsim functions of the
-same names, which overwrite pre-activations in place and write gradients
-into one flat buffer, must match them bit for bit.
+each activation a fresh array; ``loss_and_gradient``, ``evaluate`` and
+``sgd_train`` are written on it with plain per-layer numpy arrays, no
+``ParamVector``, and backprop derives the activation derivatives from the
+pre-activations.  The fedsim functions of the same names, which overwrite
+pre-activations in place and write gradients into one flat buffer, must
+match them bit for bit.
 
 ``compare_strategies`` runs every (strategy, seed) pair as its own
 ``run_federation``; :func:`fedsim.orchestrator.compare_strategies`, which
@@ -267,16 +267,6 @@ def evaluate(
     return {"accuracy": accuracy, "loss": _mean_cross_entropy(logits, labels)}
 
 
-def predict_proba(
-    values: np.ndarray,
-    layer_dims: Sequence[tuple[int, int]],
-    activation: str,
-    features: np.ndarray,
-) -> np.ndarray:
-    _, _, logits = forward(_split(values, layer_dims), activation, features)
-    return _softmax(logits)
-
-
 def sgd_train(
     values: np.ndarray,
     layer_dims: Sequence[tuple[int, int]],
@@ -332,14 +322,14 @@ def compare_strategies(
 
 
 def zeros_like(vector: ParamVector) -> ParamVector:
-    return ParamVector(np.zeros(len(vector)), vector.manifest)
+    return ParamVector(np.zeros(len(vector)))
 
 
 def coordinate_median(vectors: Sequence[ParamVector]) -> ParamVector:
     """Per-coordinate median; even counts use the midpoint of the two middle
     order statistics."""
     stacked = np.stack([v.values for v in vectors], axis=0)
-    return ParamVector(np.median(stacked, axis=0), vectors[0].manifest)
+    return ParamVector(np.median(stacked, axis=0))
 
 
 def aggregate_fedavgm(
@@ -358,7 +348,7 @@ def aggregate_fedavgm(
     momentum = state.momentum if state.momentum is not None else zeros_like(previous_global)
     velocity = linear_combination([momentum, delta], [hp.momentum_beta, 1.0])
     new_global = linear_combination([previous_global, velocity], [1.0, -hp.server_lr])
-    new_state = dataclasses.replace(state, momentum=velocity, round=state.round + 1)
+    new_state = dataclasses.replace(state, momentum=velocity)
     return new_global, new_state
 
 
@@ -418,7 +408,5 @@ def aggregate_fedopt(
         step = hp.server_lr * m.values / (np.sqrt(v.values) + hp.tau)
 
     new_global = previous_global.with_values(previous_global.values + step)
-    new_state = dataclasses.replace(
-        state, first_moment=m, second_moment=v, round=state.round + 1
-    )
+    new_state = dataclasses.replace(state, first_moment=m, second_moment=v)
     return new_global, new_state

@@ -246,12 +246,38 @@ class TestParseConfig:
                 "dataset: {kind: blobs}\nstrategy: fedavg\nseeds: [3, 1, 3]\n",
                 "seeds: 3 is listed more than once",
             ),
+            (
+                "dataset: {kind: blobs}\nstrategy: fedyogi\n"
+                "hyperparams: {fedyogi: {tau: .inf}}\n",
+                "hyperparams.fedyogi.tau: expected a finite number, got inf",
+            ),
+            (
+                "dataset: {kind: blobs, spread: .inf}\nstrategy: fedavg\n",
+                "dataset.spread: expected a finite number, got inf",
+            ),
+            (
+                "dataset: {kind: blobs}\nstrategy: fedavg\ntrain: {learning_rate: .inf}\n",
+                "train.learning_rate: expected a finite number, got inf",
+            ),
+            (
+                "dataset: {kind: blobs}\nstrategy: fedavg\ntrain: {learning_rate: .nan}\n",
+                "train.learning_rate: expected a finite number, got nan",
+            ),
+            (
+                "dataset: {kind: blobs}\nstrategy: fedavg\nsolver: {initial_step: -.inf}\n",
+                "solver.initial_step: expected a finite number, got -inf",
+            ),
         ],
     )
     def test_invalid_configs(self, tmp_path, text, fragment):
         path = write_config(tmp_path, text)
         with pytest.raises(ConfigError, match=fragment):
             parse_config(path)
+
+    def test_integer_beyond_float_range_rejected(self, tmp_path):
+        text = f"dataset: {{kind: blobs, spread: 1{'0' * 400}}}\nstrategy: fedavg\n"
+        with pytest.raises(ConfigError, match="dataset.spread: expected a finite number"):
+            parse_config(write_config(tmp_path, text))
 
     @pytest.mark.parametrize(
         "section, message",

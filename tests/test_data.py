@@ -145,7 +145,13 @@ class TestLoadCsv:
     def test_non_numeric_cell_cites_row(self, tmp_path):
         rows = "\n".join(f"{i}.0,{i}.0,a" for i in range(1, 5))
         path = self.write(tmp_path, f"x1,x2,label\n{rows}\n1.0,oops,a\n")
-        with pytest.raises(CsvParseError, match="row 5"):
+        with pytest.raises(CsvParseError, match="row 5, column 'x2': non-numeric value 'oops'"):
+            load_csv(path, "label")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e400"])
+    def test_non_finite_cell_cites_row_and_column(self, tmp_path, cell):
+        path = self.write(tmp_path, f"x1,label,x2\n1.0,a,2.0\n3.0,b,{cell}\n")
+        with pytest.raises(CsvParseError, match=f"row 2, column 'x2': non-finite value '{cell}'"):
             load_csv(path, "label")
 
     def test_ragged_row_rejected(self, tmp_path):

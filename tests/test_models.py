@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from fedsim import (
     Dataset,
     ModelSpec,
+    ParamVector,
     TrainConfig,
     evaluate,
     generate_blobs,
     init_params,
     loss_and_gradient,
-    predict_proba,
     sgd_train,
 )
 from fedsim.exceptions import ShapeMismatchError
@@ -27,13 +27,15 @@ def dataset_from(features, labels, num_classes):
 
 
 class TestModelSpec:
-    def test_logistic_manifest_size(self):
+    def test_logistic_num_params(self):
         spec = ModelSpec(input_dim=4, num_classes=3)
-        assert spec.manifest().total_size == 4 * 3 + 3
+        assert spec.num_params == 4 * 3 + 3
+        assert len(init_params(spec, 0)) == spec.num_params
 
-    def test_mlp_manifest_size(self):
+    def test_mlp_num_params(self):
         spec = ModelSpec(input_dim=6, hidden_dims=(5,), activation="tanh", num_classes=3)
-        assert spec.manifest().total_size == 6 * 5 + 5 + 5 * 3 + 3
+        assert spec.num_params == 6 * 5 + 5 + 5 * 3 + 3
+        assert len(init_params(spec, 0)) == spec.num_params
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):
@@ -70,45 +72,38 @@ class TestInitParams:
 
     def test_biases_zero_and_weights_bounded(self):
         spec = ModelSpec(input_dim=9, hidden_dims=(6,), num_classes=4)
-        tensors = init_params(spec, 5).to_tensors()
-        assert np.array_equal(tensors["dense0.bias"], np.zeros(6))
-        assert np.array_equal(tensors["dense1.bias"], np.zeros(4))
-        assert np.all(np.abs(tensors["dense0.weight"]) <= 1 / np.sqrt(9))
-        assert np.all(np.abs(tensors["dense1.weight"]) <= 1 / np.sqrt(6))
-
-
-class TestPredictProba:
-    def test_zero_params_uniform(self):
-        spec = ModelSpec(input_dim=3, num_classes=4)
-        params = init_params(spec, 0).with_values(np.zeros(spec.num_params))
-        probs = predict_proba(params, spec, np.random.default_rng(1).normal(size=(6, 3)))
-        assert np.array_equal(probs, np.full((6, 4), 0.25))
-
-    def test_rows_sum_to_one(self):
-        rng = np.random.default_rng(2)
-        spec = ModelSpec(input_dim=5, hidden_dims=(4,), num_classes=3)
-        probs = predict_proba(init_params(spec, 2), spec, rng.normal(size=(10, 5)))
-        assert np.all(probs > 0) and np.all(probs < 1)
-        assert np.allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-9)
-
-    def test_logit_shift_invariance(self):
-        rng = np.random.default_rng(3)
-        spec = ModelSpec(input_dim=4, num_classes=3)
-        params = init_params(spec, 3)
-        x = rng.normal(size=(8, 4))
-        base = predict_proba(params, spec, x)
-        shifted_values = params.values.copy()
-        shifted_values[-spec.num_classes:] += 3.7  # final bias shifts every logit
-        shifted = predict_proba(params.with_values(shifted_values), spec, x)
-        assert np.allclose(base, shifted, rtol=0, atol=1e-9)
-
-    def test_feature_width_checked(self):
-        spec = ModelSpec(input_dim=4, num_classes=3)
-        with pytest.raises(ShapeMismatchError):
-            predict_proba(init_params(spec, 0), spec, np.zeros((2, 5)))
+        values = init_params(spec, 5).values
+        offset = 0
+        for fan_in, fan_out in spec.layer_dims():
+            weight = values[offset : offset + fan_in * fan_out]
+            bias = values[offset + fan_in * fan_out : offset + (fan_in + 1) * fan_out]
+            assert np.all(np.abs(weight) <= 1 / np.sqrt(fan_in))
+            assert np.array_equal(bias, np.zeros(fan_out))
+            offset += (fan_in + 1) * fan_out
+        assert offset == values.size
 
 
 class TestLossAndGradient:
+    def test_feature_width_checked(self):
+        spec = ModelSpec(input_dim=4, num_classes=3)
+        params, y = init_params(spec, 0), np.zeros(2, dtype=np.int64)
+        with pytest.raises(ShapeMismatchError):
+            loss_and_gradient(params, spec, np.zeros((2, 5)), y)
+        with pytest.raises(ShapeMismatchError):
+            evaluate(params, spec, dataset_from(np.zeros((2, 5)), y, spec.num_classes))
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_parameter_count_checked(self, delta):
+        # The spec alone fixes the layout, so a vector of another size is
+        # rejected by the model, not sliced.
+        spec = ModelSpec(input_dim=4, hidden_dims=(3,), num_classes=3)
+        params = ParamVector(np.zeros(spec.num_params + delta))
+        x, y = np.zeros((2, 4)), np.zeros(2, dtype=np.int64)
+        with pytest.raises(ShapeMismatchError, match=f"expects {spec.num_params} parameters"):
+            loss_and_gradient(params, spec, x, y)
+        with pytest.raises(ShapeMismatchError, match=f"expects {spec.num_params} parameters"):
+            evaluate(params, spec, dataset_from(x, y, spec.num_classes))
+
     def test_zero_params_loss_is_log_num_classes(self):
         spec = ModelSpec(input_dim=3, num_classes=4)
         params = init_params(spec, 0).with_values(np.zeros(spec.num_params))
@@ -360,7 +355,5 @@ class TestAgainstPreActivationOracle:
         assert repr(metrics["accuracy"]) == repr(expected["accuracy"])
         assert metrics["loss"] == expected["loss"]
 
-        proba = predict_proba(params, spec, x)
-        assert proba.tobytes() == oracles.predict_proba(values, dims, activation, x).tobytes()
         # The in-place forward pass never writes into the caller's features.
         assert x.tobytes() == x_before.tobytes()
