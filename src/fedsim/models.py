@@ -9,6 +9,7 @@ finite-difference in tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -63,8 +64,8 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         # lr = 0 is allowed so the zero-step identity is testable.
-        if not self.learning_rate >= 0:
-            raise ValueError("learning_rate must be >= 0")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.local_epochs < 1:

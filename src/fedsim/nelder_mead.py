@@ -1,15 +1,17 @@
 """Nelder-Mead downhill-simplex minimization.
 
 Plain implementation of the 1965 reflect / expand / contract / shrink
-iteration with the standard coefficients.  It is written for small
-dimensions (one coordinate per federated client), favors determinism over
-speed, and never propagates non-finite objective values: any NaN/Inf seen
-after the start point is treated as +inf so the offending vertex simply
-loses every comparison.
+iteration with the standard coefficients, for small dimensions (one
+coordinate per federated client).  The vertices stay sorted by (objective
+value, creation order): each replacement is inserted in place, and only a
+shrink, which may produce a new best vertex, re-sorts the simplex.  It never
+propagates non-finite objective values: any NaN/Inf seen after the start
+point is treated as +inf so the offending vertex loses every comparison.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -40,18 +42,19 @@ class SimplexConfig:
     max_iterations: int | None = None
 
     def __post_init__(self) -> None:
-        if not self.reflection > 0:
-            raise ValueError("reflection coefficient must be > 0")
-        if not self.expansion > max(self.reflection, 1.0):
-            raise ValueError("expansion must exceed max(reflection, 1)")
+        if not 0 < self.reflection < math.inf:
+            raise ValueError("reflection must be finite and > 0")
+        if not max(self.reflection, 1.0) < self.expansion < math.inf:
+            raise ValueError("expansion must be finite and exceed max(reflection, 1)")
         if not 0 < self.contraction < 1:
             raise ValueError("contraction must be in (0, 1)")
         if not 0 < self.shrink < 1:
             raise ValueError("shrink must be in (0, 1)")
-        if self.initial_step == 0:
-            raise ValueError("initial_step must be nonzero")
-        if not (self.x_tolerance > 0 and self.f_tolerance > 0):
-            raise ValueError("tolerances must be > 0")
+        if not 0 < abs(self.initial_step) < math.inf:
+            raise ValueError("initial_step must be finite and nonzero")
+        for name in ("x_tolerance", "f_tolerance"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 
@@ -96,38 +99,43 @@ def minimize(objective: Objective, x0: Sequence[float], config: SimplexConfig = 
     if not math.isfinite(f0):
         raise NumericError("objective is non-finite at the start point")
 
-    # Simplex state: one row per vertex, with its stored objective value and
-    # creation id.  Ordering ties break on creation id for determinism.
+    # Simplex state: one row per vertex and the list of their objective values,
+    # sorted by (value, creation order).
     vertices = np.tile(start, (dim + 1, 1))
     axes = np.arange(dim)
     vertices[axes + 1, axes] += config.initial_step
-    fvalues = np.array([f0] + [evaluate(v) for v in vertices[1:]])
-    created = np.arange(dim + 1)
-    next_id = dim + 1
+    fvalues = [f0] + [evaluate(v) for v in vertices[1:]]
 
+    def sort_rows() -> None:
+        # Called only when creation order is row order; sorted() is stable.
+        order = sorted(range(dim + 1), key=fvalues.__getitem__)
+        vertices[:] = vertices[order]
+        fvalues[:] = [fvalues[i] for i in order]
+
+    sort_rows()
     iterations = 0
     converged = False
     while True:
-        order = np.lexsort((created, fvalues))
-        vertices, fvalues, created = vertices[order], fvalues[order], created[order]
-        x_spread = float(np.max(np.abs(vertices[1:] - vertices[0])))
-        f_spread = fvalues[-1] - fvalues[0]
-        if x_spread < config.x_tolerance and f_spread < config.f_tolerance:
+        if (
+            fvalues[-1] - fvalues[0] < config.f_tolerance
+            and np.maximum.reduce(np.abs(vertices[1:] - vertices[0]), axis=None) < config.x_tolerance
+        ):
             converged = True
             break
         if iterations >= max_iter:
             break
         iterations += 1
 
-        centroid = vertices[:-1].mean(axis=0)
-        worst = vertices[-1]
+        centroid = np.add.reduce(vertices[:-1], axis=0)
+        centroid /= dim  # what ndarray.mean computes, bit for bit
+        toward = centroid - vertices[-1]
         f_worst = fvalues[-1]
 
-        x_reflect = centroid + config.reflection * (centroid - worst)
+        x_reflect = centroid + config.reflection * toward
         f_reflect = evaluate(x_reflect)
         replacement: tuple[np.ndarray, float] | None
         if f_reflect < fvalues[0]:
-            x_expand = centroid + config.expansion * (centroid - worst)
+            x_expand = centroid + config.expansion * toward
             f_expand = evaluate(x_expand)
             if f_expand < f_reflect:
                 replacement = (x_expand, f_expand)
@@ -142,27 +150,30 @@ def minimize(objective: Objective, x0: Sequence[float], config: SimplexConfig = 
             replacement = (x_contract, f_contract) if f_contract <= f_reflect else None
         else:
             # Inside contraction, between centroid and the worst vertex.
-            x_contract = centroid - config.contraction * (centroid - worst)
+            x_contract = centroid - config.contraction * toward
             f_contract = evaluate(x_contract)
             replacement = (x_contract, f_contract) if f_contract < f_worst else None
 
         if replacement is not None:
-            vertices[-1], fvalues[-1] = replacement
-            created[-1] = next_id
-            next_id += 1
+            # The replacement is the newest vertex: it goes after equal values.
+            x_new, f_new = replacement
+            slot = bisect.bisect_right(fvalues, f_new, 0, dim)
+            fvalues[slot:] = [f_new, *fvalues[slot:-1]]
+            vertices[slot + 1:] = vertices[slot:-1]
+            vertices[slot] = x_new
         else:
-            # Shrink: pull every non-best vertex toward the best one.
+            # Shrink: pull every non-best vertex toward the best one, in row
+            # order; any of them may now beat the best, so all rows re-sort.
             vertices[1:] = vertices[0] + config.shrink * (vertices[1:] - vertices[0])
             for i in range(1, dim + 1):
                 fvalues[i] = evaluate(vertices[i])
-            created[1:] = np.arange(next_id, next_id + dim)
-            next_id += dim
+            sort_rows()
 
     best_x = vertices[0].copy()
     best_x.setflags(write=False)
     return MinimizeResult(
         x_star=best_x,
-        f_star=float(fvalues[0]),
+        f_star=fvalues[0],
         iterations=iterations,
         converged=converged,
     )

@@ -86,12 +86,12 @@ class StrategyHyperparams:
     def __post_init__(self) -> None:
         # server_lr = 0 is permitted: the zero-step behavior is part of the
         # fedmedian contract.
-        if not self.server_lr >= 0:
-            raise ValueError("server_lr must be >= 0")
+        if not 0 <= self.server_lr < math.inf:
+            raise ValueError("server_lr must be finite and >= 0")
         if not 0 <= self.momentum_beta < 1:
             raise ValueError("momentum_beta must be in [0, 1)")
-        if not self.tau > 0:
-            raise ValueError("tau must be > 0")
+        if not 0 < self.tau < math.inf:
+            raise ValueError("tau must be finite and > 0")
         if not 0 <= self.beta1 < 1:
             raise ValueError("beta1 must be in [0, 1)")
         if not 0 <= self.beta2 < 1:
@@ -121,12 +121,14 @@ def default_hyperparams(strategy: str) -> StrategyHyperparams:
 
 @dataclass(frozen=True)
 class AlphaSolution:
-    """Per-round diagnostic of the coefficient solve."""
+    """Per-round diagnostic of the coefficient solve: the coefficients, their
+    and all-ones' :func:`objective_f`, and the Nelder-Mead search's outcome."""
 
     alpha: np.ndarray
     objective_at_alpha: float
     objective_at_ones: float
     converged: bool
+    iterations: int
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.alpha, dtype=np.float64).reshape(-1)
@@ -299,8 +301,8 @@ def gram_objective(
     The vectors are first scaled by a power of two so that every entry is
     below 1 in magnitude: this is exact, keeps the Gram products from
     overflowing, and scales the denominator floor with them.  A non-finite
-    ``x``, or one whose norms overflow, scores ``inf``; NumPy may warn about
-    the overflow.
+    ``x``, or one whose norms or their bounds overflow, scores ``inf``; NumPy
+    may warn about the overflow.
     """
     weights = np.asarray(counts, dtype=np.float64) / float(sum(counts))
     stacked = np.stack([w.values for w in client_params])
@@ -315,30 +317,37 @@ def gram_objective(
     largest_offset = math.sqrt(float(offsets_sq.max()))
     mean_norm = math.sqrt(float(gram[k, k]))
     signs = np.array([[-2.0], [2.0]])
+    coeffs = np.empty((2, k + 1))
 
     def evaluate(x: np.ndarray) -> float:
         c = weights * x
-        s = float(c.sum())
+        s = float(np.add.reduce(c))
         # Row 0 expands ||w(x) - w_j||^2, row 1 ||w(x) + w_j||^2.
-        coeffs = np.empty((2, k + 1))
         coeffs[:, :k] = c
         coeffs[:, k] = (s - 1.0, s + 1.0)
         products = coeffs @ gram
-        q = (products * coeffs).sum(axis=1, keepdims=True)
-        squares = q + signs * products[:, :k] + offsets_sq
-        offset_terms = (float(np.abs(c).sum()) + 1.0) * largest_offset
-        smallest = squares.min(axis=1)
-        if (
-            smallest[0] < GRAM_CANCELLATION * (offset_terms + abs(s - 1.0) * mean_norm) ** 2
-            or smallest[1] < GRAM_CANCELLATION * (offset_terms + abs(s + 1.0) * mean_norm) ** 2
-        ):
+        squares = signs * products[:, :k]
+        squares += np.add.reduce(products * coeffs, axis=1, keepdims=True)
+        squares += offsets_sq
+        offset_terms = (float(np.add.reduce(np.abs(c))) + 1.0) * largest_offset
+        smallest_minus, smallest_plus = np.minimum.reduce(squares, axis=1).tolist()
+        try:
+            cancels = (
+                smallest_minus < GRAM_CANCELLATION * (offset_terms + abs(s - 1.0) * mean_norm) ** 2
+                or smallest_plus < GRAM_CANCELLATION * (offset_terms + abs(s + 1.0) * mean_norm) ** 2
+            )
+        except OverflowError:  # a bound beyond the float range
+            return math.inf
+        if cancels:
             candidate = c @ stacked
             squares = np.stack([
                 np.square(candidate - stacked).sum(axis=1),
                 np.square(candidate + stacked).sum(axis=1),
             ])
-        norms = np.sqrt(np.maximum(squares, 0.0))
-        value = float((norms[0] / np.maximum(norms[1], floor)).sum())
+        # No clamp at zero: a square that rounding made negative takes the
+        # direct path above, unless a NaN beside it makes the value NaN anyway.
+        norms = np.sqrt(squares)
+        value = float(np.add.reduce(norms[0] / np.maximum(norms[1], floor)))
         return value if math.isfinite(value) else math.inf
 
     return evaluate
@@ -378,6 +387,7 @@ def aggregate_fedavgopt(
         objective_at_alpha=at_alpha,
         objective_at_ones=at_ones,
         converged=result.converged,
+        iterations=result.iterations,
     )
     return aggregate, solution
 

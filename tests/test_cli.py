@@ -352,6 +352,20 @@ class TestOutputs:
             "fedavgopt.dat",
         ]
 
+    def test_compare_with_huge_solver_step_completes(self, tmp_path):
+        # Every first-simplex vertex but the start is too large for the Gram
+        # objective's bounds; it scores them inf rather than raising.
+        path = write_config(
+            tmp_path,
+            SMALL_YAML.replace("[fedavg, fedavgopt]", "[fedavgopt]")
+            + "solver: {initial_step: 1.0e+160}\n",
+        )
+        out = tmp_path / "out"
+        assert main(["compare", path, "--output-dir", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["curves", "history.csv", "summary.txt"]
+        lines = (out / "history.csv").read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 1 + 2 * 4
+
     def test_summary_columns_stay_separated_for_wide_seeds(self, tmp_path):
         out = tmp_path / "out"
         config = small_config(tmp_path, extra="seeds: [12345678, 1]\n", output_dir=str(out))

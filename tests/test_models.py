@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -52,6 +53,11 @@ class TestTrainConfig:
     def test_negative_lr_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=-0.1)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_lr_rejected(self, value):
+        with pytest.raises(ValueError, match="learning_rate must be finite"):
+            TrainConfig(learning_rate=value)
 
     def test_zero_lr_allowed(self):
         assert TrainConfig(learning_rate=0.0).learning_rate == 0.0

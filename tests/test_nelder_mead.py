@@ -52,6 +52,15 @@ class TestSimplexConfig:
         with pytest.raises(ValueError):
             SimplexConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field",
+        ["reflection", "expansion", "initial_step", "x_tolerance", "f_tolerance"],
+    )
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SimplexConfig(**{field: value})
+
 
 class TestMinimize:
     def test_scalar_quadratic(self):
@@ -181,11 +190,17 @@ class TestMatchesListOracle:
             # creation-order tie-breaks both run.
             return float(np.sum(np.floor(8 * np.abs(x - center))))
 
+        def walled(x):
+            # The minimum at all-ones lies past a wall that the search
+            # reaches mid-run, where the objective is infinite.
+            return math.inf if x[0] > 0.3 else float(np.sum(scales * (x - 1.0) ** 2))
+
         config = SimplexConfig(max_iterations=100)
         for objective, x0 in (
             (quadratic_nd, np.zeros(dim)),
             (rosenbrock_nd, np.full(dim, -1.0)),
             (staircase, np.zeros(dim)),
+            (walled, np.zeros(dim)),
         ):
             assert_same_result(
                 minimize(objective, x0, config), oracles.minimize(objective, x0, config)
@@ -198,3 +213,13 @@ class TestMatchesListOracle:
         objective = gram_objective(params, rng.integers(1, 100, size=16))
         x0 = np.ones(16)
         assert_same_result(minimize(objective, x0), oracles.minimize(objective, x0))
+
+    def test_thirty_two_client_fedavgopt_objective_to_the_cap(self):
+        rng = np.random.default_rng(32)
+        base = rng.normal(size=84)
+        params = [v.with_values(base + 0.05 * v.values) for v in random_vectors(rng, 32, 84)]
+        objective = gram_objective(params, rng.integers(50, 151, size=32))
+        x0 = np.ones(32)
+        result = minimize(objective, x0)
+        assert (result.iterations, result.converged) == (6400, False)
+        assert_same_result(result, oracles.minimize(objective, x0))

@@ -19,7 +19,7 @@ from fedsim import (
     objective_f,
 )
 from fedsim.exceptions import NumericError, ShapeMismatchError
-from fedsim.nelder_mead import MinimizeResult
+from fedsim.nelder_mead import MinimizeResult, minimize
 from fedsim.strategies import (
     DENOMINATOR_FLOOR,
     STRATEGIES,
@@ -44,6 +44,12 @@ class TestHyperparams:
             StrategyHyperparams(beta2=1.5)
         with pytest.raises(ValueError):
             StrategyHyperparams(server_optimizer="rmsprop")
+
+    @pytest.mark.parametrize("field", ["server_lr", "tau"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            StrategyHyperparams(**{field: value})
 
     def test_zero_server_lr_allowed(self):
         assert StrategyHyperparams(server_lr=0.0).server_lr == 0.0
@@ -363,8 +369,58 @@ seeds = st.integers(0, 2**32 - 1)
 spreads = st.sampled_from([1e-8, 1e-4, 0.1, 1.0, 100.0])
 
 
+def probe_x(kind, counts, rng):
+    """A coefficient vector for ``len(counts)`` clients: ``random`` in
+    [-2, 2], ``cancelling`` near all-ones or near the x whose candidate is
+    +-w_j, ``huge`` with entries of 1e155 to 1e300 in magnitude, or
+    ``non-finite`` with one entry inf, -inf or NaN."""
+    k = len(counts)
+    if kind == "random":
+        return rng.uniform(-2, 2, size=k)
+    if kind == "cancelling":
+        x = rng.choice([0.0, 1e-12, 1e-8, 1e-4]) * rng.normal(size=k)
+        if rng.random() < 0.5:
+            return x + 1.0
+        j = rng.integers(k)
+        x[j] += rng.choice([-1.0, 1.0]) * sum(counts) / counts[j]
+        return x
+    if kind == "huge":
+        return rng.choice([-1.0, 1.0], size=k) * 10.0 ** rng.uniform(155, 300, size=k)
+    x = rng.uniform(-2, 2, size=k)
+    x[rng.integers(k)] = rng.choice([math.inf, -math.inf, math.nan])
+    return x
+
+
 class TestGramObjective:
-    """gram_objective against the direct evaluation objective_f."""
+    """gram_objective against the direct evaluation objective_f, and against
+    the Gram evaluation it was thinned from."""
+
+    @gram_settings
+    @given(seed=seeds, k=num_clients, size=sizes, spread=spreads)
+    def test_same_bits_as_oracle(self, seed, k, size, spread):
+        params, counts, rng = clustered_clients(seed, k, size, spread)
+        fast = gram_objective(params, counts)
+        slow = oracles.gram_objective(params, counts)
+        for kind in ("random", "cancelling", "huge", "non-finite"):
+            for _ in range(3):
+                x = probe_x(kind, counts, rng)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    try:
+                        expected = slow(x)
+                    except OverflowError:
+                        # The oracle squares its cancellation bound as a
+                        # Python float, which raises where the fast path
+                        # returns inf.
+                        expected = math.inf
+                    assert fast(x).hex() == expected.hex()
+
+    @gram_settings
+    @given(seed=seeds, k=num_clients, size=st.integers(1, 200), spread=spreads)
+    def test_huge_x_scores_inf(self, seed, k, size, spread):
+        params, counts, rng = clustered_clients(seed, k, size, spread)
+        x = 10.0 ** rng.uniform(155, 300, size=k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert gram_objective(params, counts)(x) == math.inf
 
     @gram_settings
     @given(seed=seeds, k=num_clients, size=sizes, spread=spreads)
@@ -487,6 +543,16 @@ class TestFedAvgOpt:
         assert np.array_equal(solution.alpha, np.ones(4))
         assert np.array_equal(out.values, aggregate_fedavg(updates).values)
         assert solution.objective_at_alpha == solution.objective_at_ones
+        assert (solution.iterations, solution.converged) == (1, True)
+
+    def test_reports_the_solve_it_ran(self):
+        rng = np.random.default_rng(75)
+        counts = rng.integers(1, 100, size=5).tolist()
+        updates = make_updates(rng.normal(size=(5, 12)), counts)
+        result = minimize(gram_objective([u.params for u in updates], counts), np.ones(5))
+        _, solution = aggregate_fedavgopt(updates)
+        assert solution.iterations > 0
+        assert (solution.iterations, solution.converged) == (result.iterations, result.converged)
 
     def test_non_finite_objective_at_ones_raises(self):
         # objective_f's norms overflow at 1e200, so it is non-finite at all-ones.
