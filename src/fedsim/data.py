@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,13 +28,26 @@ class Dataset:
 
     def __post_init__(self) -> None:
         feats = np.asarray(self.features, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        raw_labels = np.asarray(self.labels)
+        with np.errstate(invalid="ignore"):
+            labels = raw_labels.astype(np.int64, copy=False)
         if feats.ndim != 2:
             raise ValueError("features must be a 2-D matrix")
         if labels.ndim != 1 or labels.shape[0] != feats.shape[0]:
             raise ValueError("labels must be a vector matching the feature rows")
+        if raw_labels.dtype.kind in "fc":
+            changed = np.flatnonzero(labels != raw_labels)
+            if changed.size:
+                i = int(changed[0])
+                raise ValueError(f"labels must be integers; label {i} is {raw_labels[i].item()!r}")
         if labels.size and (labels.min() < 0 or labels.max() >= len(self.class_names)):
             raise ValueError("labels must index into class_names")
+        finite = np.isfinite(feats)
+        if not finite.all():
+            row, col = np.argwhere(~finite)[0]
+            raise ValueError(
+                f"features must be finite; row {row}, column {col} is {float(feats[row, col])}"
+            )
         feats.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "features", feats)
@@ -97,7 +111,7 @@ def load_csv(path: str, label_column: str) -> Dataset:
     """Parse a comma-separated file: header row, numeric feature columns, one
     label column mapped to class indices by first appearance.  A leading
     UTF-8 byte-order mark, as spreadsheet "CSV UTF-8" exports write, is
-    dropped."""
+    dropped.  The first fault in row order is reported."""
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
@@ -109,44 +123,55 @@ def load_csv(path: str, label_column: str) -> Dataset:
                 f"{path}: label column {label_column!r} not found in header {header}"
             )
         label_idx = header.index(label_column)
+        names = header[:label_idx] + header[label_idx + 1 :]
+        if not names:
+            raise CsvParseError(
+                f"{path}: no feature column besides the label column {label_column!r}"
+            )
 
-        rows: list[list[float]] = []
-        raw_labels: list[str] = []
+        # Rows go straight into one float64 buffer, so no per-cell float
+        # object or per-row list outlives its row.
+        values = array("d")
+        labels = array("q")
+        class_index: dict[str, int] = {}
         for row_num, row in enumerate(reader, start=1):
             if len(row) != len(header):
                 raise CsvParseError(
                     f"{path}: row {row_num} has {len(row)} cells, expected {len(header)}"
                 )
-            values = []
-            for i, cell in enumerate(row):
-                if i == label_idx:
-                    continue
-                try:
-                    value = float(cell)
-                except ValueError:
-                    value = None
-                # float() also accepts nan and inf, and rounds 1e400 to inf.
-                if value is None or not math.isfinite(value):
-                    raise CsvParseError(
-                        f"{path}: row {row_num}, column {header[i]!r}: "
-                        f"{'non-numeric' if value is None else 'non-finite'} value {cell!r}"
-                    )
-                values.append(value)
-            rows.append(values)
-            raw_labels.append(row[label_idx])
+            labels.append(class_index.setdefault(row.pop(label_idx), len(class_index)))
+            try:
+                parsed = list(map(float, row))
+            except ValueError:
+                parsed = None
+            # float() also accepts nan and inf, and rounds 1e400 to inf; a
+            # finite row can still sum to inf, so a non-finite sum is re-checked.
+            if parsed is None or not math.isfinite(sum(parsed)):
+                parsed = _parse_cells(path, row_num, names, row)
+            values.fromlist(parsed)
 
-    if not rows:
+    if not labels:
         raise CsvParseError(f"{path}: no data rows")
+    features = np.frombuffer(values, dtype=np.float64).reshape(len(labels), len(names))
+    return Dataset(features, np.frombuffer(labels, dtype=np.int64), tuple(class_index))
 
-    class_names: list[str] = []
-    mapping: dict[str, int] = {}
-    labels = []
-    for name in raw_labels:
-        if name not in mapping:
-            mapping[name] = len(class_names)
-            class_names.append(name)
-        labels.append(mapping[name])
-    return Dataset(np.asarray(rows, dtype=np.float64), np.asarray(labels), tuple(class_names))
+
+def _parse_cells(path: str, row_num: int, names: list[str], cells: list[str]) -> list[float]:
+    """Cell-by-cell parse of one row's feature cells, raising on the first
+    cell that is not a finite number."""
+    parsed = []
+    for name, cell in zip(names, cells):
+        try:
+            value = float(cell)
+        except ValueError:
+            value = None
+        if value is None or not math.isfinite(value):
+            raise CsvParseError(
+                f"{path}: row {row_num}, column {name!r}: "
+                f"{'non-numeric' if value is None else 'non-finite'} value {cell!r}"
+            )
+        parsed.append(value)
+    return parsed
 
 
 def stratified_partition(dataset: Dataset, num_clients: int, seed: int) -> list[Dataset]:

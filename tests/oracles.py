@@ -24,10 +24,16 @@ trains round 1 once per seed and shares it, must write the same files.
 every intermediate as a ``ParamVector`` through ``linear_combination``; the
 array-based server steps in :mod:`fedsim.strategies` must match them bit for
 bit, global model and carried state alike.
+
+``load_csv`` parses each cell into its own Python float, keeps one list per
+row and converts them all at the end; :func:`fedsim.data.load_csv`, which
+streams rows into one float64 buffer and scans cells one by one only in a
+row that fails, must return the same bits or raise the same message.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import math
 from typing import Callable, Mapping, Sequence
@@ -38,6 +44,7 @@ from fedsim import (
     ClientShard,
     ClientUpdate,
     ComparisonResult,
+    Dataset,
     FederationConfig,
     MinimizeResult,
     NumericError,
@@ -50,6 +57,7 @@ from fedsim import (
     linear_combination,
     run_federation,
 )
+from fedsim.exceptions import CsvParseError
 from fedsim.nelder_mead import Objective
 from fedsim.strategies import DENOMINATOR_FLOOR, GRAM_CANCELLATION, _params_and_counts
 
@@ -467,3 +475,59 @@ def aggregate_fedopt(
     new_global = previous_global.with_values(previous_global.values + step)
     new_state = dataclasses.replace(state, first_moment=m, second_moment=v)
     return new_global, new_state
+
+
+def load_csv(path: str, label_column: str) -> Dataset:
+    """Parse a comma-separated file: header row, numeric feature columns, one
+    label column mapped to class indices by first appearance.  A leading
+    UTF-8 byte-order mark, as spreadsheet "CSV UTF-8" exports write, is
+    dropped."""
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise CsvParseError(f"{path}: file is empty") from None
+        if label_column not in header:
+            raise CsvParseError(
+                f"{path}: label column {label_column!r} not found in header {header}"
+            )
+        label_idx = header.index(label_column)
+
+        rows: list[list[float]] = []
+        raw_labels: list[str] = []
+        for row_num, row in enumerate(reader, start=1):
+            if len(row) != len(header):
+                raise CsvParseError(
+                    f"{path}: row {row_num} has {len(row)} cells, expected {len(header)}"
+                )
+            values = []
+            for i, cell in enumerate(row):
+                if i == label_idx:
+                    continue
+                try:
+                    value = float(cell)
+                except ValueError:
+                    value = None
+                # float() also accepts nan and inf, and rounds 1e400 to inf.
+                if value is None or not math.isfinite(value):
+                    raise CsvParseError(
+                        f"{path}: row {row_num}, column {header[i]!r}: "
+                        f"{'non-numeric' if value is None else 'non-finite'} value {cell!r}"
+                    )
+                values.append(value)
+            rows.append(values)
+            raw_labels.append(row[label_idx])
+
+    if not rows:
+        raise CsvParseError(f"{path}: no data rows")
+
+    class_names: list[str] = []
+    mapping: dict[str, int] = {}
+    labels = []
+    for name in raw_labels:
+        if name not in mapping:
+            mapping[name] = len(class_names)
+            class_names.append(name)
+        labels.append(mapping[name])
+    return Dataset(np.asarray(rows, dtype=np.float64), np.asarray(labels), tuple(class_names))

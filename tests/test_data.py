@@ -1,5 +1,13 @@
+import csv
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import oracles
 
 from fedsim import (
     ClientShard,
@@ -43,6 +51,23 @@ class TestDataset:
             Dataset(np.zeros((2, 2)), [0, 2], ("a", "b"))
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 2)), [-1, 0], ("a", "b"))
+
+    def test_non_integral_labels_rejected(self):
+        with pytest.raises(ValueError, match="label 1 is 1.7"):
+            Dataset(np.zeros((3, 2)), [0.0, 1.7, 0.2], ("a", "b"))
+        with pytest.raises(ValueError, match="label 0 is nan"):
+            Dataset(np.zeros((2, 2)), [np.nan, 1.0], ("a", "b"))
+        data = Dataset(np.zeros((3, 2)), [0.0, 1.0, 1.0], ("a", "b"))
+        assert np.array_equal(data.labels, [0, 1, 1])
+        assert data.labels.dtype == np.int64
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_names_first_cell(self, value):
+        features = np.zeros((3, 2))
+        features[1, 1] = value
+        features[2, 0] = value
+        with pytest.raises(ValueError, match=f"row 1, column 1 is {value}"):
+            Dataset(features, [0, 1, 0], ("a", "b"))
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -92,6 +117,58 @@ class TestGenerateBlobs:
             generate_blobs(5, 2, 0, 1.0, 0)
         with pytest.raises(ValueError):
             generate_blobs(5, 2, 3, -0.5, 0)
+
+
+# Feature cells that load, including ones float() reads loosely, and cells
+# that do not: non-numeric, non-finite, or overflowing to inf.
+GOOD_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**6), 10**6).map(str),
+    st.sampled_from([" 1.5 ", "1_0", "\u0661\u0662", "1e308", "-1e308", "-0.0", "+.5e-3", "\n3"]),
+)
+BAD_CELLS = st.sampled_from(["nan", "-Infinity", "inf", "1e400", "abc", "", "1,5", '2"x'])
+LABEL_CELLS = st.sampled_from(["a", "b", "c,d", " a", "", 'q"t'])
+
+
+@st.composite
+def csv_texts(draw):
+    """A CSV text and the label column to load it with: label first, middle
+    or last; quoted cells; CRLF or LF; optional BOM; and, unless the file is
+    clean, bad cells and blank or ragged rows anywhere."""
+    num_features = draw(st.integers(1, 4))
+    header = [f"x{i}" for i in range(num_features)]
+    header.insert(draw(st.integers(0, num_features)), "label")
+    clean = draw(st.booleans())
+    cells = GOOD_CELLS if clean else st.one_of(GOOD_CELLS, BAD_CELLS)
+    shapes = ["ok"] if clean else ["ok", "ok", "ok", "blank", "short", "long"]
+    buffer = io.StringIO()
+    writer = csv.writer(
+        buffer,
+        lineterminator=draw(st.sampled_from(["\n", "\r\n"])),
+        quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])),
+    )
+    writer.writerow(header)
+    for _ in range(draw(st.integers(0, 5))):
+        row = [draw(cells) for _ in range(num_features)]
+        row.insert(header.index("label"), draw(LABEL_CELLS))
+        shape = draw(st.sampled_from(shapes))
+        if shape == "blank":
+            row = []
+        elif shape == "short":
+            row.pop()
+        elif shape == "long":
+            row.append("1")
+        writer.writerow(row)
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    label_column = draw(st.sampled_from(["label", "label", "label", "x9"]))
+    return bom + buffer.getvalue(), label_column
+
+
+def load_or_message(loader, path, label_column):
+    try:
+        return loader(path, label_column)
+    except CsvParseError as exc:
+        return str(exc)
 
 
 class TestLoadCsv:
@@ -158,6 +235,48 @@ class TestLoadCsv:
         path = self.write(tmp_path, "x1,x2,label\n1.0,2.0,a\n1.0,a\n")
         with pytest.raises(CsvParseError, match="row 2"):
             load_csv(path, "label")
+
+    def test_label_only_file_rejected(self, tmp_path):
+        path = self.write(tmp_path, "label\na\nb\n")
+        with pytest.raises(CsvParseError) as info:
+            load_csv(path, "label")
+        assert str(info.value) == f"{path}: no feature column besides the label column 'label'"
+
+    @settings(max_examples=300)
+    @given(text_and_label=csv_texts())
+    @example(text_and_label=("x1,label,x2\n1,a,2\n1,a\n3,b,oops\n", "label"))
+    @example(text_and_label=("x1,label,x2\n1,a,oops\n1,a\n", "label"))
+    @example(text_and_label=("x1,x2,label\r\n1e308,1e308,a\r\n-1e308,1e308,b\r\n", "label"))
+    @example(text_and_label=('\ufefflabel,x1\r\n"c,d", 1.5 \r\nb,1_0\r\n', "label"))
+    def test_matches_oracle(self, tmp_path_factory, text_and_label):
+        text, label_column = text_and_label
+        path = tmp_path_factory.getbasetemp() / "oracle.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = load_or_message(oracles.load_csv, str(path), label_column)
+        got = load_or_message(load_csv, str(path), label_column)
+        if isinstance(expected, str):
+            assert got == expected
+            return
+        assert not isinstance(got, str), got
+        assert got.features.shape == expected.features.shape
+        assert got.features.tobytes() == expected.features.tobytes()
+        assert np.array_equal(got.labels, expected.labels)
+        assert got.class_names == expected.class_names
+
+    def test_peak_memory_stays_near_the_matrix(self, tmp_path):
+        rng = np.random.default_rng(0)
+        features = rng.normal(size=(4000, 20))
+        lines = ["label," + ",".join(f"x{j}" for j in range(20))]
+        lines += [f"c{i % 3}," + ",".join(map(repr, row)) for i, row in enumerate(features.tolist())]
+        path = self.write(tmp_path, "\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            data = load_csv(path, "label")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert data.features.tobytes() == features.tobytes()
+        assert peak < 3 * features.nbytes
 
 
 class TestStratifiedPartition:
