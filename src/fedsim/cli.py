@@ -34,7 +34,7 @@ from .exceptions import ConfigError, FedsimError
 from .models import ACTIVATIONS, ModelSpec, TrainConfig
 from .nelder_mead import SimplexConfig
 from .orchestrator import ComparisonResult, FederationConfig, compare_strategies
-from .strategies import STRATEGIES, StrategyHyperparams, default_hyperparams
+from .strategies import HYPERPARAMS, STRATEGIES, StrategyHyperparams, default_hyperparams
 
 logger = logging.getLogger(__name__)
 
@@ -81,6 +81,10 @@ class ExperimentConfig:
     output_dir: str = "results"
 
 
+# parse_config's value for each unset key; dataset and strategies have none.
+_DEFAULTS = ExperimentConfig(dataset=DatasetConfig(kind="blobs"), strategies=())
+
+
 def _as_mapping(value, key: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{key}: expected a mapping of keys to values")
@@ -90,9 +94,8 @@ def _as_mapping(value, key: str) -> dict:
 def _check_keys(section: str, mapping: Mapping, allowed: Sequence[str]) -> None:
     for key in mapping:
         if key not in allowed:
-            raise ConfigError(
-                f"unknown key {key!r} in {section}; allowed keys: {', '.join(allowed)}"
-            )
+            hint = f"allowed keys: {', '.join(allowed)}" if allowed else f"{section} takes no keys"
+            raise ConfigError(f"unknown key {key!r} in {section}; {hint}")
 
 
 def _as_int(value, key: str, minimum: int | None = None) -> int:
@@ -185,14 +188,7 @@ def _parse_seeds(raw: Mapping) -> tuple[int, ...]:
         if not isinstance(seeds, list) or not seeds:
             raise ConfigError("seeds: expected a nonempty list of integers")
         return _distinct(tuple(_as_int(s, "seeds", minimum=0) for s in seeds), "seeds")
-    return (0,)
-
-
-def _replace_validated(instance, section: str, updates: dict):
-    try:
-        return dataclasses.replace(instance, **updates)
-    except ValueError as exc:
-        raise ConfigError(f"{section}: {exc}") from exc
+    return _DEFAULTS.seeds
 
 
 def _parse_section(
@@ -221,18 +217,23 @@ def _parse_section(
     for key in strs:
         if key in mapping:
             updates[key] = mapping[key]
-    return _replace_validated(defaults, section, updates)
+    try:
+        return dataclasses.replace(defaults, **updates)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
 def _parse_hyperparams(raw) -> dict[str, StrategyHyperparams]:
+    """Each strategy's section accepts exactly the keys its server step reads."""
     mapping = _as_mapping(raw, "hyperparams")
     out: dict[str, StrategyHyperparams] = {}
     for name, section in mapping.items():
         _as_choice(name, "hyperparams", STRATEGIES)
+        read = HYPERPARAMS[name]
         out[name] = _parse_section(
             section, f"hyperparams.{name}", default_hyperparams(name),
-            ("server_lr", "momentum_beta", "tau", "beta1", "beta2"),
-            strs=("server_optimizer",),
+            tuple(k for k, v in read.items() if not isinstance(v, str)),
+            strs=tuple(k for k, v in read.items() if isinstance(v, str)),
         )
     return out
 
@@ -240,14 +241,14 @@ def _parse_hyperparams(raw) -> dict[str, StrategyHyperparams]:
 def _parse_model(raw) -> tuple[tuple[int, ...], str]:
     mapping = _as_mapping(raw, "model")
     _check_keys("model", mapping, ("hidden_dims", "activation"))
-    hidden: tuple[int, ...] = ()
+    hidden = _DEFAULTS.hidden_dims
     if "hidden_dims" in mapping:
         dims = mapping["hidden_dims"]
         if not isinstance(dims, list):
             raise ConfigError("model.hidden_dims: expected a list of integers")
         hidden = tuple(_as_int(d, "model.hidden_dims", minimum=1) for d in dims)
     activation = _as_choice(
-        mapping.get("activation", "relu"), "model.activation", ACTIVATIONS
+        mapping.get("activation", _DEFAULTS.activation), "model.activation", ACTIVATIONS
     )
     return hidden, activation
 
@@ -273,11 +274,13 @@ def parse_config(path: str) -> ExperimentConfig:
     if "dataset" not in mapping:
         raise ConfigError("config must have a 'dataset' section")
 
-    train_fraction = _as_float(mapping.get("train_fraction", 0.2), "train_fraction")
+    train_fraction = _as_float(
+        mapping.get("train_fraction", _DEFAULTS.train_fraction), "train_fraction"
+    )
     if not 0 < train_fraction < 1:
         raise ConfigError(f"train_fraction: must be in (0, 1), got {train_fraction}")
     hidden_dims, activation = _parse_model(mapping.get("model", {}))
-    output_dir = mapping.get("output_dir", "results")
+    output_dir = mapping.get("output_dir", _DEFAULTS.output_dir)
     if not isinstance(output_dir, str):
         raise ConfigError(f"output_dir: expected a string, got {output_dir!r}")
 
@@ -285,18 +288,20 @@ def parse_config(path: str) -> ExperimentConfig:
         dataset=_parse_dataset(mapping["dataset"]),
         strategies=_parse_strategies(mapping),
         seeds=_parse_seeds(mapping),
-        rounds=_as_int(mapping.get("rounds", 10), "rounds", minimum=1),
-        num_clients=_as_int(mapping.get("num_clients", 4), "num_clients", minimum=1),
+        rounds=_as_int(mapping.get("rounds", _DEFAULTS.rounds), "rounds", minimum=1),
+        num_clients=_as_int(
+            mapping.get("num_clients", _DEFAULTS.num_clients), "num_clients", minimum=1
+        ),
         train_fraction=train_fraction,
         hidden_dims=hidden_dims,
         activation=activation,
         train=_parse_section(
-            mapping.get("train", {}), "train", TrainConfig(),
+            mapping.get("train", {}), "train", _DEFAULTS.train,
             ("learning_rate",), ints=("batch_size", "local_epochs"),
         ),
         hyperparams=_parse_hyperparams(mapping.get("hyperparams", {})),
         simplex=_parse_section(
-            mapping.get("solver", {}), "solver", SimplexConfig(),
+            mapping.get("solver", {}), "solver", _DEFAULTS.simplex,
             ("reflection", "expansion", "contraction", "shrink",
              "initial_step", "x_tolerance", "f_tolerance"),
             ints=("max_iterations",),
@@ -342,7 +347,6 @@ def run_comparison(config: ExperimentConfig) -> ComparisonResult:
         model=model,
         train=config.train,
         rounds=config.rounds,
-        min_clients=config.num_clients,
         simplex=config.simplex,
     )
     return compare_strategies(

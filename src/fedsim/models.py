@@ -60,7 +60,6 @@ class TrainConfig:
     learning_rate: float = 0.1
     batch_size: int = 16
     local_epochs: int = 1
-    seed: int = 0
 
     def __post_init__(self) -> None:
         # lr = 0 is allowed so the zero-step identity is testable.
@@ -193,16 +192,16 @@ def loss_and_gradient(
 
 
 def sgd_train(
-    params: ParamVector, spec: ModelSpec, dataset: "Dataset", config: TrainConfig
+    params: ParamVector, spec: ModelSpec, dataset: "Dataset", config: TrainConfig, seed: int
 ) -> ParamVector:
-    """Mini-batch SGD for ``local_epochs`` epochs with seeded shuffling.
+    """Mini-batch SGD for ``local_epochs`` epochs, shuffled by ``seed``.
 
-    Pure function of its arguments: the same (params, dataset, config)
+    Pure function of its arguments: the same (params, dataset, config, seed)
     always returns the same vector.
     """
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     values = params.values.copy()
     n = len(dataset)
     for _ in range(config.local_epochs):

@@ -27,7 +27,6 @@ from .strategies import (
     AlphaSolution,
     ClientUpdate,
     StrategyHyperparams,
-    default_hyperparams,
 )
 
 logger = logging.getLogger(__name__)
@@ -41,7 +40,6 @@ class FederationConfig:
     strategy_hp: StrategyHyperparams | None = None
     simplex: SimplexConfig = SimplexConfig()
     rounds: int = 10
-    min_clients: int = 4
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -51,15 +49,8 @@ class FederationConfig:
             )
         if self.rounds < 1:
             raise ConfigError("rounds must be >= 1")
-        if self.min_clients < 1:
-            raise ConfigError("min_clients must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-
-    def resolved_hyperparams(self) -> StrategyHyperparams:
-        if self.strategy_hp is not None:
-            return self.strategy_hp
-        return default_hyperparams(self.strategy)
 
 
 @dataclass(frozen=True)
@@ -94,11 +85,9 @@ def weighted_accuracy(entries: Sequence[tuple[int, float]]) -> float:
     return sum(count * acc for count, acc in entries) / total
 
 
-def _check_shards(config: FederationConfig, shards: Sequence[ClientShard]) -> None:
-    if len(shards) < config.min_clients:
-        raise ConfigError(
-            f"need at least {config.min_clients} clients, got {len(shards)}"
-        )
+def _check_shards(shards: Sequence[ClientShard]) -> None:
+    if len(shards) == 0:
+        raise ConfigError("need at least one client")
     for shard in shards:
         if len(shard.train) == 0 or len(shard.test) == 0:
             raise ConfigError(f"{shard.client_id}: empty train or test split")
@@ -112,8 +101,7 @@ def _train_round(
     updates: list[ClientUpdate] = []
     per_client: list[ClientRoundMetrics] = []
     for i, shard in enumerate(shards):
-        train_cfg = dataclasses.replace(config.train, seed=config.seed + i)
-        local = sgd_train(global_params, config.model, shard.train, train_cfg)
+        local = sgd_train(global_params, config.model, shard.train, config.train, config.seed + i)
         metrics = evaluate(local, config.model, shard.test)
         per_client.append(
             ClientRoundMetrics(
@@ -150,11 +138,9 @@ def run_federation(
     then not trained again.  They depend only on the model, training config,
     seed and shards, never on the strategy.
     """
-    _check_shards(config, shards)
+    _check_shards(shards)
     global_params = init_params(config.model, config.seed)
-    aggregator = Aggregator(
-        config.strategy, config.resolved_hyperparams(), config.simplex
-    )
+    aggregator = Aggregator(config.strategy, config.strategy_hp, config.simplex)
     reports: list[RoundReport] = []
     for round_idx in range(1, config.rounds + 1):
         if round_idx == 1 and first_round is not None:
@@ -259,12 +245,20 @@ def compare_strategies(
     differ only through the aggregation rule.  Round 1's client training and
     local evaluation therefore do not depend on the strategy: they run once
     per seed and every strategy's federation starts from them.
-    ``hyperparams`` overrides the per-strategy defaults where present.
+
+    ``base_config``'s ``strategy`` and ``seed`` are replaced for each run.
+    ``hyperparams`` overrides the per-strategy defaults where present, and a
+    ``base_config.strategy_hp`` is rejected rather than dropped.
     """
     if len(strategies) == 0:
         raise ValueError("need at least one strategy")
     if len(seeds) == 0:
         raise ValueError("need at least one seed")
+    if base_config.strategy_hp is not None:
+        raise ValueError(
+            "compare_strategies does not use base_config.strategy_hp; "
+            "pass per-strategy hyperparameters through the hyperparams argument"
+        )
     overrides = dict(hyperparams) if hyperparams is not None else {}
     runs: list[StrategyRun] = []
     for seed in seeds:
@@ -278,7 +272,7 @@ def compare_strategies(
             )
             for strategy in strategies
         ]
-        _check_shards(configs[0], shards)
+        _check_shards(shards)
         first_round = _train_round(
             configs[0], shards, init_params(base_config.model, seed)
         )

@@ -33,7 +33,18 @@ from .exceptions import NumericError, ShapeMismatchError
 from .nelder_mead import Objective, SimplexConfig, minimize
 from .params import ParamVector, linear_combination
 
-STRATEGIES = ("fedavg", "fedavgm", "fedmedian", "fedopt", "fedyogi", "fedavgopt")
+#: Per strategy, the :class:`StrategyHyperparams` fields its server step reads,
+#: with their defaults: the config accepts exactly these keys.  A field a
+#: strategy does not list keeps the dataclass default and has no effect on it.
+HYPERPARAMS: dict[str, dict[str, float | str]] = {
+    "fedavg": {},
+    "fedavgm": {"server_lr": 1.0, "momentum_beta": 0.5},
+    "fedmedian": {"server_lr": 1.0},
+    "fedopt": {"server_lr": 0.1, "tau": 1e-9, "beta1": 0.0, "beta2": 0.0, "server_optimizer": "sgd"},
+    "fedyogi": {"server_lr": 0.01, "tau": 1e-3, "beta1": 0.9, "beta2": 0.99, "server_optimizer": "yogi"},
+    "fedavgopt": {},
+}
+STRATEGIES = tuple(HYPERPARAMS)
 SERVER_OPTIMIZERS = ("sgd", "adagrad", "adam", "yogi")
 
 #: Floor applied to the objective denominators so candidate aggregates that
@@ -101,22 +112,10 @@ class StrategyHyperparams:
 
 
 def default_hyperparams(strategy: str) -> StrategyHyperparams:
-    """Out-of-the-box hyperparameters for each strategy name."""
-    if strategy not in STRATEGIES:
+    """Out-of-the-box hyperparameters for each strategy name (:data:`HYPERPARAMS`)."""
+    if strategy not in HYPERPARAMS:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    if strategy == "fedavgm":
-        return StrategyHyperparams(server_lr=1.0, momentum_beta=0.5)
-    if strategy == "fedmedian":
-        return StrategyHyperparams(server_lr=1.0)
-    if strategy == "fedopt":
-        return StrategyHyperparams(
-            server_lr=0.1, tau=1e-9, beta1=0.0, beta2=0.0, server_optimizer="sgd"
-        )
-    if strategy == "fedyogi":
-        return StrategyHyperparams(
-            server_lr=0.01, tau=1e-3, beta1=0.9, beta2=0.99, server_optimizer="yogi"
-        )
-    return StrategyHyperparams()
+    return StrategyHyperparams(**HYPERPARAMS[strategy])
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,23 @@
 """Small shared builders for the test suite."""
 
+import dataclasses
+
 import numpy as np
 
-from fedsim import ClientUpdate, ParamVector
+from fedsim import ClientUpdate, ParamVector, StrategyHyperparams
+
+
+# The hyperparameters each strategy's server step reads, spelled out apart
+# from ``fedsim.strategies.HYPERPARAMS``.
+HYPERPARAM_KEYS = {
+    "fedavg": (),
+    "fedavgm": ("server_lr", "momentum_beta"),
+    "fedmedian": ("server_lr",),
+    "fedopt": ("server_lr", "tau", "beta1", "beta2", "server_optimizer"),
+    "fedyogi": ("server_lr", "tau", "beta1", "beta2", "server_optimizer"),
+    "fedavgopt": (),
+}
+HYPERPARAM_FIELDS = tuple(f.name for f in dataclasses.fields(StrategyHyperparams))
 
 
 def make_vec(values) -> ParamVector:

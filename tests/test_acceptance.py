@@ -281,7 +281,8 @@ def _centralized_accuracy(config: ExperimentConfig) -> float:
             init_params(spec, seed),
             spec,
             train,
-            TrainConfig(learning_rate=0.1, batch_size=32, local_epochs=60, seed=seed),
+            TrainConfig(learning_rate=0.1, batch_size=32, local_epochs=60),
+            seed,
         )
         accuracies.append(evaluate(trained, spec, test)["accuracy"])
     return float(np.mean(accuracies))

@@ -26,6 +26,7 @@ from fedsim.cli import (
     run_experiment,
 )
 from fedsim.exceptions import ConfigError
+from helpers import HYPERPARAM_FIELDS, HYPERPARAM_KEYS
 
 SMALL_YAML = """
 dataset:
@@ -295,7 +296,11 @@ class TestParseConfig:
             (
                 "hyperparams: {fedyogi: {bogus: 1}}",
                 "unknown key 'bogus' in hyperparams.fedyogi; allowed keys: "
-                "server_lr, momentum_beta, tau, beta1, beta2, server_optimizer",
+                "server_lr, tau, beta1, beta2, server_optimizer",
+            ),
+            (
+                "hyperparams: {fedavg: {server_lr: 1}}",
+                "unknown key 'server_lr' in hyperparams.fedavg; hyperparams.fedavg takes no keys",
             ),
         ],
     )
@@ -304,6 +309,33 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as info:
             parse_config(path)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "strategy, key, accepted",
+        [
+            (strategy, key, key in keys)
+            for strategy, keys in HYPERPARAM_KEYS.items()
+            for key in HYPERPARAM_FIELDS
+        ],
+    )
+    def test_hyperparams_accept_only_the_keys_a_strategy_reads(
+        self, tmp_path, strategy, key, accepted
+    ):
+        value = "adam" if key == "server_optimizer" else 0.5
+        path = write_config(
+            tmp_path,
+            f"dataset: {{kind: blobs}}\nstrategy: {strategy}\n"
+            f"hyperparams: {{{strategy}: {{{key}: {value}}}}}\n",
+        )
+        if accepted:
+            assert getattr(parse_config(path).hyperparams[strategy], key) == value
+        else:
+            with pytest.raises(ConfigError, match=f"unknown key '{key}' in hyperparams.{strategy};"):
+                parse_config(path)
+
+    def test_hyperparams_key_counts(self):
+        accepted = sum(len(keys) for keys in HYPERPARAM_KEYS.values())
+        assert (accepted, len(HYPERPARAM_KEYS) * len(HYPERPARAM_FIELDS) - accepted) == (13, 23)
 
     def test_empty_file(self, tmp_path):
         path = write_config(tmp_path, "")

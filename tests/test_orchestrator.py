@@ -70,16 +70,16 @@ class TestFederationConfig:
         with pytest.raises(ConfigError):
             FederationConfig(model=SPEC, train=TRAIN, rounds=0)
         with pytest.raises(ConfigError):
-            FederationConfig(model=SPEC, train=TRAIN, min_clients=0)
-        with pytest.raises(ConfigError):
             FederationConfig(model=SPEC, train=TRAIN, seed=-1)
 
     def test_hyperparams_default_and_override(self):
-        config = FederationConfig(model=SPEC, train=TRAIN, strategy="fedyogi")
-        assert config.resolved_hyperparams() == default_hyperparams("fedyogi")
-        hp = StrategyHyperparams(server_lr=0.5)
-        config = dataclasses.replace(config, strategy_hp=hp)
-        assert config.resolved_hyperparams() is hp
+        # Unset strategy_hp means the strategy's defaults; a set one is used.
+        shards = blob_shards(4, 0)
+        config = FederationConfig(model=SPEC, train=TRAIN, strategy="fedyogi", rounds=2)
+        defaults = dataclasses.replace(config, strategy_hp=default_hyperparams("fedyogi"))
+        assert run_federation(config, shards) == run_federation(defaults, shards)
+        changed = dataclasses.replace(config, strategy_hp=StrategyHyperparams(server_lr=0.5))
+        assert run_federation(config, shards) != run_federation(changed, shards)
 
 
 class TestRunFederation:
@@ -131,14 +131,10 @@ class TestRunFederation:
 
     def test_single_client_round_matches_local_training(self):
         shards = blob_shards(1, 2)
-        config = FederationConfig(
-            model=SPEC, train=TRAIN, rounds=1, min_clients=1, seed=3
-        )
+        config = FederationConfig(model=SPEC, train=TRAIN, rounds=1, seed=3)
         (report,) = run_federation(config, shards)
         w0 = init_params(SPEC, 3)
-        local = sgd_train(
-            w0, SPEC, shards[0].train, dataclasses.replace(TRAIN, seed=3)
-        )
+        local = sgd_train(w0, SPEC, shards[0].train, TRAIN, 3)
         metrics = evaluate(local, SPEC, shards[0].test)
         assert report.aggregated_accuracy == metrics["accuracy"]
         # A single-client average is the local model itself.
@@ -149,9 +145,7 @@ class TestRunFederation:
         # accuracies, pinning the train-seed derivation and example weighting.
         data = generate_blobs(20, 2, 3, 1.0, 4)
         shards = make_client_shards(data, 2, 0.3, 4)
-        config = FederationConfig(
-            model=SPEC, train=TRAIN, rounds=2, min_clients=2, seed=11
-        )
+        config = FederationConfig(model=SPEC, train=TRAIN, rounds=2, seed=11)
         reports = run_federation(config, shards)
 
         params = init_params(SPEC, 11)
@@ -159,8 +153,7 @@ class TestRunFederation:
             updates = []
             local_metrics = []
             for i, shard in enumerate(shards):
-                cfg = dataclasses.replace(TRAIN, seed=11 + i)
-                local = sgd_train(params, SPEC, shard.train, cfg)
+                local = sgd_train(params, SPEC, shard.train, TRAIN, 11 + i)
                 local_metrics.append(
                     (len(shard.test), evaluate(local, SPEC, shard.test)["accuracy"])
                 )
@@ -209,16 +202,15 @@ class TestRunFederation:
         assert run_federation(config, shards) == run_federation(config, shards)
 
     def test_insufficient_clients_rejected(self):
-        shards = blob_shards(3, 7)
-        config = FederationConfig(model=SPEC, train=TRAIN, min_clients=4)
-        with pytest.raises(ConfigError, match="at least 4"):
-            run_federation(config, shards)
+        config = FederationConfig(model=SPEC, train=TRAIN)
+        with pytest.raises(ConfigError, match="at least one client"):
+            run_federation(config, [])
 
     def test_empty_split_rejected(self):
         shards = blob_shards(2, 8)
         empty = Dataset(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), ("a", "b"))
         broken = [shards[0], ClientShard("client_1", empty, shards[1].test)]
-        config = FederationConfig(model=SPEC, train=TRAIN, min_clients=2)
+        config = FederationConfig(model=SPEC, train=TRAIN)
         with pytest.raises(ConfigError, match="client_1"):
             run_federation(config, broken)
 
@@ -237,7 +229,6 @@ class TestRunFederation:
                 server_lr=0.1, tau=1e-9, server_optimizer="adagrad"
             ),
             rounds=3,
-            min_clients=2,
             seed=0,
         )
         with np.errstate(invalid="ignore", over="ignore"):
@@ -307,6 +298,13 @@ class TestCompareStrategies:
         )
         for report in result.runs[0].reports:
             assert report.global_accuracy == expected
+
+    def test_base_config_strategy_hp_rejected(self):
+        base = FederationConfig(
+            model=SPEC, train=TRAIN, rounds=1, strategy_hp=StrategyHyperparams(server_lr=0.0)
+        )
+        with pytest.raises(ValueError, match="hyperparams argument"):
+            compare_strategies(base, ("fedmedian",), (0,), lambda s: blob_shards(4, s))
 
     def test_shard_factory_called_once_per_seed(self):
         calls = []
@@ -394,7 +392,7 @@ class TestSharedFirstRound:
 
     def test_invalid_shards_rejected_before_training(self, monkeypatch):
         trained = count_calls(monkeypatch, "sgd_train")
-        base = FederationConfig(model=SPEC, train=TRAIN, rounds=2, min_clients=4)
-        with pytest.raises(ConfigError, match="at least 4"):
-            compare_strategies(base, ("fedavg", "fedavgm"), (0,), lambda s: blob_shards(3, s))
+        base = FederationConfig(model=SPEC, train=TRAIN, rounds=2)
+        with pytest.raises(ConfigError, match="at least one client"):
+            compare_strategies(base, ("fedavg", "fedavgm"), (0,), lambda s: [])
         assert trained == []

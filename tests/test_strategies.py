@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from fedsim import (
     Aggregator,
     ClientUpdate,
+    ParamVector,
     StrategyHyperparams,
     StrategyState,
     aggregate_fedavg,
@@ -22,11 +24,15 @@ from fedsim.exceptions import NumericError, ShapeMismatchError
 from fedsim.nelder_mead import MinimizeResult, minimize
 from fedsim.strategies import (
     DENOMINATOR_FLOOR,
+    HYPERPARAMS,
+    SERVER_OPTIMIZERS,
     STRATEGIES,
     candidate_aggregate,
     gram_objective,
 )
-from helpers import make_updates, make_vec, random_vectors
+from helpers import (
+    HYPERPARAM_FIELDS, HYPERPARAM_KEYS, make_updates, make_vec, random_vectors,
+)
 import oracles
 
 
@@ -72,6 +78,65 @@ class TestHyperparams:
     def test_client_update_needs_examples(self):
         with pytest.raises(ValueError):
             ClientUpdate("c", 0, make_vec([1.0]))
+
+
+# A valid value for every numeric field that is no strategy's default.
+PERTURBED = {"server_lr": 0.37, "momentum_beta": 0.37, "tau": 0.37, "beta1": 0.37, "beta2": 0.37}
+
+
+def perturbed(hp, name):
+    """``hp`` with field ``name`` moved to each other value tried."""
+    if name == "server_optimizer":
+        return [
+            dataclasses.replace(hp, server_optimizer=o)
+            for o in SERVER_OPTIMIZERS
+            if o != hp.server_optimizer
+        ]
+    return [dataclasses.replace(hp, **{name: PERTURBED[name]})]
+
+
+def two_rounds(strategy, hp):
+    """Bytes of the global model after each of two Aggregator rounds on fixed
+    random clients; round 2 is the first to read carried state."""
+    rng = np.random.default_rng(0)
+    aggregator = Aggregator(strategy, hp)
+    global_params = ParamVector(rng.normal(size=6))
+    out = []
+    for _ in range(2):
+        updates = make_updates(rng.normal(size=(3, 6)), counts=[1, 2, 3])
+        global_params = aggregator.aggregate(updates, global_params)
+        out.append(global_params.values.tobytes())
+    return out
+
+
+class TestHyperparamTable:
+    def test_table_lists_the_fields_each_server_step_reads(self):
+        assert {s: tuple(fields) for s, fields in HYPERPARAMS.items()} == HYPERPARAM_KEYS
+        assert STRATEGIES == tuple(HYPERPARAM_KEYS)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_unlisted_fields_change_nothing(self, strategy):
+        unlisted = [name for name in HYPERPARAM_FIELDS if name not in HYPERPARAMS[strategy]]
+        for optimizer in SERVER_OPTIMIZERS:
+            base = dataclasses.replace(default_hyperparams(strategy), server_optimizer=optimizer)
+            expected = two_rounds(strategy, base)
+            for name in unlisted:
+                for hp in perturbed(base, name):
+                    assert two_rounds(strategy, hp) == expected, (optimizer, name)
+
+    @pytest.mark.parametrize(
+        "strategy, name", [(s, name) for s in STRATEGIES for name in HYPERPARAMS[s]]
+    )
+    def test_listed_field_acts_under_some_optimizer(self, strategy, name):
+        bases = [
+            dataclasses.replace(default_hyperparams(strategy), server_optimizer=o)
+            for o in SERVER_OPTIMIZERS
+        ]
+        assert any(
+            two_rounds(strategy, hp) != two_rounds(strategy, base)
+            for base in bases
+            for hp in perturbed(base, name)
+        )
 
 
 class TestFedAvg:
