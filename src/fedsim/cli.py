@@ -23,7 +23,7 @@ import logging
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -34,7 +34,7 @@ from .exceptions import ConfigError, FedsimError
 from .models import ACTIVATIONS, ModelSpec, TrainConfig
 from .nelder_mead import SimplexConfig
 from .orchestrator import ComparisonResult, FederationConfig, compare_strategies
-from .strategies import HYPERPARAMS, STRATEGIES, StrategyHyperparams, default_hyperparams
+from .strategies import RULES, STRATEGIES, FedAvgOpt, Rule
 
 logger = logging.getLogger(__name__)
 
@@ -68,7 +68,7 @@ class DatasetConfig:
 @dataclass(frozen=True)
 class ExperimentConfig:
     dataset: DatasetConfig
-    strategies: tuple[str, ...]
+    rules: tuple[Rule, ...]
     seeds: tuple[int, ...] = (0,)
     rounds: int = 10
     num_clients: int = 4
@@ -76,13 +76,11 @@ class ExperimentConfig:
     hidden_dims: tuple[int, ...] = ()
     activation: str = "relu"
     train: TrainConfig = TrainConfig()
-    hyperparams: dict[str, StrategyHyperparams] = field(default_factory=dict)
-    simplex: SimplexConfig = SimplexConfig()
     output_dir: str = "results"
 
 
-# parse_config's value for each unset key; dataset and strategies have none.
-_DEFAULTS = ExperimentConfig(dataset=DatasetConfig(kind="blobs"), strategies=())
+# parse_config's value for each unset key; dataset and rules have none.
+_DEFAULTS = ExperimentConfig(dataset=DatasetConfig(kind="blobs"), rules=())
 
 
 def _as_mapping(value, key: str) -> dict:
@@ -191,51 +189,50 @@ def _parse_seeds(raw: Mapping) -> tuple[int, ...]:
     return _DEFAULTS.seeds
 
 
-def _parse_section(
-    raw,
-    section: str,
-    defaults,
-    floats: Sequence[str],
-    ints: Sequence[str] = (),
-    strs: Sequence[str] = (),
-):
+# How _parse_section reads each field type a config section holds.
+_SCALARS: dict[str, Callable] = {
+    "float": _as_float,
+    "int": lambda value, key: _as_int(value, key, minimum=1),
+    "int | None": lambda value, key: _as_int(value, key, minimum=1),
+    # Left to the dataclass's own validation.
+    "str": lambda value, key: value,
+}
+
+
+def _parse_section(raw, section: str, defaults):
     """Apply one flat config section to the ``defaults`` dataclass.
 
-    Float keys must be numbers and int keys integers >= 1; string keys are
-    left to the dataclass's own validation.  Only keys present in ``raw``
-    override the defaults.
+    The section's keys are the dataclass's float, int and str fields, in
+    field order: float keys must be numbers and int keys integers >= 1.
+    Only keys present in ``raw`` override the defaults.
     """
     mapping = _as_mapping(raw, section)
-    _check_keys(section, mapping, (*floats, *ints, *strs))
-    updates: dict = {}
-    for key in floats:
-        if key in mapping:
-            updates[key] = _as_float(mapping[key], f"{section}.{key}")
-    for key in ints:
-        if key in mapping:
-            updates[key] = _as_int(mapping[key], f"{section}.{key}", minimum=1)
-    for key in strs:
-        if key in mapping:
-            updates[key] = mapping[key]
+    fields = [f for f in dataclasses.fields(defaults) if f.type in _SCALARS]
+    _check_keys(section, mapping, [f.name for f in fields])
+    updates = {
+        f.name: _SCALARS[f.type](mapping[f.name], f"{section}.{f.name}")
+        for f in fields
+        if f.name in mapping
+    }
     try:
         return dataclasses.replace(defaults, **updates)
     except ValueError as exc:
         raise ConfigError(f"{section}: {exc}") from exc
 
 
-def _parse_hyperparams(raw) -> dict[str, StrategyHyperparams]:
-    """Each strategy's section accepts exactly the keys its server step reads."""
-    mapping = _as_mapping(raw, "hyperparams")
-    out: dict[str, StrategyHyperparams] = {}
+def _parse_rules(raw: Mapping, names: tuple[str, ...]) -> tuple[Rule, ...]:
+    """The rule of each listed strategy.  ``hyperparams.<name>`` accepts the
+    fields of that strategy's rule type, and the ``solver`` section fills
+    :attr:`FedAvgOpt.solver`; a section for an unlisted strategy is
+    validated all the same."""
+    mapping = _as_mapping(raw.get("hyperparams", {}), "hyperparams")
+    rules = {name: rule() for name, rule in RULES.items()}
     for name, section in mapping.items():
         _as_choice(name, "hyperparams", STRATEGIES)
-        read = HYPERPARAMS[name]
-        out[name] = _parse_section(
-            section, f"hyperparams.{name}", default_hyperparams(name),
-            tuple(k for k, v in read.items() if not isinstance(v, str)),
-            strs=tuple(k for k, v in read.items() if isinstance(v, str)),
-        )
-    return out
+        rules[name] = _parse_section(section, f"hyperparams.{name}", rules[name])
+    solver = _parse_section(raw.get("solver", {}), "solver", SimplexConfig())
+    rules[FedAvgOpt.name] = FedAvgOpt(solver)
+    return tuple(rules[name] for name in names)
 
 
 def _parse_model(raw) -> tuple[tuple[int, ...], str]:
@@ -284,9 +281,10 @@ def parse_config(path: str) -> ExperimentConfig:
     if not isinstance(output_dir, str):
         raise ConfigError(f"output_dir: expected a string, got {output_dir!r}")
 
+    dataset = _parse_dataset(mapping["dataset"])
+    names = _parse_strategies(mapping)
     return ExperimentConfig(
-        dataset=_parse_dataset(mapping["dataset"]),
-        strategies=_parse_strategies(mapping),
+        dataset=dataset,
         seeds=_parse_seeds(mapping),
         rounds=_as_int(mapping.get("rounds", _DEFAULTS.rounds), "rounds", minimum=1),
         num_clients=_as_int(
@@ -295,17 +293,9 @@ def parse_config(path: str) -> ExperimentConfig:
         train_fraction=train_fraction,
         hidden_dims=hidden_dims,
         activation=activation,
-        train=_parse_section(
-            mapping.get("train", {}), "train", _DEFAULTS.train,
-            ("learning_rate",), ints=("batch_size", "local_epochs"),
-        ),
-        hyperparams=_parse_hyperparams(mapping.get("hyperparams", {})),
-        simplex=_parse_section(
-            mapping.get("solver", {}), "solver", _DEFAULTS.simplex,
-            ("reflection", "expansion", "contraction", "shrink",
-             "initial_step", "x_tolerance", "f_tolerance"),
-            ints=("max_iterations",),
-        ),
+        train=_parse_section(mapping.get("train", {}), "train", _DEFAULTS.train),
+        # Keyword arguments run in order: hyperparams and solver are checked after train.
+        rules=_parse_rules(mapping, names),
         output_dir=output_dir,
     )
 
@@ -343,15 +333,8 @@ def run_comparison(config: ExperimentConfig) -> ComparisonResult:
         activation=config.activation,
         num_classes=num_classes,
     )
-    base = FederationConfig(
-        model=model,
-        train=config.train,
-        rounds=config.rounds,
-        simplex=config.simplex,
-    )
-    return compare_strategies(
-        base, config.strategies, config.seeds, shard_factory, config.hyperparams
-    )
+    base = FederationConfig(model=model, train=config.train, rounds=config.rounds)
+    return compare_strategies(base, config.rules, config.seeds, shard_factory)
 
 
 def write_history_csv(result: ComparisonResult, path: Path) -> None:
@@ -493,7 +476,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     _init_logging()
     try:
         config = _apply_overrides(parse_config(args.config), args)
-        if args.command == "run" and len(config.strategies) != 1:
+        if args.command == "run" and len(config.rules) != 1:
             raise ConfigError(
                 "'run' expects exactly one strategy; use 'compare' for several"
             )

@@ -14,20 +14,13 @@ from __future__ import annotations
 import dataclasses
 import logging
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .data import ClientShard
 from .exceptions import ConfigError, NumericError
 from .models import ModelSpec, TrainConfig, evaluate, init_params, sgd_train
-from .nelder_mead import SimplexConfig
 from .params import ParamVector
-from .strategies import (
-    STRATEGIES,
-    Aggregator,
-    AlphaSolution,
-    ClientUpdate,
-    StrategyHyperparams,
-)
+from .strategies import RULES, Aggregator, AlphaSolution, ClientUpdate, FedAvg, Rule
 
 logger = logging.getLogger(__name__)
 
@@ -36,21 +29,22 @@ logger = logging.getLogger(__name__)
 class FederationConfig:
     model: ModelSpec
     train: TrainConfig
-    strategy: str = "fedavg"
-    strategy_hp: StrategyHyperparams | None = None
-    simplex: SimplexConfig = SimplexConfig()
+    rule: Rule = FedAvg()
     rounds: int = 10
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(
-                f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}"
-            )
+        if not isinstance(self.rule, tuple(RULES.values())):
+            names = ", ".join(rule.__name__ for rule in RULES.values())
+            raise ConfigError(f"rule must be an instance of one of {names}, got {self.rule!r}")
         if self.rounds < 1:
             raise ConfigError("rounds must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
+
+    @property
+    def strategy(self) -> str:
+        return self.rule.name
 
 
 @dataclass(frozen=True)
@@ -140,7 +134,7 @@ def run_federation(
     """
     _check_shards(shards)
     global_params = init_params(config.model, config.seed)
-    aggregator = Aggregator(config.strategy, config.strategy_hp, config.simplex)
+    aggregator = Aggregator(config.rule)
     reports: list[RoundReport] = []
     for round_idx in range(1, config.rounds + 1):
         if round_idx == 1 and first_round is not None:
@@ -233,45 +227,34 @@ class ComparisonResult:
 
 def compare_strategies(
     base_config: FederationConfig,
-    strategies: Sequence[str],
+    rules: Sequence[Rule],
     seeds: Sequence[int],
     shard_factory: Callable[[int], Sequence[ClientShard]],
-    hyperparams: Mapping[str, StrategyHyperparams] | None = None,
 ) -> ComparisonResult:
-    """Run every strategy on identical shards and identical initial weights.
+    """Run every rule on identical shards and identical initial weights.
 
     For each seed, ``shard_factory(seed)`` builds the client shards once and
-    every strategy reuses them; the shared seed also fixes w0, so curves
-    differ only through the aggregation rule.  Round 1's client training and
-    local evaluation therefore do not depend on the strategy: they run once
-    per seed and every strategy's federation starts from them.
+    every rule reuses them; the shared seed also fixes w0, so curves differ
+    only through the aggregation rule.  Round 1's client training and local
+    evaluation therefore do not depend on the rule: they run once per seed
+    and every rule's federation starts from them.
 
-    ``base_config``'s ``strategy`` and ``seed`` are replaced for each run.
-    ``hyperparams`` overrides the per-strategy defaults where present, and a
-    ``base_config.strategy_hp`` is rejected rather than dropped.
+    ``base_config``'s ``rule`` and ``seed`` are replaced for each run.  Runs
+    are reported by strategy name, so two rules of one name are rejected.
     """
-    if len(strategies) == 0:
+    if len(rules) == 0:
         raise ValueError("need at least one strategy")
     if len(seeds) == 0:
         raise ValueError("need at least one seed")
-    if base_config.strategy_hp is not None:
-        raise ValueError(
-            "compare_strategies does not use base_config.strategy_hp; "
-            "pass per-strategy hyperparameters through the hyperparams argument"
-        )
-    overrides = dict(hyperparams) if hyperparams is not None else {}
+    per_rule = [dataclasses.replace(base_config, rule=rule) for rule in rules]
+    names = [config.strategy for config in per_rule]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"strategy {name!r} is given more than once")
     runs: list[StrategyRun] = []
     for seed in seeds:
         shards = shard_factory(seed)
-        configs = [
-            dataclasses.replace(
-                base_config,
-                strategy=strategy,
-                strategy_hp=overrides.get(strategy),
-                seed=seed,
-            )
-            for strategy in strategies
-        ]
+        configs = [dataclasses.replace(config, seed=seed) for config in per_rule]
         _check_shards(shards)
         first_round = _train_round(
             configs[0], shards, init_params(base_config.model, seed)

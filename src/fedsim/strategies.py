@@ -1,31 +1,19 @@
-"""Server-side aggregation strategies.
+"""Server-side aggregation rules, one frozen dataclass each; :data:`RULES`
+maps each strategy name to its rule type.
 
-All six strategies share one shape of contract: given this round's client
-updates (and, for the stateful ones, the previous global model plus carried
-state), produce the next global parameter vector.  A server step computes
-on the raw ``values`` arrays; only the vectors it hands back (the new global
-model and the arrays carried in :class:`StrategyState`) are wrapped in a
+A rule's fields are exactly the settings its server step reads, with the
+rule's own defaults.  Its ``step`` method maps this round's client updates,
+the previous global model and the state carried from the last round to the
+next global model and the state to carry.  A step computes on the raw
+``values`` arrays; only the vectors it hands back are wrapped in a
 :class:`ParamVector`, so each is checked finite once per round.
-
-* ``fedavg``     -- data-count weighted mean of client parameters.
-* ``fedavgm``    -- fedavg plus a server-side momentum recursion on the
-                    pseudo-gradient (previous global minus the fedavg mean).
-* ``fedmedian``  -- coordinate-wise median step, robust to outlying clients.
-* ``fedopt``     -- the averaged client delta drives a server optimizer
-                    (plain sgd / adagrad / adam / yogi second-moment rules).
-* ``fedyogi``    -- fedopt preset with the yogi second-moment rule.
-* ``fedavgopt``  -- weighted mean with one scaling coefficient per client,
-                    chosen each round by Nelder-Mead to minimize the summed
-                    normalized distance between the candidate aggregate and
-                    every client's parameters.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -33,18 +21,6 @@ from .exceptions import NumericError, ShapeMismatchError
 from .nelder_mead import Objective, SimplexConfig, minimize
 from .params import ParamVector, linear_combination
 
-#: Per strategy, the :class:`StrategyHyperparams` fields its server step reads,
-#: with their defaults: the config accepts exactly these keys.  A field a
-#: strategy does not list keeps the dataclass default and has no effect on it.
-HYPERPARAMS: dict[str, dict[str, float | str]] = {
-    "fedavg": {},
-    "fedavgm": {"server_lr": 1.0, "momentum_beta": 0.5},
-    "fedmedian": {"server_lr": 1.0},
-    "fedopt": {"server_lr": 0.1, "tau": 1e-9, "beta1": 0.0, "beta2": 0.0, "server_optimizer": "sgd"},
-    "fedyogi": {"server_lr": 0.01, "tau": 1e-3, "beta1": 0.9, "beta2": 0.99, "server_optimizer": "yogi"},
-    "fedavgopt": {},
-}
-STRATEGIES = tuple(HYPERPARAMS)
 SERVER_OPTIMIZERS = ("sgd", "adagrad", "adam", "yogi")
 
 #: Floor applied to the objective denominators so candidate aggregates that
@@ -70,52 +46,6 @@ class ClientUpdate:
     def __post_init__(self) -> None:
         if self.num_examples < 1:
             raise ValueError("num_examples must be >= 1")
-
-
-@dataclass(frozen=True)
-class StrategyState:
-    """Cross-round server state.
-
-    ``momentum`` is carried only by fedavgm; ``first_moment``/``second_moment``
-    only by the fedopt family.
-    """
-
-    momentum: ParamVector | None = None
-    first_moment: ParamVector | None = None
-    second_moment: ParamVector | None = None
-
-
-@dataclass(frozen=True)
-class StrategyHyperparams:
-    server_lr: float = 1.0
-    momentum_beta: float = 0.0
-    tau: float = 1e-9
-    beta1: float = 0.0
-    beta2: float = 0.0
-    server_optimizer: str = "sgd"
-
-    def __post_init__(self) -> None:
-        # server_lr = 0 is permitted: the zero-step behavior is part of the
-        # fedmedian contract.
-        if not 0 <= self.server_lr < math.inf:
-            raise ValueError("server_lr must be finite and >= 0")
-        if not 0 <= self.momentum_beta < 1:
-            raise ValueError("momentum_beta must be in [0, 1)")
-        if not 0 < self.tau < math.inf:
-            raise ValueError("tau must be finite and > 0")
-        if not 0 <= self.beta1 < 1:
-            raise ValueError("beta1 must be in [0, 1)")
-        if not 0 <= self.beta2 < 1:
-            raise ValueError("beta2 must be in [0, 1)")
-        if self.server_optimizer not in SERVER_OPTIMIZERS:
-            raise ValueError(f"server_optimizer must be one of {SERVER_OPTIMIZERS}")
-
-
-def default_hyperparams(strategy: str) -> StrategyHyperparams:
-    """Out-of-the-box hyperparameters for each strategy name (:data:`HYPERPARAMS`)."""
-    if strategy not in HYPERPARAMS:
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    return StrategyHyperparams(**HYPERPARAMS[strategy])
 
 
 @dataclass(frozen=True)
@@ -154,89 +84,6 @@ def aggregate_fedavg(updates: Sequence[ClientUpdate]) -> ParamVector:
     params, counts = _params_and_counts(updates)
     total = float(sum(counts))
     return linear_combination(params, [n / total for n in counts])
-
-
-def aggregate_fedavgm(
-    updates: Sequence[ClientUpdate],
-    previous_global: ParamVector,
-    state: StrategyState,
-    hp: StrategyHyperparams,
-) -> tuple[ParamVector, StrategyState]:
-    """Server momentum over the pseudo-gradient previous - fedavg.
-
-    v <- beta * v + (previous - fedavg);  next = previous - lr * v.
-    With beta = 0 and lr = 1 this collapses to plain fedavg.
-    """
-    previous = previous_global.values
-    delta = previous - _values_under(previous_global, aggregate_fedavg(updates))
-    momentum = state.momentum.values if state.momentum is not None else 0.0
-    velocity = hp.momentum_beta * momentum + delta
-    new_global = previous_global.with_values(previous - hp.server_lr * velocity)
-    new_state = dataclasses.replace(state, momentum=previous_global.with_values(velocity))
-    return new_global, new_state
-
-
-def aggregate_fedmedian(
-    updates: Sequence[ClientUpdate],
-    previous_global: ParamVector,
-    hp: StrategyHyperparams,
-) -> ParamVector:
-    """Step from the previous global along the coordinate-median
-    pseudo-gradient; at lr = 1 this is exactly the coordinate median of the
-    client parameters (translation equivariance)."""
-    params, _ = _params_and_counts(updates)
-    # Even counts take the midpoint of the two middle order statistics.
-    median = np.median(np.stack([_values_under(previous_global, p) for p in params]), axis=0)
-    if hp.server_lr == 1.0:
-        return previous_global.with_values(median)
-    previous = previous_global.values
-    return previous_global.with_values(previous - hp.server_lr * (previous - median))
-
-
-def aggregate_fedopt(
-    updates: Sequence[ClientUpdate],
-    previous_global: ParamVector,
-    state: StrategyState,
-    hp: StrategyHyperparams,
-) -> tuple[ParamVector, StrategyState]:
-    """Adaptive server step driven by the averaged client delta.
-
-    delta = fedavg - previous;  m <- beta1 * m + (1 - beta1) * delta, and the
-    second moment follows the configured rule (adagrad accumulates, adam
-    decays, yogi moves toward delta^2 by sign).  The step is
-    lr * m / (sqrt(v) + tau), or just lr * m for the sgd variant.  The second
-    moment starts at tau^2 so the first division is well conditioned.
-    """
-    previous = previous_global.values
-    delta = _values_under(previous_global, aggregate_fedavg(updates)) - previous
-    m_prev = state.first_moment.values if state.first_moment is not None else 0.0
-    v_prev = (
-        state.second_moment.values
-        if state.second_moment is not None
-        else np.full(len(previous_global), hp.tau**2)
-    )
-    m = hp.beta1 * m_prev + (1.0 - hp.beta1) * delta
-
-    d2 = delta**2
-    if hp.server_optimizer == "sgd":
-        v = v_prev
-        step = hp.server_lr * m
-    else:
-        if hp.server_optimizer == "adagrad":
-            v = v_prev + d2
-        elif hp.server_optimizer == "adam":
-            v = hp.beta2 * v_prev + (1.0 - hp.beta2) * d2
-        else:  # yogi
-            v = v_prev - (1.0 - hp.beta2) * d2 * np.sign(v_prev - d2)
-        step = hp.server_lr * m / (np.sqrt(v) + hp.tau)
-
-    new_global = previous_global.with_values(previous + step)
-    new_state = dataclasses.replace(
-        state,
-        first_moment=previous_global.with_values(m),
-        second_moment=previous_global.with_values(v),
-    )
-    return new_global, new_state
 
 
 def candidate_aggregate(
@@ -391,45 +238,201 @@ def aggregate_fedavgopt(
     return aggregate, solution
 
 
-class Aggregator:
-    """Uniform stateful wrapper the federation loop drives.
+def _check_server_lr(server_lr: float) -> None:
+    # server_lr = 0 is permitted: the zero-step behavior is part of the
+    # fedmedian contract.
+    if not 0 <= server_lr < math.inf:
+        raise ValueError("server_lr must be finite and >= 0")
 
-    Holds the strategy's cross-round state and dispatches each round's
-    updates to the matching aggregate function.
+
+def _check_decay(name: str, value: float) -> None:
+    if not 0 <= value < 1:
+        raise ValueError(f"{name} must be in [0, 1)")
+
+
+@dataclass(frozen=True)
+class FedAvg:
+    """Data-count weighted mean of the client parameters; no state."""
+
+    name: ClassVar[str] = "fedavg"
+
+    def step(
+        self, updates: Sequence[ClientUpdate], previous_global: ParamVector, state: None
+    ) -> tuple[ParamVector, None]:
+        return aggregate_fedavg(updates), None
+
+
+@dataclass(frozen=True)
+class FedAvgM:
+    """Server momentum over the pseudo-gradient previous - fedavg.
+
+    v <- beta * v + (previous - fedavg);  next = previous - lr * v.
+    With beta = 0 and lr = 1 this collapses to plain fedavg.  The state is
+    the velocity v, None before the first round.
     """
 
-    def __init__(
+    name: ClassVar[str] = "fedavgm"
+    server_lr: float = 1.0
+    momentum_beta: float = 0.5
+
+    def __post_init__(self) -> None:
+        _check_server_lr(self.server_lr)
+        _check_decay("momentum_beta", self.momentum_beta)
+
+    def step(
         self,
-        strategy: str,
-        hyperparams: StrategyHyperparams | None = None,
-        simplex: SimplexConfig | None = None,
-    ) -> None:
-        if strategy not in STRATEGIES:
-            raise ValueError(
-                f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
-            )
-        self.strategy = strategy
-        self.hyperparams = hyperparams if hyperparams is not None else default_hyperparams(strategy)
-        self.simplex = simplex if simplex is not None else SimplexConfig()
-        self.state = StrategyState()
-        self.last_alpha: AlphaSolution | None = None
+        updates: Sequence[ClientUpdate],
+        previous_global: ParamVector,
+        momentum: ParamVector | None,
+    ) -> tuple[ParamVector, ParamVector]:
+        previous = previous_global.values
+        delta = previous - _values_under(previous_global, aggregate_fedavg(updates))
+        carried = momentum.values if momentum is not None else 0.0
+        velocity = self.momentum_beta * carried + delta
+        return ParamVector(previous - self.server_lr * velocity), ParamVector(velocity)
+
+
+@dataclass(frozen=True)
+class FedMedian:
+    """Step from the previous global along the coordinate-median
+    pseudo-gradient; at lr = 1 this is exactly the coordinate median of the
+    client parameters (translation equivariance).  No state."""
+
+    name: ClassVar[str] = "fedmedian"
+    server_lr: float = 1.0
+
+    def __post_init__(self) -> None:
+        _check_server_lr(self.server_lr)
+
+    def step(
+        self, updates: Sequence[ClientUpdate], previous_global: ParamVector, state: None
+    ) -> tuple[ParamVector, None]:
+        params, _ = _params_and_counts(updates)
+        # Even counts take the midpoint of the two middle order statistics.
+        median = np.median(np.stack([_values_under(previous_global, p) for p in params]), axis=0)
+        if self.server_lr == 1.0:
+            return ParamVector(median), None
+        previous = previous_global.values
+        return ParamVector(previous - self.server_lr * (previous - median)), None
+
+
+@dataclass(frozen=True)
+class FedOpt:
+    """Adaptive server step driven by the averaged client delta.
+
+    delta = fedavg - previous;  m <- beta1 * m + (1 - beta1) * delta, and the
+    second moment v follows the configured rule (adagrad accumulates, adam
+    decays, yogi moves toward delta^2 by sign).  The step is
+    lr * m / (sqrt(v) + tau), or just lr * m for the sgd variant.  The second
+    moment starts at tau^2 so the first division is well conditioned.  The
+    state is the pair (m, v), None before the first round.
+    """
+
+    name: ClassVar[str] = "fedopt"
+    server_lr: float = 0.1
+    tau: float = 1e-9
+    beta1: float = 0.0
+    beta2: float = 0.0
+    server_optimizer: str = "sgd"
+
+    def __post_init__(self) -> None:
+        _check_server_lr(self.server_lr)
+        if not 0 < self.tau < math.inf:
+            raise ValueError("tau must be finite and > 0")
+        _check_decay("beta1", self.beta1)
+        _check_decay("beta2", self.beta2)
+        if self.server_optimizer not in SERVER_OPTIMIZERS:
+            raise ValueError(f"server_optimizer must be one of {SERVER_OPTIMIZERS}")
+
+    def step(
+        self,
+        updates: Sequence[ClientUpdate],
+        previous_global: ParamVector,
+        moments: tuple[ParamVector, ParamVector] | None,
+    ) -> tuple[ParamVector, tuple[ParamVector, ParamVector]]:
+        previous = previous_global.values
+        delta = _values_under(previous_global, aggregate_fedavg(updates)) - previous
+        if moments is None:
+            m_prev, v_prev = 0.0, np.full(len(previous_global), self.tau**2)
+        else:
+            m_prev, v_prev = moments[0].values, moments[1].values
+        m = self.beta1 * m_prev + (1.0 - self.beta1) * delta
+
+        d2 = delta**2
+        if self.server_optimizer == "sgd":
+            v = v_prev
+            step = self.server_lr * m
+        else:
+            if self.server_optimizer == "adagrad":
+                v = v_prev + d2
+            elif self.server_optimizer == "adam":
+                v = self.beta2 * v_prev + (1.0 - self.beta2) * d2
+            else:  # yogi
+                v = v_prev - (1.0 - self.beta2) * d2 * np.sign(v_prev - d2)
+            step = self.server_lr * m / (np.sqrt(v) + self.tau)
+
+        return ParamVector(previous + step), (ParamVector(m), ParamVector(v))
+
+
+@dataclass(frozen=True)
+class FedYogi(FedOpt):
+    """:class:`FedOpt` with the yogi second-moment rule and its defaults
+    (Reddi et al. 2021)."""
+
+    name: ClassVar[str] = "fedyogi"
+    server_lr: float = 0.01
+    tau: float = 1e-3
+    beta1: float = 0.9
+    beta2: float = 0.99
+    server_optimizer: str = "yogi"
+
+
+@dataclass(frozen=True)
+class FedAvgOpt:
+    """Weighted mean with one scaling coefficient per client, solved each
+    round by :func:`aggregate_fedavgopt` with the ``solver`` settings.  The
+    state is the round's :class:`AlphaSolution`; the next round's search
+    does not read it, since it restarts at all-ones."""
+
+    name: ClassVar[str] = "fedavgopt"
+    solver: SimplexConfig = SimplexConfig()
+
+    def step(
+        self, updates: Sequence[ClientUpdate], previous_global: ParamVector, state: object
+    ) -> tuple[ParamVector, AlphaSolution]:
+        return aggregate_fedavgopt(updates, self.solver)
+
+
+Rule = FedAvg | FedAvgM | FedMedian | FedOpt | FedAvgOpt
+
+#: Each strategy name and its rule type; STRATEGIES keeps this order.
+RULES: dict[str, type[Rule]] = {
+    rule.name: rule for rule in (FedAvg, FedAvgM, FedMedian, FedOpt, FedYogi, FedAvgOpt)
+}
+STRATEGIES = tuple(RULES)
+
+
+class Aggregator:
+    """Drives one rule across the rounds of a federation, holding the state
+    its step carries from round to round."""
+
+    def __init__(self, rule: Rule) -> None:
+        if not isinstance(rule, tuple(RULES.values())):
+            raise TypeError(f"expected an aggregation rule, got {rule!r}")
+        self.rule = rule
+        self.state = None
+
+    @property
+    def strategy(self) -> str:
+        return self.rule.name
+
+    @property
+    def last_alpha(self) -> AlphaSolution | None:
+        """The last round's coefficient solve, when the rule is :class:`FedAvgOpt`."""
+        return self.state if isinstance(self.state, AlphaSolution) else None
 
     def aggregate(
         self, updates: Sequence[ClientUpdate], previous_global: ParamVector
     ) -> ParamVector:
-        self.last_alpha = None
-        if self.strategy == "fedavg":
-            new_global = aggregate_fedavg(updates)
-        elif self.strategy == "fedavgm":
-            new_global, self.state = aggregate_fedavgm(
-                updates, previous_global, self.state, self.hyperparams
-            )
-        elif self.strategy == "fedmedian":
-            new_global = aggregate_fedmedian(updates, previous_global, self.hyperparams)
-        elif self.strategy in ("fedopt", "fedyogi"):
-            new_global, self.state = aggregate_fedopt(
-                updates, previous_global, self.state, self.hyperparams
-            )
-        else:  # fedavgopt
-            new_global, self.last_alpha = aggregate_fedavgopt(updates, self.simplex)
+        new_global, self.state = self.rule.step(updates, previous_global, self.state)
         return new_global

@@ -1,23 +1,27 @@
 """Small shared builders for the test suite."""
 
-import dataclasses
-
 import numpy as np
 
-from fedsim import ClientUpdate, ParamVector, StrategyHyperparams
+from fedsim import ClientUpdate, ParamVector
 
 
-# The hyperparameters each strategy's server step reads, spelled out apart
-# from ``fedsim.strategies.HYPERPARAMS``.
-HYPERPARAM_KEYS = {
+# The fields of each strategy's rule type, which are the settings its server
+# step reads, spelled out apart from ``fedsim.strategies.RULES``.
+RULE_FIELDS = {
     "fedavg": (),
     "fedavgm": ("server_lr", "momentum_beta"),
     "fedmedian": ("server_lr",),
     "fedopt": ("server_lr", "tau", "beta1", "beta2", "server_optimizer"),
     "fedyogi": ("server_lr", "tau", "beta1", "beta2", "server_optimizer"),
-    "fedavgopt": (),
+    "fedavgopt": ("solver",),
 }
-HYPERPARAM_FIELDS = tuple(f.name for f in dataclasses.fields(StrategyHyperparams))
+# The keys of each strategy's ``hyperparams`` section: its rule's fields but
+# ``solver``, which the ``solver`` section fills.
+HYPERPARAM_KEYS = {
+    name: tuple(key for key in keys if key != "solver") for name, keys in RULE_FIELDS.items()
+}
+# Every key some ``hyperparams`` section accepts.
+HYPERPARAM_FIELDS = tuple(dict.fromkeys(key for keys in HYPERPARAM_KEYS.values() for key in keys))
 
 
 def make_vec(values) -> ParamVector:

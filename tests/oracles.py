@@ -16,14 +16,14 @@ pre-activations.  The fedsim functions of the same names, which overwrite
 pre-activations in place and write gradients into one flat buffer, must
 match them bit for bit.
 
-``compare_strategies`` runs every (strategy, seed) pair as its own
+``compare_strategies`` runs every (rule, seed) pair as its own
 ``run_federation``; :func:`fedsim.orchestrator.compare_strategies`, which
 trains round 1 once per seed and shares it, must write the same files.
 
 ``aggregate_fedavgm``, ``aggregate_fedmedian`` and ``aggregate_fedopt`` build
 every intermediate as a ``ParamVector`` through ``linear_combination``; the
-array-based server steps in :mod:`fedsim.strategies` must match them bit for
-bit, global model and carried state alike.
+array-based ``step`` methods of the rules in :mod:`fedsim.strategies` must
+match them bit for bit, global model and carried state alike.
 
 ``load_csv`` parses each cell into its own Python float, keeps one list per
 row and converts them all at the end; :func:`fedsim.data.load_csv`, which
@@ -36,7 +36,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -45,21 +45,22 @@ from fedsim import (
     ClientUpdate,
     ComparisonResult,
     Dataset,
+    FedAvgM,
     FederationConfig,
+    FedMedian,
+    FedOpt,
     MinimizeResult,
     NumericError,
     ParamVector,
     SimplexConfig,
-    StrategyHyperparams,
     StrategyRun,
-    StrategyState,
     aggregate_fedavg,
     linear_combination,
     run_federation,
 )
 from fedsim.exceptions import CsvParseError
 from fedsim.nelder_mead import Objective
-from fedsim.strategies import DENOMINATOR_FLOOR, GRAM_CANCELLATION, _params_and_counts
+from fedsim.strategies import DENOMINATOR_FLOOR, GRAM_CANCELLATION, Rule, _params_and_counts
 
 
 def minimize(objective: Objective, x0: Sequence[float], config: SimplexConfig = SimplexConfig()) -> MinimizeResult:
@@ -367,22 +368,18 @@ def sgd_train(
 
 def compare_strategies(
     base_config: FederationConfig,
-    strategies: Sequence[str],
+    rules: Sequence[Rule],
     seeds: Sequence[int],
     shard_factory: Callable[[int], Sequence[ClientShard]],
-    hyperparams: Mapping[str, StrategyHyperparams] | None = None,
 ) -> ComparisonResult:
-    """Every (strategy, seed) pair as one plain ``run_federation`` that trains
+    """Every (rule, seed) pair as one plain ``run_federation`` that trains
     all its rounds itself, round 1 included."""
-    overrides = dict(hyperparams) if hyperparams is not None else {}
     runs = []
     for seed in seeds:
         shards = shard_factory(seed)
-        for strategy in strategies:
-            config = dataclasses.replace(
-                base_config, strategy=strategy, strategy_hp=overrides.get(strategy), seed=seed
-            )
-            runs.append(StrategyRun(strategy, seed, tuple(run_federation(config, shards))))
+        for rule in rules:
+            config = dataclasses.replace(base_config, rule=rule, seed=seed)
+            runs.append(StrategyRun(rule.name, seed, tuple(run_federation(config, shards))))
     return ComparisonResult(tuple(runs))
 
 
@@ -400,27 +397,26 @@ def coordinate_median(vectors: Sequence[ParamVector]) -> ParamVector:
 def aggregate_fedavgm(
     updates: Sequence[ClientUpdate],
     previous_global: ParamVector,
-    state: StrategyState,
-    hp: StrategyHyperparams,
-) -> tuple[ParamVector, StrategyState]:
+    momentum: ParamVector | None,
+    hp: FedAvgM,
+) -> tuple[ParamVector, ParamVector]:
     """Server momentum over the pseudo-gradient previous - fedavg.
 
     v <- beta * v + (previous - fedavg);  next = previous - lr * v.
-    With beta = 0 and lr = 1 this collapses to plain fedavg.
+    With beta = 0 and lr = 1 this collapses to plain fedavg.  The state is v.
     """
     average = aggregate_fedavg(updates)
     delta = linear_combination([previous_global, average], [1.0, -1.0])
-    momentum = state.momentum if state.momentum is not None else zeros_like(previous_global)
+    momentum = momentum if momentum is not None else zeros_like(previous_global)
     velocity = linear_combination([momentum, delta], [hp.momentum_beta, 1.0])
     new_global = linear_combination([previous_global, velocity], [1.0, -hp.server_lr])
-    new_state = dataclasses.replace(state, momentum=velocity)
-    return new_global, new_state
+    return new_global, velocity
 
 
 def aggregate_fedmedian(
     updates: Sequence[ClientUpdate],
     previous_global: ParamVector,
-    hp: StrategyHyperparams,
+    hp: FedMedian,
 ) -> ParamVector:
     """Step from the previous global along the coordinate-median
     pseudo-gradient; at lr = 1 this is exactly the coordinate median of the
@@ -436,26 +432,26 @@ def aggregate_fedmedian(
 def aggregate_fedopt(
     updates: Sequence[ClientUpdate],
     previous_global: ParamVector,
-    state: StrategyState,
-    hp: StrategyHyperparams,
-) -> tuple[ParamVector, StrategyState]:
+    moments: tuple[ParamVector, ParamVector] | None,
+    hp: FedOpt,
+) -> tuple[ParamVector, tuple[ParamVector, ParamVector]]:
     """Adaptive server step driven by the averaged client delta.
 
     delta = fedavg - previous;  m <- beta1 * m + (1 - beta1) * delta, and the
     second moment follows the configured rule (adagrad accumulates, adam
     decays, yogi moves toward delta^2 by sign).  The step is
     lr * m / (sqrt(v) + tau), or just lr * m for the sgd variant.  The second
-    moment starts at tau^2 so the first division is well conditioned.
+    moment starts at tau^2 so the first division is well conditioned.  The
+    state is (m, v).
     """
     average = aggregate_fedavg(updates)
     delta = linear_combination([average, previous_global], [1.0, -1.0])
 
-    m_prev = state.first_moment if state.first_moment is not None else zeros_like(previous_global)
-    v_prev = (
-        state.second_moment
-        if state.second_moment is not None
-        else previous_global.with_values(np.full(len(previous_global), hp.tau**2))
-    )
+    if moments is None:
+        m_prev = zeros_like(previous_global)
+        v_prev = previous_global.with_values(np.full(len(previous_global), hp.tau**2))
+    else:
+        m_prev, v_prev = moments
     m = linear_combination([m_prev, delta], [hp.beta1, 1.0 - hp.beta1])
 
     d2 = delta.values**2
@@ -473,8 +469,7 @@ def aggregate_fedopt(
         step = hp.server_lr * m.values / (np.sqrt(v.values) + hp.tau)
 
     new_global = previous_global.with_values(previous_global.values + step)
-    new_state = dataclasses.replace(state, first_moment=m, second_moment=v)
-    return new_global, new_state
+    return new_global, (m, v)
 
 
 def load_csv(path: str, label_column: str) -> Dataset:

@@ -16,16 +16,17 @@ import pytest
 
 from fedsim import (
     ClientUpdate,
+    FedAvg,
+    FedAvgM,
+    FedAvgOpt,
     FederationConfig,
+    FedMedian,
+    FedOpt,
+    FedYogi,
     ModelSpec,
-    StrategyHyperparams,
-    StrategyState,
     TrainConfig,
     aggregate_fedavg,
-    aggregate_fedavgm,
     aggregate_fedavgopt,
-    aggregate_fedmedian,
-    aggregate_fedopt,
     candidate_aggregate,
     evaluate,
     generate_blobs,
@@ -126,7 +127,7 @@ def test_criterion_3_descent_holds_every_round(check):
     config = FederationConfig(
         model=ModelSpec(input_dim=10, num_classes=4),
         train=TrainConfig(learning_rate=0.1, batch_size=32, local_epochs=1),
-        strategy="fedavgopt",
+        rule=FedAvgOpt(),
         rounds=10,
         seed=0,
     )
@@ -158,21 +159,14 @@ def test_criterion_4_baseline_equivalences(check):
         prev = random_vectors(rng, 1, size)[0]
 
         # Momentum with beta=0 and a unit server step is the weighted mean.
-        momentum_out, _ = aggregate_fedavgm(
-            updates,
-            prev,
-            StrategyState(),
-            StrategyHyperparams(server_lr=1.0, momentum_beta=0.0),
-        )
+        momentum_out, _ = FedAvgM(server_lr=1.0, momentum_beta=0.0).step(updates, prev, None)
         plain = aggregate_fedavg(updates)
         worst_momentum = max(
             worst_momentum, float(np.max(np.abs(momentum_out.values - plain.values)))
         )
 
         # Full-step median equals an independent sort-based oracle, exactly.
-        median_out = aggregate_fedmedian(
-            updates, prev, StrategyHyperparams(server_lr=1.0)
-        )
+        median_out, _ = FedMedian(server_lr=1.0).step(updates, prev, None)
         stacked = np.sort(np.stack([u.params.values for u in updates]), axis=0)
         k = num_clients
         if k % 2 == 1:
@@ -190,14 +184,14 @@ def test_criterion_4_baseline_equivalences(check):
             for i in range(equal_clients)
         ]
         for optimizer in SERVER_OPTIMIZERS:
-            hp = StrategyHyperparams(
+            rule = FedOpt(
                 server_lr=0.1,
                 tau=1e-9,
                 beta1=0.9,
                 beta2=0.99,
                 server_optimizer=optimizer,
             )
-            out, _ = aggregate_fedopt(frozen, prev, StrategyState(), hp)
+            out, _ = rule.step(frozen, prev, None)
             fixed_point_exact = fixed_point_exact and np.array_equal(
                 out.values, prev.values
             )
@@ -253,9 +247,7 @@ def blob_experiment():
         dataset=DatasetConfig(
             kind="blobs", samples_per_class=500, num_classes=4, dim=20, spread=1.8
         ),
-        strategies=(
-            "fedavg", "fedavgm", "fedmedian", "fedopt", "fedyogi", "fedavgopt",
-        ),
+        rules=(FedAvg(), FedAvgM(), FedMedian(), FedOpt(), FedYogi(), FedAvgOpt()),
         seeds=(0, 1, 2, 3, 4),
         rounds=10,
         num_clients=4,
@@ -294,7 +286,7 @@ def test_criterion_6_strategy_comparison_on_blobs(blob_experiment, check):
     curves_complete = all(
         len(result.runs_for(s)) == len(config.seeds)
         and all(len(run.round_accuracies) == config.rounds for run in result.runs_for(s))
-        for s in config.strategies
+        for s in [rule.name for rule in config.rules]
     )
 
     in_range = True

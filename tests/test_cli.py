@@ -9,10 +9,12 @@ import pytest
 
 from fedsim import (
     ComparisonResult,
+    FedAvg,
+    FedAvgM,
+    FedAvgOpt,
+    FedYogi,
     SimplexConfig,
-    StrategyHyperparams,
     TrainConfig,
-    default_hyperparams,
 )
 from fedsim.cli import (
     HISTORY_HEADER,
@@ -63,7 +65,7 @@ class TestParseConfig:
     def test_minimal_config_gets_defaults(self, tmp_path):
         path = write_config(tmp_path, "dataset: {kind: blobs}\nstrategy: fedavg\n")
         config = parse_config(path)
-        assert config.strategies == ("fedavg",)
+        assert config.rules == (FedAvg(),)
         assert config.seeds == (0,)
         assert config.rounds == 10
         assert config.num_clients == 4
@@ -73,8 +75,6 @@ class TestParseConfig:
         assert config.hidden_dims == ()
         assert config.activation == "relu"
         assert config.train == TrainConfig()
-        assert config.hyperparams == {}
-        assert config.simplex == SimplexConfig()
         assert config.output_dir == "results"
 
     def test_full_config(self, tmp_path):
@@ -87,7 +87,7 @@ class TestParseConfig:
               num_classes: 3
               dim: 5
               spread: 2.5
-            strategies: [fedavgm, fedyogi]
+            strategies: [fedavgm, fedyogi, fedavgopt]
             seeds: [1, 2, 3]
             rounds: 4
             num_clients: 5
@@ -112,7 +112,11 @@ class TestParseConfig:
         assert config.dataset == DatasetConfig(
             kind="blobs", samples_per_class=100, num_classes=3, dim=5, spread=2.5
         )
-        assert config.strategies == ("fedavgm", "fedyogi")
+        assert config.rules == (
+            FedAvgM(),
+            FedYogi(server_lr=0.5),
+            FedAvgOpt(SimplexConfig(max_iterations=50, initial_step=0.1)),
+        )
         assert config.seeds == (1, 2, 3)
         assert config.rounds == 4
         assert config.num_clients == 5
@@ -120,8 +124,6 @@ class TestParseConfig:
         assert config.hidden_dims == (8, 4)
         assert config.activation == "tanh"
         assert config.train == TrainConfig(learning_rate=0.05, batch_size=8, local_epochs=2)
-        assert config.simplex.max_iterations == 50
-        assert config.simplex.initial_step == 0.1
         assert config.output_dir == "out"
 
     def test_hyperparam_override_keeps_other_defaults(self, tmp_path):
@@ -134,8 +136,8 @@ class TestParseConfig:
               fedyogi: {server_lr: 0.5}
             """,
         )
-        hp = parse_config(path).hyperparams["fedyogi"]
-        default = default_hyperparams("fedyogi")
+        (hp,) = parse_config(path).rules
+        default = FedYogi()
         assert hp.server_lr == 0.5
         assert hp.tau == default.tau == 1e-3
         assert hp.beta1 == default.beta1
@@ -328,7 +330,7 @@ class TestParseConfig:
             f"hyperparams: {{{strategy}: {{{key}: {value}}}}}\n",
         )
         if accepted:
-            assert getattr(parse_config(path).hyperparams[strategy], key) == value
+            assert getattr(parse_config(path).rules[0], key) == value
         else:
             with pytest.raises(ConfigError, match=f"unknown key '{key}' in hyperparams.{strategy};"):
                 parse_config(path)

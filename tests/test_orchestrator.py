@@ -12,13 +12,17 @@ from fedsim import (
     ClientUpdate,
     ComparisonResult,
     Dataset,
+    FedAvg,
+    FedAvgM,
+    FedAvgOpt,
     FederationConfig,
+    FedMedian,
+    FedOpt,
+    FedYogi,
     ModelSpec,
-    StrategyHyperparams,
     TrainConfig,
     aggregate_fedavg,
     compare_strategies,
-    default_hyperparams,
     evaluate,
     generate_blobs,
     init_params,
@@ -29,7 +33,7 @@ from fedsim import (
 )
 from fedsim.cli import emit_plot_data, write_history_csv, write_summary
 from fedsim.exceptions import ConfigError, NumericError
-from fedsim.strategies import STRATEGIES
+from fedsim.strategies import RULES
 
 SPEC = ModelSpec(input_dim=3, num_classes=2)
 TRAIN = TrainConfig(learning_rate=0.2, batch_size=16, local_epochs=2)
@@ -63,8 +67,8 @@ class TestWeightedAccuracy:
 
 class TestFederationConfig:
     def test_unknown_strategy(self):
-        with pytest.raises(ConfigError, match="strategy"):
-            FederationConfig(model=SPEC, train=TRAIN, strategy="fedprox")
+        with pytest.raises(ConfigError, match="rule"):
+            FederationConfig(model=SPEC, train=TRAIN, rule="fedavg")
 
     def test_bounds(self):
         with pytest.raises(ConfigError):
@@ -73,13 +77,13 @@ class TestFederationConfig:
             FederationConfig(model=SPEC, train=TRAIN, seed=-1)
 
     def test_hyperparams_default_and_override(self):
-        # Unset strategy_hp means the strategy's defaults; a set one is used.
+        # The default rule is fedavg; a rule's changed field is used.
         shards = blob_shards(4, 0)
-        config = FederationConfig(model=SPEC, train=TRAIN, strategy="fedyogi", rounds=2)
-        defaults = dataclasses.replace(config, strategy_hp=default_hyperparams("fedyogi"))
-        assert run_federation(config, shards) == run_federation(defaults, shards)
-        changed = dataclasses.replace(config, strategy_hp=StrategyHyperparams(server_lr=0.5))
-        assert run_federation(config, shards) != run_federation(changed, shards)
+        config = FederationConfig(model=SPEC, train=TRAIN, rounds=2)
+        assert (config.rule, config.strategy) == (FedAvg(), "fedavg")
+        yogi = dataclasses.replace(config, rule=FedYogi())
+        changed = dataclasses.replace(config, rule=FedYogi(server_lr=0.5))
+        assert run_federation(yogi, shards) != run_federation(changed, shards)
 
 
 class TestRunFederation:
@@ -105,7 +109,7 @@ class TestRunFederation:
     def test_alpha_present_only_for_weight_search(self):
         shards = blob_shards(4, 1)
         config = FederationConfig(
-            model=SPEC, train=TRAIN, strategy="fedavgopt", rounds=2, seed=1
+            model=SPEC, train=TRAIN, rule=FedAvgOpt(), rounds=2, seed=1
         )
         for report in run_federation(config, shards):
             assert isinstance(report.alpha, AlphaSolution)
@@ -119,7 +123,7 @@ class TestRunFederation:
         config = FederationConfig(
             model=ModelSpec(input_dim=10, num_classes=4),
             train=TrainConfig(learning_rate=0.1, batch_size=32, local_epochs=1),
-            strategy="fedavgopt",
+            rule=FedAvgOpt(),
             rounds=2,
             seed=0,
         )
@@ -183,10 +187,10 @@ class TestRunFederation:
         shards = [ClientShard(f"client_{i}", train, test) for i in range(4)]
         base = FederationConfig(model=SPEC, train=TRAIN, rounds=3, seed=7)
         avg_reports = run_federation(
-            dataclasses.replace(base, strategy="fedavg"), shards
+            dataclasses.replace(base, rule=FedAvg()), shards
         )
         opt_reports = run_federation(
-            dataclasses.replace(base, strategy="fedavgopt"), shards
+            dataclasses.replace(base, rule=FedAvgOpt()), shards
         )
         for avg, opt in zip(avg_reports, opt_reports):
             assert opt.aggregated_accuracy == avg.aggregated_accuracy
@@ -197,7 +201,7 @@ class TestRunFederation:
     def test_deterministic(self):
         shards = blob_shards(4, 6)
         config = FederationConfig(
-            model=SPEC, train=TRAIN, strategy="fedavgm", rounds=3, seed=2
+            model=SPEC, train=TRAIN, rule=FedAvgM(), rounds=3, seed=2
         )
         assert run_federation(config, shards) == run_federation(config, shards)
 
@@ -224,10 +228,7 @@ class TestRunFederation:
         config = FederationConfig(
             model=SPEC,
             train=TrainConfig(learning_rate=0.2, batch_size=16, local_epochs=1),
-            strategy="fedopt",
-            strategy_hp=StrategyHyperparams(
-                server_lr=0.1, tau=1e-9, server_optimizer="adagrad"
-            ),
+            rule=FedOpt(server_lr=0.1, tau=1e-9, server_optimizer="adagrad"),
             rounds=3,
             seed=0,
         )
@@ -237,11 +238,9 @@ class TestRunFederation:
 
 
 class TestCompareStrategies:
-    def comparison(self, strategies=("fedavg", "fedavgm"), seeds=(0, 1), **kwargs):
+    def comparison(self, rules=(FedAvg(), FedAvgM()), seeds=(0, 1)):
         base = FederationConfig(model=SPEC, train=TRAIN, rounds=2, seed=0)
-        return compare_strategies(
-            base, strategies, seeds, lambda seed: blob_shards(4, seed), **kwargs
-        )
+        return compare_strategies(base, rules, seeds, lambda seed: blob_shards(4, seed))
 
     def test_one_run_per_strategy_seed_pair(self):
         result = self.comparison()
@@ -259,7 +258,7 @@ class TestCompareStrategies:
     def test_round_one_is_strategy_independent(self):
         # Same shards and same initial weights per seed: the first round's
         # local models cannot depend on the aggregation rule.
-        result = self.comparison(strategies=("fedavg", "fedmedian", "fedyogi"))
+        result = self.comparison(rules=(FedAvg(), FedMedian(), FedYogi()))
         for seed in result.seeds:
             firsts = [
                 run.reports[0]
@@ -282,12 +281,7 @@ class TestCompareStrategies:
     def test_hyperparam_overrides_are_applied(self):
         # server_lr = 0 freezes the global model, so its accuracy equals the
         # initial model's accuracy in every round.
-        frozen = StrategyHyperparams(server_lr=0.0)
-        result = self.comparison(
-            strategies=("fedmedian",),
-            seeds=(3,),
-            hyperparams={"fedmedian": frozen},
-        )
+        result = self.comparison(rules=(FedMedian(server_lr=0.0),), seeds=(3,))
         shards = blob_shards(4, 3)
         w0 = init_params(SPEC, 3)
         expected = weighted_accuracy(
@@ -299,12 +293,11 @@ class TestCompareStrategies:
         for report in result.runs[0].reports:
             assert report.global_accuracy == expected
 
-    def test_base_config_strategy_hp_rejected(self):
-        base = FederationConfig(
-            model=SPEC, train=TRAIN, rounds=1, strategy_hp=StrategyHyperparams(server_lr=0.0)
-        )
-        with pytest.raises(ValueError, match="hyperparams argument"):
-            compare_strategies(base, ("fedmedian",), (0,), lambda s: blob_shards(4, s))
+    def test_repeated_strategy_rejected(self):
+        # Runs are reported by strategy name, so two fedavgm settings would
+        # merge into one curve and one mean.
+        with pytest.raises(ValueError, match="'fedavgm' is given more than once"):
+            self.comparison(rules=(FedAvgM(), FedAvg(), FedAvgM(momentum_beta=0.9)))
 
     def test_shard_factory_called_once_per_seed(self):
         calls = []
@@ -314,7 +307,7 @@ class TestCompareStrategies:
             return blob_shards(4, seed)
 
         base = FederationConfig(model=SPEC, train=TRAIN, rounds=1, seed=0)
-        compare_strategies(base, ("fedavg", "fedavgm", "fedyogi"), (5, 6), factory)
+        compare_strategies(base, (FedAvg(), FedAvgM(), FedYogi()), (5, 6), factory)
         assert calls == [5, 6]
 
     def test_empty_inputs_rejected(self):
@@ -322,7 +315,7 @@ class TestCompareStrategies:
         with pytest.raises(ValueError):
             compare_strategies(base, (), (0,), lambda s: blob_shards(4, s))
         with pytest.raises(ValueError):
-            compare_strategies(base, ("fedavg",), (), lambda s: blob_shards(4, s))
+            compare_strategies(base, (FedAvg(),), (), lambda s: blob_shards(4, s))
 
 
 def count_calls(monkeypatch, name):
@@ -357,13 +350,14 @@ class TestSharedFirstRound:
     def test_outputs_match_one_run_federation_per_pair(self, tmp_path, model):
         base = FederationConfig(model=model, train=TRAIN, rounds=self.ROUNDS)
         factory = lambda seed: blob_shards(4, seed)
-        shared = compare_strategies(base, STRATEGIES, self.SEEDS, factory)
-        plain = oracles.compare_strategies(base, STRATEGIES, self.SEEDS, factory)
+        rules = [rule() for rule in RULES.values()]
+        shared = compare_strategies(base, rules, self.SEEDS, factory)
+        plain = oracles.compare_strategies(base, rules, self.SEEDS, factory)
         write_outputs(shared, tmp_path / "shared")
         write_outputs(plain, tmp_path / "plain")
         names = ["history.csv", "summary.txt"]
         names += [f"curves/{p.name}" for p in (tmp_path / "plain" / "curves").iterdir()]
-        assert len(names) == 2 + len(STRATEGIES) * (len(self.SEEDS) + 1)
+        assert len(names) == 2 + len(RULES) * (len(self.SEEDS) + 1)
         _, mismatch, errors = filecmp.cmpfiles(
             tmp_path / "shared", tmp_path / "plain", names, shallow=False
         )
@@ -372,7 +366,7 @@ class TestSharedFirstRound:
     def test_round_one_trained_once_per_seed(self, monkeypatch):
         trained = count_calls(monkeypatch, "sgd_train")
         evaluated = count_calls(monkeypatch, "evaluate")
-        clients, strategies = 4, ("fedavg", "fedmedian", "fedyogi")
+        clients, strategies = 4, (FedAvg(), FedMedian(), FedYogi())
         base = FederationConfig(model=SPEC, train=TRAIN, rounds=self.ROUNDS)
         compare_strategies(
             base, strategies, self.SEEDS, lambda seed: blob_shards(clients, seed)
@@ -394,5 +388,5 @@ class TestSharedFirstRound:
         trained = count_calls(monkeypatch, "sgd_train")
         base = FederationConfig(model=SPEC, train=TRAIN, rounds=2)
         with pytest.raises(ConfigError, match="at least one client"):
-            compare_strategies(base, ("fedavg", "fedavgm"), (0,), lambda s: [])
+            compare_strategies(base, (FedAvg(), FedAvgM()), (0,), lambda s: [])
         assert trained == []

@@ -18,7 +18,9 @@ def test_yaml_example_parses(tmp_path):
     path = tmp_path / "config.yaml"
     path.write_text(fenced_block("yaml"), encoding="utf-8")
     config = parse_config(str(path))
-    assert config.strategies == ("fedavg", "fedavgm", "fedmedian", "fedopt", "fedyogi", "fedavgopt")
+    assert tuple(rule.name for rule in config.rules) == (
+        "fedavg", "fedavgm", "fedmedian", "fedopt", "fedyogi", "fedavgopt",
+    )
 
 
 def test_library_example_runs(capsys):
