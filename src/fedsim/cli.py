@@ -20,6 +20,7 @@ import csv
 import dataclasses
 import json
 import logging
+import math
 import os
 import re
 import sys
@@ -43,7 +44,11 @@ HISTORY_HEADER = (
     "client_id,client_test_count,client_accuracy,client_loss,alpha_json"
 )
 
-_DATASET_KINDS = ("blobs", "csv")
+# The keys the dataset section accepts for each kind, in field order.
+_DATASET_KEYS = {
+    "blobs": ("kind", "samples_per_class", "num_classes", "dim", "spread"),
+    "csv": ("kind", "path", "label_column"),
+}
 
 # Every curve file name emit_plot_data can write: <strategy>.dat,
 # <strategy>_seed<N>.dat and <strategy>_mean.dat.
@@ -64,6 +69,18 @@ class DatasetConfig:
     path: str | None = None
     label_column: str | None = None
 
+    def __post_init__(self) -> None:
+        if self.kind not in _DATASET_KEYS:
+            raise ValueError(f"kind must be one of {tuple(_DATASET_KEYS)}, got {self.kind!r}")
+        if self.kind == "csv" and not (
+            isinstance(self.path, str) and isinstance(self.label_column, str)
+        ):
+            raise ValueError("csv source needs string 'path' and 'label_column'")
+        if self.num_classes < 2:
+            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
+        if not 0 < self.spread < math.inf:
+            raise ValueError(f"spread must be finite and > 0, got {self.spread}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -77,6 +94,14 @@ class ExperimentConfig:
     activation: str = "relu"
     train: TrainConfig = TrainConfig()
     output_dir: str = "results"
+
+    def __post_init__(self) -> None:
+        if not 0 < self.train_fraction < 1:
+            raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
+        if not isinstance(self.output_dir, str) or not self.output_dir:
+            raise ValueError(f"output_dir must be a nonempty string, got {self.output_dir!r}")
 
 
 # parse_config's value for each unset key; dataset and rules have none.
@@ -129,37 +154,9 @@ def _distinct(values: tuple, key: str) -> tuple:
 
 
 def _parse_dataset(raw) -> DatasetConfig:
-    mapping = _as_mapping(raw, "dataset")
-    kind = _as_choice(mapping.get("kind"), "dataset.kind", _DATASET_KINDS)
-    if kind == "csv":
-        _check_keys("dataset", mapping, ("kind", "path", "label_column"))
-        path = mapping.get("path")
-        label = mapping.get("label_column")
-        if not isinstance(path, str) or not isinstance(label, str):
-            raise ConfigError("dataset: csv source needs string 'path' and 'label_column'")
-        return DatasetConfig(kind="csv", path=path, label_column=label)
-    _check_keys(
-        "dataset", mapping, ("kind", "samples_per_class", "num_classes", "dim", "spread")
-    )
-    defaults = DatasetConfig(kind="blobs")
-    spread = _as_float(mapping.get("spread", defaults.spread), "dataset.spread")
-    if not spread > 0:
-        raise ConfigError(f"dataset.spread: must be > 0, got {spread}")
-    return DatasetConfig(
-        kind="blobs",
-        samples_per_class=_as_int(
-            mapping.get("samples_per_class", defaults.samples_per_class),
-            "dataset.samples_per_class",
-            minimum=1,
-        ),
-        num_classes=_as_int(
-            mapping.get("num_classes", defaults.num_classes),
-            "dataset.num_classes",
-            minimum=2,
-        ),
-        dim=_as_int(mapping.get("dim", defaults.dim), "dataset.dim", minimum=1),
-        spread=spread,
-    )
+    kind = _as_mapping(raw, "dataset").get("kind")
+    keys = _DATASET_KEYS[_as_choice(kind, "dataset.kind", tuple(_DATASET_KEYS))]
+    return _parse_section(raw, "dataset", _DEFAULTS.dataset, keys)
 
 
 def _parse_strategies(raw: Mapping) -> tuple[str, ...]:
@@ -189,30 +186,41 @@ def _parse_seeds(raw: Mapping) -> tuple[int, ...]:
     return _DEFAULTS.seeds
 
 
+def _as_widths(value, key: str) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{key}: expected a list of integers")
+    return tuple(_as_int(v, key, minimum=1) for v in value)
+
+
 # How _parse_section reads each field type a config section holds.
-_SCALARS: dict[str, Callable] = {
+_READERS: dict[str, Callable] = {
     "float": _as_float,
     "int": lambda value, key: _as_int(value, key, minimum=1),
     "int | None": lambda value, key: _as_int(value, key, minimum=1),
+    "tuple[int, ...]": _as_widths,
     # Left to the dataclass's own validation.
     "str": lambda value, key: value,
+    "str | None": lambda value, key: value,
 }
 
 
-def _parse_section(raw, section: str, defaults):
+def _parse_section(raw, section: str, defaults, keys: Sequence[str] | None = None):
     """Apply one flat config section to the ``defaults`` dataclass.
 
-    The section's keys are the dataclass's float, int and str fields, in
-    field order: float keys must be numbers and int keys integers >= 1.
-    Only keys present in ``raw`` override the defaults.
+    ``keys`` are the fields of the dataclass the section accepts; by default
+    every field _READERS can read, in field order.  Float keys must be
+    numbers and int keys integers >= 1; the dataclass checks the rest.  Only
+    keys present in ``raw`` override the defaults.  Keys of the top-level
+    section, ``config``, are named without a prefix.
     """
     mapping = _as_mapping(raw, section)
-    fields = [f for f in dataclasses.fields(defaults) if f.type in _SCALARS]
-    _check_keys(section, mapping, [f.name for f in fields])
+    types = {f.name: f.type for f in dataclasses.fields(defaults)}
+    if keys is None:
+        keys = [name for name, kind in types.items() if kind in _READERS]
+    _check_keys(section, mapping, keys)
+    prefix = "" if section == "config" else f"{section}."
     updates = {
-        f.name: _SCALARS[f.type](mapping[f.name], f"{section}.{f.name}")
-        for f in fields
-        if f.name in mapping
+        key: _READERS[types[key]](mapping[key], prefix + key) for key in keys if key in mapping
     }
     try:
         return dataclasses.replace(defaults, **updates)
@@ -235,26 +243,14 @@ def _parse_rules(raw: Mapping, names: tuple[str, ...]) -> tuple[Rule, ...]:
     return tuple(rules[name] for name in names)
 
 
-def _parse_model(raw) -> tuple[tuple[int, ...], str]:
-    mapping = _as_mapping(raw, "model")
-    _check_keys("model", mapping, ("hidden_dims", "activation"))
-    hidden = _DEFAULTS.hidden_dims
-    if "hidden_dims" in mapping:
-        dims = mapping["hidden_dims"]
-        if not isinstance(dims, list):
-            raise ConfigError("model.hidden_dims: expected a list of integers")
-        hidden = tuple(_as_int(d, "model.hidden_dims", minimum=1) for d in dims)
-    activation = _as_choice(
-        mapping.get("activation", _DEFAULTS.activation), "model.activation", ACTIVATIONS
-    )
-    return hidden, activation
-
-
 _TOP_LEVEL_KEYS = (
     "dataset", "strategy", "strategies", "seed", "seeds", "rounds",
     "num_clients", "train_fraction", "model", "train", "hyperparams",
     "solver", "output_dir",
 )
+# The top-level keys that set an ExperimentConfig field directly, and the model keys.
+_FLAT_KEYS = ("rounds", "num_clients", "train_fraction", "output_dir")
+_MODEL_KEYS = ("hidden_dims", "activation")
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -271,33 +267,15 @@ def parse_config(path: str) -> ExperimentConfig:
     if "dataset" not in mapping:
         raise ConfigError("config must have a 'dataset' section")
 
-    train_fraction = _as_float(
-        mapping.get("train_fraction", _DEFAULTS.train_fraction), "train_fraction"
-    )
-    if not 0 < train_fraction < 1:
-        raise ConfigError(f"train_fraction: must be in (0, 1), got {train_fraction}")
-    hidden_dims, activation = _parse_model(mapping.get("model", {}))
-    output_dir = mapping.get("output_dir", _DEFAULTS.output_dir)
-    if not isinstance(output_dir, str):
-        raise ConfigError(f"output_dir: expected a string, got {output_dir!r}")
-
-    dataset = _parse_dataset(mapping["dataset"])
     names = _parse_strategies(mapping)
-    return ExperimentConfig(
-        dataset=dataset,
-        seeds=_parse_seeds(mapping),
-        rounds=_as_int(mapping.get("rounds", _DEFAULTS.rounds), "rounds", minimum=1),
-        num_clients=_as_int(
-            mapping.get("num_clients", _DEFAULTS.num_clients), "num_clients", minimum=1
-        ),
-        train_fraction=train_fraction,
-        hidden_dims=hidden_dims,
-        activation=activation,
-        train=_parse_section(mapping.get("train", {}), "train", _DEFAULTS.train),
-        # Keyword arguments run in order: hyperparams and solver are checked after train.
-        rules=_parse_rules(mapping, names),
-        output_dir=output_dir,
+    config = dataclasses.replace(
+        _DEFAULTS, dataset=_parse_dataset(mapping["dataset"]), seeds=_parse_seeds(mapping)
     )
+    flat = {key: mapping[key] for key in _FLAT_KEYS if key in mapping}
+    config = _parse_section(flat, "config", config, _FLAT_KEYS)
+    config = _parse_section(mapping.get("model", {}), "model", config, _MODEL_KEYS)
+    train = _parse_section(mapping.get("train", {}), "train", _DEFAULTS.train)
+    return dataclasses.replace(config, train=train, rules=_parse_rules(mapping, names))
 
 
 def _dataset_pipeline(
@@ -428,9 +406,10 @@ def emit_plot_data(result: ComparisonResult, directory: Path) -> list[Path]:
 
 def run_experiment(config: ExperimentConfig) -> int:
     """Run everything the config asks for and write the three outputs."""
+    result = run_comparison(config)
+    # Created only now, so that a failed run leaves no empty directory behind.
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = run_comparison(config)
     write_history_csv(result, out_dir / "history.csv")
     write_summary(result, out_dir / "summary.txt")
     emit_plot_data(result, out_dir / "curves")

@@ -270,6 +270,19 @@ class TestParseConfig:
                 "dataset: {kind: blobs}\nstrategy: fedavg\nsolver: {initial_step: -.inf}\n",
                 "solver.initial_step: expected a finite number, got -inf",
             ),
+            (
+                # Top-level keys are named without a section prefix.
+                "dataset: {kind: blobs}\nstrategy: fedavg\nnum_clients: 0\n",
+                "^num_clients: must be >= 1, got 0$",
+            ),
+            (
+                "dataset: {kind: blobs}\nstrategy: fedavg\nmodel: {hidden_dims: [true]}\n",
+                "model.hidden_dims: expected an integer, got True",
+            ),
+            (
+                "dataset: {kind: blobs}\nstrategy: fedavg\nmodel: {hidden_dims: [1.5]}\n",
+                "model.hidden_dims: expected an integer, got 1.5",
+            ),
         ],
     )
     def test_invalid_configs(self, tmp_path, text, fragment):
@@ -304,10 +317,31 @@ class TestParseConfig:
                 "hyperparams: {fedavg: {server_lr: 1}}",
                 "unknown key 'server_lr' in hyperparams.fedavg; hyperparams.fedavg takes no keys",
             ),
+            (
+                "dataset: {kind: blobs, path: x.csv}",
+                "unknown key 'path' in dataset; allowed keys: "
+                "kind, samples_per_class, num_classes, dim, spread",
+            ),
+            (
+                "dataset: {kind: csv, path: x.csv, label_column: y, dim: 3}",
+                "unknown key 'dim' in dataset; allowed keys: kind, path, label_column",
+            ),
+            (
+                "model: {width: 3}",
+                "unknown key 'width' in model; allowed keys: hidden_dims, activation",
+            ),
+            (
+                "epochs: 3",
+                "unknown key 'epochs' in config; allowed keys: dataset, strategy, strategies, "
+                "seed, seeds, rounds, num_clients, train_fraction, model, train, hyperparams, "
+                "solver, output_dir",
+            ),
         ],
     )
     def test_section_allowed_keys_message(self, tmp_path, section, message):
-        path = write_config(tmp_path, f"dataset: {{kind: blobs}}\nstrategy: fedavg\n{section}\n")
+        if not section.startswith("dataset:"):
+            section = f"dataset: {{kind: blobs}}\n{section}"
+        path = write_config(tmp_path, f"strategy: fedavg\n{section}\n")
         with pytest.raises(ConfigError) as info:
             parse_config(path)
         assert str(info.value) == message
@@ -353,6 +387,42 @@ class TestParseConfig:
         path = write_config(tmp_path, "dataset: [unclosed\n")
         with pytest.raises(ConfigError, match="YAML"):
             parse_config(path)
+
+
+class TestConfigTypes:
+    """The library path: the config types check their own fields, so a
+    config built in code meets the same rules as one parsed from YAML."""
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"kind": "parquet"}, "kind"),
+            ({"kind": "csv", "label_column": "label"}, "path"),
+            ({"kind": "csv", "path": "data.csv"}, "label_column"),
+            ({"kind": "blobs", "spread": 0.0}, "spread"),
+            ({"kind": "blobs", "spread": -1.0}, "spread"),
+            ({"kind": "blobs", "spread": float("inf")}, "spread"),
+            ({"kind": "blobs", "spread": float("nan")}, "spread"),
+            ({"kind": "blobs", "num_classes": 1}, "num_classes"),
+        ],
+    )
+    def test_dataset_config_rejects(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            DatasetConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"train_fraction": 0.0}, "train_fraction"),
+            ({"train_fraction": 1.0}, "train_fraction"),
+            ({"activation": "sigmoid"}, "activation"),
+            ({"output_dir": ""}, "output_dir"),
+            ({"output_dir": 3}, "output_dir"),
+        ],
+    )
+    def test_experiment_config_rejects(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(dataset=DatasetConfig("blobs"), rules=(FedAvg(),), **kwargs)
 
 
 class TestOutputs:
@@ -511,6 +581,26 @@ class TestMain:
         assert main(["run", path]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "fedprox" in err
+
+    @pytest.mark.parametrize(
+        "extra, flags", [("output_dir: ''\n", []), ("", ["--output-dir", ""])]
+    )
+    def test_empty_output_dir_is_rejected(self, tmp_path, monkeypatch, capsys, extra, flags):
+        path = write_config(tmp_path, SMALL_YAML + extra)
+        monkeypatch.chdir(tmp_path)
+        assert main(["compare", path, *flags]) == 2
+        assert "output_dir" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.yaml"]
+
+    def test_failed_run_creates_no_output_dir(self, tmp_path, capsys):
+        # The shards fail only when the run starts: a class of 3 samples
+        # cannot reach 5 clients.
+        text = SMALL_YAML.replace("samples_per_class: 8", "samples_per_class: 3")
+        path = write_config(tmp_path, text + "num_clients: 5\n")
+        out = tmp_path / "out"
+        assert main(["compare", path, "--output-dir", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rounds_and_seed_overrides(self, tmp_path):
         path = write_config(tmp_path, SMALL_YAML)
