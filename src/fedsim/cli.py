@@ -278,41 +278,26 @@ def parse_config(path: str) -> ExperimentConfig:
     return dataclasses.replace(config, train=train, rules=_parse_rules(mapping, names))
 
 
-def _dataset_pipeline(
-    config: ExperimentConfig,
-) -> tuple[Callable[[int], list[ClientShard]], int, int]:
-    """Returns (shard factory keyed by seed, feature dim, class count)."""
+def run_comparison(config: ExperimentConfig) -> ComparisonResult:
+    """Execute the configured runs without touching the filesystem.  A CSV
+    is read once for every seed; blobs are drawn afresh for each seed."""
     ds = config.dataset
-    if ds.kind == "csv":
-        base = load_csv(ds.path, ds.label_column)
+    table = load_csv(ds.path, ds.label_column) if ds.kind == "csv" else None
 
-        def factory(seed: int) -> list[ClientShard]:
-            return make_client_shards(
-                base, config.num_clients, config.train_fraction, seed
-            )
-
-        return factory, int(base.features.shape[1]), base.num_classes
-
-    def factory(seed: int) -> list[ClientShard]:
-        data = generate_blobs(
-            ds.samples_per_class, ds.num_classes, ds.dim, ds.spread, seed
-        )
+    def shards(seed: int) -> list[ClientShard]:
+        data = table
+        if data is None:
+            data = generate_blobs(ds.samples_per_class, ds.num_classes, ds.dim, ds.spread, seed)
         return make_client_shards(data, config.num_clients, config.train_fraction, seed)
 
-    return factory, ds.dim, ds.num_classes
-
-
-def run_comparison(config: ExperimentConfig) -> ComparisonResult:
-    """Execute the configured runs without touching the filesystem."""
-    shard_factory, input_dim, num_classes = _dataset_pipeline(config)
     model = ModelSpec(
-        input_dim=input_dim,
+        input_dim=ds.dim if table is None else int(table.features.shape[1]),
         hidden_dims=config.hidden_dims,
         activation=config.activation,
-        num_classes=num_classes,
+        num_classes=ds.num_classes if table is None else table.num_classes,
     )
     base = FederationConfig(model=model, train=config.train, rounds=config.rounds)
-    return compare_strategies(base, config.rules, config.seeds, shard_factory)
+    return compare_strategies(base, config.rules, config.seeds, shards)
 
 
 def write_history_csv(result: ComparisonResult, path: Path) -> None:

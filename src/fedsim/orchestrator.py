@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -240,12 +241,17 @@ def compare_strategies(
     and every rule's federation starts from them.
 
     ``base_config``'s ``rule`` and ``seed`` are replaced for each run.  Runs
-    are reported by strategy name, so two rules of one name are rejected.
+    are reported by strategy name and seed, so each must be distinct.
     """
     if len(rules) == 0:
         raise ValueError("need at least one strategy")
     if len(seeds) == 0:
         raise ValueError("need at least one seed")
+    for i, seed in enumerate(seeds):
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ValueError(f"seeds must be integers >= 0, got {seed!r}")
+        if seed in seeds[:i]:
+            raise ValueError(f"seed {seed} is given more than once")
     per_rule = [dataclasses.replace(base_config, rule=rule) for rule in rules]
     names = [config.strategy for config in per_rule]
     for i, name in enumerate(names):

@@ -80,10 +80,9 @@ def _values_under(previous_global: ParamVector, vector: ParamVector) -> np.ndarr
 
 
 def aggregate_fedavg(updates: Sequence[ClientUpdate]) -> ParamVector:
-    """Weighted mean of client parameters, weights = client data counts."""
+    """Count-weighted mean of client parameters: :func:`candidate_aggregate` at all-ones."""
     params, counts = _params_and_counts(updates)
-    total = float(sum(counts))
-    return linear_combination(params, [n / total for n in counts])
+    return candidate_aggregate(params, counts, [1.0] * len(counts))
 
 
 def candidate_aggregate(
@@ -94,9 +93,9 @@ def candidate_aggregate(
     """Candidate global model for coefficient vector ``x``:
     sum_i params_i * n_i * x_i / sum_i n_i.
 
-    At x = 1 this is bit-identical to :func:`aggregate_fedavg`.  The
-    denominator deliberately excludes the coefficients, so the aggregate may
-    be globally rescaled rather than remaining a convex combination.
+    At x = 1 this is :func:`aggregate_fedavg`.  The denominator deliberately
+    excludes the coefficients, so the aggregate may be globally rescaled
+    rather than remaining a convex combination.
     """
     total = float(sum(counts))
     coeffs = [n * float(xi) / total for n, xi in zip(counts, x)]

@@ -24,6 +24,20 @@ HYPERPARAM_KEYS = {
 HYPERPARAM_FIELDS = tuple(dict.fromkeys(key for keys in HYPERPARAM_KEYS.values() for key in keys))
 
 
+def count_calls(monkeypatch, module, name):
+    """Replace ``module.name`` for the test with a wrapper that records the
+    positional arguments of each call; returns the list of records."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def make_vec(values) -> ParamVector:
     """ParamVector holding ``values``, flattened."""
     return ParamVector(np.asarray(values, dtype=np.float64))

@@ -7,6 +7,7 @@ import textwrap
 
 import pytest
 
+import fedsim.cli
 from fedsim import (
     ComparisonResult,
     FedAvg,
@@ -28,7 +29,7 @@ from fedsim.cli import (
     run_experiment,
 )
 from fedsim.exceptions import ConfigError
-from helpers import HYPERPARAM_FIELDS, HYPERPARAM_KEYS
+from helpers import HYPERPARAM_FIELDS, HYPERPARAM_KEYS, count_calls
 
 SMALL_YAML = """
 dataset:
@@ -526,6 +527,26 @@ class TestOutputs:
     def test_emit_plot_data_empty_history(self, tmp_path):
         with pytest.raises(ValueError):
             emit_plot_data(ComparisonResult(runs=()), tmp_path / "curves")
+
+
+class TestRunComparison:
+    def test_csv_is_read_once_for_all_seeds(self, tmp_path, monkeypatch):
+        rows = ["x1,x2,label"] + [f"{i}.0,{-i}.5,{i % 2}" for i in range(16)]
+        (tmp_path / "data.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        dataset = DatasetConfig(kind="csv", path=str(tmp_path / "data.csv"), label_column="label")
+        loads = count_calls(monkeypatch, fedsim.cli, "load_csv")
+        blobs = count_calls(monkeypatch, fedsim.cli, "generate_blobs")
+        result = run_comparison(small_config(tmp_path, dataset=dataset, seeds=(0, 1)))
+        assert loads == [(str(tmp_path / "data.csv"), "label")]
+        assert blobs == []
+        assert result.seeds == [0, 1]
+
+    def test_blobs_are_drawn_once_per_seed(self, tmp_path, monkeypatch):
+        loads = count_calls(monkeypatch, fedsim.cli, "load_csv")
+        blobs = count_calls(monkeypatch, fedsim.cli, "generate_blobs")
+        run_comparison(small_config(tmp_path, seeds=(4, 2)))
+        assert loads == []
+        assert [args[-1] for args in blobs] == [4, 2]
 
 
 class TestMain:

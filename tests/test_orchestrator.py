@@ -34,6 +34,7 @@ from fedsim import (
 from fedsim.cli import emit_plot_data, write_history_csv, write_summary
 from fedsim.exceptions import ConfigError, NumericError
 from fedsim.strategies import RULES
+from helpers import count_calls
 
 SPEC = ModelSpec(input_dim=3, num_classes=2)
 TRAIN = TrainConfig(learning_rate=0.2, batch_size=16, local_epochs=2)
@@ -310,25 +311,34 @@ class TestCompareStrategies:
         compare_strategies(base, (FedAvg(), FedAvgM(), FedYogi()), (5, 6), factory)
         assert calls == [5, 6]
 
+    @pytest.mark.parametrize(
+        "seeds, message",
+        [
+            ((0, 0), "seed 0 is given more than once"),
+            ((True,), "seeds must be integers >= 0, got True"),
+            ((-1,), "seeds must be integers >= 0, got -1"),
+            ((0.5,), "seeds must be integers >= 0, got 0.5"),
+        ],
+    )
+    def test_bad_seeds_rejected_before_any_shards(self, seeds, message):
+        # A repeated seed would run twice under one seed label; True would be
+        # written as a seed; -1 would fail deep inside numpy.
+        calls = []
+        base = FederationConfig(model=SPEC, train=TRAIN, rounds=1)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            compare_strategies(base, (FedAvg(),), seeds, calls.append)
+        assert calls == []
+
+    def test_numpy_integer_seed_runs(self):
+        result = self.comparison(rules=(FedAvg(),), seeds=(np.int64(3),))
+        assert result.seeds == [3]
+
     def test_empty_inputs_rejected(self):
         base = FederationConfig(model=SPEC, train=TRAIN, rounds=1)
         with pytest.raises(ValueError):
             compare_strategies(base, (), (0,), lambda s: blob_shards(4, s))
         with pytest.raises(ValueError):
             compare_strategies(base, (FedAvg(),), (), lambda s: blob_shards(4, s))
-
-
-def count_calls(monkeypatch, name):
-    """Count the calls the orchestrator makes to one of its model functions."""
-    calls = []
-    original = getattr(fedsim.orchestrator, name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(fedsim.orchestrator, name, counted)
-    return calls
 
 
 def write_outputs(result, directory):
@@ -364,8 +374,8 @@ class TestSharedFirstRound:
         assert (mismatch, errors) == ([], [])
 
     def test_round_one_trained_once_per_seed(self, monkeypatch):
-        trained = count_calls(monkeypatch, "sgd_train")
-        evaluated = count_calls(monkeypatch, "evaluate")
+        trained = count_calls(monkeypatch, fedsim.orchestrator, "sgd_train")
+        evaluated = count_calls(monkeypatch, fedsim.orchestrator, "evaluate")
         clients, strategies = 4, (FedAvg(), FedMedian(), FedYogi())
         base = FederationConfig(model=SPEC, train=TRAIN, rounds=self.ROUNDS)
         compare_strategies(
@@ -379,13 +389,13 @@ class TestSharedFirstRound:
         assert len(evaluated) == local + federations * self.ROUNDS * clients
 
     def test_run_federation_alone_trains_round_one(self, monkeypatch):
-        trained = count_calls(monkeypatch, "sgd_train")
+        trained = count_calls(monkeypatch, fedsim.orchestrator, "sgd_train")
         config = FederationConfig(model=SPEC, train=TRAIN, rounds=self.ROUNDS)
         run_federation(config, blob_shards(4, 0))
         assert len(trained) == 4 * self.ROUNDS
 
     def test_invalid_shards_rejected_before_training(self, monkeypatch):
-        trained = count_calls(monkeypatch, "sgd_train")
+        trained = count_calls(monkeypatch, fedsim.orchestrator, "sgd_train")
         base = FederationConfig(model=SPEC, train=TRAIN, rounds=2)
         with pytest.raises(ConfigError, match="at least one client"):
             compare_strategies(base, (FedAvg(), FedAvgM()), (0,), lambda s: [])
