@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -50,9 +51,20 @@ class ModelSpec:
         widths = [self.input_dim, *self.hidden_dims, self.num_classes]
         return [(widths[i], widths[i + 1]) for i in range(len(widths) - 1)]
 
-    @property
+    @cached_property
+    def _slices(self) -> tuple[tuple[int, int, int, tuple[int, int]], ...]:
+        """Per layer, (weight start, bias start, bias end, weight shape) in
+        the flat vector; worked out once per spec."""
+        table, offset = [], 0
+        for fan_in, fan_out in self.layer_dims():
+            bias = offset + fan_in * fan_out
+            table.append((offset, bias, bias + fan_out, (fan_in, fan_out)))
+            offset = bias + fan_out
+        return tuple(table)
+
+    @cached_property
     def num_params(self) -> int:
-        return sum((fan_in + 1) * fan_out for fan_in, fan_out in self.layer_dims())
+        return self._slices[-1][2]
 
 
 @dataclass(frozen=True)
@@ -89,13 +101,7 @@ def _layers(flat: np.ndarray, spec: ModelSpec) -> list[tuple[np.ndarray, np.ndar
         raise ShapeMismatchError(
             f"model expects {spec.num_params} parameters, got {flat.size}"
         )
-    layers = []
-    offset = 0
-    for fan_in, fan_out in spec.layer_dims():
-        end = offset + fan_in * fan_out
-        layers.append((flat[offset:end].reshape(fan_in, fan_out), flat[end : end + fan_out]))
-        offset = end + fan_out
-    return layers
+    return [(flat[w:b].reshape(shape), flat[b:end]) for w, b, end, shape in spec._slices]
 
 
 def _check_features(spec: ModelSpec, features: np.ndarray) -> np.ndarray:
@@ -159,13 +165,18 @@ def _check_labels(spec: ModelSpec, labels: np.ndarray, n_rows: int) -> np.ndarra
 
 
 def loss_and_gradient(
-    params: ParamVector, spec: ModelSpec, features: np.ndarray, labels: np.ndarray
-) -> tuple[float, ParamVector]:
-    """Mean cross-entropy over the batch and its exact gradient."""
+    values: np.ndarray, spec: ModelSpec, features: np.ndarray, labels: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy over the batch and its exact gradient.
+
+    ``values`` is the flat weight vector laid out as ``spec`` describes.  The
+    gradient comes back as a fresh, writable float64 array of the same
+    layout; neither ``values`` nor ``features`` is written to.
+    """
     x = _check_features(spec, features)
     y = _check_labels(spec, labels, x.shape[0])
     n = x.shape[0]
-    layers = _layers(params.values, spec)
+    layers = _layers(values, spec)
     inputs, logits = _forward(layers, spec, x)
     rows = np.arange(n)
     delta, row_sums, log_norm = _shifted_exp(logits)
@@ -175,7 +186,7 @@ def loss_and_gradient(
     delta /= n
 
     # Each layer's gradient is written into its views of one flat buffer.
-    flat = np.empty(params.values.size)
+    flat = np.empty(values.size)
     grads = _layers(flat, spec)
     for k in range(len(layers) - 1, -1, -1):
         grad_w, grad_b = grads[k]
@@ -188,7 +199,7 @@ def loss_and_gradient(
                 delta *= h > 0
             else:
                 delta *= 1.0 - h**2
-    return loss, ParamVector(flat)
+    return loss, flat
 
 
 def sgd_train(
@@ -197,24 +208,31 @@ def sgd_train(
     """Mini-batch SGD for ``local_epochs`` epochs, shuffled by ``seed``.
 
     Pure function of its arguments: the same (params, dataset, config, seed)
-    always returns the same vector.
+    always returns the same vector.  Training steps one working copy of the
+    weights in place; finiteness is checked once, on the result, because an
+    entry that goes non-finite under ``values -= lr * grad`` stays so.
     """
-    if len(dataset) == 0:
+    n = len(dataset)
+    if n == 0:
         raise ValueError("cannot train on an empty dataset")
     rng = np.random.default_rng(seed)
     values = params.values.copy()
-    n = len(dataset)
+    lr, size = config.learning_rate, config.batch_size
+    full = n - n % size
     for _ in range(config.local_epochs):
         perm = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            # Sorted batch indices keep the full-batch case bit-identical to
-            # a single loss_and_gradient step.
-            batch = np.sort(perm[start : start + config.batch_size])
-            current = ParamVector(values)
-            _, grad = loss_and_gradient(
-                current, spec, dataset.features[batch], dataset.labels[batch]
-            )
-            values = values - config.learning_rate * grad.values
+        # Sorted batch indices keep the full-batch case bit-identical to a
+        # single loss_and_gradient step.  One gather covers every full batch;
+        # the ragged tail, if any, is its own.
+        batches = np.sort(perm[:full].reshape(-1, size), axis=1)
+        steps = list(zip(dataset.features[batches], dataset.labels[batches]))
+        if full < n:
+            tail = np.sort(perm[full:])
+            steps.append((dataset.features[tail], dataset.labels[tail]))
+        for x, y in steps:
+            grad = loss_and_gradient(values, spec, x, y)[1]
+            grad *= lr  # the bits of values - lr * grad, with no temporary
+            values -= grad
     return ParamVector(values)
 
 

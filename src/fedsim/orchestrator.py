@@ -26,6 +26,11 @@ from .strategies import RULES, Aggregator, AlphaSolution, ClientUpdate, FedAvg, 
 logger = logging.getLogger(__name__)
 
 
+def _is_seed(value) -> bool:
+    """An integer >= 0; numpy integers count, ``bool`` does not."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= 0
+
+
 @dataclass(frozen=True)
 class FederationConfig:
     model: ModelSpec
@@ -40,8 +45,8 @@ class FederationConfig:
             raise ConfigError(f"rule must be an instance of one of {names}, got {self.rule!r}")
         if self.rounds < 1:
             raise ConfigError("rounds must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
+        if not _is_seed(self.seed):
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
 
     @property
     def strategy(self) -> str:
@@ -248,7 +253,7 @@ def compare_strategies(
     if len(seeds) == 0:
         raise ValueError("need at least one seed")
     for i, seed in enumerate(seeds):
-        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        if not _is_seed(seed):
             raise ValueError(f"seeds must be integers >= 0, got {seed!r}")
         if seed in seeds[:i]:
             raise ValueError(f"seed {seed} is given more than once")

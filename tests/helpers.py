@@ -68,7 +68,7 @@ def finite_difference_gradient(params, spec, features, labels, h=1e-5):
     for i in range(base.size):
         bump = np.zeros_like(base)
         bump[i] = h
-        plus, _ = loss_and_gradient(params.with_values(base + bump), spec, features, labels)
-        minus, _ = loss_and_gradient(params.with_values(base - bump), spec, features, labels)
+        plus, _ = loss_and_gradient(base + bump, spec, features, labels)
+        minus, _ = loss_and_gradient(base - bump, spec, features, labels)
         numeric[i] = (plus - minus) / (2.0 * h)
     return numeric

@@ -16,7 +16,7 @@ from fedsim import (
     loss_and_gradient,
     sgd_train,
 )
-from fedsim.exceptions import ShapeMismatchError
+from fedsim.exceptions import NumericError, ShapeMismatchError
 from helpers import finite_difference_gradient
 import oracles
 
@@ -93,7 +93,7 @@ class TestLossAndGradient:
         spec = ModelSpec(input_dim=4, num_classes=3)
         params, y = init_params(spec, 0), np.zeros(2, dtype=np.int64)
         with pytest.raises(ShapeMismatchError):
-            loss_and_gradient(params, spec, np.zeros((2, 5)), y)
+            loss_and_gradient(params.values, spec, np.zeros((2, 5)), y)
         with pytest.raises(ShapeMismatchError):
             evaluate(params, spec, dataset_from(np.zeros((2, 5)), y, spec.num_classes))
 
@@ -105,7 +105,7 @@ class TestLossAndGradient:
         params = ParamVector(np.zeros(spec.num_params + delta))
         x, y = np.zeros((2, 4)), np.zeros(2, dtype=np.int64)
         with pytest.raises(ShapeMismatchError, match=f"expects {spec.num_params} parameters"):
-            loss_and_gradient(params, spec, x, y)
+            loss_and_gradient(params.values, spec, x, y)
         with pytest.raises(ShapeMismatchError, match=f"expects {spec.num_params} parameters"):
             evaluate(params, spec, dataset_from(x, y, spec.num_classes))
 
@@ -114,14 +114,14 @@ class TestLossAndGradient:
         params = init_params(spec, 0).with_values(np.zeros(spec.num_params))
         x = np.random.default_rng(4).normal(size=(8, 3))
         y = np.array([0, 1, 2, 3, 0, 1, 2, 3])
-        loss, _ = loss_and_gradient(params, spec, x, y)
+        loss, _ = loss_and_gradient(params.values, spec, x, y)
         assert loss == float(np.log(4.0))
 
     def test_out_of_range_label_rejected(self):
         spec = ModelSpec(input_dim=2, num_classes=2)
         params = init_params(spec, 0)
         with pytest.raises(ValueError):
-            loss_and_gradient(params, spec, np.zeros((1, 2)), np.array([2]))
+            loss_and_gradient(params.values, spec, np.zeros((1, 2)), np.array([2]))
 
     def test_duplicating_samples_is_invariant(self):
         rng = np.random.default_rng(6)
@@ -129,12 +129,12 @@ class TestLossAndGradient:
         params = init_params(spec, 6)
         x = rng.normal(size=(5, 4))
         y = rng.integers(0, 3, size=5)
-        loss1, grad1 = loss_and_gradient(params, spec, x, y)
+        loss1, grad1 = loss_and_gradient(params.values, spec, x, y)
         loss2, grad2 = loss_and_gradient(
-            params, spec, np.vstack([x, x]), np.concatenate([y, y])
+            params.values, spec, np.vstack([x, x]), np.concatenate([y, y])
         )
         assert loss1 == pytest.approx(loss2, rel=1e-12)
-        assert np.allclose(grad1.values, grad2.values, rtol=0, atol=1e-12)
+        assert np.allclose(grad1, grad2, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize(
         "spec",
@@ -149,10 +149,34 @@ class TestLossAndGradient:
         params = init_params(spec, 7)
         x = rng.normal(size=(10, spec.input_dim))
         y = rng.integers(0, spec.num_classes, size=10)
-        _, grad = loss_and_gradient(params, spec, x, y)
+        _, grad = loss_and_gradient(params.values, spec, x, y)
         numeric = finite_difference_gradient(params, spec, x, y, h=1e-5)
-        denom = max(1.0, float(np.max(np.abs(grad.values))))
-        assert float(np.max(np.abs(grad.values - numeric))) / denom < 1e-4
+        denom = max(1.0, float(np.max(np.abs(grad))))
+        assert float(np.max(np.abs(grad - numeric))) / denom < 1e-4
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_array_contract(self, activation):
+        spec = ModelSpec(input_dim=4, hidden_dims=(5,), activation=activation, num_classes=3)
+        rng = np.random.default_rng(8)
+        values = rng.normal(size=spec.num_params)
+        x, y = rng.normal(size=(6, 4)), rng.integers(0, 3, size=6)
+        values_before, x_before = values.copy(), x.copy()
+
+        loss, grad = loss_and_gradient(values, spec, x, y)
+        assert type(grad) is np.ndarray and grad.dtype == np.float64
+        assert grad.shape == (spec.num_params,) and grad.flags.writeable
+        assert not np.shares_memory(grad, values) and not np.shares_memory(grad, x)
+
+        # The gradient is the caller's to scale in place: the next call
+        # returns a fresh array with the same bits.
+        expected = grad.copy()
+        grad *= 0.5
+        loss2, grad2 = loss_and_gradient(values, spec, x, y)
+        assert loss2 == loss and grad2.tobytes() == expected.tobytes()
+        assert not np.shares_memory(grad2, grad)
+
+        assert values.tobytes() == values_before.tobytes()
+        assert x.tobytes() == x_before.tobytes()
 
 
 class TestSgdTrain:
@@ -174,8 +198,8 @@ class TestSgdTrain:
         lr = 0.2
         config = TrainConfig(learning_rate=lr, batch_size=len(data), local_epochs=1)
         out = sgd_train(params, spec, data, config, 9)
-        _, grad = loss_and_gradient(params, spec, data.features, data.labels)
-        expected = params.values - lr * grad.values
+        _, grad = loss_and_gradient(params.values, spec, data.features, data.labels)
+        expected = params.values - lr * grad
         assert np.array_equal(out.values, expected)
 
     def test_full_batch_result_independent_of_shuffle_seed(self):
@@ -207,10 +231,10 @@ class TestSgdTrain:
         data = generate_blobs(25, 2, 5, 0.1, 11)
         spec = ModelSpec(input_dim=5, num_classes=2)
         params = init_params(spec, 11)
-        loss_init, _ = loss_and_gradient(params, spec, data.features, data.labels)
+        loss_init, _ = loss_and_gradient(params.values, spec, data.features, data.labels)
         config = TrainConfig(learning_rate=0.1, batch_size=16, local_epochs=50)
         trained = sgd_train(params, spec, data, config, 1)
-        loss_final, _ = loss_and_gradient(trained, spec, data.features, data.labels)
+        loss_final, _ = loss_and_gradient(trained.values, spec, data.features, data.labels)
         assert loss_final < loss_init
 
     def test_convex_full_batch_descent_is_monotone(self):
@@ -218,10 +242,10 @@ class TestSgdTrain:
         spec = ModelSpec(input_dim=4, num_classes=3)
         params = init_params(spec, 5)
         config = TrainConfig(learning_rate=0.02, batch_size=len(data), local_epochs=1)
-        losses = [loss_and_gradient(params, spec, data.features, data.labels)[0]]
+        losses = [loss_and_gradient(params.values, spec, data.features, data.labels)[0]]
         for _ in range(30):
             params = sgd_train(params, spec, data, config, 0)
-            losses.append(loss_and_gradient(params, spec, data.features, data.labels)[0])
+            losses.append(loss_and_gradient(params.values, spec, data.features, data.labels)[0])
         diffs = np.diff(losses)
         assert np.all(diffs <= 1e-10)
 
@@ -230,6 +254,17 @@ class TestSgdTrain:
         empty = Dataset(np.zeros((0, 4)), np.zeros(0, dtype=np.int64), ("a", "b", "c"))
         with pytest.raises(ValueError):
             sgd_train(init_params(spec, 0), spec, empty, TrainConfig(), 0)
+
+    def test_diverging_run_raises_numeric_error(self):
+        # The weights overflow at step 2 of 24 and stay non-finite for the
+        # rest of training, so the run fails with the same error whether
+        # finiteness is checked after every step or once on the result.
+        data = self._blobs(6)
+        spec = ModelSpec(input_dim=4, hidden_dims=(5,), num_classes=3)
+        config = TrainConfig(learning_rate=1e300, batch_size=8, local_epochs=3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="^parameter vector contains non-finite entries$"):
+                sgd_train(init_params(spec, 6), spec, data, config, 0)
 
 
 class TestEvaluate:
@@ -328,7 +363,7 @@ class TestAgainstRawArrayOracle:
         assert trained.values.tobytes() == expected.tobytes()
 
         # One cross-entropy: evaluation and training report the same loss.
-        loss, _ = loss_and_gradient(trained, spec, data.features, data.labels)
+        loss, _ = loss_and_gradient(trained.values, spec, data.features, data.labels)
         assert evaluate(trained, spec, data)["loss"] == loss
 
 
@@ -349,10 +384,10 @@ class TestAgainstPreActivationOracle:
         x_before = x.copy()
         dims, values = spec.layer_dims(), params.values
 
-        loss, grad = loss_and_gradient(params, spec, x, y)
+        loss, grad = loss_and_gradient(params.values, spec, x, y)
         expected_loss, expected_grad = oracles.loss_and_gradient(values, dims, activation, x, y)
         assert type(loss) is float and loss == expected_loss
-        assert grad.values.tobytes() == expected_grad.tobytes()
+        assert grad.tobytes() == expected_grad.tobytes()
 
         metrics = evaluate(params, spec, dataset_from(x, y, spec.num_classes))
         expected = oracles.evaluate(values, dims, activation, x, y)

@@ -1,5 +1,6 @@
 import dataclasses
 import filecmp
+import re
 
 import numpy as np
 import pytest
@@ -76,6 +77,16 @@ class TestFederationConfig:
             FederationConfig(model=SPEC, train=TRAIN, rounds=0)
         with pytest.raises(ConfigError):
             FederationConfig(model=SPEC, train=TRAIN, seed=-1)
+
+    @pytest.mark.parametrize("seed", [True, 0.5, 2.0, -1, "1"])
+    def test_seed_must_be_an_integer(self, seed):
+        # True would run as seed 1; 0.5 would fail inside numpy, naming no field.
+        message = re.escape(f"seed must be an integer >= 0, got {seed!r}")
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            FederationConfig(model=SPEC, train=TRAIN, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert FederationConfig(model=SPEC, train=TRAIN, seed=np.int64(3)).seed == 3
 
     def test_hyperparams_default_and_override(self):
         # The default rule is fedavg; a rule's changed field is used.
