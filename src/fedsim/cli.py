@@ -34,7 +34,7 @@ from .data import ClientShard, generate_blobs, load_csv, make_client_shards
 from .exceptions import ConfigError, FedsimError
 from .models import ACTIVATIONS, ModelSpec, TrainConfig
 from .nelder_mead import SimplexConfig
-from .orchestrator import ComparisonResult, FederationConfig, compare_strategies
+from .orchestrator import ComparisonResult, FederationConfig, _is_seed, compare_strategies
 from .strategies import RULES, STRATEGIES, FedAvgOpt, Rule
 
 logger = logging.getLogger(__name__)
@@ -76,8 +76,9 @@ class DatasetConfig:
             isinstance(self.path, str) and isinstance(self.label_column, str)
         ):
             raise ValueError("csv source needs string 'path' and 'label_column'")
-        if self.num_classes < 2:
-            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
+        for name, least in (("samples_per_class", 1), ("num_classes", 2), ("dim", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if not 0 < self.spread < math.inf:
             raise ValueError(f"spread must be finite and > 0, got {self.spread}")
 
@@ -96,8 +97,16 @@ class ExperimentConfig:
     output_dir: str = "results"
 
     def __post_init__(self) -> None:
+        for seed in self.seeds:
+            if not _is_seed(seed):
+                raise ValueError(f"seeds must be integers >= 0, got {seed!r}")
+        for name in ("rounds", "num_clients"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0 < self.train_fraction < 1:
             raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
+        if any(width < 1 for width in self.hidden_dims):
+            raise ValueError(f"hidden_dims must hold widths >= 1, got {self.hidden_dims}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
         if not isinstance(self.output_dir, str) or not self.output_dir:
@@ -121,11 +130,9 @@ def _check_keys(section: str, mapping: Mapping, allowed: Sequence[str]) -> None:
             raise ConfigError(f"unknown key {key!r} in {section}; {hint}")
 
 
-def _as_int(value, key: str, minimum: int | None = None) -> int:
+def _as_int(value, key: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigError(f"{key}: expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{key}: must be >= {minimum}, got {value}")
     return value
 
 
@@ -146,57 +153,44 @@ def _as_choice(value, key: str, choices: Sequence[str]) -> str:
     return value
 
 
-def _distinct(values: tuple, key: str) -> tuple:
-    for i, value in enumerate(values):
-        if value in values[:i]:
-            raise ConfigError(f"{key}: {value!r} is listed more than once")
-    return values
-
-
 def _parse_dataset(raw) -> DatasetConfig:
     kind = _as_mapping(raw, "dataset").get("kind")
     keys = _DATASET_KEYS[_as_choice(kind, "dataset.kind", tuple(_DATASET_KEYS))]
     return _parse_section(raw, "dataset", _DEFAULTS.dataset, keys)
 
 
-def _parse_strategies(raw: Mapping) -> tuple[str, ...]:
-    if "strategy" in raw and "strategies" in raw:
-        raise ConfigError("give either 'strategy' or 'strategies', not both")
-    if "strategy" in raw:
-        names = [raw["strategy"]]
-    elif "strategies" in raw:
-        names = raw["strategies"]
-        if not isinstance(names, list) or not names:
-            raise ConfigError("strategies: expected a nonempty list of strategy names")
-    else:
-        raise ConfigError("config must name a strategy ('strategy' or 'strategies')")
-    return _distinct(tuple(_as_choice(n, "strategy", STRATEGIES) for n in names), "strategies")
-
-
-def _parse_seeds(raw: Mapping) -> tuple[int, ...]:
-    if "seed" in raw and "seeds" in raw:
-        raise ConfigError("give either 'seed' or 'seeds', not both")
-    if "seed" in raw:
-        return (_as_int(raw["seed"], "seed", minimum=0),)
-    if "seeds" in raw:
-        seeds = raw["seeds"]
-        if not isinstance(seeds, list) or not seeds:
-            raise ConfigError("seeds: expected a nonempty list of integers")
-        return _distinct(tuple(_as_int(s, "seeds", minimum=0) for s in seeds), "seeds")
-    return _DEFAULTS.seeds
+def _one_or_list(raw: Mapping, one: str, many: str, read: Callable, items: str, default=None):
+    """The value under ``one``, or the nonempty, repeat-free list under
+    ``many`` (not both), each read by ``read(value, key)``; with neither key,
+    ``default``, or an error when there is none."""
+    if one in raw and many in raw:
+        raise ConfigError(f"give either '{one}' or '{many}', not both")
+    if one in raw:
+        return (read(raw[one], one),)
+    if many not in raw:
+        if default is None:
+            raise ConfigError(f"config must name a {one} ('{one}' or '{many}')")
+        return default
+    if not isinstance(raw[many], list) or not raw[many]:
+        raise ConfigError(f"{many}: expected a nonempty list of {items}")
+    values = tuple(read(value, many) for value in raw[many])
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(f"{many}: {value!r} is listed more than once")
+    return values
 
 
 def _as_widths(value, key: str) -> tuple[int, ...]:
     if not isinstance(value, list):
         raise ConfigError(f"{key}: expected a list of integers")
-    return tuple(_as_int(v, key, minimum=1) for v in value)
+    return tuple(_as_int(v, key) for v in value)
 
 
 # How _parse_section reads each field type a config section holds.
 _READERS: dict[str, Callable] = {
     "float": _as_float,
-    "int": lambda value, key: _as_int(value, key, minimum=1),
-    "int | None": lambda value, key: _as_int(value, key, minimum=1),
+    "int": _as_int,
+    "int | None": _as_int,
     "tuple[int, ...]": _as_widths,
     # Left to the dataclass's own validation.
     "str": lambda value, key: value,
@@ -209,9 +203,9 @@ def _parse_section(raw, section: str, defaults, keys: Sequence[str] | None = Non
 
     ``keys`` are the fields of the dataclass the section accepts; by default
     every field _READERS can read, in field order.  Float keys must be
-    numbers and int keys integers >= 1; the dataclass checks the rest.  Only
-    keys present in ``raw`` override the defaults.  Keys of the top-level
-    section, ``config``, are named without a prefix.
+    finite numbers and int keys integers; the dataclass checks every bound.
+    Only keys present in ``raw`` override the defaults.  Keys of the
+    top-level section, ``config``, are named without a prefix.
     """
     mapping = _as_mapping(raw, section)
     types = {f.name: f.type for f in dataclasses.fields(defaults)}
@@ -267,15 +261,21 @@ def parse_config(path: str) -> ExperimentConfig:
     if "dataset" not in mapping:
         raise ConfigError("config must have a 'dataset' section")
 
-    names = _parse_strategies(mapping)
-    config = dataclasses.replace(
-        _DEFAULTS, dataset=_parse_dataset(mapping["dataset"]), seeds=_parse_seeds(mapping)
+    names = _one_or_list(
+        mapping, "strategy", "strategies",
+        lambda value, _: _as_choice(value, "strategy", STRATEGIES), "strategy names",
     )
+    dataset = _parse_dataset(mapping["dataset"])
+    seeds = _one_or_list(mapping, "seed", "seeds", _as_int, "integers", _DEFAULTS.seeds)
     flat = {key: mapping[key] for key in _FLAT_KEYS if key in mapping}
-    config = _parse_section(flat, "config", config, _FLAT_KEYS)
+    config = _parse_section(flat, "config", _DEFAULTS, _FLAT_KEYS)
     config = _parse_section(mapping.get("model", {}), "model", config, _MODEL_KEYS)
     train = _parse_section(mapping.get("train", {}), "train", _DEFAULTS.train)
-    return dataclasses.replace(config, train=train, rules=_parse_rules(mapping, names))
+    rules = _parse_rules(mapping, names)
+    try:
+        return dataclasses.replace(config, dataset=dataset, seeds=seeds, train=train, rules=rules)
+    except ValueError as exc:  # the seeds' bound
+        raise ConfigError(f"config: {exc}") from exc
 
 
 def run_comparison(config: ExperimentConfig) -> ComparisonResult:
@@ -411,14 +411,10 @@ def _init_logging() -> None:
 
 
 def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    updates: dict = {}
-    if args.output_dir is not None:
-        updates["output_dir"] = args.output_dir
-    if args.seed is not None:
-        updates["seeds"] = (_as_int(args.seed, "--seed", minimum=0),)
-    if args.rounds is not None:
-        updates["rounds"] = _as_int(args.rounds, "--rounds", minimum=1)
-    return dataclasses.replace(config, **updates) if updates else config
+    """The flags given replace their config values; ExperimentConfig checks them."""
+    seeds = None if args.seed is None else (args.seed,)
+    updates = {"output_dir": args.output_dir, "seeds": seeds, "rounds": args.rounds}
+    return dataclasses.replace(config, **{k: v for k, v in updates.items() if v is not None})
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -240,8 +240,11 @@ def evaluate(params: ParamVector, spec: ModelSpec, dataset: "Dataset") -> dict[s
     """Accuracy (argmax, ties to the lowest class index) and mean cross-entropy."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
+    # A Dataset's labels index its class names, so this bounds every label.
+    if dataset.num_classes > spec.num_classes:
+        raise ValueError(f"dataset has {dataset.num_classes} classes, model has {spec.num_classes}")
     x = _check_features(spec, dataset.features)
-    y = _check_labels(spec, dataset.labels, x.shape[0])
+    y = dataset.labels
     _, logits = _forward(_layers(params.values, spec), spec, x)
     n = x.shape[0]
     # A Python float: its repr goes into history.csv.

@@ -375,15 +375,15 @@ class FedOpt:
 
 @dataclass(frozen=True)
 class FedYogi(FedOpt):
-    """:class:`FedOpt` with the yogi second-moment rule and its defaults
-    (Reddi et al. 2021)."""
+    """:class:`FedOpt` with the yogi second-moment rule, which is fixed, and
+    the yogi defaults (Reddi et al. 2021)."""
 
     name: ClassVar[str] = "fedyogi"
+    server_optimizer: ClassVar[str] = "yogi"
     server_lr: float = 0.01
     tau: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.99
-    server_optimizer: str = "yogi"
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ RULE_FIELDS = {
     "fedavgm": ("server_lr", "momentum_beta"),
     "fedmedian": ("server_lr",),
     "fedopt": ("server_lr", "tau", "beta1", "beta2", "server_optimizer"),
-    "fedyogi": ("server_lr", "tau", "beta1", "beta2", "server_optimizer"),
+    "fedyogi": ("server_lr", "tau", "beta1", "beta2"),
     "fedavgopt": ("solver",),
 }
 # The keys of each strategy's ``hyperparams`` section: its rule's fields but

@@ -1,11 +1,15 @@
 import csv
+import dataclasses
 import filecmp
 import json
 import logging
 import re
 import textwrap
+from pathlib import Path
 
+import numpy as np
 import pytest
+import yaml
 
 import fedsim.cli
 from fedsim import (
@@ -30,6 +34,8 @@ from fedsim.cli import (
 )
 from fedsim.exceptions import ConfigError
 from helpers import HYPERPARAM_FIELDS, HYPERPARAM_KEYS, count_calls
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 SMALL_YAML = """
 dataset:
@@ -56,10 +62,25 @@ def small_config(tmp_path, extra="", **overrides):
     path = write_config(tmp_path, SMALL_YAML + textwrap.dedent(extra))
     config = parse_config(path)
     if overrides:
-        import dataclasses
-
         config = dataclasses.replace(config, **overrides)
     return config
+
+
+# Each int-typed config field the YAML reader fills, with config text that
+# puts it below its bound; both seed keys fill ``seeds``.
+BELOW_BOUND = [
+    ("rounds", "rounds: 0"),
+    ("num_clients", "num_clients: 0"),
+    ("seeds", "seeds: [2, -1]"),
+    ("seeds", "seed: -1"),
+    ("hidden_dims", "model: {hidden_dims: [4, 0]}"),
+    ("samples_per_class", "dataset: {kind: blobs, samples_per_class: 0}"),
+    ("num_classes", "dataset: {kind: blobs, num_classes: 0}"),
+    ("dim", "dataset: {kind: blobs, dim: 0}"),
+    ("batch_size", "train: {batch_size: 0}"),
+    ("local_epochs", "train: {local_epochs: 0}"),
+    ("max_iterations", "solver: {max_iterations: 0}"),
+]
 
 
 class TestParseConfig:
@@ -187,6 +208,15 @@ class TestParseConfig:
             ("strategy: fedavg\n", "dataset"),
             ("dataset: {kind: blobs}\n", "strategy"),
             ("dataset: {kind: blobs}\nstrategies: []\n", "strategies"),
+            (
+                "dataset: {kind: blobs}\nstrategy: fedavg\nseeds: []\n",
+                "^seeds: expected a nonempty list of integers$",
+            ),
+            (
+                # The bound is the type's, not a blanket one of the reader.
+                "dataset: {kind: blobs, num_classes: 0}\nstrategy: fedavg\n",
+                "^dataset: num_classes must be >= 2, got 0$",
+            ),
             ("dataset: {kind: csv, path: x.csv}\nstrategy: fedavg\n", "label_column"),
             (
                 "dataset: {kind: blobs}\nstrategy: fedavg\n"
@@ -211,7 +241,7 @@ class TestParseConfig:
             (
                 "dataset: {kind: blobs}\nstrategy: fedavg\n"
                 "train: {batch_size: 0}\n",
-                "train.batch_size: must be >= 1",
+                "train: batch_size must be >= 1",
             ),
             (
                 "dataset: {kind: blobs}\nstrategy: fedavg\n"
@@ -221,7 +251,7 @@ class TestParseConfig:
             (
                 "dataset: {kind: blobs}\nstrategy: fedavg\n"
                 "solver: {max_iterations: 0}\n",
-                "solver.max_iterations: must be >= 1",
+                "solver: max_iterations must be >= 1",
             ),
             (
                 "dataset: {kind: blobs}\nstrategy: fedavg\n"
@@ -274,7 +304,7 @@ class TestParseConfig:
             (
                 # Top-level keys are named without a section prefix.
                 "dataset: {kind: blobs}\nstrategy: fedavg\nnum_clients: 0\n",
-                "^num_clients: must be >= 1, got 0$",
+                "^config: num_clients must be >= 1, got 0$",
             ),
             (
                 "dataset: {kind: blobs}\nstrategy: fedavg\nmodel: {hidden_dims: [true]}\n",
@@ -284,11 +314,32 @@ class TestParseConfig:
                 "dataset: {kind: blobs}\nstrategy: fedavg\nmodel: {hidden_dims: [1.5]}\n",
                 "model.hidden_dims: expected an integer, got 1.5",
             ),
+            (
+                "dataset: {kind: blobs}\nstrategy: fedavg\nmodel: {hidden_dims: 3}\n",
+                "^model.hidden_dims: expected a list of integers$",
+            ),
         ],
     )
     def test_invalid_configs(self, tmp_path, text, fragment):
         path = write_config(tmp_path, text)
         with pytest.raises(ConfigError, match=fragment):
+            parse_config(path)
+
+    def test_every_int_field_has_a_below_bound_case(self):
+        int_fields = {
+            field.name
+            for config_type in (ExperimentConfig, DatasetConfig, TrainConfig, SimplexConfig)
+            for field in dataclasses.fields(config_type)
+            if field.type in ("int", "int | None", "tuple[int, ...]")
+        }
+        assert int_fields == {field for field, _ in BELOW_BOUND}
+
+    @pytest.mark.parametrize("field, text", BELOW_BOUND)
+    def test_int_below_its_bound_names_the_field(self, tmp_path, field, text):
+        if not text.startswith("dataset:"):
+            text = f"dataset: {{kind: blobs}}\n{text}"
+        path = write_config(tmp_path, f"strategy: fedavg\n{text}\n")
+        with pytest.raises(ConfigError, match=rf"\b{field} .*>= \d"):
             parse_config(path)
 
     def test_integer_beyond_float_range_rejected(self, tmp_path):
@@ -312,7 +363,7 @@ class TestParseConfig:
             (
                 "hyperparams: {fedyogi: {bogus: 1}}",
                 "unknown key 'bogus' in hyperparams.fedyogi; allowed keys: "
-                "server_lr, tau, beta1, beta2, server_optimizer",
+                "server_lr, tau, beta1, beta2",
             ),
             (
                 "hyperparams: {fedavg: {server_lr: 1}}",
@@ -372,7 +423,7 @@ class TestParseConfig:
 
     def test_hyperparams_key_counts(self):
         accepted = sum(len(keys) for keys in HYPERPARAM_KEYS.values())
-        assert (accepted, len(HYPERPARAM_KEYS) * len(HYPERPARAM_FIELDS) - accepted) == (13, 23)
+        assert (accepted, len(HYPERPARAM_KEYS) * len(HYPERPARAM_FIELDS) - accepted) == (12, 24)
 
     def test_empty_file(self, tmp_path):
         path = write_config(tmp_path, "")
@@ -388,6 +439,42 @@ class TestParseConfig:
         path = write_config(tmp_path, "dataset: [unclosed\n")
         with pytest.raises(ConfigError, match="YAML"):
             parse_config(path)
+
+
+class TestBenchmarkConfigs:
+    """The benchmark's workload configs, read from perfbench without changing
+    it: parse_config must carry every value a workload sets."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_workload_values_reach_the_config(self, tmp_path, monkeypatch, seed):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import workloads
+
+        csv_path = str(tmp_path / workloads.CSV_NAME)
+        for name, workload in workloads.WORKLOADS.items():
+            raw = workloads.config_dict(workload, seed, csv_path)
+            config = parse_config(write_config(tmp_path, yaml.safe_dump(raw), f"{name}.yaml"))
+            if workload.uses_csv:
+                dataset = DatasetConfig("csv", path=csv_path, label_column=workloads.LABEL_COLUMN)
+            else:
+                dataset = DatasetConfig(
+                    "blobs",
+                    samples_per_class=workload.samples_per_class,
+                    num_classes=workload.num_classes,
+                    dim=workload.dim,
+                    spread=workload.spread,
+                )
+            first = seed * workload.seed_count
+            assert config.dataset == dataset, name
+            assert tuple(rule.name for rule in config.rules) == workload.strategies, name
+            assert config.seeds == tuple(range(first, first + workload.seed_count)), name
+            assert config.rounds == workload.rounds, name
+            assert config.num_clients == workload.num_clients, name
+            assert config.train_fraction == workload.train_fraction, name
+            assert config.train == TrainConfig(
+                learning_rate=workload.learning_rate, batch_size=workload.batch_size
+            ), name
+            assert config.hidden_dims == workload.hidden_dims, name
 
 
 class TestConfigTypes:
@@ -424,6 +511,36 @@ class TestConfigTypes:
     def test_experiment_config_rejects(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
             ExperimentConfig(dataset=DatasetConfig("blobs"), rules=(FedAvg(),), **kwargs)
+
+    @pytest.mark.parametrize(
+        "config_type, kwargs, message",
+        [
+            (DatasetConfig, {"samples_per_class": 0}, "samples_per_class must be >= 1, got 0"),
+            (DatasetConfig, {"num_classes": 0}, "num_classes must be >= 2, got 0"),
+            (DatasetConfig, {"dim": -3}, "dim must be >= 1, got -3"),
+            (ExperimentConfig, {"rounds": 0}, "rounds must be >= 1, got 0"),
+            (ExperimentConfig, {"num_clients": -2}, "num_clients must be >= 1, got -2"),
+            (
+                ExperimentConfig,
+                {"hidden_dims": (4, 0)},
+                "hidden_dims must hold widths >= 1, got (4, 0)",
+            ),
+            (ExperimentConfig, {"seeds": (0, -1)}, "seeds must be integers >= 0, got -1"),
+            (ExperimentConfig, {"seeds": (True,)}, "seeds must be integers >= 0, got True"),
+            (ExperimentConfig, {"seeds": (0.5,)}, "seeds must be integers >= 0, got 0.5"),
+        ],
+    )
+    def test_bounds_name_the_field_and_value(self, config_type, kwargs, message):
+        if config_type is DatasetConfig:
+            kwargs = {"kind": "blobs", **kwargs}
+        else:
+            kwargs = {"dataset": DatasetConfig("blobs"), "rules": (FedAvg(),), **kwargs}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            config_type(**kwargs)
+
+    def test_numpy_integer_seed_accepted(self):
+        config = ExperimentConfig(dataset=DatasetConfig("blobs"), rules=(), seeds=(np.int64(3),))
+        assert config.seeds == (3,)
 
 
 class TestOutputs:
@@ -621,6 +738,20 @@ class TestMain:
         out = tmp_path / "out"
         assert main(["compare", path, "--output-dir", str(out)]) == 2
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--seed", "-1", "error: seeds must be integers >= 0, got -1"),
+            ("--rounds", "0", "error: rounds must be >= 1, got 0"),
+        ],
+    )
+    def test_flag_below_its_bound_is_rejected(self, tmp_path, capsys, flag, value, message):
+        path = write_config(tmp_path, SMALL_YAML)
+        out = tmp_path / "out"
+        assert main(["compare", path, "--output-dir", str(out), flag, value]) == 2
+        assert capsys.readouterr().err.strip() == message
         assert not out.exists()
 
     def test_rounds_and_seed_overrides(self, tmp_path):

@@ -312,6 +312,10 @@ class TestStratifiedPartition:
         with pytest.raises(ValueError, match="'b'"):
             stratified_partition(data, 2, 0)
 
+    def test_zero_clients_rejected(self):
+        with pytest.raises(ValueError, match="num_clients must be >= 1"):
+            stratified_partition(generate_blobs(4, 2, 3, 1.0, 0), 0, 0)
+
     def test_deterministic(self):
         data = generate_blobs(30, 3, 4, 1.0, 4)
         a = stratified_partition(data, 3, 11)

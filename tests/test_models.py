@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -65,6 +66,10 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
 
+    def test_local_epochs_bound(self):
+        with pytest.raises(ValueError, match="local_epochs must be >= 1"):
+            TrainConfig(local_epochs=0)
+
 
 class TestInitParams:
     def test_deterministic(self):
@@ -122,6 +127,13 @@ class TestLossAndGradient:
         params = init_params(spec, 0)
         with pytest.raises(ValueError):
             loss_and_gradient(params.values, spec, np.zeros((1, 2)), np.array([2]))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 1)])
+    def test_label_shape_checked(self, shape):
+        spec = ModelSpec(input_dim=2, num_classes=2)
+        labels = np.zeros(shape, dtype=np.int64)
+        with pytest.raises(ValueError, match=re.escape(f"must have shape (2,), got {shape}")):
+            loss_and_gradient(init_params(spec, 0).values, spec, np.zeros((2, 2)), labels)
 
     def test_duplicating_samples_is_invariant(self):
         rng = np.random.default_rng(6)
@@ -304,6 +316,19 @@ class TestEvaluate:
         empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), ("a", "b"))
         with pytest.raises(ValueError):
             evaluate(init_params(spec, 0), spec, empty)
+
+    def test_more_classes_than_the_model_rejected(self):
+        # Every label fits a 2-class model, but the dataset names 3 classes.
+        spec = ModelSpec(input_dim=2, num_classes=2)
+        data = Dataset(np.zeros((2, 2)), np.array([0, 1]), ("a", "b", "c"))
+        with pytest.raises(ValueError, match="dataset has 3 classes, model has 2"):
+            evaluate(init_params(spec, 0), spec, data)
+
+    def test_fewer_classes_than_the_model_accepted(self):
+        # Zero features and zero biases tie every logit, so class 0 wins.
+        spec = ModelSpec(input_dim=2, num_classes=3)
+        data = Dataset(np.zeros((2, 2)), np.array([0, 1]), ("a", "b"))
+        assert evaluate(init_params(spec, 0), spec, data)["accuracy"] == 0.5
 
 
 @st.composite

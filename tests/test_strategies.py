@@ -86,6 +86,9 @@ class TestHyperparams:
             FedAvgM(tau=0.5)
         with pytest.raises(TypeError, match="server_lr"):
             FedAvg(server_lr=1.0)
+        # fedyogi always runs yogi; another optimizer is a FedOpt.
+        with pytest.raises(TypeError, match="server_optimizer"):
+            FedYogi(server_optimizer="sgd")
 
     def test_fedyogi_override_keeps_the_yogi_defaults(self):
         rule = FedYogi(server_lr=0.5)
