@@ -80,6 +80,17 @@ CONFIGS = {
         model: {hidden_dims: [6], activation: relu}
         train: {learning_rate: 0.1, batch_size: 8}
         """,
+    # 16 clients and a logistic model of P = 6 parameters, fewer than the
+    # K + 1 = 17 vectors the fedavgopt objective is summarized by.
+    "many-clients-small-p": """
+        dataset: {kind: blobs, samples_per_class: 48, num_classes: 2, dim: 2, spread: 1.0}
+        strategies: [fedavg, fedavgopt]
+        seeds: [0, 1]
+        rounds: 3
+        num_clients: 16
+        train_fraction: 0.5
+        train: {learning_rate: 0.3, batch_size: 2}
+        """,
 }
 
 
