@@ -31,7 +31,7 @@ from typing import Callable, Mapping, Sequence
 import yaml
 
 from .data import ClientShard, generate_blobs, load_csv, make_client_shards
-from .exceptions import ConfigError, FedsimError
+from .exceptions import ConfigError, FedsimError, check_int, is_integer
 from .models import ACTIVATIONS, ModelSpec, TrainConfig
 from .nelder_mead import SimplexConfig
 from .orchestrator import ComparisonResult, FederationConfig, _is_seed, compare_strategies
@@ -77,8 +77,7 @@ class DatasetConfig:
         ):
             raise ValueError("csv source needs string 'path' and 'label_column'")
         for name, least in (("samples_per_class", 1), ("num_classes", 2), ("dim", 1)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+            check_int(name, getattr(self, name), least)
         if not 0 < self.spread < math.inf:
             raise ValueError(f"spread must be finite and > 0, got {self.spread}")
 
@@ -101,12 +100,11 @@ class ExperimentConfig:
             if not _is_seed(seed):
                 raise ValueError(f"seeds must be integers >= 0, got {seed!r}")
         for name in ("rounds", "num_clients"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            check_int(name, getattr(self, name), 1)
         if not 0 < self.train_fraction < 1:
             raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
-        if any(width < 1 for width in self.hidden_dims):
-            raise ValueError(f"hidden_dims must hold widths >= 1, got {self.hidden_dims}")
+        for width in self.hidden_dims:
+            check_int("hidden_dims width", width, 1)
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
         if not isinstance(self.output_dir, str) or not self.output_dir:
@@ -131,7 +129,7 @@ def _check_keys(section: str, mapping: Mapping, allowed: Sequence[str]) -> None:
 
 
 def _as_int(value, key: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not is_integer(value):
         raise ConfigError(f"{key}: expected an integer, got {value!r}")
     return value
 

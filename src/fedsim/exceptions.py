@@ -1,4 +1,21 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that
+the config types share."""
+
+import numbers
+
+
+def is_integer(value) -> bool:
+    """An integer; numpy integers count, ``bool`` does not."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral)
+
+
+def check_int(name: str, value, least: int) -> None:
+    """Raise ``ValueError`` naming ``name`` and ``value`` unless ``value`` is
+    an integer >= ``least``."""
+    if not is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
 
 
 class FedsimError(Exception):

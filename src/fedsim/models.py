@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .exceptions import ShapeMismatchError
+from .exceptions import ShapeMismatchError, check_int
 from .params import ParamVector
 
 if TYPE_CHECKING:
@@ -36,15 +36,13 @@ class ModelSpec:
     num_classes: int = 2
 
     def __post_init__(self) -> None:
+        check_int("input_dim", self.input_dim, 1)
+        for width in self.hidden_dims:
+            check_int("hidden_dims width", width, 1)
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
-        if self.input_dim < 1:
-            raise ValueError("input_dim must be >= 1")
-        if any(h < 1 for h in self.hidden_dims):
-            raise ValueError("hidden layer widths must be >= 1")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}")
-        if self.num_classes < 2:
-            raise ValueError("num_classes must be >= 2")
+        check_int("num_classes", self.num_classes, 2)
 
     def layer_dims(self) -> list[tuple[int, int]]:
         """(fan_in, fan_out) per dense layer, output layer last."""

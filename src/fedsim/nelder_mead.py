@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exceptions import NumericError
+from .exceptions import NumericError, check_int
 
 Objective = Callable[[np.ndarray], float]
 
@@ -55,8 +55,8 @@ class SimplexConfig:
         for name in ("x_tolerance", "f_tolerance"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        if self.max_iterations is not None:
+            check_int("max_iterations", self.max_iterations, 1)
 
     def resolved_max_iterations(self, dimension: int) -> int:
         if self.max_iterations is not None:

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .data import ClientShard
-from .exceptions import ConfigError, NumericError
+from .exceptions import ConfigError, NumericError, is_integer
 from .models import ModelSpec, TrainConfig, evaluate, init_params, sgd_train
 from .params import ParamVector
 from .strategies import RULES, Aggregator, AlphaSolution, ClientUpdate, FedAvg, Rule
@@ -28,7 +27,7 @@ logger = logging.getLogger(__name__)
 
 def _is_seed(value) -> bool:
     """An integer >= 0; numpy integers count, ``bool`` does not."""
-    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= 0
+    return is_integer(value) and value >= 0
 
 
 @dataclass(frozen=True)

@@ -27,12 +27,6 @@ SERVER_OPTIMIZERS = ("sgd", "adagrad", "adam", "yogi")
 #: nearly cancel a client's parameters stay finite for the solver.
 DENOMINATOR_FLOOR = 1e-12
 
-#: Smallest ratio of a squared norm to the square of its terms' size that
-#: :func:`gram_objective` evaluates through the Gram matrix.  Rounding in the
-#: Gram entries is about 1e-14 of that size for vectors of a few thousand
-#: entries, so the norms it keeps are accurate to about 1e-10.
-GRAM_CANCELLATION = 1e-4
-
 
 @dataclass(frozen=True)
 class ClientUpdate:
@@ -128,26 +122,21 @@ def gram_objective(
 ) -> Objective:
     """:func:`objective_f` for fixed clients, at O(K^2) per call for K clients.
 
-    The objective sees the client vectors only through inner products, so
-    they are summarized once, in O(K^2 P), by the Gram matrix of K + 1 basis
+    Every vector the objective measures is a combination of K + 1 basis
     vectors: each client's offset d_j from the count-weighted mean m, and m
     itself.  With c = n * x / sum(n) and s = sum(c),
-    w(x) -/+ w_j = sum_i c_i d_i -/+ d_j + (s -/+ 1) m, so each norm is a
-    quadratic form in the Gram matrix.  Centering keeps ||w(x) - w_j||
-    accurate when the candidate nears a client; the uncentered Gram matrix
-    loses half the digits there.
-
-    A quadratic form loses digits to cancellation when the norm is far
-    smaller than the terms it sums.  An evaluation where some squared norm
-    falls below :data:`GRAM_CANCELLATION` times the square of a bound on
-    those terms (the candidate nearly cancels a client, or sits on one) is
-    computed directly from the vectors instead, at O(K P).
+    w(x) -/+ w_j = sum_i c_i d_i -/+ d_j + (s -/+ 1) m.  The basis is
+    factored once, in O(K^2 P), as B^T = Q R, and since ||B^T a|| = ||R a||
+    for every coefficient vector a, each norm is a plain vector norm in the
+    min(P, K + 1) coordinates of R.  Each difference w(x) -/+ w_j is formed
+    there directly, as :func:`objective_f` forms it from the full vectors,
+    so no norm is taken of a sum of squares that cancel.
 
     The vectors are first scaled by a power of two so that every entry is
-    below 1 in magnitude: this is exact, keeps the Gram products from
+    below 1 in magnitude: this is exact, keeps the factorization from
     overflowing, and scales the denominator floor with them.  A non-finite
-    ``x``, or one whose norms or their bounds overflow, scores ``inf``; NumPy
-    may warn about the overflow.
+    ``x``, or one whose norms overflow, scores ``inf``; NumPy may warn about
+    the overflow.
     """
     weights = np.asarray(counts, dtype=np.float64) / float(sum(counts))
     stacked = np.stack([w.values for w in client_params])
@@ -155,43 +144,20 @@ def gram_objective(
     stacked = np.ldexp(stacked, -exponent)
     floor = math.ldexp(DENOMINATOR_FLOOR, -exponent)
     mean = weights @ stacked
-    basis = np.vstack([stacked - mean, mean])
-    gram = basis @ basis.T
+    r = np.linalg.qr(np.vstack([stacked - mean, mean]).T, mode="r")
     k = len(weights)
-    offsets_sq = np.diag(gram)[:k].copy()
-    largest_offset = math.sqrt(float(offsets_sq.max()))
-    mean_norm = math.sqrt(float(gram[k, k]))
-    signs = np.array([[-2.0], [2.0]])
+    # -R[:, j] and +R[:, j]: client j's column, signed for each side.
+    clients = np.stack([-r[:, :k], r[:, :k]])
     coeffs = np.empty((2, k + 1))
 
     def evaluate(x: np.ndarray) -> float:
         c = weights * x
         s = float(np.add.reduce(c))
-        # Row 0 expands ||w(x) - w_j||^2, row 1 ||w(x) + w_j||^2.
+        # Side 0 is w(x) - w_j, side 1 is w(x) + w_j; column j is client j.
         coeffs[:, :k] = c
         coeffs[:, k] = (s - 1.0, s + 1.0)
-        products = coeffs @ gram
-        squares = signs * products[:, :k]
-        squares += np.add.reduce(products * coeffs, axis=1, keepdims=True)
-        squares += offsets_sq
-        offset_terms = (float(np.add.reduce(np.abs(c))) + 1.0) * largest_offset
-        smallest_minus, smallest_plus = np.minimum.reduce(squares, axis=1).tolist()
-        try:
-            cancels = (
-                smallest_minus < GRAM_CANCELLATION * (offset_terms + abs(s - 1.0) * mean_norm) ** 2
-                or smallest_plus < GRAM_CANCELLATION * (offset_terms + abs(s + 1.0) * mean_norm) ** 2
-            )
-        except OverflowError:  # a bound beyond the float range
-            return math.inf
-        if cancels:
-            candidate = c @ stacked
-            squares = np.stack([
-                np.square(candidate - stacked).sum(axis=1),
-                np.square(candidate + stacked).sum(axis=1),
-            ])
-        # No clamp at zero: a square that rounding made negative takes the
-        # direct path above, unless a NaN beside it makes the value NaN anyway.
-        norms = np.sqrt(squares)
+        diffs = (coeffs @ r.T)[:, :, None] + clients
+        norms = np.sqrt(np.einsum("smk,smk->sk", diffs, diffs))
         value = float(np.add.reduce(norms[0] / np.maximum(norms[1], floor)))
         return value if math.isfinite(value) else math.inf
 

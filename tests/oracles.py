@@ -4,10 +4,6 @@
 vertices every iteration; :func:`fedsim.nelder_mead.minimize`, which keeps
 its vertex rows sorted by insertion, must agree with it bit for bit.
 
-``gram_objective`` is the Gram-matrix objective that the closure of
-:func:`fedsim.strategies.gram_objective` was thinned from; both return the
-same bits for every ``x`` this one does not raise on.
-
 ``forward`` is the model's forward pass keeping every pre-activation, with
 each activation a fresh array; ``loss_and_gradient``, ``evaluate`` and
 ``sgd_train`` are written on it with plain per-layer numpy arrays, no
@@ -60,7 +56,7 @@ from fedsim import (
 )
 from fedsim.exceptions import CsvParseError
 from fedsim.nelder_mead import Objective
-from fedsim.strategies import DENOMINATOR_FLOOR, GRAM_CANCELLATION, Rule, _params_and_counts
+from fedsim.strategies import Rule, _params_and_counts
 
 
 def minimize(objective: Objective, x0: Sequence[float], config: SimplexConfig = SimplexConfig()) -> MinimizeResult:
@@ -190,59 +186,6 @@ def _shrink(
         vertices[i] = best + factor * (vertices[i] - best)
         fvalues[i] = evaluate(vertices[i])
         created[i] = base + i - 1
-
-
-def gram_objective(
-    client_params: Sequence[ParamVector],
-    counts: Sequence[int],
-) -> Objective:
-    """The Gram-matrix objective of :func:`fedsim.strategies.gram_objective`,
-    written with ``ndarray`` methods, a fresh coefficient array per call and
-    a clamp on the squares before their roots.
-
-    Where its cancellation test squares a bound beyond the float range it
-    raises ``OverflowError``; the fast closure scores such an ``x`` ``inf``.
-    """
-    weights = np.asarray(counts, dtype=np.float64) / float(sum(counts))
-    stacked = np.stack([w.values for w in client_params])
-    _, exponent = math.frexp(float(np.max(np.abs(stacked))))
-    stacked = np.ldexp(stacked, -exponent)
-    floor = math.ldexp(DENOMINATOR_FLOOR, -exponent)
-    mean = weights @ stacked
-    basis = np.vstack([stacked - mean, mean])
-    gram = basis @ basis.T
-    k = len(weights)
-    offsets_sq = np.diag(gram)[:k].copy()
-    largest_offset = math.sqrt(float(offsets_sq.max()))
-    mean_norm = math.sqrt(float(gram[k, k]))
-    signs = np.array([[-2.0], [2.0]])
-
-    def evaluate(x: np.ndarray) -> float:
-        c = weights * x
-        s = float(c.sum())
-        # Row 0 expands ||w(x) - w_j||^2, row 1 ||w(x) + w_j||^2.
-        coeffs = np.empty((2, k + 1))
-        coeffs[:, :k] = c
-        coeffs[:, k] = (s - 1.0, s + 1.0)
-        products = coeffs @ gram
-        q = (products * coeffs).sum(axis=1, keepdims=True)
-        squares = q + signs * products[:, :k] + offsets_sq
-        offset_terms = (float(np.abs(c).sum()) + 1.0) * largest_offset
-        smallest = squares.min(axis=1)
-        if (
-            smallest[0] < GRAM_CANCELLATION * (offset_terms + abs(s - 1.0) * mean_norm) ** 2
-            or smallest[1] < GRAM_CANCELLATION * (offset_terms + abs(s + 1.0) * mean_norm) ** 2
-        ):
-            candidate = c @ stacked
-            squares = np.stack([
-                np.square(candidate - stacked).sum(axis=1),
-                np.square(candidate + stacked).sum(axis=1),
-            ])
-        norms = np.sqrt(np.maximum(squares, 0.0))
-        value = float((norms[0] / np.maximum(norms[1], floor)).sum())
-        return value if math.isfinite(value) else math.inf
-
-    return evaluate
 
 
 def _split(values: np.ndarray, layer_dims: Sequence[tuple[int, int]]) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -477,6 +477,18 @@ class TestBenchmarkConfigs:
             assert config.hidden_dims == workload.hidden_dims, name
 
 
+# Each int-typed field a config type checks for integer-ness by name.
+INT_FIELDS = [
+    (DatasetConfig, "samples_per_class"),
+    (DatasetConfig, "num_classes"),
+    (DatasetConfig, "dim"),
+    (ExperimentConfig, "rounds"),
+    (ExperimentConfig, "num_clients"),
+    (ExperimentConfig, "hidden_dims"),
+    (SimplexConfig, "max_iterations"),
+]
+
+
 class TestConfigTypes:
     """The library path: the config types check their own fields, so a
     config built in code meets the same rules as one parsed from YAML."""
@@ -520,11 +532,7 @@ class TestConfigTypes:
             (DatasetConfig, {"dim": -3}, "dim must be >= 1, got -3"),
             (ExperimentConfig, {"rounds": 0}, "rounds must be >= 1, got 0"),
             (ExperimentConfig, {"num_clients": -2}, "num_clients must be >= 1, got -2"),
-            (
-                ExperimentConfig,
-                {"hidden_dims": (4, 0)},
-                "hidden_dims must hold widths >= 1, got (4, 0)",
-            ),
+            (ExperimentConfig, {"hidden_dims": (4, 0)}, "hidden_dims width must be >= 1, got 0"),
             (ExperimentConfig, {"seeds": (0, -1)}, "seeds must be integers >= 0, got -1"),
             (ExperimentConfig, {"seeds": (True,)}, "seeds must be integers >= 0, got True"),
             (ExperimentConfig, {"seeds": (0.5,)}, "seeds must be integers >= 0, got 0.5"),
@@ -541,6 +549,40 @@ class TestConfigTypes:
     def test_numpy_integer_seed_accepted(self):
         config = ExperimentConfig(dataset=DatasetConfig("blobs"), rules=(), seeds=(np.int64(3),))
         assert config.seeds == (3,)
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
+    @pytest.mark.parametrize("config_type, field", INT_FIELDS)
+    def test_non_integer_names_the_field_and_value(self, config_type, field, value):
+        kwargs = {field: (value,) if field == "hidden_dims" else value}
+        if config_type is DatasetConfig:
+            kwargs["kind"] = "blobs"
+        elif config_type is ExperimentConfig:
+            kwargs.update(dataset=DatasetConfig("blobs"), rules=(FedAvg(),))
+        name = "hidden_dims width" if field == "hidden_dims" else field
+        message = f"{name} must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            config_type(**kwargs)
+
+    def test_every_int_field_has_a_non_integer_case(self):
+        int_fields = {
+            (config_type, field.name)
+            for config_type in (ExperimentConfig, DatasetConfig, SimplexConfig)
+            for field in dataclasses.fields(config_type)
+            if field.type in ("int", "int | None", "tuple[int, ...]")
+        }
+        # The seeds' own rule is covered by test_bounds_name_the_field_and_value.
+        assert int_fields - {(ExperimentConfig, "seeds")} == set(INT_FIELDS)
+
+    def test_numpy_integers_accepted(self):
+        config = ExperimentConfig(
+            dataset=DatasetConfig("blobs", samples_per_class=np.int64(8), dim=np.int32(3)),
+            rules=(),
+            rounds=np.int64(2),
+            num_clients=np.int16(3),
+            hidden_dims=(np.int64(4),),
+        )
+        assert (config.rounds, config.num_clients, config.dataset.dim) == (2, 3, 3)
+        assert SimplexConfig(max_iterations=np.int64(7)).resolved_max_iterations(2) == 7
 
 
 class TestOutputs:

@@ -48,6 +48,24 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             ModelSpec(input_dim=3, hidden_dims=(0,), num_classes=2)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"hidden_dims": (4.9,)}, "hidden_dims width must be an integer, got 4.9"),
+            ({"hidden_dims": (True,)}, "hidden_dims width must be an integer, got True"),
+            ({"input_dim": 2.5}, "input_dim must be an integer, got 2.5"),
+            ({"num_classes": 3.0}, "num_classes must be an integer, got 3.0"),
+        ],
+    )
+    def test_non_integer_names_the_field_and_value(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ModelSpec(**{"input_dim": 3, **kwargs})
+
+    def test_numpy_integer_widths_become_ints(self):
+        spec = ModelSpec(input_dim=np.int64(3), hidden_dims=[np.int32(4)])
+        assert spec.hidden_dims == (4,) and type(spec.hidden_dims[0]) is int
+        assert spec.num_params == 3 * 4 + 4 + 4 * 2 + 2
+
 
 class TestTrainConfig:
     def test_negative_lr_rejected(self):

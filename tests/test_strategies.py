@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fedsim import (
@@ -435,50 +435,26 @@ seeds = st.integers(0, 2**32 - 1)
 spreads = st.sampled_from([1e-8, 1e-4, 0.1, 1.0, 100.0])
 
 
-def probe_x(kind, counts, rng):
-    """A coefficient vector for ``len(counts)`` clients: ``random`` in
-    [-2, 2], ``cancelling`` near all-ones or near the x whose candidate is
-    +-w_j, ``huge`` with entries of 1e155 to 1e300 in magnitude, or
-    ``non-finite`` with one entry inf, -inf or NaN."""
+def cancelling_x(counts, rng):
+    """A coefficient vector for ``len(counts)`` clients near all-ones or near
+    the x whose candidate is +w_j, where ||w(x) - w_j|| cancels.
+
+    Near the x whose candidate is -w_j the denominator cancels instead, and
+    the objective is ill-conditioned there: objective_f itself is off by up
+    to 3e-3 relative to a long-double evaluation, so it is no oracle there.
+    Nor is it at x of entries near 1e300, where it returns inf / inf.
+    """
     k = len(counts)
-    if kind == "random":
-        return rng.uniform(-2, 2, size=k)
-    if kind == "cancelling":
-        x = rng.choice([0.0, 1e-12, 1e-8, 1e-4]) * rng.normal(size=k)
-        if rng.random() < 0.5:
-            return x + 1.0
-        j = rng.integers(k)
-        x[j] += rng.choice([-1.0, 1.0]) * sum(counts) / counts[j]
-        return x
-    if kind == "huge":
-        return rng.choice([-1.0, 1.0], size=k) * 10.0 ** rng.uniform(155, 300, size=k)
-    x = rng.uniform(-2, 2, size=k)
-    x[rng.integers(k)] = rng.choice([math.inf, -math.inf, math.nan])
+    x = rng.choice([0.0, 1e-12, 1e-8, 1e-4]) * rng.normal(size=k)
+    if rng.random() < 0.5:
+        return x + 1.0
+    j = rng.integers(k)
+    x[j] += sum(counts) / counts[j]
     return x
 
 
 class TestGramObjective:
-    """gram_objective against the direct evaluation objective_f, and against
-    the Gram evaluation it was thinned from."""
-
-    @gram_settings
-    @given(seed=seeds, k=num_clients, size=sizes, spread=spreads)
-    def test_same_bits_as_oracle(self, seed, k, size, spread):
-        params, counts, rng = clustered_clients(seed, k, size, spread)
-        fast = gram_objective(params, counts)
-        slow = oracles.gram_objective(params, counts)
-        for kind in ("random", "cancelling", "huge", "non-finite"):
-            for _ in range(3):
-                x = probe_x(kind, counts, rng)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    try:
-                        expected = slow(x)
-                    except OverflowError:
-                        # The oracle squares its cancellation bound as a
-                        # Python float, which raises where the fast path
-                        # returns inf.
-                        expected = math.inf
-                    assert fast(x).hex() == expected.hex()
+    """gram_objective against the direct evaluation objective_f."""
 
     @gram_settings
     @given(seed=seeds, k=num_clients, size=st.integers(1, 200), spread=spreads)
@@ -490,10 +466,13 @@ class TestGramObjective:
 
     @gram_settings
     @given(seed=seeds, k=num_clients, size=sizes, spread=spreads)
+    @example(seed=0, k=32, size=5, spread=0.1)  # fewer parameters than clients
     def test_matches_objective_f(self, seed, k, size, spread):
         params, counts, rng = clustered_clients(seed, k, size, spread)
         gram = gram_objective(params, counts)
-        for x in (np.ones(k), rng.uniform(-2, 2, size=k)):
+        probes = [np.ones(k), rng.uniform(-2, 2, size=k)]
+        probes += [cancelling_x(counts, rng) for _ in range(3)]
+        for x in probes:
             assert same_value(gram(x), objective_f(x, params, counts))
 
     @gram_settings
