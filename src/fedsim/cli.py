@@ -20,21 +20,20 @@ import csv
 import dataclasses
 import json
 import logging
-import math
 import os
 import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import yaml
 
 from .data import ClientShard, generate_blobs, load_csv, make_client_shards
-from .exceptions import ConfigError, FedsimError, check_int, is_integer
+from .exceptions import ConfigError, FedsimError, bounded, check_fields
 from .models import ACTIVATIONS, ModelSpec, TrainConfig
 from .nelder_mead import SimplexConfig
-from .orchestrator import ComparisonResult, FederationConfig, _is_seed, compare_strategies
+from .orchestrator import ComparisonResult, FederationConfig, compare_strategies
 from .strategies import RULES, STRATEGIES, FedAvgOpt, Rule
 
 logger = logging.getLogger(__name__)
@@ -59,56 +58,41 @@ _CURVE_NAME = re.compile(rf"(?:{'|'.join(STRATEGIES)})(?:_seed[0-9]+|_mean)?\.da
 class DatasetConfig:
     """Exactly one source: synthetic Gaussian blobs or a labeled CSV."""
 
-    kind: str
-    samples_per_class: int = 500
-    num_classes: int = 4
-    dim: int = 20
+    kind: str = bounded(choices=tuple(_DATASET_KEYS))
+    samples_per_class: int = bounded(500, ge=1)
+    num_classes: int = bounded(4, ge=2)
+    dim: int = bounded(20, ge=1)
     # 1.8 puts a converged centralized logistic model at ~0.86 test accuracy
     # on the default geometry, leaving the strategies visible headroom.
-    spread: float = 1.8
+    spread: float = bounded(1.8, gt=0)
     path: str | None = None
     label_column: str | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _DATASET_KEYS:
-            raise ValueError(f"kind must be one of {tuple(_DATASET_KEYS)}, got {self.kind!r}")
+        check_fields(self)
         if self.kind == "csv" and not (
             isinstance(self.path, str) and isinstance(self.label_column, str)
         ):
-            raise ValueError("csv source needs string 'path' and 'label_column'")
-        for name, least in (("samples_per_class", 1), ("num_classes", 2), ("dim", 1)):
-            check_int(name, getattr(self, name), least)
-        if not 0 < self.spread < math.inf:
-            raise ValueError(f"spread must be finite and > 0, got {self.spread}")
+            raise ConfigError("csv source needs string 'path' and 'label_column'")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     dataset: DatasetConfig
     rules: tuple[Rule, ...]
-    seeds: tuple[int, ...] = (0,)
-    rounds: int = 10
-    num_clients: int = 4
-    train_fraction: float = 0.2
-    hidden_dims: tuple[int, ...] = ()
-    activation: str = "relu"
+    seeds: tuple[int, ...] = bounded((0,), ge=0)
+    rounds: int = bounded(10, ge=1)
+    num_clients: int = bounded(4, ge=1)
+    train_fraction: float = bounded(0.2, gt=0, lt=1)
+    hidden_dims: tuple[int, ...] = bounded((), ge=1)
+    activation: str = bounded("relu", choices=ACTIVATIONS)
     train: TrainConfig = TrainConfig()
     output_dir: str = "results"
 
     def __post_init__(self) -> None:
-        for seed in self.seeds:
-            if not _is_seed(seed):
-                raise ValueError(f"seeds must be integers >= 0, got {seed!r}")
-        for name in ("rounds", "num_clients"):
-            check_int(name, getattr(self, name), 1)
-        if not 0 < self.train_fraction < 1:
-            raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
-        for width in self.hidden_dims:
-            check_int("hidden_dims width", width, 1)
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
+        check_fields(self)
         if not isinstance(self.output_dir, str) or not self.output_dir:
-            raise ValueError(f"output_dir must be a nonempty string, got {self.output_dir!r}")
+            raise ConfigError(f"output_dir must be a nonempty string, got {self.output_dir!r}")
 
 
 # parse_config's value for each unset key; dataset and rules have none.
@@ -128,21 +112,6 @@ def _check_keys(section: str, mapping: Mapping, allowed: Sequence[str]) -> None:
             raise ConfigError(f"unknown key {key!r} in {section}; {hint}")
 
 
-def _as_int(value, key: str) -> int:
-    if not is_integer(value):
-        raise ConfigError(f"{key}: expected an integer, got {value!r}")
-    return value
-
-
-def _as_float(value, key: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key}: expected a number, got {value!r}")
-    # The comparison is False for nan, for inf and for ints too large for a float.
-    if not -sys.float_info.max <= value <= sys.float_info.max:
-        raise ConfigError(f"{key}: expected a finite number, got {value!r}")
-    return float(value)
-
-
 def _as_choice(value, key: str, choices: Sequence[str]) -> str:
     if value not in choices:
         raise ConfigError(
@@ -157,65 +126,39 @@ def _parse_dataset(raw) -> DatasetConfig:
     return _parse_section(raw, "dataset", _DEFAULTS.dataset, keys)
 
 
-def _one_or_list(raw: Mapping, one: str, many: str, read: Callable, items: str, default=None):
-    """The value under ``one``, or the nonempty, repeat-free list under
-    ``many`` (not both), each read by ``read(value, key)``; with neither key,
-    ``default``, or an error when there is none."""
+def _one_or_list(raw: Mapping, one: str, many: str, items: str, default=None) -> tuple:
+    """The value under ``one``, or the nonempty list under ``many`` (not
+    both); with neither key, ``default``, or an error when there is none."""
     if one in raw and many in raw:
         raise ConfigError(f"give either '{one}' or '{many}', not both")
     if one in raw:
-        return (read(raw[one], one),)
+        return (raw[one],)
     if many not in raw:
         if default is None:
             raise ConfigError(f"config must name a {one} ('{one}' or '{many}')")
         return default
     if not isinstance(raw[many], list) or not raw[many]:
         raise ConfigError(f"{many}: expected a nonempty list of {items}")
-    values = tuple(read(value, many) for value in raw[many])
-    for i, value in enumerate(values):
-        if value in values[:i]:
-            raise ConfigError(f"{many}: {value!r} is listed more than once")
-    return values
-
-
-def _as_widths(value, key: str) -> tuple[int, ...]:
-    if not isinstance(value, list):
-        raise ConfigError(f"{key}: expected a list of integers")
-    return tuple(_as_int(v, key) for v in value)
-
-
-# How _parse_section reads each field type a config section holds.
-_READERS: dict[str, Callable] = {
-    "float": _as_float,
-    "int": _as_int,
-    "int | None": _as_int,
-    "tuple[int, ...]": _as_widths,
-    # Left to the dataclass's own validation.
-    "str": lambda value, key: value,
-    "str | None": lambda value, key: value,
-}
+    return tuple(raw[many])
 
 
 def _parse_section(raw, section: str, defaults, keys: Sequence[str] | None = None):
-    """Apply one flat config section to the ``defaults`` dataclass.
+    """Apply one flat config section to the ``defaults`` dataclass, which
+    checks every value.
 
     ``keys`` are the fields of the dataclass the section accepts; by default
-    every field _READERS can read, in field order.  Float keys must be
-    finite numbers and int keys integers; the dataclass checks every bound.
-    Only keys present in ``raw`` override the defaults.  Keys of the
-    top-level section, ``config``, are named without a prefix.
+    every field that does not hold a config section of its own, in field
+    order.  Only keys present in ``raw`` override the defaults.
     """
     mapping = _as_mapping(raw, section)
-    types = {f.name: f.type for f in dataclasses.fields(defaults)}
     if keys is None:
-        keys = [name for name, kind in types.items() if kind in _READERS]
+        keys = [
+            f.name for f in dataclasses.fields(defaults)
+            if not dataclasses.is_dataclass(getattr(defaults, f.name))
+        ]
     _check_keys(section, mapping, keys)
-    prefix = "" if section == "config" else f"{section}."
-    updates = {
-        key: _READERS[types[key]](mapping[key], prefix + key) for key in keys if key in mapping
-    }
     try:
-        return dataclasses.replace(defaults, **updates)
+        return dataclasses.replace(defaults, **mapping)
     except ValueError as exc:
         raise ConfigError(f"{section}: {exc}") from exc
 
@@ -259,21 +202,26 @@ def parse_config(path: str) -> ExperimentConfig:
     if "dataset" not in mapping:
         raise ConfigError("config must have a 'dataset' section")
 
-    names = _one_or_list(
-        mapping, "strategy", "strategies",
-        lambda value, _: _as_choice(value, "strategy", STRATEGIES), "strategy names",
-    )
+    names = _one_or_list(mapping, "strategy", "strategies", "strategy names")
+    for name in names:
+        _as_choice(name, "strategy", STRATEGIES)
     dataset = _parse_dataset(mapping["dataset"])
-    seeds = _one_or_list(mapping, "seed", "seeds", _as_int, "integers", _DEFAULTS.seeds)
+    seeds = _one_or_list(mapping, "seed", "seeds", "integers", _DEFAULTS.seeds)
     flat = {key: mapping[key] for key in _FLAT_KEYS if key in mapping}
     config = _parse_section(flat, "config", _DEFAULTS, _FLAT_KEYS)
     config = _parse_section(mapping.get("model", {}), "model", config, _MODEL_KEYS)
     train = _parse_section(mapping.get("train", {}), "train", _DEFAULTS.train)
     rules = _parse_rules(mapping, names)
     try:
-        return dataclasses.replace(config, dataset=dataset, seeds=seeds, train=train, rules=rules)
-    except ValueError as exc:  # the seeds' bound
+        config = dataclasses.replace(config, dataset=dataset, seeds=seeds, train=train, rules=rules)
+    except ValueError as exc:  # the seeds
         raise ConfigError(f"config: {exc}") from exc
+    # After the type check, which tells a bool from the int equal to it.
+    for key, values in (("strategies", names), ("seeds", config.seeds)):
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ConfigError(f"{key}: {value!r} is listed more than once")
+    return config
 
 
 def run_comparison(config: ExperimentConfig) -> ComparisonResult:

@@ -9,14 +9,13 @@ finite-difference in tests.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .exceptions import ShapeMismatchError, check_int
+from .exceptions import ShapeMismatchError, bounded, check_fields
 from .params import ParamVector
 
 if TYPE_CHECKING:
@@ -30,19 +29,13 @@ class ModelSpec:
     """Architecture description and the one owner of the parameter layout: per
     layer of :meth:`layer_dims`, the row-major weight, then the bias."""
 
-    input_dim: int
-    hidden_dims: tuple[int, ...] = ()
-    activation: str = "relu"
-    num_classes: int = 2
+    input_dim: int = bounded(ge=1)
+    hidden_dims: tuple[int, ...] = bounded((), ge=1)
+    activation: str = bounded("relu", choices=ACTIVATIONS)
+    num_classes: int = bounded(2, ge=2)
 
     def __post_init__(self) -> None:
-        check_int("input_dim", self.input_dim, 1)
-        for width in self.hidden_dims:
-            check_int("hidden_dims width", width, 1)
-        object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"activation must be one of {ACTIVATIONS}")
-        check_int("num_classes", self.num_classes, 2)
+        check_fields(self)
 
     def layer_dims(self) -> list[tuple[int, int]]:
         """(fan_in, fan_out) per dense layer, output layer last."""
@@ -67,18 +60,13 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 0.1
-    batch_size: int = 16
-    local_epochs: int = 1
+    # lr = 0 is allowed so the zero-step identity is testable.
+    learning_rate: float = bounded(0.1, ge=0)
+    batch_size: int = bounded(16, ge=1)
+    local_epochs: int = bounded(1, ge=1)
 
     def __post_init__(self) -> None:
-        # lr = 0 is allowed so the zero-step identity is testable.
-        if not 0 <= self.learning_rate < math.inf:
-            raise ValueError("learning_rate must be finite and >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.local_epochs < 1:
-            raise ValueError("local_epochs must be >= 1")
+        check_fields(self)
 
 
 def init_params(spec: ModelSpec, seed: int) -> ParamVector:

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exceptions import NumericError, check_int
+from .exceptions import ConfigError, NumericError, bounded, check_fields
 
 Objective = Callable[[np.ndarray], float]
 
@@ -32,35 +32,25 @@ class SimplexConfig:
     displaced by the absolute ``initial_step``.
     """
 
-    reflection: float = 1.0
+    reflection: float = bounded(1.0, gt=0)
     expansion: float = 2.0
-    contraction: float = 0.5
-    shrink: float = 0.5
+    contraction: float = bounded(0.5, gt=0, lt=1)
+    shrink: float = bounded(0.5, gt=0, lt=1)
     initial_step: float = 0.05
-    x_tolerance: float = 1e-4
-    f_tolerance: float = 1e-4
-    max_iterations: int | None = None
+    x_tolerance: float = bounded(1e-4, gt=0)
+    f_tolerance: float = bounded(1e-4, gt=0)
+    max_iterations: int | None = bounded(None, ge=1)
 
     def __post_init__(self) -> None:
-        if not 0 < self.reflection < math.inf:
-            raise ValueError("reflection must be finite and > 0")
-        if not max(self.reflection, 1.0) < self.expansion < math.inf:
-            raise ValueError("expansion must be finite and exceed max(reflection, 1)")
-        if not 0 < self.contraction < 1:
-            raise ValueError("contraction must be in (0, 1)")
-        if not 0 < self.shrink < 1:
-            raise ValueError("shrink must be in (0, 1)")
-        if not 0 < abs(self.initial_step) < math.inf:
-            raise ValueError("initial_step must be finite and nonzero")
-        for name in ("x_tolerance", "f_tolerance"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and > 0")
-        if self.max_iterations is not None:
-            check_int("max_iterations", self.max_iterations, 1)
+        check_fields(self)
+        if not self.expansion > max(self.reflection, 1.0):
+            raise ConfigError(f"expansion must exceed max(reflection, 1), got {self.expansion!r}")
+        if self.initial_step == 0:
+            raise ConfigError("initial_step must be nonzero")
 
     def resolved_max_iterations(self, dimension: int) -> int:
         if self.max_iterations is not None:
-            return int(self.max_iterations)
+            return self.max_iterations
         return 200 * int(dimension)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .data import ClientShard
-from .exceptions import ConfigError, NumericError, is_integer
+from .exceptions import ConfigError, NumericError, bounded, check_fields
 from .models import ModelSpec, TrainConfig, evaluate, init_params, sgd_train
 from .params import ParamVector
 from .strategies import RULES, Aggregator, AlphaSolution, ClientUpdate, FedAvg, Rule
@@ -25,27 +25,19 @@ from .strategies import RULES, Aggregator, AlphaSolution, ClientUpdate, FedAvg, 
 logger = logging.getLogger(__name__)
 
 
-def _is_seed(value) -> bool:
-    """An integer >= 0; numpy integers count, ``bool`` does not."""
-    return is_integer(value) and value >= 0
-
-
 @dataclass(frozen=True)
 class FederationConfig:
     model: ModelSpec
     train: TrainConfig
     rule: Rule = FedAvg()
-    rounds: int = 10
-    seed: int = 0
+    rounds: int = bounded(10, ge=1)
+    seed: int = bounded(0, ge=0)
 
     def __post_init__(self) -> None:
         if not isinstance(self.rule, tuple(RULES.values())):
             names = ", ".join(rule.__name__ for rule in RULES.values())
             raise ConfigError(f"rule must be an instance of one of {names}, got {self.rule!r}")
-        if self.rounds < 1:
-            raise ConfigError("rounds must be >= 1")
-        if not _is_seed(self.seed):
-            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
+        check_fields(self)
 
     @property
     def strategy(self) -> str:
@@ -244,27 +236,27 @@ def compare_strategies(
     evaluation therefore do not depend on the rule: they run once per seed
     and every rule's federation starts from them.
 
-    ``base_config``'s ``rule`` and ``seed`` are replaced for each run.  Runs
+    ``base_config``'s ``rule`` and ``seed`` are replaced for each run, and
+    every run's config is built, so checked, before any shards are.  Runs
     are reported by strategy name and seed, so each must be distinct.
     """
     if len(rules) == 0:
         raise ValueError("need at least one strategy")
     if len(seeds) == 0:
         raise ValueError("need at least one seed")
+    per_seed = [
+        [dataclasses.replace(base_config, rule=rule, seed=seed) for rule in rules] for seed in seeds
+    ]
     for i, seed in enumerate(seeds):
-        if not _is_seed(seed):
-            raise ValueError(f"seeds must be integers >= 0, got {seed!r}")
         if seed in seeds[:i]:
             raise ValueError(f"seed {seed} is given more than once")
-    per_rule = [dataclasses.replace(base_config, rule=rule) for rule in rules]
-    names = [config.strategy for config in per_rule]
+    names = [config.strategy for config in per_seed[0]]
     for i, name in enumerate(names):
         if name in names[:i]:
             raise ValueError(f"strategy {name!r} is given more than once")
     runs: list[StrategyRun] = []
-    for seed in seeds:
+    for seed, configs in zip(seeds, per_seed):
         shards = shard_factory(seed)
-        configs = [dataclasses.replace(config, seed=seed) for config in per_rule]
         _check_shards(shards)
         first_round = _train_round(
             configs[0], shards, init_params(base_config.model, seed)

@@ -17,7 +17,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .exceptions import NumericError, ShapeMismatchError
+from .exceptions import NumericError, ShapeMismatchError, bounded, check_fields
 from .nelder_mead import Objective, SimplexConfig, minimize
 from .params import ParamVector, linear_combination
 
@@ -203,16 +203,11 @@ def aggregate_fedavgopt(
     return aggregate, solution
 
 
-def _check_server_lr(server_lr: float) -> None:
-    # server_lr = 0 is permitted: the zero-step behavior is part of the
-    # fedmedian contract.
-    if not 0 <= server_lr < math.inf:
-        raise ValueError("server_lr must be finite and >= 0")
-
-
-def _check_decay(name: str, value: float) -> None:
-    if not 0 <= value < 1:
-        raise ValueError(f"{name} must be in [0, 1)")
+# The bounds of the fields several rules declare.  server_lr = 0 is
+# permitted: the zero-step behavior is part of the fedmedian contract.
+_SERVER_LR = {"ge": 0}
+_DECAY = {"ge": 0, "lt": 1}
+_TAU = {"gt": 0}
 
 
 @dataclass(frozen=True)
@@ -237,12 +232,11 @@ class FedAvgM:
     """
 
     name: ClassVar[str] = "fedavgm"
-    server_lr: float = 1.0
-    momentum_beta: float = 0.5
+    server_lr: float = bounded(1.0, **_SERVER_LR)
+    momentum_beta: float = bounded(0.5, **_DECAY)
 
     def __post_init__(self) -> None:
-        _check_server_lr(self.server_lr)
-        _check_decay("momentum_beta", self.momentum_beta)
+        check_fields(self)
 
     def step(
         self,
@@ -264,10 +258,10 @@ class FedMedian:
     client parameters (translation equivariance).  No state."""
 
     name: ClassVar[str] = "fedmedian"
-    server_lr: float = 1.0
+    server_lr: float = bounded(1.0, **_SERVER_LR)
 
     def __post_init__(self) -> None:
-        _check_server_lr(self.server_lr)
+        check_fields(self)
 
     def step(
         self, updates: Sequence[ClientUpdate], previous_global: ParamVector, state: None
@@ -294,20 +288,14 @@ class FedOpt:
     """
 
     name: ClassVar[str] = "fedopt"
-    server_lr: float = 0.1
-    tau: float = 1e-9
-    beta1: float = 0.0
-    beta2: float = 0.0
-    server_optimizer: str = "sgd"
+    server_lr: float = bounded(0.1, **_SERVER_LR)
+    tau: float = bounded(1e-9, **_TAU)
+    beta1: float = bounded(0.0, **_DECAY)
+    beta2: float = bounded(0.0, **_DECAY)
+    server_optimizer: str = bounded("sgd", choices=SERVER_OPTIMIZERS)
 
     def __post_init__(self) -> None:
-        _check_server_lr(self.server_lr)
-        if not 0 < self.tau < math.inf:
-            raise ValueError("tau must be finite and > 0")
-        _check_decay("beta1", self.beta1)
-        _check_decay("beta2", self.beta2)
-        if self.server_optimizer not in SERVER_OPTIMIZERS:
-            raise ValueError(f"server_optimizer must be one of {SERVER_OPTIMIZERS}")
+        check_fields(self)
 
     def step(
         self,
@@ -346,10 +334,10 @@ class FedYogi(FedOpt):
 
     name: ClassVar[str] = "fedyogi"
     server_optimizer: ClassVar[str] = "yogi"
-    server_lr: float = 0.01
-    tau: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.99
+    server_lr: float = bounded(0.01, **_SERVER_LR)
+    tau: float = bounded(1e-3, **_TAU)
+    beta1: float = bounded(0.9, **_DECAY)
+    beta2: float = bounded(0.99, **_DECAY)
 
 
 @dataclass(frozen=True)

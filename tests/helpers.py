@@ -2,8 +2,33 @@
 
 import numpy as np
 
-from fedsim import ClientUpdate, ParamVector
+from fedsim import (
+    ClientUpdate,
+    FedAvgM,
+    FederationConfig,
+    FedMedian,
+    FedOpt,
+    FedYogi,
+    ModelSpec,
+    ParamVector,
+    SimplexConfig,
+    TrainConfig,
+)
+from fedsim.cli import DatasetConfig, ExperimentConfig
 
+# Every config type: each runs ``check_fields`` on its own fields.
+CONFIG_TYPES = (
+    DatasetConfig,
+    ExperimentConfig,
+    ModelSpec,
+    TrainConfig,
+    FederationConfig,
+    SimplexConfig,
+    FedAvgM,
+    FedMedian,
+    FedOpt,
+    FedYogi,
+)
 
 # The fields of each strategy's rule type, which are the settings its server
 # step reads, spelled out apart from ``fedsim.strategies.RULES``.

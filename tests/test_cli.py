@@ -3,6 +3,7 @@ import dataclasses
 import filecmp
 import json
 import logging
+import math
 import re
 import textwrap
 from pathlib import Path
@@ -17,7 +18,11 @@ from fedsim import (
     FedAvg,
     FedAvgM,
     FedAvgOpt,
+    FederationConfig,
+    FedMedian,
+    FedOpt,
     FedYogi,
+    ModelSpec,
     SimplexConfig,
     TrainConfig,
 )
@@ -33,7 +38,7 @@ from fedsim.cli import (
     run_experiment,
 )
 from fedsim.exceptions import ConfigError
-from helpers import HYPERPARAM_FIELDS, HYPERPARAM_KEYS, count_calls
+from helpers import CONFIG_TYPES, HYPERPARAM_FIELDS, HYPERPARAM_KEYS, count_calls
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -66,21 +71,30 @@ def small_config(tmp_path, extra="", **overrides):
     return config
 
 
-# Each int-typed config field the YAML reader fills, with config text that
-# puts it below its bound; both seed keys fill ``seeds``.
+# Each int-typed field of every config type with its least accepted value
+# and, where the YAML reader fills the field, config text that puts it one
+# below; both seed keys fill ``seeds``.  run_comparison builds the ModelSpec
+# and FederationConfig from the ExperimentConfig.
 BELOW_BOUND = [
-    ("rounds", "rounds: 0"),
-    ("num_clients", "num_clients: 0"),
-    ("seeds", "seeds: [2, -1]"),
-    ("seeds", "seed: -1"),
-    ("hidden_dims", "model: {hidden_dims: [4, 0]}"),
-    ("samples_per_class", "dataset: {kind: blobs, samples_per_class: 0}"),
-    ("num_classes", "dataset: {kind: blobs, num_classes: 0}"),
-    ("dim", "dataset: {kind: blobs, dim: 0}"),
-    ("batch_size", "train: {batch_size: 0}"),
-    ("local_epochs", "train: {local_epochs: 0}"),
-    ("max_iterations", "solver: {max_iterations: 0}"),
+    (DatasetConfig, "samples_per_class", 1, "dataset: {kind: blobs, samples_per_class: 0}"),
+    (DatasetConfig, "num_classes", 2, "dataset: {kind: blobs, num_classes: 1}"),
+    (DatasetConfig, "dim", 1, "dataset: {kind: blobs, dim: 0}"),
+    (ExperimentConfig, "seeds", 0, "seeds: [2, -1]"),
+    (ExperimentConfig, "seeds", 0, "seed: -1"),
+    (ExperimentConfig, "rounds", 1, "rounds: 0"),
+    (ExperimentConfig, "num_clients", 1, "num_clients: 0"),
+    (ExperimentConfig, "hidden_dims", 1, "model: {hidden_dims: [4, 0]}"),
+    (ModelSpec, "input_dim", 1, None),
+    (ModelSpec, "hidden_dims", 1, None),
+    (ModelSpec, "num_classes", 2, None),
+    (TrainConfig, "batch_size", 1, "train: {batch_size: 0}"),
+    (TrainConfig, "local_epochs", 1, "train: {local_epochs: 0}"),
+    (FederationConfig, "rounds", 1, None),
+    (FederationConfig, "seed", 0, None),
+    (SimplexConfig, "max_iterations", 1, "solver: {max_iterations: 0}"),
 ]
+# The annotations of int-typed fields.
+INT_TYPES = ("int", "int | None", "tuple[int, ...]")
 
 
 class TestParseConfig:
@@ -215,7 +229,7 @@ class TestParseConfig:
             (
                 # The bound is the type's, not a blanket one of the reader.
                 "dataset: {kind: blobs, num_classes: 0}\nstrategy: fedavg\n",
-                "^dataset: num_classes must be >= 2, got 0$",
+                "^dataset: num_classes must be an integer >= 2, got 0$",
             ),
             ("dataset: {kind: csv, path: x.csv}\nstrategy: fedavg\n", "label_column"),
             (
@@ -241,22 +255,22 @@ class TestParseConfig:
             (
                 "dataset: {kind: blobs}\nstrategy: fedavg\n"
                 "train: {batch_size: 0}\n",
-                "train: batch_size must be >= 1",
+                "^train: batch_size must be an integer >= 1, got 0$",
             ),
             (
                 "dataset: {kind: blobs}\nstrategy: fedavg\n"
                 "train: {learning_rate: fast}\n",
-                "train.learning_rate: expected a number",
+                "^train: learning_rate must be a finite number >= 0, got 'fast'$",
             ),
             (
                 "dataset: {kind: blobs}\nstrategy: fedavg\n"
                 "solver: {max_iterations: 0}\n",
-                "solver: max_iterations must be >= 1",
+                "^solver: max_iterations must be an integer >= 1, got 0$",
             ),
             (
                 "dataset: {kind: blobs}\nstrategy: fedavg\n"
                 "solver: {max_iterations: 1.5}\n",
-                "solver.max_iterations: expected an integer",
+                "^solver: max_iterations must be an integer >= 1, got 1.5$",
             ),
             (
                 "dataset: {kind: blobs}\nstrategy: fedavg\n"
@@ -283,40 +297,49 @@ class TestParseConfig:
             (
                 "dataset: {kind: blobs}\nstrategy: fedyogi\n"
                 "hyperparams: {fedyogi: {tau: .inf}}\n",
-                "hyperparams.fedyogi.tau: expected a finite number, got inf",
+                "^hyperparams.fedyogi: tau must be a finite number > 0, got inf$",
             ),
             (
                 "dataset: {kind: blobs, spread: .inf}\nstrategy: fedavg\n",
-                "dataset.spread: expected a finite number, got inf",
+                "^dataset: spread must be a finite number > 0, got inf$",
             ),
             (
                 "dataset: {kind: blobs}\nstrategy: fedavg\ntrain: {learning_rate: .inf}\n",
-                "train.learning_rate: expected a finite number, got inf",
+                "^train: learning_rate must be a finite number >= 0, got inf$",
             ),
             (
                 "dataset: {kind: blobs}\nstrategy: fedavg\ntrain: {learning_rate: .nan}\n",
-                "train.learning_rate: expected a finite number, got nan",
+                "^train: learning_rate must be a finite number >= 0, got nan$",
             ),
             (
                 "dataset: {kind: blobs}\nstrategy: fedavg\nsolver: {initial_step: -.inf}\n",
-                "solver.initial_step: expected a finite number, got -inf",
+                "^solver: initial_step must be a finite number, got -inf$",
             ),
             (
                 # Top-level keys are named without a section prefix.
                 "dataset: {kind: blobs}\nstrategy: fedavg\nnum_clients: 0\n",
-                "^config: num_clients must be >= 1, got 0$",
+                "^config: num_clients must be an integer >= 1, got 0$",
             ),
             (
                 "dataset: {kind: blobs}\nstrategy: fedavg\nmodel: {hidden_dims: [true]}\n",
-                "model.hidden_dims: expected an integer, got True",
+                "^model: hidden_dims must be integers >= 1, got True$",
             ),
             (
                 "dataset: {kind: blobs}\nstrategy: fedavg\nmodel: {hidden_dims: [1.5]}\n",
-                "model.hidden_dims: expected an integer, got 1.5",
+                "^model: hidden_dims must be integers >= 1, got 1.5$",
             ),
             (
                 "dataset: {kind: blobs}\nstrategy: fedavg\nmodel: {hidden_dims: 3}\n",
-                "^model.hidden_dims: expected a list of integers$",
+                "^model: hidden_dims must be a list of integers, got 3$",
+            ),
+            (
+                # The type check runs first, so True is not taken for a repeated 1.
+                "dataset: {kind: blobs}\nstrategy: fedavg\nseeds: [1, true]\n",
+                "^config: seeds must be integers >= 0, got True$",
+            ),
+            (
+                "dataset: {kind: blobs}\nstrategy: fedavg\nseed: 0.5\n",
+                "^config: seeds must be integers >= 0, got 0.5$",
             ),
         ],
     )
@@ -327,24 +350,26 @@ class TestParseConfig:
 
     def test_every_int_field_has_a_below_bound_case(self):
         int_fields = {
-            field.name
-            for config_type in (ExperimentConfig, DatasetConfig, TrainConfig, SimplexConfig)
+            (config_type, field.name)
+            for config_type in CONFIG_TYPES
             for field in dataclasses.fields(config_type)
-            if field.type in ("int", "int | None", "tuple[int, ...]")
+            if field.type in INT_TYPES
         }
-        assert int_fields == {field for field, _ in BELOW_BOUND}
+        assert int_fields == {(config_type, field) for config_type, field, _, _ in BELOW_BOUND}
 
-    @pytest.mark.parametrize("field, text", BELOW_BOUND)
-    def test_int_below_its_bound_names_the_field(self, tmp_path, field, text):
+    @pytest.mark.parametrize(
+        "field, least, text", [row[1:] for row in BELOW_BOUND if row[3] is not None]
+    )
+    def test_int_below_its_bound_names_the_field(self, tmp_path, field, least, text):
         if not text.startswith("dataset:"):
             text = f"dataset: {{kind: blobs}}\n{text}"
         path = write_config(tmp_path, f"strategy: fedavg\n{text}\n")
-        with pytest.raises(ConfigError, match=rf"\b{field} .*>= \d"):
+        with pytest.raises(ConfigError, match=rf": {field} must be .* >= {least}, got {least - 1}$"):
             parse_config(path)
 
     def test_integer_beyond_float_range_rejected(self, tmp_path):
         text = f"dataset: {{kind: blobs, spread: 1{'0' * 400}}}\nstrategy: fedavg\n"
-        with pytest.raises(ConfigError, match="dataset.spread: expected a finite number"):
+        with pytest.raises(ConfigError, match="^dataset: spread must be a finite number > 0, got 1"):
             parse_config(write_config(tmp_path, text))
 
     @pytest.mark.parametrize(
@@ -477,16 +502,82 @@ class TestBenchmarkConfigs:
             assert config.hidden_dims == workload.hidden_dims, name
 
 
-# Each int-typed field a config type checks for integer-ness by name.
+# The arguments each config type needs besides the fields under test.
+REQUIRED = {
+    DatasetConfig: {"kind": "blobs"},
+    ExperimentConfig: {"dataset": DatasetConfig("blobs"), "rules": (FedAvg(),)},
+    ModelSpec: {"input_dim": 3},
+    FederationConfig: {"model": ModelSpec(input_dim=3), "train": TrainConfig()},
+}
+# The fields annotated tuple[int, ...].
+TUPLE_FIELDS = ("seeds", "hidden_dims")
+
+
+def build(config_type, **fields):
+    """``config_type`` with ``fields`` and whatever else it requires."""
+    return config_type(**{**REQUIRED.get(config_type, {}), **fields})
+
+
+def entry(field, value):
+    """``value`` as ``field`` takes it: alone, or as a tuple field's one entry."""
+    return (value,) if field in TUPLE_FIELDS else value
+
+
+# Each int-typed field of every config type, checked for integer-ness by name.
 INT_FIELDS = [
     (DatasetConfig, "samples_per_class"),
     (DatasetConfig, "num_classes"),
     (DatasetConfig, "dim"),
+    (ExperimentConfig, "seeds"),
     (ExperimentConfig, "rounds"),
     (ExperimentConfig, "num_clients"),
     (ExperimentConfig, "hidden_dims"),
+    (ModelSpec, "input_dim"),
+    (ModelSpec, "hidden_dims"),
+    (ModelSpec, "num_classes"),
+    (TrainConfig, "batch_size"),
+    (TrainConfig, "local_epochs"),
+    (FederationConfig, "rounds"),
+    (FederationConfig, "seed"),
     (SimplexConfig, "max_iterations"),
 ]
+# Each float-typed field of every config type, with a value it accepts.
+FLOAT_FIELDS = [
+    (DatasetConfig, "spread", 0.5),
+    (ExperimentConfig, "train_fraction", 0.5),
+    (TrainConfig, "learning_rate", 0.5),
+    (SimplexConfig, "reflection", 0.5),
+    (SimplexConfig, "expansion", 3.0),
+    (SimplexConfig, "contraction", 0.25),
+    (SimplexConfig, "shrink", 0.25),
+    (SimplexConfig, "initial_step", -0.5),
+    (SimplexConfig, "x_tolerance", 0.5),
+    (SimplexConfig, "f_tolerance", 0.5),
+    (FedAvgM, "server_lr", 0.5),
+    (FedAvgM, "momentum_beta", 0.5),
+    (FedMedian, "server_lr", 0.5),
+    (FedOpt, "server_lr", 0.5),
+    (FedOpt, "tau", 0.5),
+    (FedOpt, "beta1", 0.5),
+    (FedOpt, "beta2", 0.5),
+    (FedYogi, "server_lr", 0.5),
+    (FedYogi, "tau", 0.5),
+    (FedYogi, "beta1", 0.5),
+    (FedYogi, "beta2", 0.5),
+]
+# The fields check_fields leaves alone: each holds config objects that check
+# themselves, or its type's __post_init__ checks it by hand.
+HAND_CHECKED = {
+    (DatasetConfig, "path"),
+    (DatasetConfig, "label_column"),
+    (ExperimentConfig, "dataset"),
+    (ExperimentConfig, "rules"),
+    (ExperimentConfig, "train"),
+    (ExperimentConfig, "output_dir"),
+    (FederationConfig, "model"),
+    (FederationConfig, "train"),
+    (FederationConfig, "rule"),
+}
 
 
 class TestConfigTypes:
@@ -527,51 +618,104 @@ class TestConfigTypes:
     @pytest.mark.parametrize(
         "config_type, kwargs, message",
         [
-            (DatasetConfig, {"samples_per_class": 0}, "samples_per_class must be >= 1, got 0"),
-            (DatasetConfig, {"num_classes": 0}, "num_classes must be >= 2, got 0"),
-            (DatasetConfig, {"dim": -3}, "dim must be >= 1, got -3"),
-            (ExperimentConfig, {"rounds": 0}, "rounds must be >= 1, got 0"),
-            (ExperimentConfig, {"num_clients": -2}, "num_clients must be >= 1, got -2"),
-            (ExperimentConfig, {"hidden_dims": (4, 0)}, "hidden_dims width must be >= 1, got 0"),
+            (
+                DatasetConfig,
+                {"samples_per_class": 0},
+                "samples_per_class must be an integer >= 1, got 0",
+            ),
+            (DatasetConfig, {"num_classes": 0}, "num_classes must be an integer >= 2, got 0"),
+            (DatasetConfig, {"dim": -3}, "dim must be an integer >= 1, got -3"),
+            (ExperimentConfig, {"rounds": 0}, "rounds must be an integer >= 1, got 0"),
+            (ExperimentConfig, {"num_clients": -2}, "num_clients must be an integer >= 1, got -2"),
+            (ExperimentConfig, {"hidden_dims": (4, 0)}, "hidden_dims must be integers >= 1, got 0"),
             (ExperimentConfig, {"seeds": (0, -1)}, "seeds must be integers >= 0, got -1"),
             (ExperimentConfig, {"seeds": (True,)}, "seeds must be integers >= 0, got True"),
             (ExperimentConfig, {"seeds": (0.5,)}, "seeds must be integers >= 0, got 0.5"),
+            # Not iterable, or not a number: each once a bare TypeError.
+            (ExperimentConfig, {"hidden_dims": 4}, "hidden_dims must be a list of integers, got 4"),
+            (ExperimentConfig, {"seeds": 3}, "seeds must be a list of integers, got 3"),
+            (
+                ExperimentConfig,
+                {"train_fraction": "0.5"},
+                "train_fraction must be a finite number > 0 and < 1, got '0.5'",
+            ),
+            (
+                ExperimentConfig,
+                {"train_fraction": 1.0},
+                "train_fraction must be a finite number > 0 and < 1, got 1.0",
+            ),
         ],
     )
     def test_bounds_name_the_field_and_value(self, config_type, kwargs, message):
-        if config_type is DatasetConfig:
-            kwargs = {"kind": "blobs", **kwargs}
-        else:
-            kwargs = {"dataset": DatasetConfig("blobs"), "rules": (FedAvg(),), **kwargs}
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            config_type(**kwargs)
+            build(config_type, **kwargs)
+
+    def test_config_error_is_a_value_error(self):
+        assert issubclass(ConfigError, ValueError)
 
     def test_numpy_integer_seed_accepted(self):
         config = ExperimentConfig(dataset=DatasetConfig("blobs"), rules=(), seeds=(np.int64(3),))
         assert config.seeds == (3,)
 
+    @pytest.mark.parametrize("config_type, field, least", [row[:3] for row in BELOW_BOUND])
+    def test_int_bound_is_exact(self, config_type, field, least):
+        what = "integers" if field in TUPLE_FIELDS else "an integer"
+        message = f"{field} must be {what} >= {least}, got {least - 1}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            build(config_type, **{field: entry(field, least - 1)})
+        stored = getattr(build(config_type, **{field: entry(field, np.int64(least))}), field)
+        assert stored == entry(field, least)
+        assert type(stored[0] if field in TUPLE_FIELDS else stored) is int
+
     @pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
     @pytest.mark.parametrize("config_type, field", INT_FIELDS)
     def test_non_integer_names_the_field_and_value(self, config_type, field, value):
-        kwargs = {field: (value,) if field == "hidden_dims" else value}
-        if config_type is DatasetConfig:
-            kwargs["kind"] = "blobs"
-        elif config_type is ExperimentConfig:
-            kwargs.update(dataset=DatasetConfig("blobs"), rules=(FedAvg(),))
-        name = "hidden_dims width" if field == "hidden_dims" else field
-        message = f"{name} must be an integer, got {value!r}"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            config_type(**kwargs)
+        what = "integers" if field in TUPLE_FIELDS else "an integer"
+        message = rf"^{field} must be {what} >= \d+, got {re.escape(repr(value))}$"
+        with pytest.raises(ConfigError, match=message):
+            build(config_type, **{field: entry(field, value)})
 
     def test_every_int_field_has_a_non_integer_case(self):
         int_fields = {
             (config_type, field.name)
-            for config_type in (ExperimentConfig, DatasetConfig, SimplexConfig)
+            for config_type in CONFIG_TYPES
             for field in dataclasses.fields(config_type)
-            if field.type in ("int", "int | None", "tuple[int, ...]")
+            if field.type in INT_TYPES
         }
-        # The seeds' own rule is covered by test_bounds_name_the_field_and_value.
-        assert int_fields - {(ExperimentConfig, "seeds")} == set(INT_FIELDS)
+        assert int_fields == set(INT_FIELDS)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, True, "1"])
+    @pytest.mark.parametrize("config_type, field, valid", FLOAT_FIELDS)
+    def test_non_finite_float_names_the_field_and_value(self, config_type, field, valid, value):
+        message = f"^{field} must be a finite number[^,]*, got {re.escape(repr(value))}$"
+        with pytest.raises(ConfigError, match=message):
+            build(config_type, **{field: value})
+
+    @pytest.mark.parametrize("config_type, field, valid", FLOAT_FIELDS)
+    def test_numpy_float_stored_as_float(self, config_type, field, valid):
+        stored = getattr(build(config_type, **{field: np.float64(valid)}), field)
+        assert type(stored) is float and stored == valid
+
+    def test_every_float_field_has_a_case(self):
+        float_fields = {
+            (config_type, field.name)
+            for config_type in CONFIG_TYPES
+            for field in dataclasses.fields(config_type)
+            if field.type == "float"
+        }
+        assert float_fields == {(config_type, field) for config_type, field, _ in FLOAT_FIELDS}
+
+    def test_every_field_is_checked(self):
+        # A field annotated as check_fields does not read (list[int], say)
+        # would otherwise go unchecked without notice.
+        unread = {
+            (config_type, field.name)
+            for config_type in CONFIG_TYPES
+            for field in dataclasses.fields(config_type)
+            if field.type not in (*INT_TYPES, "float")
+            and not (field.type == "str" and "choices" in field.metadata)
+        }
+        assert unread == HAND_CHECKED
 
     def test_numpy_integers_accepted(self):
         config = ExperimentConfig(
@@ -786,7 +930,7 @@ class TestMain:
         "flag, value, message",
         [
             ("--seed", "-1", "error: seeds must be integers >= 0, got -1"),
-            ("--rounds", "0", "error: rounds must be >= 1, got 0"),
+            ("--rounds", "0", "error: rounds must be an integer >= 1, got 0"),
         ],
     )
     def test_flag_below_its_bound_is_rejected(self, tmp_path, capsys, flag, value, message):

@@ -51,10 +51,11 @@ class TestModelSpec:
     @pytest.mark.parametrize(
         "kwargs, message",
         [
-            ({"hidden_dims": (4.9,)}, "hidden_dims width must be an integer, got 4.9"),
-            ({"hidden_dims": (True,)}, "hidden_dims width must be an integer, got True"),
-            ({"input_dim": 2.5}, "input_dim must be an integer, got 2.5"),
-            ({"num_classes": 3.0}, "num_classes must be an integer, got 3.0"),
+            ({"hidden_dims": (4.9,)}, "hidden_dims must be integers >= 1, got 4.9"),
+            ({"hidden_dims": (True,)}, "hidden_dims must be integers >= 1, got True"),
+            ({"hidden_dims": 4}, "hidden_dims must be a list of integers, got 4"),
+            ({"input_dim": 2.5}, "input_dim must be an integer >= 1, got 2.5"),
+            ({"num_classes": 3.0}, "num_classes must be an integer >= 2, got 3.0"),
         ],
     )
     def test_non_integer_names_the_field_and_value(self, kwargs, message):
@@ -74,7 +75,8 @@ class TestTrainConfig:
 
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_non_finite_lr_rejected(self, value):
-        with pytest.raises(ValueError, match="learning_rate must be finite"):
+        message = f"^learning_rate must be a finite number >= 0, got {value!r}$"
+        with pytest.raises(ValueError, match=message):
             TrainConfig(learning_rate=value)
 
     def test_zero_lr_allowed(self):
@@ -85,7 +87,7 @@ class TestTrainConfig:
             TrainConfig(batch_size=0)
 
     def test_local_epochs_bound(self):
-        with pytest.raises(ValueError, match="local_epochs must be >= 1"):
+        with pytest.raises(ValueError, match="^local_epochs must be an integer >= 1, got 0$"):
             TrainConfig(local_epochs=0)
 
 

@@ -58,7 +58,8 @@ class TestSimplexConfig:
     )
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_rejected_by_name(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be finite"):
+        message = f"^{field} must be a finite number[^,]*, got {value!r}$"
+        with pytest.raises(ValueError, match=message):
             SimplexConfig(**{field: value})
 
 

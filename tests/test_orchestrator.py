@@ -326,9 +326,10 @@ class TestCompareStrategies:
         "seeds, message",
         [
             ((0, 0), "seed 0 is given more than once"),
-            ((True,), "seeds must be integers >= 0, got True"),
-            ((-1,), "seeds must be integers >= 0, got -1"),
-            ((0.5,), "seeds must be integers >= 0, got 0.5"),
+            ((True,), "seed must be an integer >= 0, got True"),
+            ((-1,), "seed must be an integer >= 0, got -1"),
+            ((0.5,), "seed must be an integer >= 0, got 0.5"),
+            ((1, True), "seed must be an integer >= 0, got True"),
         ],
     )
     def test_bad_seeds_rejected_before_any_shards(self, seeds, message):
