@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 import yaml
 
 from .data import ClientShard, generate_blobs, load_csv, make_client_shards
-from .exceptions import ConfigError, FedsimError, bounded, check_fields
+from .exceptions import Config, ConfigError, FedsimError, bounded
 from .models import ACTIVATIONS, ModelSpec, TrainConfig
 from .nelder_mead import SimplexConfig
 from .orchestrator import ComparisonResult, FederationConfig, compare_strategies
@@ -55,7 +55,7 @@ _CURVE_NAME = re.compile(rf"(?:{'|'.join(STRATEGIES)})(?:_seed[0-9]+|_mean)?\.da
 
 
 @dataclass(frozen=True)
-class DatasetConfig:
+class DatasetConfig(Config):
     """Exactly one source: synthetic Gaussian blobs or a labeled CSV."""
 
     kind: str = bounded(choices=tuple(_DATASET_KEYS))
@@ -69,15 +69,13 @@ class DatasetConfig:
     label_column: str | None = None
 
     def __post_init__(self) -> None:
-        check_fields(self)
-        if self.kind == "csv" and not (
-            isinstance(self.path, str) and isinstance(self.label_column, str)
-        ):
+        super().__post_init__()
+        if self.kind == "csv" and (self.path is None or self.label_column is None):
             raise ConfigError("csv source needs string 'path' and 'label_column'")
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Config):
     dataset: DatasetConfig
     rules: tuple[Rule, ...]
     seeds: tuple[int, ...] = bounded((0,), ge=0)
@@ -90,8 +88,8 @@ class ExperimentConfig:
     output_dir: str = "results"
 
     def __post_init__(self) -> None:
-        check_fields(self)
-        if not isinstance(self.output_dir, str) or not self.output_dir:
+        super().__post_init__()
+        if not self.output_dir:
             raise ConfigError(f"output_dir must be a nonempty string, got {self.output_dir!r}")
 
 
@@ -216,11 +214,6 @@ def parse_config(path: str) -> ExperimentConfig:
         config = dataclasses.replace(config, dataset=dataset, seeds=seeds, train=train, rules=rules)
     except ValueError as exc:  # the seeds
         raise ConfigError(f"config: {exc}") from exc
-    # After the type check, which tells a bool from the int equal to it.
-    for key, values in (("strategies", names), ("seeds", config.seeds)):
-        for i, value in enumerate(values):
-            if value in values[:i]:
-                raise ConfigError(f"{key}: {value!r} is listed more than once")
     return config
 
 

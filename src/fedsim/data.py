@@ -92,8 +92,8 @@ def generate_blobs(
         raise ValueError("num_classes must be >= 2")
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    if spread < 0:
-        raise ValueError("spread must be >= 0")
+    if not 0 <= spread < math.inf:
+        raise ValueError(f"spread must be finite and >= 0, got {spread!r}")
     rng = np.random.default_rng(seed)
     centers = rng.normal(0.0, 1.0, size=(num_classes, dim))
     features = np.concatenate(

@@ -1,10 +1,12 @@
-"""Exception types shared across the package, and the one field check that
-every config type runs."""
+"""Exception types shared across the package, and :class:`Config`, the base
+of every config type, with the one field check it runs."""
 
 import dataclasses
+import functools
 import numbers
 import operator
 import sys
+import typing
 
 
 class FedsimError(Exception):
@@ -57,15 +59,43 @@ def _is_finite_number(value) -> bool:
     )
 
 
-def _checked(name: str, value, kind: str, bounds, what: str):
-    """``value`` as a ``kind`` (``int`` or ``float``) within ``bounds``; else
-    a ConfigError saying that ``name`` must be ``what`` within them."""
-    limits = [(sign, test, bounds[key]) for key, sign, test in _LIMITS if key in bounds]
-    is_kind = _is_integer if kind == "int" else _is_finite_number
-    if not (is_kind(value) and all(test(value, limit) for _, test, limit in limits)):
-        rule = " and ".join(f"{sign} {limit}" for sign, _, limit in limits)
-        raise ConfigError(f"{name} must be {what}{' ' if rule else ''}{rule}, got {value!r}")
-    return int(value) if kind == "int" else float(value)
+def _describe(kind, many: bool) -> str:
+    """What a value of ``kind`` is, or ``many`` values are, in a message."""
+    if kind is int or kind is float:
+        return "a finite number" if kind is float else "integers" if many else "an integer"
+    names = " or ".join(option.__name__ for option in typing.get_args(kind) or (kind,))
+    return f"{'instances' if many else 'an instance'} of {names}"
+
+
+def _checked(name: str, value, kind, bounds, many: bool = False):
+    """``value`` checked against the annotation ``kind`` and ``bounds``, in its plain
+    type; else a ConfigError naming ``name``.  ``many``: an entry of a tuple."""
+    options = typing.get_args(kind)
+    if type(None) in options:  # X | None
+        return None if value is None else _checked(name, value, options[0], bounds)
+    if typing.get_origin(kind) is tuple:  # tuple[X, ...]
+        if not isinstance(value, (list, tuple)):
+            what = _describe(options[0], many=True)
+            raise ConfigError(f"{name} must be a list of {what}, got {value!r}")
+        return tuple(_checked(name, entry, options[0], bounds, many=True) for entry in value)
+    if kind is int or kind is float:
+        limits = [(sign, test, bounds[key]) for key, sign, test in _LIMITS if key in bounds]
+        is_kind = _is_integer if kind is int else _is_finite_number
+        if not (is_kind(value) and all(test(value, limit) for _, test, limit in limits)):
+            rule = " and ".join(f"{sign} {limit}" for sign, _, limit in limits)
+            what = f"{_describe(kind, many)}{' ' if rule else ''}{rule}"
+            raise ConfigError(f"{name} must be {what}, got {value!r}")
+        return kind(value)
+    if "choices" in bounds:
+        if value not in bounds["choices"]:
+            raise ConfigError(f"{name} must be one of {bounds['choices']}, got {value!r}")
+    elif not isinstance(value, kind):
+        raise ConfigError(f"{name} must be {_describe(kind, many)}, got {value!r}")
+    return value
+
+
+# Resolved once per config type: resolving costs far more than checking.
+_annotations = functools.cache(typing.get_type_hints)
 
 
 def check_fields(config) -> None:
@@ -74,29 +104,26 @@ def check_fields(config) -> None:
     plain type; raise :class:`ConfigError` naming the first field that fails
     and its value.
 
-    * ``int``: an integer (numpy's count, ``bool`` does not), stored as ``int``;
-      ``int | None`` may also be ``None``.
+    * ``int``: an integer (numpy's count, ``bool`` does not), stored as ``int``.
     * ``float``: a finite real number, not ``bool``, stored as ``float``.
-    * ``tuple[int, ...]``: a list or tuple of such integers, stored as a tuple.
-    * ``str``: one of the field's ``choices``, where it declares them.
+    * ``str``: a string, and one of the field's ``choices`` if it declares them.
+    * a config type, or a union of them such as ``Rule``: an instance of it.
+    * ``tuple[X, ...]``: a list or tuple of values ``X`` takes, stored as a
+      tuple; the bounds apply to each entry.
+    * ``X | None``: ``None``, or a value ``X`` takes.
 
-    Any other field is left to the config type's own checks.  The
-    annotations are read as strings, so each module that declares a config
-    type uses ``from __future__ import annotations``.
+    :func:`typing.get_type_hints` resolves the annotations, so each name in
+    one must exist at run time in its module, not only under ``TYPE_CHECKING``.
     """
+    kinds = _annotations(type(config))
     for field in dataclasses.fields(config):
-        name, kind, bounds = field.name, field.type, field.metadata
-        value = getattr(config, name)
-        if kind == "int" or (kind == "int | None" and value is not None):
-            value = _checked(name, value, "int", bounds, "an integer")
-        elif kind == "float":
-            value = _checked(name, value, "float", bounds, "a finite number")
-        elif kind == "tuple[int, ...]":
-            if not isinstance(value, (list, tuple)):
-                raise ConfigError(f"{name} must be a list of integers, got {value!r}")
-            value = tuple(_checked(name, entry, "int", bounds, "integers") for entry in value)
-        elif "choices" in bounds and value not in bounds["choices"]:
-            raise ConfigError(f"{name} must be one of {bounds['choices']}, got {value!r}")
-        else:
-            continue
-        object.__setattr__(config, name, value)
+        value = _checked(field.name, getattr(config, field.name), kinds[field.name], field.metadata)
+        object.__setattr__(config, field.name, value)
+
+
+class Config:
+    """Base of every config type, a frozen dataclass whose fields :func:`check_fields`
+    checks on construction; a rule across fields follows ``super().__post_init__()``."""
+
+    def __post_init__(self) -> None:
+        check_fields(self)

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .exceptions import ShapeMismatchError, bounded, check_fields
+from .exceptions import Config, ShapeMismatchError, bounded
 from .params import ParamVector
 
 if TYPE_CHECKING:
@@ -25,7 +25,7 @@ ACTIVATIONS = ("relu", "tanh")
 
 
 @dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(Config):
     """Architecture description and the one owner of the parameter layout: per
     layer of :meth:`layer_dims`, the row-major weight, then the bias."""
 
@@ -33,9 +33,6 @@ class ModelSpec:
     hidden_dims: tuple[int, ...] = bounded((), ge=1)
     activation: str = bounded("relu", choices=ACTIVATIONS)
     num_classes: int = bounded(2, ge=2)
-
-    def __post_init__(self) -> None:
-        check_fields(self)
 
     def layer_dims(self) -> list[tuple[int, int]]:
         """(fan_in, fan_out) per dense layer, output layer last."""
@@ -59,14 +56,11 @@ class ModelSpec:
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(Config):
     # lr = 0 is allowed so the zero-step identity is testable.
     learning_rate: float = bounded(0.1, ge=0)
     batch_size: int = bounded(16, ge=1)
     local_epochs: int = bounded(1, ge=1)
-
-    def __post_init__(self) -> None:
-        check_fields(self)
 
 
 def init_params(spec: ModelSpec, seed: int) -> ParamVector:

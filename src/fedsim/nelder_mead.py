@@ -18,13 +18,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exceptions import ConfigError, NumericError, bounded, check_fields
+from .exceptions import Config, ConfigError, NumericError, bounded
 
 Objective = Callable[[np.ndarray], float]
 
 
 @dataclass(frozen=True)
-class SimplexConfig:
+class SimplexConfig(Config):
     """Coefficients and stopping rules for :func:`minimize`.
 
     ``max_iterations=None`` resolves to ``200 * dimension`` at call time.
@@ -42,7 +42,7 @@ class SimplexConfig:
     max_iterations: int | None = bounded(None, ge=1)
 
     def __post_init__(self) -> None:
-        check_fields(self)
+        super().__post_init__()
         if not self.expansion > max(self.reflection, 1.0):
             raise ConfigError(f"expansion must exceed max(reflection, 1), got {self.expansion!r}")
         if self.initial_step == 0:

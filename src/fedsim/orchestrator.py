@@ -17,27 +17,21 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .data import ClientShard
-from .exceptions import ConfigError, NumericError, bounded, check_fields
+from .exceptions import Config, ConfigError, NumericError, bounded
 from .models import ModelSpec, TrainConfig, evaluate, init_params, sgd_train
 from .params import ParamVector
-from .strategies import RULES, Aggregator, AlphaSolution, ClientUpdate, FedAvg, Rule
+from .strategies import Aggregator, AlphaSolution, ClientUpdate, FedAvg, Rule
 
 logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class FederationConfig:
+class FederationConfig(Config):
     model: ModelSpec
     train: TrainConfig
     rule: Rule = FedAvg()
     rounds: int = bounded(10, ge=1)
     seed: int = bounded(0, ge=0)
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.rule, tuple(RULES.values())):
-            names = ", ".join(rule.__name__ for rule in RULES.values())
-            raise ConfigError(f"rule must be an instance of one of {names}, got {self.rule!r}")
-        check_fields(self)
 
     @property
     def strategy(self) -> str:

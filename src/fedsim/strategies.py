@@ -17,7 +17,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .exceptions import NumericError, ShapeMismatchError, bounded, check_fields
+from .exceptions import Config, NumericError, ShapeMismatchError, bounded
 from .nelder_mead import Objective, SimplexConfig, minimize
 from .params import ParamVector, linear_combination
 
@@ -179,16 +179,17 @@ def aggregate_fedavgopt(
     """
     params, counts = _params_and_counts(updates)
     x0 = np.ones(len(updates))
-    at_ones = objective_f(x0, params, counts)
-    if not math.isfinite(at_ones):
-        raise NumericError("fedavgopt objective is non-finite at all-ones")
+    # An overflow scores inf or raises NumericError; numpy need not warn of it.
     with np.errstate(over="ignore", invalid="ignore"):
+        at_ones = objective_f(x0, params, counts)
+        if not math.isfinite(at_ones):
+            raise NumericError("fedavgopt objective is non-finite at all-ones")
         result = minimize(gram_objective(params, counts), x0, config)
-    try:
-        at_alpha = objective_f(result.x_star, params, counts)
-    except NumericError:
-        # The unscaled candidate overflows where the scaled search did not.
-        at_alpha = math.inf
+        try:
+            at_alpha = objective_f(result.x_star, params, counts)
+        except NumericError:
+            # The unscaled candidate overflows where the scaled search did not.
+            at_alpha = math.inf
     alpha = result.x_star
     if not at_alpha <= at_ones:
         alpha, at_alpha = x0, at_ones
@@ -211,7 +212,7 @@ _TAU = {"gt": 0}
 
 
 @dataclass(frozen=True)
-class FedAvg:
+class FedAvg(Config):
     """Data-count weighted mean of the client parameters; no state."""
 
     name: ClassVar[str] = "fedavg"
@@ -223,7 +224,7 @@ class FedAvg:
 
 
 @dataclass(frozen=True)
-class FedAvgM:
+class FedAvgM(Config):
     """Server momentum over the pseudo-gradient previous - fedavg.
 
     v <- beta * v + (previous - fedavg);  next = previous - lr * v.
@@ -234,9 +235,6 @@ class FedAvgM:
     name: ClassVar[str] = "fedavgm"
     server_lr: float = bounded(1.0, **_SERVER_LR)
     momentum_beta: float = bounded(0.5, **_DECAY)
-
-    def __post_init__(self) -> None:
-        check_fields(self)
 
     def step(
         self,
@@ -252,16 +250,13 @@ class FedAvgM:
 
 
 @dataclass(frozen=True)
-class FedMedian:
+class FedMedian(Config):
     """Step from the previous global along the coordinate-median
     pseudo-gradient; at lr = 1 this is exactly the coordinate median of the
     client parameters (translation equivariance).  No state."""
 
     name: ClassVar[str] = "fedmedian"
     server_lr: float = bounded(1.0, **_SERVER_LR)
-
-    def __post_init__(self) -> None:
-        check_fields(self)
 
     def step(
         self, updates: Sequence[ClientUpdate], previous_global: ParamVector, state: None
@@ -276,7 +271,7 @@ class FedMedian:
 
 
 @dataclass(frozen=True)
-class FedOpt:
+class FedOpt(Config):
     """Adaptive server step driven by the averaged client delta.
 
     delta = fedavg - previous;  m <- beta1 * m + (1 - beta1) * delta, and the
@@ -293,9 +288,6 @@ class FedOpt:
     beta1: float = bounded(0.0, **_DECAY)
     beta2: float = bounded(0.0, **_DECAY)
     server_optimizer: str = bounded("sgd", choices=SERVER_OPTIMIZERS)
-
-    def __post_init__(self) -> None:
-        check_fields(self)
 
     def step(
         self,
@@ -341,7 +333,7 @@ class FedYogi(FedOpt):
 
 
 @dataclass(frozen=True)
-class FedAvgOpt:
+class FedAvgOpt(Config):
     """Weighted mean with one scaling coefficient per client, solved each
     round by :func:`aggregate_fedavgopt` with the ``solver`` settings.  The
     state is the round's :class:`AlphaSolution`; the next round's search

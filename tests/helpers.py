@@ -4,7 +4,9 @@ import numpy as np
 
 from fedsim import (
     ClientUpdate,
+    FedAvg,
     FedAvgM,
+    FedAvgOpt,
     FederationConfig,
     FedMedian,
     FedOpt,
@@ -16,7 +18,7 @@ from fedsim import (
 )
 from fedsim.cli import DatasetConfig, ExperimentConfig
 
-# Every config type: each runs ``check_fields`` on its own fields.
+# Every config type, listed by hand: each subclasses ``fedsim.exceptions.Config``.
 CONFIG_TYPES = (
     DatasetConfig,
     ExperimentConfig,
@@ -28,6 +30,8 @@ CONFIG_TYPES = (
     FedMedian,
     FedOpt,
     FedYogi,
+    FedAvg,
+    FedAvgOpt,
 )
 
 # The fields of each strategy's rule type, which are the settings its server

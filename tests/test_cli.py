@@ -37,7 +37,7 @@ from fedsim.cli import (
     run_comparison,
     run_experiment,
 )
-from fedsim.exceptions import ConfigError
+from fedsim.exceptions import Config, ConfigError
 from helpers import CONFIG_TYPES, HYPERPARAM_FIELDS, HYPERPARAM_KEYS, count_calls
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -283,18 +283,6 @@ class TestParseConfig:
                 "unknown key 'lr' in hyperparams.fedavg",
             ),
             (
-                "dataset: {kind: blobs}\nstrategies: [fedavg, fedavgm, fedavg]\n",
-                "strategies: 'fedavg' is listed more than once",
-            ),
-            (
-                "dataset: {kind: blobs}\nstrategies: [fedavg, fedavg]\nseeds: [0, 0]\n",
-                "strategies: 'fedavg' is listed more than once",
-            ),
-            (
-                "dataset: {kind: blobs}\nstrategy: fedavg\nseeds: [3, 1, 3]\n",
-                "seeds: 3 is listed more than once",
-            ),
-            (
                 "dataset: {kind: blobs}\nstrategy: fedyogi\n"
                 "hyperparams: {fedyogi: {tau: .inf}}\n",
                 "^hyperparams.fedyogi: tau must be a finite number > 0, got inf$",
@@ -509,6 +497,8 @@ REQUIRED = {
     ModelSpec: {"input_dim": 3},
     FederationConfig: {"model": ModelSpec(input_dim=3), "train": TrainConfig()},
 }
+# How a message names the rule types, which make up ``Rule``.
+RULE_TYPES = "FedAvg or FedAvgM or FedMedian or FedOpt or FedAvgOpt"
 # The fields annotated tuple[int, ...].
 TUPLE_FIELDS = ("seeds", "hidden_dims")
 
@@ -565,19 +555,6 @@ FLOAT_FIELDS = [
     (FedYogi, "beta1", 0.5),
     (FedYogi, "beta2", 0.5),
 ]
-# The fields check_fields leaves alone: each holds config objects that check
-# themselves, or its type's __post_init__ checks it by hand.
-HAND_CHECKED = {
-    (DatasetConfig, "path"),
-    (DatasetConfig, "label_column"),
-    (ExperimentConfig, "dataset"),
-    (ExperimentConfig, "rules"),
-    (ExperimentConfig, "train"),
-    (ExperimentConfig, "output_dir"),
-    (FederationConfig, "model"),
-    (FederationConfig, "train"),
-    (FederationConfig, "rule"),
-}
 
 
 class TestConfigTypes:
@@ -644,6 +621,37 @@ class TestConfigTypes:
                 {"train_fraction": 1.0},
                 "train_fraction must be a finite number > 0 and < 1, got 1.0",
             ),
+            # Each once constructed, and most then died in the run naming no field.
+            (FedAvgOpt, {"solver": None}, "solver must be an instance of SimplexConfig, got None"),
+            (
+                ExperimentConfig,
+                {"dataset": "blobs"},
+                "dataset must be an instance of DatasetConfig, got 'blobs'",
+            ),
+            (
+                ExperimentConfig,
+                {"train": None},
+                "train must be an instance of TrainConfig, got None",
+            ),
+            (
+                ExperimentConfig,
+                {"rules": ("fedavg",)},
+                f"rules must be instances of {RULE_TYPES}, got 'fedavg'",
+            ),
+            (FederationConfig, {"model": None}, "model must be an instance of ModelSpec, got None"),
+            (FederationConfig, {"train": {}}, "train must be an instance of TrainConfig, got {}"),
+            (DatasetConfig, {"path": 3}, "path must be an instance of str, got 3"),
+            (
+                FederationConfig,
+                {"rule": "fedavg"},
+                f"rule must be an instance of {RULE_TYPES}, got 'fedavg'",
+            ),
+            (
+                ExperimentConfig,
+                {"rules": FedAvg()},
+                f"rules must be a list of instances of {RULE_TYPES}, got FedAvg()",
+            ),
+            (ExperimentConfig, {"output_dir": 3}, "output_dir must be an instance of str, got 3"),
         ],
     )
     def test_bounds_name_the_field_and_value(self, config_type, kwargs, message):
@@ -705,17 +713,22 @@ class TestConfigTypes:
         }
         assert float_fields == {(config_type, field) for config_type, field, _ in FLOAT_FIELDS}
 
-    def test_every_field_is_checked(self):
-        # A field annotated as check_fields does not read (list[int], say)
-        # would otherwise go unchecked without notice.
-        unread = {
-            (config_type, field.name)
-            for config_type in CONFIG_TYPES
-            for field in dataclasses.fields(config_type)
-            if field.type not in (*INT_TYPES, "float")
-            and not (field.type == "str" and "choices" in field.metadata)
-        }
-        assert unread == HAND_CHECKED
+    @pytest.mark.parametrize(
+        "config_type, field",
+        [(t, field.name) for t in CONFIG_TYPES for field in dataclasses.fields(t)],
+    )
+    def test_every_field_rejects_a_value_of_the_wrong_kind(self, config_type, field):
+        # A field that nothing checks would take any value and fail, if at
+        # all, only once a run reads it.
+        with pytest.raises(ConfigError, match=f"^{field} must be .*, got <object object at "):
+            build(config_type, **{field: object()})
+
+    def test_every_config_type_is_listed(self):
+        def subclasses(cls):
+            return {t for sub in cls.__subclasses__() for t in (sub, *subclasses(sub))}
+
+        found = {t for t in subclasses(Config) if t.__module__.startswith("fedsim.")}
+        assert found == set(CONFIG_TYPES)
 
     def test_numpy_integers_accepted(self):
         config = ExperimentConfig(
@@ -938,6 +951,27 @@ class TestMain:
         out = tmp_path / "out"
         assert main(["compare", path, "--output-dir", str(out), flag, value]) == 2
         assert capsys.readouterr().err.strip() == message
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "strategies: [fedavg, fedavgm, fedavg]\n",
+                "strategy 'fedavg' is given more than once",
+            ),
+            # The seeds are checked first.
+            ("strategies: [fedavg, fedavg]\nseeds: [0, 0]\n", "seed 0 is given more than once"),
+            ("strategy: fedavg\nseeds: [3, 1, 3]\n", "seed 3 is given more than once"),
+        ],
+    )
+    def test_repeated_strategy_or_seed_is_rejected(self, tmp_path, capsys, text, message):
+        # compare_strategies holds the one repeat rule, for YAML and library
+        # callers alike; it rejects the config before any shard is built.
+        path = write_config(tmp_path, f"dataset: {{kind: blobs}}\n{text}")
+        out = tmp_path / "out"
+        assert main(["compare", path, "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err.strip() == f"error: {message}"
         assert not out.exists()
 
     def test_rounds_and_seed_overrides(self, tmp_path):

@@ -115,8 +115,13 @@ class TestGenerateBlobs:
             generate_blobs(5, 1, 3, 1.0, 0)
         with pytest.raises(ValueError):
             generate_blobs(5, 2, 0, 1.0, 0)
-        with pytest.raises(ValueError):
-            generate_blobs(5, 2, 3, -0.5, 0)
+
+    @pytest.mark.parametrize("spread", [-0.5, float("nan"), float("inf")])
+    def test_bad_spread_is_named(self, spread):
+        # A non-finite spread once reached the features and was reported
+        # there, as a non-finite feature naming no parameter.
+        with pytest.raises(ValueError, match=f"^spread must be finite and >= 0, got {spread!r}$"):
+            generate_blobs(5, 2, 2, spread, 0)
 
 
 # Feature cells that load, including ones float() reads loosely, and cells

@@ -305,6 +305,14 @@ class TestCompareStrategies:
         for report in result.runs[0].reports:
             assert report.global_accuracy == expected
 
+    def test_diverged_fedavgopt_raises_its_numeric_error(self):
+        # The all-ones objective overflows.  Under the suite's warnings-as-errors
+        # a numpy overflow warning once surfaced in place of this error.
+        train = TrainConfig(learning_rate=1e300, batch_size=4)
+        base = FederationConfig(model=SPEC, train=train, rounds=2)
+        with pytest.raises(NumericError, match="^fedavgopt: aggregation failed in round 1: "):
+            compare_strategies(base, (FedAvgOpt(),), (0,), lambda seed: blob_shards(2, seed, 8))
+
     def test_repeated_strategy_rejected(self):
         # Runs are reported by strategy name, so two fedavgm settings would
         # merge into one curve and one mean.
