@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import CsvParseError
+from .exceptions import CsvParseError, checked
 
 
 @dataclass(frozen=True)
@@ -86,15 +86,12 @@ def generate_blobs(
 ) -> Dataset:
     """Gaussian clusters: seeded class centers plus per-sample noise of scale
     ``spread``.  Exactly ``samples_per_class`` rows per class."""
-    if samples_per_class < 1:
-        raise ValueError("samples_per_class must be >= 1")
-    if num_classes < 2:
-        raise ValueError("num_classes must be >= 2")
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    samples_per_class = checked("samples_per_class", samples_per_class, int, {"ge": 1})
+    num_classes = checked("num_classes", num_classes, int, {"ge": 2})
+    dim = checked("dim", dim, int, {"ge": 1})
     if not 0 <= spread < math.inf:
         raise ValueError(f"spread must be finite and >= 0, got {spread!r}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(checked("seed", seed, int, {"ge": 0}))
     centers = rng.normal(0.0, 1.0, size=(num_classes, dim))
     features = np.concatenate(
         [
@@ -177,9 +174,8 @@ def _parse_cells(path: str, row_num: int, names: list[str], cells: list[str]) ->
 def stratified_partition(dataset: Dataset, num_clients: int, seed: int) -> list[Dataset]:
     """Disjoint cover of the dataset with i.i.d. class proportions: per class,
     shard counts differ by at most one."""
-    if num_clients < 1:
-        raise ValueError("num_clients must be >= 1")
-    rng = np.random.default_rng(seed)
+    num_clients = checked("num_clients", num_clients, int, {"ge": 1})
+    rng = np.random.default_rng(checked("seed", seed, int, {"ge": 0}))
     per_client_indices: list[list[np.ndarray]] = [[] for _ in range(num_clients)]
     for c in range(dataset.num_classes):
         class_idx = np.flatnonzero(dataset.labels == c)

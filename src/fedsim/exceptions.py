@@ -67,17 +67,17 @@ def _describe(kind, many: bool) -> str:
     return f"{'instances' if many else 'an instance'} of {names}"
 
 
-def _checked(name: str, value, kind, bounds, many: bool = False):
+def checked(name: str, value, kind, bounds, many: bool = False):
     """``value`` checked against the annotation ``kind`` and ``bounds``, in its plain
     type; else a ConfigError naming ``name``.  ``many``: an entry of a tuple."""
     options = typing.get_args(kind)
     if type(None) in options:  # X | None
-        return None if value is None else _checked(name, value, options[0], bounds)
+        return None if value is None else checked(name, value, options[0], bounds)
     if typing.get_origin(kind) is tuple:  # tuple[X, ...]
         if not isinstance(value, (list, tuple)):
             what = _describe(options[0], many=True)
             raise ConfigError(f"{name} must be a list of {what}, got {value!r}")
-        return tuple(_checked(name, entry, options[0], bounds, many=True) for entry in value)
+        return tuple(checked(name, entry, options[0], bounds, many=True) for entry in value)
     if kind is int or kind is float:
         limits = [(sign, test, bounds[key]) for key, sign, test in _LIMITS if key in bounds]
         is_kind = _is_integer if kind is int else _is_finite_number
@@ -117,7 +117,7 @@ def check_fields(config) -> None:
     """
     kinds = _annotations(type(config))
     for field in dataclasses.fields(config):
-        value = _checked(field.name, getattr(config, field.name), kinds[field.name], field.metadata)
+        value = checked(field.name, getattr(config, field.name), kinds[field.name], field.metadata)
         object.__setattr__(config, field.name, value)
 
 

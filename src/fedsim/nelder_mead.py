@@ -1,12 +1,15 @@
 """Nelder-Mead downhill-simplex minimization.
 
 Plain implementation of the 1965 reflect / expand / contract / shrink
-iteration with the standard coefficients, for small dimensions (one
-coordinate per federated client).  The vertices stay sorted by (objective
-value, creation order): each replacement is inserted in place, and only a
-shrink, which may produce a new best vertex, re-sorts the simplex.  It never
-propagates non-finite objective values: any NaN/Inf seen after the start
-point is treated as +inf so the offending vertex loses every comparison.
+iteration, for small dimensions (one coordinate per federated client).  By
+default the coefficients adapt to the dimension as in Gao & Han (2012),
+"Implementing the Nelder-Mead simplex algorithm with adaptive parameters",
+Comput. Optim. Appl. 51:259-277, which keeps the search converging as the
+dimension grows.  The vertices stay sorted by (objective value, creation
+order): each replacement is inserted in place, and only a shrink, which may
+produce a new best vertex, re-sorts the simplex.  It never propagates
+non-finite objective values: any NaN/Inf seen after the start point is
+treated as +inf so the offending vertex loses every comparison.
 """
 
 from __future__ import annotations
@@ -27,15 +30,17 @@ Objective = Callable[[np.ndarray], float]
 class SimplexConfig(Config):
     """Coefficients and stopping rules for :func:`minimize`.
 
-    ``max_iterations=None`` resolves to ``200 * dimension`` at call time.
+    ``None`` resolves at call time, for dimension n: ``max_iterations`` to
+    200 n, and ``expansion``, ``contraction`` and ``shrink`` to Gao & Han's
+    1 + 2/n, 3/4 - 1/(2n) and 1 - 1/n (the textbook 2, 1/2 and 1/2 at n = 2).
     The initial simplex is the start point plus one vertex per coordinate,
     displaced by the absolute ``initial_step``.
     """
 
     reflection: float = bounded(1.0, gt=0)
-    expansion: float = 2.0
-    contraction: float = bounded(0.5, gt=0, lt=1)
-    shrink: float = bounded(0.5, gt=0, lt=1)
+    expansion: float | None = None
+    contraction: float | None = bounded(None, gt=0, lt=1)
+    shrink: float | None = bounded(None, gt=0, lt=1)
     initial_step: float = 0.05
     x_tolerance: float = bounded(1e-4, gt=0)
     f_tolerance: float = bounded(1e-4, gt=0)
@@ -43,7 +48,11 @@ class SimplexConfig(Config):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not self.expansion > max(self.reflection, 1.0):
+        if self.expansion is None:
+            # 1 + 2/n falls toward 1 as n grows, below any reflection > 1.
+            if self.reflection > 1.0:
+                raise ConfigError("expansion must be given when reflection > 1, got None")
+        elif not self.expansion > max(self.reflection, 1.0):
             raise ConfigError(f"expansion must exceed max(reflection, 1), got {self.expansion!r}")
         if self.initial_step == 0:
             raise ConfigError("initial_step must be nonzero")
@@ -52,6 +61,13 @@ class SimplexConfig(Config):
         if self.max_iterations is not None:
             return self.max_iterations
         return 200 * int(dimension)
+
+    def coefficients(self, dimension: int) -> tuple[float, float, float, float]:
+        """Reflection, expansion, contraction and shrink for ``dimension``."""
+        n = int(dimension)
+        adaptive = (1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n)
+        given = (self.expansion, self.contraction, self.shrink)
+        return (self.reflection, *(a if g is None else g for g, a in zip(given, adaptive)))
 
 
 @dataclass(frozen=True)
@@ -80,6 +96,8 @@ def minimize(objective: Objective, x0: Sequence[float], config: SimplexConfig = 
     if dim < 1:
         raise ValueError("x0 must have dimension >= 1")
     max_iter = config.resolved_max_iterations(dim)
+    reflection, expansion, contraction, shrink = config.coefficients(dim)
+    x_tolerance, f_tolerance = config.x_tolerance, config.f_tolerance
 
     def evaluate(x: np.ndarray) -> float:
         value = float(objective(x))
@@ -95,6 +113,12 @@ def minimize(objective: Objective, x0: Sequence[float], config: SimplexConfig = 
     axes = np.arange(dim)
     vertices[axes + 1, axes] += config.initial_step
     fvalues = [f0] + [evaluate(v) for v in vertices[1:]]
+    # Work buffers, written in place each iteration; every candidate is a new
+    # array, since the objective may keep the one it is given.
+    centroid = np.empty(dim)
+    toward = np.empty(dim)
+    spread = np.empty((dim, dim))
+    best, others, worst, kept = vertices[0], vertices[1:], vertices[-1], vertices[:-1]
 
     def sort_rows() -> None:
         # Called only when creation order is row order; sorted() is stable.
@@ -102,30 +126,36 @@ def minimize(objective: Objective, x0: Sequence[float], config: SimplexConfig = 
         vertices[:] = vertices[order]
         fvalues[:] = [fvalues[i] for i in order]
 
+    def candidate(step: np.ndarray, coef: float) -> np.ndarray:
+        # centroid + coef * step, in the same rounding: + and * commute exactly.
+        x = step * coef
+        x += centroid
+        return x
+
     sort_rows()
     iterations = 0
     converged = False
     while True:
-        if (
-            fvalues[-1] - fvalues[0] < config.f_tolerance
-            and np.maximum.reduce(np.abs(vertices[1:] - vertices[0]), axis=None) < config.x_tolerance
-        ):
-            converged = True
-            break
+        if fvalues[-1] - fvalues[0] < f_tolerance:
+            np.subtract(others, best, out=spread)
+            np.abs(spread, out=spread)
+            if np.maximum.reduce(spread, axis=None) < x_tolerance:
+                converged = True
+                break
         if iterations >= max_iter:
             break
         iterations += 1
 
-        centroid = np.add.reduce(vertices[:-1], axis=0)
+        np.add.reduce(kept, axis=0, out=centroid)
         centroid /= dim  # what ndarray.mean computes, bit for bit
-        toward = centroid - vertices[-1]
+        np.subtract(centroid, worst, out=toward)
         f_worst = fvalues[-1]
 
-        x_reflect = centroid + config.reflection * toward
+        x_reflect = candidate(toward, reflection)
         f_reflect = evaluate(x_reflect)
         replacement: tuple[np.ndarray, float] | None
         if f_reflect < fvalues[0]:
-            x_expand = centroid + config.expansion * toward
+            x_expand = candidate(toward, expansion)
             f_expand = evaluate(x_expand)
             if f_expand < f_reflect:
                 replacement = (x_expand, f_expand)
@@ -135,12 +165,13 @@ def minimize(objective: Objective, x0: Sequence[float], config: SimplexConfig = 
             replacement = (x_reflect, f_reflect)
         elif f_reflect < f_worst:
             # Outside contraction, between centroid and reflected point.
-            x_contract = centroid + config.contraction * (x_reflect - centroid)
+            x_contract = candidate(x_reflect - centroid, contraction)
             f_contract = evaluate(x_contract)
             replacement = (x_contract, f_contract) if f_contract <= f_reflect else None
         else:
-            # Inside contraction, between centroid and the worst vertex.
-            x_contract = centroid - config.contraction * toward
+            # Inside contraction, between centroid and the worst vertex:
+            # centroid - c * toward is centroid + (-c) * toward, bit for bit.
+            x_contract = candidate(toward, -contraction)
             f_contract = evaluate(x_contract)
             replacement = (x_contract, f_contract) if f_contract < f_worst else None
 
@@ -148,13 +179,16 @@ def minimize(objective: Objective, x0: Sequence[float], config: SimplexConfig = 
             # The replacement is the newest vertex: it goes after equal values.
             x_new, f_new = replacement
             slot = bisect.bisect_right(fvalues, f_new, 0, dim)
-            fvalues[slot:] = [f_new, *fvalues[slot:-1]]
+            fvalues.insert(slot, f_new)
+            fvalues.pop()
             vertices[slot + 1:] = vertices[slot:-1]
             vertices[slot] = x_new
         else:
             # Shrink: pull every non-best vertex toward the best one, in row
             # order; any of them may now beat the best, so all rows re-sort.
-            vertices[1:] = vertices[0] + config.shrink * (vertices[1:] - vertices[0])
+            np.subtract(others, best, out=spread)
+            spread *= shrink
+            np.add(spread, best, out=others)
             for i in range(1, dim + 1):
                 fvalues[i] = evaluate(vertices[i])
             sort_rows()

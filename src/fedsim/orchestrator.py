@@ -235,19 +235,18 @@ def compare_strategies(
     are reported by strategy name and seed, so each must be distinct.
     """
     if len(rules) == 0:
-        raise ValueError("need at least one strategy")
+        raise ConfigError("need at least one strategy")
     if len(seeds) == 0:
-        raise ValueError("need at least one seed")
+        raise ConfigError("need at least one seed")
     per_seed = [
         [dataclasses.replace(base_config, rule=rule, seed=seed) for rule in rules] for seed in seeds
     ]
-    for i, seed in enumerate(seeds):
-        if seed in seeds[:i]:
-            raise ValueError(f"seed {seed} is given more than once")
-    names = [config.strategy for config in per_seed[0]]
-    for i, name in enumerate(names):
-        if name in names[:i]:
-            raise ValueError(f"strategy {name!r} is given more than once")
+    distinct = {"seed": [configs[0].seed for configs in per_seed],
+                "strategy": [config.strategy for config in per_seed[0]]}
+    for kind, values in distinct.items():
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ConfigError(f"{kind} {value!r} is given more than once")
     runs: list[StrategyRun] = []
     for seed, configs in zip(seeds, per_seed):
         shards = shard_factory(seed)

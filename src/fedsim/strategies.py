@@ -148,17 +148,30 @@ def gram_objective(
     k = len(weights)
     # -R[:, j] and +R[:, j]: client j's column, signed for each side.
     clients = np.stack([-r[:, :k], r[:, :k]])
+    r_t = r.T
+    # Buffers each call overwrites, and views of them; the side-0 row of
+    # norms ends up holding the ratios.
     coeffs = np.empty((2, k + 1))
+    both_c, c = coeffs[:, :k], coeffs[0, :k]
+    projected = np.empty((2, r.shape[0]))
+    projected_cols = projected[:, :, None]
+    diffs = np.empty(clients.shape)
+    norms = np.empty((2, k))
+    numerators, denominators = norms
 
     def evaluate(x: np.ndarray) -> float:
-        c = weights * x
-        s = float(np.add.reduce(c))
         # Side 0 is w(x) - w_j, side 1 is w(x) + w_j; column j is client j.
-        coeffs[:, :k] = c
-        coeffs[:, k] = (s - 1.0, s + 1.0)
-        diffs = (coeffs @ r.T)[:, :, None] + clients
-        norms = np.sqrt(np.einsum("smk,smk->sk", diffs, diffs))
-        value = float(np.add.reduce(norms[0] / np.maximum(norms[1], floor)))
+        np.multiply(weights, x, out=both_c)
+        s = float(np.add.reduce(c))
+        coeffs[0, k] = s - 1.0
+        coeffs[1, k] = s + 1.0
+        np.matmul(coeffs, r_t, out=projected)
+        np.add(projected_cols, clients, out=diffs)
+        np.einsum("smk,smk->sk", diffs, diffs, out=norms)
+        np.sqrt(norms, out=norms)
+        np.maximum(denominators, floor, out=denominators)
+        np.divide(numerators, denominators, out=numerators)
+        value = float(np.add.reduce(numerators))
         return value if math.isfinite(value) else math.inf
 
     return evaluate

@@ -4,6 +4,10 @@
 vertices every iteration; :func:`fedsim.nelder_mead.minimize`, which keeps
 its vertex rows sorted by insertion, must agree with it bit for bit.
 
+``gram_objective`` builds a fresh array for every intermediate of each call;
+the closure :func:`fedsim.strategies.gram_objective` returns, which writes
+them into buffers it allocates once, must return the same bits.
+
 ``forward`` is the model's forward pass keeping every pre-activation, with
 each activation a fresh array; ``loss_and_gradient``, ``evaluate`` and
 ``sgd_train`` are written on it with plain per-layer numpy arrays, no
@@ -56,7 +60,7 @@ from fedsim import (
 )
 from fedsim.exceptions import CsvParseError
 from fedsim.nelder_mead import Objective
-from fedsim.strategies import Rule, _params_and_counts
+from fedsim.strategies import DENOMINATOR_FLOOR, Rule, _params_and_counts
 
 
 def minimize(objective: Objective, x0: Sequence[float], config: SimplexConfig = SimplexConfig()) -> MinimizeResult:
@@ -75,6 +79,7 @@ def minimize(objective: Objective, x0: Sequence[float], config: SimplexConfig = 
     if dim < 1:
         raise ValueError("x0 must have dimension >= 1")
     max_iter = config.resolved_max_iterations(dim)
+    reflection, expansion, contraction, shrink = config.coefficients(dim)
 
     def evaluate(x: np.ndarray) -> float:
         value = float(objective(x))
@@ -131,11 +136,11 @@ def minimize(objective: Objective, x0: Sequence[float], config: SimplexConfig = 
             created[-1] = next_id
             next_id += 1
 
-        x_reflect = centroid + config.reflection * (centroid - worst)
+        x_reflect = centroid + reflection * (centroid - worst)
         f_reflect = evaluate(x_reflect)
 
         if f_reflect < fvalues[0]:
-            x_expand = centroid + config.expansion * (centroid - worst)
+            x_expand = centroid + expansion * (centroid - worst)
             f_expand = evaluate(x_expand)
             if f_expand < f_reflect:
                 replace_worst(x_expand, f_expand)
@@ -145,21 +150,21 @@ def minimize(objective: Objective, x0: Sequence[float], config: SimplexConfig = 
             replace_worst(x_reflect, f_reflect)
         elif f_reflect < f_worst:
             # Outside contraction, between centroid and reflected point.
-            x_contract = centroid + config.contraction * (x_reflect - centroid)
+            x_contract = centroid + contraction * (x_reflect - centroid)
             f_contract = evaluate(x_contract)
             if f_contract <= f_reflect:
                 replace_worst(x_contract, f_contract)
             else:
-                _shrink(vertices, fvalues, created, config.shrink, evaluate)
+                _shrink(vertices, fvalues, created, shrink, evaluate)
                 next_id = max(created) + 1
         else:
             # Inside contraction, between centroid and the worst vertex.
-            x_contract = centroid - config.contraction * (centroid - worst)
+            x_contract = centroid - contraction * (centroid - worst)
             f_contract = evaluate(x_contract)
             if f_contract < f_worst:
                 replace_worst(x_contract, f_contract)
             else:
-                _shrink(vertices, fvalues, created, config.shrink, evaluate)
+                _shrink(vertices, fvalues, created, shrink, evaluate)
                 next_id = max(created) + 1
 
     best_x = vertices[0].copy()
@@ -186,6 +191,40 @@ def _shrink(
         vertices[i] = best + factor * (vertices[i] - best)
         fvalues[i] = evaluate(vertices[i])
         created[i] = base + i - 1
+
+
+def gram_objective(
+    client_params: Sequence[ParamVector],
+    counts: Sequence[int],
+) -> Objective:
+    """The fedavgopt objective in the QR factor of the client basis, each
+    call allocating its intermediates; the closure
+    :func:`fedsim.strategies.gram_objective` returns, which writes them into
+    buffers it keeps, must return the same bits."""
+    weights = np.asarray(counts, dtype=np.float64) / float(sum(counts))
+    stacked = np.stack([w.values for w in client_params])
+    _, exponent = math.frexp(float(np.max(np.abs(stacked))))
+    stacked = np.ldexp(stacked, -exponent)
+    floor = math.ldexp(DENOMINATOR_FLOOR, -exponent)
+    mean = weights @ stacked
+    r = np.linalg.qr(np.vstack([stacked - mean, mean]).T, mode="r")
+    k = len(weights)
+    # -R[:, j] and +R[:, j]: client j's column, signed for each side.
+    clients = np.stack([-r[:, :k], r[:, :k]])
+    coeffs = np.empty((2, k + 1))
+
+    def evaluate(x: np.ndarray) -> float:
+        c = weights * x
+        s = float(np.add.reduce(c))
+        # Side 0 is w(x) - w_j, side 1 is w(x) + w_j; column j is client j.
+        coeffs[:, :k] = c
+        coeffs[:, k] = (s - 1.0, s + 1.0)
+        diffs = (coeffs @ r.T)[:, :, None] + clients
+        norms = np.sqrt(np.einsum("smk,smk->sk", diffs, diffs))
+        value = float(np.add.reduce(norms[0] / np.maximum(norms[1], floor)))
+        return value if math.isfinite(value) else math.inf
+
+    return evaluate
 
 
 def _split(values: np.ndarray, layer_dims: Sequence[tuple[int, int]]) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -93,8 +93,9 @@ BELOW_BOUND = [
     (FederationConfig, "seed", 0, None),
     (SimplexConfig, "max_iterations", 1, "solver: {max_iterations: 0}"),
 ]
-# The annotations of int-typed fields.
+# The annotations of int-typed fields, and of float-typed ones.
 INT_TYPES = ("int", "int | None", "tuple[int, ...]")
+FLOAT_TYPES = ("float", "float | None")
 
 
 class TestParseConfig:
@@ -709,7 +710,7 @@ class TestConfigTypes:
             (config_type, field.name)
             for config_type in CONFIG_TYPES
             for field in dataclasses.fields(config_type)
-            if field.type == "float"
+            if field.type in FLOAT_TYPES
         }
         assert float_fields == {(config_type, field) for config_type, field, _ in FLOAT_FIELDS}
 
@@ -863,6 +864,20 @@ class TestRunComparison:
         run_comparison(small_config(tmp_path, seeds=(4, 2)))
         assert loads == []
         assert [args[-1] for args in blobs] == [4, 2]
+
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"seeds": (3, 3)}, "seed 3 is given more than once"),
+            ({"seeds": ()}, "need at least one seed"),
+            ({"rules": ()}, "need at least one strategy"),
+            ({"rules": (FedAvg(), FedAvg())}, "strategy 'fedavg' is given more than once"),
+        ],
+    )
+    def test_repeated_or_missing_run_is_a_config_error(self, tmp_path, overrides, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            run_comparison(small_config(tmp_path, **overrides))
 
 
 class TestMain:

@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 import tracemalloc
 
 import numpy as np
@@ -108,13 +109,29 @@ class TestGenerateBlobs:
         dists = np.linalg.norm(data.features[:, None, :] - centers[None], axis=2)
         assert np.array_equal(np.argmin(dists, axis=1), data.labels)
 
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            generate_blobs(0, 2, 3, 1.0, 0)
-        with pytest.raises(ValueError):
-            generate_blobs(5, 1, 3, 1.0, 0)
-        with pytest.raises(ValueError):
-            generate_blobs(5, 2, 0, 1.0, 0)
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((0, 2, 3, 1.0, 0), "samples_per_class must be an integer >= 1, got 0"),
+            ((5.0, 2, 3, 1.0, 0), "samples_per_class must be an integer >= 1, got 5.0"),
+            ((5, 1, 3, 1.0, 0), "num_classes must be an integer >= 2, got 1"),
+            ((5, True, 3, 1.0, 0), "num_classes must be an integer >= 2, got True"),
+            ((5, 2, 0, 1.0, 0), "dim must be an integer >= 1, got 0"),
+            ((5, 2, 2.5, 1.0, 0), "dim must be an integer >= 1, got 2.5"),
+            ((5, 2, 2, 1.0, -1), "seed must be an integer >= 0, got -1"),
+            ((5, 2, 2, 1.0, 0.5), "seed must be an integer >= 0, got 0.5"),
+        ],
+    )
+    def test_bad_count_or_seed_is_named(self, args, message):
+        # Numpy once refused these itself, naming no parameter, and True
+        # read as a count of 1.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            generate_blobs(*args)
+
+    def test_numpy_integers_accepted(self):
+        a = generate_blobs(np.int64(5), np.int32(2), np.int16(3), 1.0, np.uint8(4))
+        b = generate_blobs(5, 2, 3, 1.0, 4)
+        assert np.array_equal(a.features, b.features)
 
     @pytest.mark.parametrize("spread", [-0.5, float("nan"), float("inf")])
     def test_bad_spread_is_named(self, spread):
@@ -318,7 +335,7 @@ class TestStratifiedPartition:
             stratified_partition(data, 2, 0)
 
     def test_zero_clients_rejected(self):
-        with pytest.raises(ValueError, match="num_clients must be >= 1"):
+        with pytest.raises(ValueError, match="^num_clients must be an integer >= 1, got 0$"):
             stratified_partition(generate_blobs(4, 2, 3, 1.0, 0), 0, 0)
 
     def test_deterministic(self):
@@ -401,3 +418,17 @@ class TestMakeClientShards:
         data = generate_blobs(40, 2, 3, 1.0, 12)
         shards = make_client_shards(data, 2, 0.5, 13)
         assert row_multiset(shards[0].train) != row_multiset(shards[1].train)
+
+    @pytest.mark.parametrize(
+        "num_clients, seed, message",
+        [
+            (2.0, 0, "num_clients must be an integer >= 1, got 2.0"),
+            (True, 0, "num_clients must be an integer >= 1, got True"),
+            (2, -1, "seed must be an integer >= 0, got -1"),
+            (2, 1.5, "seed must be an integer >= 0, got 1.5"),
+        ],
+    )
+    def test_bad_count_or_seed_is_named(self, num_clients, seed, message):
+        data = generate_blobs(20, 2, 3, 1.0, 0)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_client_shards(data, num_clients, 0.5, seed)

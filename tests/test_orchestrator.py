@@ -316,8 +316,17 @@ class TestCompareStrategies:
     def test_repeated_strategy_rejected(self):
         # Runs are reported by strategy name, so two fedavgm settings would
         # merge into one curve and one mean.
-        with pytest.raises(ValueError, match="'fedavgm' is given more than once"):
+        with pytest.raises(ConfigError, match="^strategy 'fedavgm' is given more than once$"):
             self.comparison(rules=(FedAvgM(), FedAvg(), FedAvgM(momentum_beta=0.9)))
+
+    @pytest.mark.parametrize(
+        "rules, seeds, message",
+        [((), (0,), "need at least one strategy"), ((FedAvg(),), (), "need at least one seed")],
+    )
+    def test_empty_strategies_or_seeds_rejected(self, rules, seeds, message):
+        base = FederationConfig(model=SPEC, train=TRAIN, rounds=1)
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            compare_strategies(base, rules, seeds, lambda seed: blob_shards(2, seed))
 
     def test_shard_factory_called_once_per_seed(self):
         calls = []
@@ -345,7 +354,7 @@ class TestCompareStrategies:
         # written as a seed; -1 would fail deep inside numpy.
         calls = []
         base = FederationConfig(model=SPEC, train=TRAIN, rounds=1)
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
             compare_strategies(base, (FedAvg(),), seeds, calls.append)
         assert calls == []
 

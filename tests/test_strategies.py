@@ -513,6 +513,22 @@ class TestGramObjective:
         x = rng.uniform(-2, 2, size=k)
         assert same_value(gram_objective(params, counts)(x), objective_f(x, params, counts))
 
+    @pytest.mark.parametrize("size", [6, 84, 1604])
+    @pytest.mark.parametrize("k", range(1, 33))
+    def test_same_bits_as_oracle(self, k, size):
+        # The closure writes every intermediate into buffers it keeps across
+        # calls; the oracle allocates them, and scores each x in the same bits.
+        params, counts, rng = clustered_clients([k, size], k, size, 0.1)
+        gram, oracle = gram_objective(params, counts), oracles.gram_objective(params, counts)
+        probes = [np.ones(k)] + [1.0 + scale * rng.normal(size=k) for scale in (1e-3, 0.1, 1.0, 10.0)]
+        probes += [cancelling_x(counts, rng) for _ in range(4)]
+        probes += [10.0 ** rng.uniform(155, 300, size=k) * rng.choice([-1.0, 1.0], size=k)]
+        for value in (math.inf, -math.inf, math.nan):
+            probes.append(np.where(np.arange(k) == rng.integers(k), value, 1.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x in probes:
+                assert np.float64(gram(x)).tobytes() == np.float64(oracle(x)).tobytes()
+
     @given(k=num_clients, data=st.data())
     def test_non_finite_x_scores_inf(self, k, data):
         params, counts, rng = clustered_clients(k, k, 5, 0.1)
