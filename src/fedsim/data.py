@@ -20,17 +20,17 @@ from .exceptions import CsvParseError, checked
 
 @dataclass(frozen=True)
 class Dataset:
-    """Labeled feature matrix with the label-name mapping."""
+    """Labeled feature matrix with the label-name mapping, held as read-only copies."""
 
     features: np.ndarray
     labels: np.ndarray
     class_names: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        feats = np.asarray(self.features, dtype=np.float64)
+        feats = np.array(self.features, dtype=np.float64)
         raw_labels = np.asarray(self.labels)
         with np.errstate(invalid="ignore"):
-            labels = raw_labels.astype(np.int64, copy=False)
+            labels = raw_labels.astype(np.int64)
         if feats.ndim != 2:
             raise ValueError("features must be a 2-D matrix")
         if labels.ndim != 1 or labels.shape[0] != feats.shape[0]:
@@ -89,8 +89,7 @@ def generate_blobs(
     samples_per_class = checked("samples_per_class", samples_per_class, int, {"ge": 1})
     num_classes = checked("num_classes", num_classes, int, {"ge": 2})
     dim = checked("dim", dim, int, {"ge": 1})
-    if not 0 <= spread < math.inf:
-        raise ValueError(f"spread must be finite and >= 0, got {spread!r}")
+    spread = checked("spread", spread, float, {"ge": 0})
     rng = np.random.default_rng(checked("seed", seed, int, {"ge": 0}))
     centers = rng.normal(0.0, 1.0, size=(num_classes, dim))
     features = np.concatenate(
@@ -171,31 +170,31 @@ def _parse_cells(path: str, row_num: int, names: list[str], cells: list[str]) ->
     return parsed
 
 
+def _stratified_deal(dataset: Dataset, num_parts: int, seed: int, deal) -> list[Dataset]:
+    """Per class, one seeded permutation of its rows, cut into ``num_parts`` pieces by
+    ``deal(class_name, rows)``; then each part's rows in one more permutation."""
+    rng = np.random.default_rng(checked("seed", seed, int, {"ge": 0}))
+    parts: list[list[np.ndarray]] = [[] for _ in range(num_parts)]
+    for c, name in enumerate(dataset.class_names):
+        rows = rng.permutation(np.flatnonzero(dataset.labels == c))
+        for part, piece in zip(parts, deal(name, rows)):
+            part.append(piece)
+    return [dataset.subset(rng.permutation(np.concatenate(part))) for part in parts]
+
+
 def stratified_partition(dataset: Dataset, num_clients: int, seed: int) -> list[Dataset]:
     """Disjoint cover of the dataset with i.i.d. class proportions: per class,
     shard counts differ by at most one."""
     num_clients = checked("num_clients", num_clients, int, {"ge": 1})
-    rng = np.random.default_rng(checked("seed", seed, int, {"ge": 0}))
-    per_client_indices: list[list[np.ndarray]] = [[] for _ in range(num_clients)]
-    for c in range(dataset.num_classes):
-        class_idx = np.flatnonzero(dataset.labels == c)
-        if class_idx.size < num_clients:
+
+    def deal(name: str, rows: np.ndarray) -> list[np.ndarray]:
+        if rows.size < num_clients:
             raise ValueError(
-                f"class {dataset.class_names[c]!r} has {class_idx.size} samples, "
-                f"fewer than {num_clients} clients"
+                f"class {name!r} has {rows.size} samples, fewer than {num_clients} clients"
             )
-        shuffled = rng.permutation(class_idx)
-        for k, chunk in enumerate(np.array_split(shuffled, num_clients)):
-            per_client_indices[k].append(chunk)
-    shards = []
-    for chunks in per_client_indices:
-        indices = rng.permutation(np.concatenate(chunks))
-        shards.append(dataset.subset(indices))
-    return shards
+        return np.array_split(rows, num_clients)
 
-
-def _round_half_up(x: float) -> int:
-    return int(np.floor(x + 0.5))
+    return _stratified_deal(dataset, num_clients, seed, deal)
 
 
 def stratified_train_test_split(
@@ -203,26 +202,17 @@ def stratified_train_test_split(
 ) -> tuple[Dataset, Dataset]:
     """Per class, ``round(train_fraction * count)`` rows (half-up, clamped so
     neither side is empty) go to train; the rest to test."""
-    if not 0 < train_fraction < 1:
-        raise ValueError("train_fraction must be in (0, 1)")
-    rng = np.random.default_rng(seed)
-    train_parts = []
-    test_parts = []
-    for c in range(dataset.num_classes):
-        class_idx = np.flatnonzero(dataset.labels == c)
-        count = class_idx.size
-        if count < 2:
-            raise ValueError(
-                f"class {dataset.class_names[c]!r} has {count} samples; "
-                "need >= 2 to split"
-            )
-        n_train = min(max(_round_half_up(train_fraction * count), 1), count - 1)
-        shuffled = rng.permutation(class_idx)
-        train_parts.append(shuffled[:n_train])
-        test_parts.append(shuffled[n_train:])
-    train_idx = rng.permutation(np.concatenate(train_parts))
-    test_idx = rng.permutation(np.concatenate(test_parts))
-    return dataset.subset(train_idx), dataset.subset(test_idx)
+    train_fraction = checked("train_fraction", train_fraction, float, {"gt": 0, "lt": 1})
+
+    def deal(name: str, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if rows.size < 2:
+            raise ValueError(f"class {name!r} has {rows.size} samples; need >= 2 to split")
+        # int() of a positive number rounds down, so + 0.5 rounds half-up.
+        n_train = min(max(int(train_fraction * rows.size + 0.5), 1), rows.size - 1)
+        return rows[:n_train], rows[n_train:]
+
+    train, test = _stratified_deal(dataset, 2, seed, deal)
+    return train, test
 
 
 def make_client_shards(

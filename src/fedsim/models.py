@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .exceptions import Config, ShapeMismatchError, bounded
+from .exceptions import Config, ShapeMismatchError, bounded, checked
 from .params import ParamVector
 
 if TYPE_CHECKING:
@@ -65,7 +65,7 @@ class TrainConfig(Config):
 
 def init_params(spec: ModelSpec, seed: int) -> ParamVector:
     """Seeded initialization: weights uniform in +-1/sqrt(fan_in), biases zero."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(checked("seed", seed, int, {"ge": 0}))
     flat = []
     for fan_in, fan_out in spec.layer_dims():
         bound = 1.0 / np.sqrt(fan_in)
@@ -195,7 +195,7 @@ def sgd_train(
     n = len(dataset)
     if n == 0:
         raise ValueError("cannot train on an empty dataset")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(checked("seed", seed, int, {"ge": 0}))
     values = params.values.copy()
     lr, size = config.learning_rate, config.batch_size
     full = n - n % size

@@ -79,14 +79,20 @@ def _check_shards(shards: Sequence[ClientShard]) -> None:
 
 
 def _train_round(
-    config: FederationConfig, shards: Sequence[ClientShard], global_params: ParamVector
+    config: FederationConfig, shards: Sequence[ClientShard], global_params: ParamVector, where: str
 ) -> tuple[list[ClientUpdate], list[ClientRoundMetrics]]:
     """Train every client from ``global_params`` and score each local model on
-    its own test split; client ``i`` trains with seed ``config.seed + i``."""
+    its own test split; client ``i`` trains with seed ``config.seed + i``.  A
+    client whose training goes non-finite is named after ``where``."""
     updates: list[ClientUpdate] = []
     per_client: list[ClientRoundMetrics] = []
     for i, shard in enumerate(shards):
-        local = sgd_train(global_params, config.model, shard.train, config.train, config.seed + i)
+        try:
+            local = sgd_train(
+                global_params, config.model, shard.train, config.train, config.seed + i
+            )
+        except NumericError as exc:
+            raise NumericError(f"{where}, {shard.client_id}: training failed: {exc}") from exc
         metrics = evaluate(local, config.model, shard.test)
         per_client.append(
             ClientRoundMetrics(
@@ -131,7 +137,8 @@ def run_federation(
         if round_idx == 1 and first_round is not None:
             updates, per_client = first_round
         else:
-            updates, per_client = _train_round(config, shards, global_params)
+            where = f"{config.strategy}, seed {config.seed}, round {round_idx}"
+            updates, per_client = _train_round(config, shards, global_params, where)
         aggregated_accuracy = weighted_accuracy(
             [(m.num_test_examples, m.accuracy) for m in per_client]
         )
@@ -252,7 +259,7 @@ def compare_strategies(
         shards = shard_factory(seed)
         _check_shards(shards)
         first_round = _train_round(
-            configs[0], shards, init_params(base_config.model, seed)
+            configs[0], shards, init_params(base_config.model, seed), f"seed {seed}, round 1"
         )
         for config in configs:
             logger.info("running strategy=%s seed=%d", config.strategy, seed)

@@ -17,7 +17,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .exceptions import Config, NumericError, ShapeMismatchError, bounded
+from .exceptions import Config, NumericError, ShapeMismatchError, bounded, checked
 from .nelder_mead import Objective, SimplexConfig, minimize
 from .params import ParamVector, linear_combination
 
@@ -38,8 +38,8 @@ class ClientUpdate:
     params: ParamVector
 
     def __post_init__(self) -> None:
-        if self.num_examples < 1:
-            raise ValueError("num_examples must be >= 1")
+        count = checked("num_examples", self.num_examples, int, {"ge": 1})
+        object.__setattr__(self, "num_examples", count)
 
 
 @dataclass(frozen=True)

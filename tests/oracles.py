@@ -29,6 +29,11 @@ match them bit for bit, global model and carried state alike.
 row and converts them all at the end; :func:`fedsim.data.load_csv`, which
 streams rows into one float64 buffer and scans cells one by one only in a
 row that fails, must return the same bits or raise the same message.
+
+``stratified_partition`` and ``stratified_train_test_split`` each run their
+own per-class loop; :mod:`fedsim.data`, which deals both through one
+routine, must return the same rows in the same order or raise the same
+error.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ from fedsim import (
     linear_combination,
     run_federation,
 )
-from fedsim.exceptions import CsvParseError
+from fedsim.exceptions import CsvParseError, checked
 from fedsim.nelder_mead import Objective
 from fedsim.strategies import DENOMINATOR_FLOOR, Rule, _params_and_counts
 
@@ -508,3 +513,57 @@ def load_csv(path: str, label_column: str) -> Dataset:
             class_names.append(name)
         labels.append(mapping[name])
     return Dataset(np.asarray(rows, dtype=np.float64), np.asarray(labels), tuple(class_names))
+
+
+def stratified_partition(dataset: Dataset, num_clients: int, seed: int) -> list[Dataset]:
+    """Disjoint cover of the dataset with i.i.d. class proportions: per class,
+    shard counts differ by at most one."""
+    num_clients = checked("num_clients", num_clients, int, {"ge": 1})
+    rng = np.random.default_rng(checked("seed", seed, int, {"ge": 0}))
+    per_client_indices: list[list[np.ndarray]] = [[] for _ in range(num_clients)]
+    for c in range(dataset.num_classes):
+        class_idx = np.flatnonzero(dataset.labels == c)
+        if class_idx.size < num_clients:
+            raise ValueError(
+                f"class {dataset.class_names[c]!r} has {class_idx.size} samples, "
+                f"fewer than {num_clients} clients"
+            )
+        shuffled = rng.permutation(class_idx)
+        for k, chunk in enumerate(np.array_split(shuffled, num_clients)):
+            per_client_indices[k].append(chunk)
+    shards = []
+    for chunks in per_client_indices:
+        indices = rng.permutation(np.concatenate(chunks))
+        shards.append(dataset.subset(indices))
+    return shards
+
+
+def _round_half_up(x: float) -> int:
+    return int(np.floor(x + 0.5))
+
+
+def stratified_train_test_split(
+    dataset: Dataset, train_fraction: float, seed: int
+) -> tuple[Dataset, Dataset]:
+    """Per class, ``round(train_fraction * count)`` rows (half-up, clamped so
+    neither side is empty) go to train; the rest to test."""
+    if not 0 < train_fraction < 1:
+        raise ValueError("train_fraction must be in (0, 1)")
+    rng = np.random.default_rng(seed)
+    train_parts = []
+    test_parts = []
+    for c in range(dataset.num_classes):
+        class_idx = np.flatnonzero(dataset.labels == c)
+        count = class_idx.size
+        if count < 2:
+            raise ValueError(
+                f"class {dataset.class_names[c]!r} has {count} samples; "
+                "need >= 2 to split"
+            )
+        n_train = min(max(_round_half_up(train_fraction * count), 1), count - 1)
+        shuffled = rng.permutation(class_idx)
+        train_parts.append(shuffled[:n_train])
+        test_parts.append(shuffled[n_train:])
+    train_idx = rng.permutation(np.concatenate(train_parts))
+    test_idx = rng.permutation(np.concatenate(test_parts))
+    return dataset.subset(train_idx), dataset.subset(test_idx)

@@ -954,6 +954,18 @@ class TestMain:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_diverged_training_names_its_client(self, tmp_path, capsys):
+        text = SMALL_YAML.replace("learning_rate: 0.2", "learning_rate: 1.0e+300")
+        path = write_config(tmp_path, text + "model: {hidden_dims: [5]}\n")
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            assert main(["compare", path, "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err.strip() == (
+            "error: fedavg, seed 0, round 2, client_0: training failed: "
+            "parameter vector contains non-finite entries"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flag, value, message",
         [

@@ -41,6 +41,14 @@ class TestDataset:
         with pytest.raises(ValueError):
             data.labels[0] = 1
 
+    def test_callers_arrays_stay_writable(self):
+        # The Dataset freezes its own copies, not the arrays it was given.
+        features, labels = np.zeros((2, 2)), np.array([0, 1])
+        data = Dataset(features, labels, ("a", "b"))
+        assert features.flags.writeable and labels.flags.writeable
+        features[0, 0], labels[0] = 9.0, 1
+        assert data.features[0, 0] == 0.0 and data.labels[0] == 0
+
     def test_len_and_counts(self):
         data = Dataset(np.zeros((5, 2)), [0, 0, 1, 2, 1], ("a", "b", "c"))
         assert len(data) == 5
@@ -137,7 +145,7 @@ class TestGenerateBlobs:
     def test_bad_spread_is_named(self, spread):
         # A non-finite spread once reached the features and was reported
         # there, as a non-finite feature naming no parameter.
-        with pytest.raises(ValueError, match=f"^spread must be finite and >= 0, got {spread!r}$"):
+        with pytest.raises(ValueError, match=f"^spread must be a finite number >= 0, got {spread!r}$"):
             generate_blobs(5, 2, 2, spread, 0)
 
 
@@ -373,16 +381,75 @@ class TestStratifiedTrainTestSplit:
         train, test = stratified_train_test_split(data, 0.4, 3)
         assert sorted(row_multiset(train) + row_multiset(test)) == row_multiset(data)
 
-    def test_fraction_bounds(self):
-        data = generate_blobs(10, 2, 2, 1.0, 8)
-        for bad in (0.0, 1.0, -0.2, 1.5):
-            with pytest.raises(ValueError):
-                stratified_train_test_split(data, bad, 0)
-
     def test_class_below_two_rejected(self):
         data = Dataset(np.zeros((3, 2)), [0, 0, 1], ("a", "b"))
         with pytest.raises(ValueError):
             stratified_train_test_split(data, 0.5, 0)
+
+    @pytest.mark.parametrize(
+        "fraction, seed, message",
+        [
+            (0.0, 0, "train_fraction must be a finite number > 0 and < 1, got 0.0"),
+            (1.0, 0, "train_fraction must be a finite number > 0 and < 1, got 1.0"),
+            (-0.2, 0, "train_fraction must be a finite number > 0 and < 1, got -0.2"),
+            (1.5, 0, "train_fraction must be a finite number > 0 and < 1, got 1.5"),
+            (float("nan"), 0, "train_fraction must be a finite number > 0 and < 1, got nan"),
+            ("0.5", 0, "train_fraction must be a finite number > 0 and < 1, got '0.5'"),
+            (0.5, -1, "seed must be an integer >= 0, got -1"),
+            (0.5, 1.5, "seed must be an integer >= 0, got 1.5"),
+            (0.5, True, "seed must be an integer >= 0, got True"),
+        ],
+    )
+    def test_bad_fraction_or_seed_is_named(self, fraction, seed, message):
+        # A bad seed was once refused only inside numpy, naming no parameter,
+        # and True ran as seed 1.
+        data = generate_blobs(10, 2, 2, 1.0, 8)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            stratified_train_test_split(data, fraction, seed)
+
+
+@st.composite
+def labelled_rows(draw):
+    """A dataset of 0 to 4 classes, each of 0 to 7 rows, with its labels in
+    any order and every feature row distinct."""
+    counts = draw(st.lists(st.integers(0, 7), max_size=4))
+    labels = draw(st.permutations(np.repeat(np.arange(len(counts)), counts).tolist()))
+    dim = draw(st.integers(1, 2))
+    features = np.arange(len(labels) * dim, dtype=np.float64).reshape(len(labels), dim)
+    names = tuple(f"c{i}" for i in range(len(counts)))
+    return Dataset(features, np.array(labels, dtype=np.int64), names)
+
+
+def parts_or_error(split, *args):
+    """The bytes of each part's rows in order, or the error's type and message."""
+    try:
+        parts = split(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return [(p.features.shape, p.features.tobytes(), p.labels.tobytes()) for p in parts]
+
+
+class TestSplitsMatchOracles:
+    """Both splits deal through one routine; the per-function loops they
+    replaced must give the same rows in the same order, or the same error."""
+
+    @settings(max_examples=300)
+    @given(data=labelled_rows(), num_clients=st.integers(1, 4), seed=st.integers(0, 2**32))
+    @example(data=Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), ()), num_clients=2, seed=0)
+    def test_partition(self, data, num_clients, seed):
+        expected = parts_or_error(oracles.stratified_partition, data, num_clients, seed)
+        assert parts_or_error(stratified_partition, data, num_clients, seed) == expected
+
+    @settings(max_examples=300)
+    @given(
+        data=labelled_rows(),
+        fraction=st.floats(0, 1, exclude_min=True, exclude_max=True),
+        seed=st.integers(0, 2**32),
+    )
+    @example(data=Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), ()), fraction=0.5, seed=0)
+    def test_train_test_split(self, data, fraction, seed):
+        expected = parts_or_error(oracles.stratified_train_test_split, data, fraction, seed)
+        assert parts_or_error(stratified_train_test_split, data, fraction, seed) == expected
 
 
 class TestMakeClientShards:

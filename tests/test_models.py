@@ -91,6 +91,15 @@ class TestTrainConfig:
             TrainConfig(local_epochs=0)
 
 
+def seed_message(seed):
+    return f"^{re.escape(f'seed must be an integer >= 0, got {seed!r}')}$"
+
+
+# Each was once refused only inside numpy, naming no parameter, or, for
+# True, run as seed 1.
+BAD_SEEDS = [-1, 1.5, True, "1"]
+
+
 class TestInitParams:
     def test_deterministic(self):
         spec = ModelSpec(input_dim=7, hidden_dims=(4,), num_classes=3)
@@ -111,6 +120,15 @@ class TestInitParams:
             assert np.array_equal(bias, np.zeros(fan_out))
             offset += (fan_in + 1) * fan_out
         assert offset == values.size
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_bad_seed_is_named(self, seed):
+        with pytest.raises(ValueError, match=seed_message(seed)):
+            init_params(ModelSpec(input_dim=2), seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        spec = ModelSpec(input_dim=2)
+        assert np.array_equal(init_params(spec, np.uint8(4)).values, init_params(spec, 4).values)
 
 
 class TestLossAndGradient:
@@ -286,6 +304,12 @@ class TestSgdTrain:
         empty = Dataset(np.zeros((0, 4)), np.zeros(0, dtype=np.int64), ("a", "b", "c"))
         with pytest.raises(ValueError):
             sgd_train(init_params(spec, 0), spec, empty, TrainConfig(), 0)
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_bad_seed_is_named(self, seed):
+        spec = ModelSpec(input_dim=4, num_classes=3)
+        with pytest.raises(ValueError, match=seed_message(seed)):
+            sgd_train(init_params(spec, 0), spec, self._blobs(), TrainConfig(), seed)
 
     def test_diverging_run_raises_numeric_error(self):
         # The weights overflow at step 2 of 24 and stay non-finite for the

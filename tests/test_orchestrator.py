@@ -313,6 +313,36 @@ class TestCompareStrategies:
         with pytest.raises(NumericError, match="^fedavgopt: aggregation failed in round 1: "):
             compare_strategies(base, (FedAvgOpt(),), (0,), lambda seed: blob_shards(2, seed, 8))
 
+    @pytest.mark.parametrize(
+        "batch_size, where",
+        [
+            # Round 1 is trained once per seed for every rule, so its failure
+            # names no strategy.  A batch of 4 is each client's whole train
+            # split, and its one step from the initial model stays finite.
+            (2, "seed 1, round 1, client_1"),
+            (4, "fedavg, seed 1, round 2, client_0"),
+        ],
+    )
+    def test_diverged_training_names_its_client(self, batch_size, where):
+        spec = ModelSpec(input_dim=3, hidden_dims=(5,), num_classes=2)
+        train = TrainConfig(learning_rate=1e300, batch_size=batch_size)
+        base = FederationConfig(model=spec, train=train, rounds=2)
+        message = f"{where}: training failed: parameter vector contains non-finite entries"
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericError, match=f"^{message}$"):
+                compare_strategies(
+                    base, (FedAvg(), FedAvgM()), (1,), lambda seed: blob_shards(2, seed, 8)
+                )
+
+    def test_run_federation_names_the_strategy_of_a_diverged_round_one(self):
+        spec = ModelSpec(input_dim=3, hidden_dims=(5,), num_classes=2)
+        train = TrainConfig(learning_rate=1e300, batch_size=2)
+        config = FederationConfig(model=spec, train=train, rule=FedAvgM(), rounds=2, seed=1)
+        message = "fedavgm, seed 1, round 1, client_1: training failed: "
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericError, match=f"^{message}"):
+                run_federation(config, blob_shards(2, 1, 8))
+
     def test_repeated_strategy_rejected(self):
         # Runs are reported by strategy name, so two fedavgm settings would
         # merge into one curve and one mean.

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from fedsim import (
     aggregate_fedavgopt,
     objective_f,
 )
-from fedsim.exceptions import NumericError, ShapeMismatchError
+from fedsim.exceptions import ConfigError, NumericError, ShapeMismatchError
 from fedsim.nelder_mead import MinimizeResult, minimize
 from fedsim.strategies import (
     DENOMINATOR_FLOOR,
@@ -97,9 +98,17 @@ class TestHyperparams:
         assert rule.server_optimizer == "yogi"
         assert_matches_oracle(rule, oracles.aggregate_fedopt, 0, 3, 5, 1.0, rounds=2)
 
-    def test_client_update_needs_examples(self):
-        with pytest.raises(ValueError):
-            ClientUpdate("c", 0, make_vec([1.0]))
+    @pytest.mark.parametrize("count", [0, 1.5, True, "3"])
+    def test_client_update_needs_examples(self, count):
+        # The count weights the client in every aggregate; 1.5 and True
+        # were once accepted.
+        message = re.escape(f"num_examples must be an integer >= 1, got {count!r}")
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            ClientUpdate("c", count, make_vec([1.0]))
+
+    def test_client_update_stores_a_plain_int_count(self):
+        update = ClientUpdate("c", np.int64(3), make_vec([1.0]))
+        assert type(update.num_examples) is int and update.num_examples == 3
 
 
 # A valid value for every field that is no rule's default.
