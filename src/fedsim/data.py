@@ -20,7 +20,11 @@ from .exceptions import CsvParseError, checked
 
 @dataclass(frozen=True)
 class Dataset:
-    """Labeled feature matrix with the label-name mapping, held as read-only copies."""
+    """Labeled feature matrix with the label-name mapping, held read-only.
+
+    The constructor copies and checks the caller's arrays.  :meth:`subset` and
+    :func:`load_csv` hand over arrays they allocated and checked themselves.
+    """
 
     features: np.ndarray
     labels: np.ndarray
@@ -65,7 +69,23 @@ class Dataset:
         return np.bincount(self.labels, minlength=self.num_classes)
 
     def subset(self, indices: np.ndarray) -> "Dataset":
-        return Dataset(self.features[indices], self.labels[indices], self.class_names)
+        features, labels = self.features[indices], self.labels[indices]
+        if features.ndim == 2 and features.flags.owndata and labels.flags.owndata:
+            # Fancy indexing made fresh copies of rows this dataset checked.
+            return _adopt(features, labels, self.class_names)
+        return Dataset(features, labels, self.class_names)
+
+
+def _adopt(features: np.ndarray, labels: np.ndarray, class_names: tuple[str, ...]) -> Dataset:
+    """A :class:`Dataset` holding ``features`` and ``labels`` themselves, frozen in
+    place with no copy and no check: only for fresh float64 and int64 arrays whose
+    rows have already passed every check of the constructor."""
+    features.setflags(write=False)
+    labels.setflags(write=False)
+    dataset = object.__new__(Dataset)
+    for name, value in (("features", features), ("labels", labels), ("class_names", class_names)):
+        object.__setattr__(dataset, name, value)
+    return dataset
 
 
 @dataclass(frozen=True)
@@ -148,8 +168,10 @@ def load_csv(path: str, label_column: str) -> Dataset:
 
     if not labels:
         raise CsvParseError(f"{path}: no data rows")
+    # Every cell was checked finite and every label is a class index, so the
+    # parse buffers become the dataset's arrays as they are.
     features = np.frombuffer(values, dtype=np.float64).reshape(len(labels), len(names))
-    return Dataset(features, np.frombuffer(labels, dtype=np.int64), tuple(class_index))
+    return _adopt(features, np.frombuffer(labels, dtype=np.int64), tuple(class_index))
 
 
 def _parse_cells(path: str, row_num: int, names: list[str], cells: list[str]) -> list[float]:
@@ -222,6 +244,8 @@ def make_client_shards(
     parts = stratified_partition(dataset, num_clients, seed)
     shards = []
     for i, part in enumerate(parts):
+        # The loop holds the last reference, so each part is freed once split.
+        parts[i] = None
         # Distinct derived seed per client split; offset by one to avoid
         # reusing the partition seed itself.
         train, test = stratified_train_test_split(part, train_fraction, seed + i + 1)

@@ -190,7 +190,9 @@ def sgd_train(
     Pure function of its arguments: the same (params, dataset, config, seed)
     always returns the same vector.  Training steps one working copy of the
     weights in place; finiteness is checked once, on the result, because an
-    entry that goes non-finite under ``values -= lr * grad`` stays so.
+    entry that goes non-finite under ``values -= lr * grad`` stays so.  numpy's
+    overflow and invalid-value warnings are silenced meanwhile, so a diverging
+    run reports only that ``NumericError``.
     """
     n = len(dataset)
     if n == 0:
@@ -199,20 +201,21 @@ def sgd_train(
     values = params.values.copy()
     lr, size = config.learning_rate, config.batch_size
     full = n - n % size
-    for _ in range(config.local_epochs):
-        perm = rng.permutation(n)
-        # Sorted batch indices keep the full-batch case bit-identical to a
-        # single loss_and_gradient step.  One gather covers every full batch;
-        # the ragged tail, if any, is its own.
-        batches = np.sort(perm[:full].reshape(-1, size), axis=1)
-        steps = list(zip(dataset.features[batches], dataset.labels[batches]))
-        if full < n:
-            tail = np.sort(perm[full:])
-            steps.append((dataset.features[tail], dataset.labels[tail]))
-        for x, y in steps:
-            grad = loss_and_gradient(values, spec, x, y)[1]
-            grad *= lr  # the bits of values - lr * grad, with no temporary
-            values -= grad
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(config.local_epochs):
+            perm = rng.permutation(n)
+            # Sorted batch indices keep the full-batch case bit-identical to a
+            # single loss_and_gradient step.  One gather covers every full
+            # batch; the ragged tail, if any, is its own.
+            batches = np.sort(perm[:full].reshape(-1, size), axis=1)
+            steps = list(zip(dataset.features[batches], dataset.labels[batches]))
+            if full < n:
+                tail = np.sort(perm[full:])
+                steps.append((dataset.features[tail], dataset.labels[tail]))
+            for x, y in steps:
+                grad = loss_and_gradient(values, spec, x, y)[1]
+                grad *= lr  # the bits of values - lr * grad, with no temporary
+                values -= grad
     return ParamVector(values)
 
 

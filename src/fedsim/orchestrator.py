@@ -267,6 +267,7 @@ def compare_strategies(
             runs.append(
                 StrategyRun(strategy=config.strategy, seed=seed, reports=tuple(reports))
             )
-        # Release this seed's round-1 models before the next seed trains its own.
-        del first_round
+        # Release this seed's shards and round-1 models before the next seed
+        # builds its own.
+        del shards, first_round
     return ComparisonResult(runs=tuple(runs))

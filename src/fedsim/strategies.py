@@ -275,8 +275,15 @@ class FedMedian(Config):
         self, updates: Sequence[ClientUpdate], previous_global: ParamVector, state: None
     ) -> tuple[ParamVector, None]:
         params, _ = _params_and_counts(updates)
-        # Even counts take the midpoint of the two middle order statistics.
-        median = np.median(np.stack([_values_under(previous_global, p) for p in params]), axis=0)
+        stacked = np.stack([_values_under(previous_global, p) for p in params])
+        # np.median's own steps, so its bits, signed zeros included: one
+        # partition (with the trailing -1 its NaN check adds), then the mean of
+        # the middle row, or of the two middle rows for an even count.  Its NaN
+        # check itself imports numpy.ma; ParamVector keeps every entry finite.
+        mid = len(stacked) // 2
+        middle = [mid] if len(stacked) % 2 else [mid - 1, mid]
+        stacked.partition(middle + [-1], axis=0)
+        median = stacked[middle[0] : mid + 1].mean(axis=0)
         if self.server_lr == 1.0:
             return ParamVector(median), None
         previous = previous_global.values

@@ -30,10 +30,14 @@ row and converts them all at the end; :func:`fedsim.data.load_csv`, which
 streams rows into one float64 buffer and scans cells one by one only in a
 row that fails, must return the same bits or raise the same message.
 
+``subset`` takes rows through the public ``Dataset`` constructor, which
+copies and re-checks them; :meth:`fedsim.Dataset.subset`, which freezes a
+fresh fancy index in place, must hold the same bits, read-only.
+
 ``stratified_partition`` and ``stratified_train_test_split`` each run their
-own per-class loop; :mod:`fedsim.data`, which deals both through one
-routine, must return the same rows in the same order or raise the same
-error.
+own per-class loop and take rows through ``subset``; :mod:`fedsim.data`,
+which deals both through one routine, must return the same rows in the same
+order or raise the same error.
 """
 
 from __future__ import annotations
@@ -515,6 +519,10 @@ def load_csv(path: str, label_column: str) -> Dataset:
     return Dataset(np.asarray(rows, dtype=np.float64), np.asarray(labels), tuple(class_names))
 
 
+def subset(dataset: Dataset, indices) -> Dataset:
+    return Dataset(dataset.features[indices], dataset.labels[indices], dataset.class_names)
+
+
 def stratified_partition(dataset: Dataset, num_clients: int, seed: int) -> list[Dataset]:
     """Disjoint cover of the dataset with i.i.d. class proportions: per class,
     shard counts differ by at most one."""
@@ -534,7 +542,7 @@ def stratified_partition(dataset: Dataset, num_clients: int, seed: int) -> list[
     shards = []
     for chunks in per_client_indices:
         indices = rng.permutation(np.concatenate(chunks))
-        shards.append(dataset.subset(indices))
+        shards.append(subset(dataset, indices))
     return shards
 
 
@@ -566,4 +574,4 @@ def stratified_train_test_split(
         test_parts.append(shuffled[n_train:])
     train_idx = rng.permutation(np.concatenate(train_parts))
     test_idx = rng.permutation(np.concatenate(test_parts))
-    return dataset.subset(train_idx), dataset.subset(test_idx)
+    return subset(dataset, train_idx), subset(dataset, test_idx)

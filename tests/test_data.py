@@ -91,6 +91,39 @@ class TestDataset:
         assert np.array_equal(sub.labels, [0, 0])
         assert sub.class_names == ("a", "b")
 
+    @pytest.mark.parametrize(
+        "indices",
+        [
+            np.array([3, 0, 3]),
+            np.array([True, False, True, True]),
+            [2, 1],
+            slice(1, 3),  # a view of the source, so subset must copy it
+            np.array([], dtype=np.int64),
+        ],
+        ids=["int-array", "bool-mask", "list", "slice", "empty"],
+    )
+    def test_subset_matches_oracle(self, indices):
+        data = Dataset(np.arange(8.0).reshape(4, 2), [0, 1, 0, 1], ("a", "b"))
+        got, expected = data.subset(indices), oracles.subset(data, indices)
+        for name in ("features", "labels"):
+            array, reference = getattr(got, name), getattr(expected, name)
+            assert (array.shape, array.dtype) == (reference.shape, reference.dtype)
+            assert array.tobytes() == reference.tobytes()
+            assert not array.flags.writeable and not reference.flags.writeable
+            assert not np.shares_memory(array, getattr(data, name))
+        assert got.class_names == expected.class_names
+
+    @pytest.mark.parametrize("indices", [2, np.array([[0, 1]])], ids=["scalar", "2-d"])
+    def test_subset_that_is_not_a_matrix_rejected(self, indices):
+        data = Dataset(np.arange(8.0).reshape(4, 2), [0, 1, 0, 1], ("a", "b"))
+        with pytest.raises(ValueError, match="^features must be a 2-D matrix$"):
+            data.subset(indices)
+
+    def test_subset_out_of_range_rejected(self):
+        data = Dataset(np.arange(8.0).reshape(4, 2), [0, 1, 0, 1], ("a", "b"))
+        with pytest.raises(IndexError):
+            data.subset(np.array([0, 4]))
+
 
 class TestGenerateBlobs:
     def test_shape_and_balance(self):
@@ -306,7 +339,16 @@ class TestLoadCsv:
         finally:
             tracemalloc.stop()
         assert data.features.tobytes() == features.tobytes()
-        assert peak < 3 * features.nbytes
+        # The parse buffers become the dataset's arrays, with no second copy.
+        assert peak < 1.5 * features.nbytes
+
+    def test_arrays_are_read_only(self, tmp_path):
+        data = load_csv(self.write(tmp_path, "x1,label\n1.5,a\n2.5,b\n"), "label")
+        assert not data.features.flags.writeable and not data.labels.flags.writeable
+        with pytest.raises(ValueError):
+            data.features[0, 0] = 9.0
+        with pytest.raises(ValueError):
+            data.labels[0] = 1
 
 
 class TestStratifiedPartition:
@@ -478,6 +520,20 @@ class TestMakeClientShards:
         for sa, sb in zip(a, b):
             assert np.array_equal(sa.train.features, sb.train.features)
             assert np.array_equal(sa.test.features, sb.test.features)
+
+    def test_peak_memory_stays_near_the_matrix(self):
+        # The parts together are one copy of the matrix, and so are the
+        # shards; each part is freed once it is split, so the two copies
+        # never coexist in full.
+        data = generate_blobs(1000, 4, 20, 1.0, 0)
+        tracemalloc.start()
+        try:
+            shards = make_client_shards(data, 4, 0.5, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(len(s.train) + len(s.test) for s in shards) == len(data)
+        assert peak < 1.6 * data.features.nbytes
 
     def test_clients_get_distinct_split_shuffles(self):
         # All shards share the partition seed but split with derived seeds,

@@ -311,16 +311,18 @@ class TestSgdTrain:
         with pytest.raises(ValueError, match=seed_message(seed)):
             sgd_train(init_params(spec, 0), spec, self._blobs(), TrainConfig(), seed)
 
-    def test_diverging_run_raises_numeric_error(self):
-        # The weights overflow at step 2 of 24 and stay non-finite for the
-        # rest of training, so the run fails with the same error whether
-        # finiteness is checked after every step or once on the result.
+    @pytest.mark.parametrize("activation, learning_rate", [("relu", 1e300), ("tanh", 1e308)])
+    def test_diverging_run_raises_numeric_error(self, activation, learning_rate):
+        # The weights overflow early and stay non-finite for the rest of
+        # training, so the run fails with the same error whether finiteness is
+        # checked after every step or once on the result.  No errstate here:
+        # under the suite's warnings-as-errors, numpy's overflow warning would
+        # surface instead if training let it out.
         data = self._blobs(6)
-        spec = ModelSpec(input_dim=4, hidden_dims=(5,), num_classes=3)
-        config = TrainConfig(learning_rate=1e300, batch_size=8, local_epochs=3)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericError, match="^parameter vector contains non-finite entries$"):
-                sgd_train(init_params(spec, 6), spec, data, config, 0)
+        spec = ModelSpec(input_dim=4, hidden_dims=(5,), activation=activation, num_classes=3)
+        config = TrainConfig(learning_rate=learning_rate, batch_size=8, local_epochs=3)
+        with pytest.raises(NumericError, match="^parameter vector contains non-finite entries$"):
+            sgd_train(init_params(spec, 6), spec, data, config, 0)
 
 
 class TestEvaluate:

@@ -1,6 +1,7 @@
 import dataclasses
 import filecmp
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -304,6 +305,21 @@ class TestCompareStrategies:
         )
         for report in result.runs[0].reports:
             assert report.global_accuracy == expected
+
+    def test_each_seeds_shards_are_freed_before_the_next_seeds_are_built(self):
+        datasets: list[weakref.ref] = []
+        alive_at_build: list[int] = []
+
+        def shards(seed):
+            alive_at_build.append(sum(ref() is not None for ref in datasets))
+            built = blob_shards(2, seed)
+            datasets.extend(weakref.ref(d) for shard in built for d in (shard.train, shard.test))
+            return built
+
+        base = FederationConfig(model=SPEC, train=TRAIN, rounds=2, seed=0)
+        compare_strategies(base, (FedAvg(), FedMedian()), (0, 1, 2), shards)
+        assert alive_at_build == [0, 0, 0]
+        assert len(datasets) == 12
 
     def test_diverged_fedavgopt_raises_its_numeric_error(self):
         # The all-ones objective overflows.  Under the suite's warnings-as-errors

@@ -1,6 +1,11 @@
 import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -233,6 +238,14 @@ class TestFedAvgM:
             assert np.array_equal(out.values, prev.values)
 
 
+@st.composite
+def median_rows(draw):
+    """K = 1 to 9 client rows whose entries often tie and include both signed zeros."""
+    k, size = draw(st.integers(1, 9)), draw(st.integers(1, 12))
+    entries = st.one_of(st.sampled_from([-0.0, 0.0, 1.0, -2.5]), st.floats(-1e3, 1e3))
+    return np.array(draw(st.lists(entries, min_size=k * size, max_size=k * size))).reshape(k, size)
+
+
 def fedmedian(updates, previous, server_lr):
     """FedMedian's next global model; the rule carries no state."""
     new_global, _ = FedMedian(server_lr).step(updates, previous, None)
@@ -290,6 +303,46 @@ class TestFedMedian:
         out = fedmedian(make_updates(corrupted), make_vec(np.zeros(15)), 1.0)
         assert np.all(out.values >= clean.min(axis=0))
         assert np.all(out.values <= clean.max(axis=0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=median_rows())
+    @example(rows=np.array([[-0.0]]))
+    @example(rows=np.array([[-0.0, 0.0], [-0.0, -0.0]]))
+    @example(rows=np.array([[0.0], [-0.0], [-0.0]]))
+    def test_same_bits_as_np_median(self, rows):
+        # np.median returns 0.0, not -0.0, where both middle entries are -0.0
+        # and where an odd count's middle entry is -0.0.
+        updates = make_updates(rows)
+        out = fedmedian(updates, make_vec(np.ones(rows.shape[1])), 1.0)
+        expected = oracles.coordinate_median([u.params for u in updates])
+        assert out.values.tobytes() == expected.values.tobytes()
+
+    def test_leaves_numpy_ma_unimported(self):
+        # np.median's NaN check imports numpy.ma, about 1.25 MB of resident
+        # memory in every process that runs fedmedian.
+        script = textwrap.dedent(
+            """
+            import sys
+            import numpy as np
+            print("numpy.ma" in sys.modules)
+            from fedsim import ClientUpdate, FedMedian, ParamVector
+            for k in (3, 4):
+                vectors = [ParamVector(np.arange(3.0) * i) for i in range(k)]
+                updates = [ClientUpdate(f"c{i}", 1, v) for i, v in enumerate(vectors)]
+                for rule in (FedMedian(), FedMedian(server_lr=0.5)):
+                    rule.step(updates, ParamVector(np.zeros(3)), None)
+            print("numpy.ma" in sys.modules)
+            """
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        after_numpy, after_steps = proc.stdout.split()
+        if after_numpy == "True":
+            pytest.skip("this numpy loads numpy.ma on import, as numpy 1.x does")
+        assert after_steps == "False"
 
 
 class TestFedOpt:
