@@ -1,16 +1,13 @@
 """Experiment runner CLI.
 
-Subcommands:
-
-* ``fedsim run <config.yaml>``     -- one strategy, as configured.
-* ``fedsim compare <config.yaml>`` -- every configured strategy on identical
-                                      shards and identical initial weights.
-
-Both write ``history.csv`` (full-precision per-round, per-client rows),
-``summary.txt`` (mean aggregated accuracy per strategy and seed, 6 significant
-digits), and ``curves/*.dat`` (plot-ready round/accuracy columns) into the
-output directory.  Outputs are byte-identical across reruns of the same
-config.  Set ``FEDSIM_LOG_LEVEL=INFO`` (or ``DEBUG``) for progress logging.
+``fedsim compare <config.yaml>``, the one subcommand, runs every configured
+strategy on identical shards and identical initial weights.  It writes
+``history.csv`` (full-precision per-round, per-client rows), ``summary.txt``
+(mean aggregated accuracy per strategy and seed, 6 significant digits), and
+``curves/*.dat`` (plot-ready round/accuracy columns) into the output
+directory.  Outputs are byte-identical across reruns of the same config.
+Warnings go to stderr; set ``FEDSIM_LOG_LEVEL=INFO`` (or ``DEBUG``) for
+progress logging.
 """
 
 from __future__ import annotations
@@ -282,14 +279,6 @@ def write_summary(result: ComparisonResult, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _write_curve(path: Path, accuracies: Sequence[float]) -> Path:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write("# round aggregated_accuracy\n")
-        for round_idx, acc in enumerate(accuracies, start=1):
-            handle.write(f"{round_idx} {acc!r}\n")
-    return path
-
-
 def emit_plot_data(result: ComparisonResult, directory: Path) -> list[Path]:
     """Two-column (round, accuracy) files: one per strategy for single-seed
     runs; per-seed files plus a mean curve when several seeds ran.
@@ -304,27 +293,23 @@ def emit_plot_data(result: ComparisonResult, directory: Path) -> list[Path]:
     for stale in directory.iterdir():
         if _CURVE_NAME.fullmatch(stale.name) and stale.is_file():
             stale.unlink()
-    written: list[Path] = []
-    multi_seed = len(result.seeds) > 1
+    curves: list[tuple[str, Sequence[float]]] = []
     for strategy in result.strategies:
         runs = result.runs_for(strategy)
-        if not multi_seed:
-            written.append(
-                _write_curve(directory / f"{strategy}.dat", runs[0].round_accuracies)
-            )
+        if len(result.seeds) == 1:
+            curves.append((strategy, runs[0].round_accuracies))
             continue
-        for run in runs:
-            written.append(
-                _write_curve(
-                    directory / f"{strategy}_seed{run.seed}.dat", run.round_accuracies
-                )
-            )
-        num_rounds = len(runs[0].reports)
-        mean_curve = [
-            sum(r.round_accuracies[k] for r in runs) / len(runs)
-            for k in range(num_rounds)
-        ]
-        written.append(_write_curve(directory / f"{strategy}_mean.dat", mean_curve))
+        curves.extend((f"{strategy}_seed{run.seed}", run.round_accuracies) for run in runs)
+        per_round = zip(*(run.round_accuracies for run in runs))
+        curves.append((f"{strategy}_mean", [sum(accs) / len(runs) for accs in per_round]))
+    written: list[Path] = []
+    for stem, accuracies in curves:
+        path = directory / f"{stem}.dat"
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            handle.write("# round aggregated_accuracy\n")
+            for round_idx, acc in enumerate(accuracies, start=1):
+                handle.write(f"{round_idx} {acc!r}\n")
+        written.append(path)
     return written
 
 
@@ -362,24 +347,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         description="Federated-learning aggregation experiments on synthetic or CSV data.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("run", "execute the single configured strategy"),
-        ("compare", "run every configured strategy on identical shards"),
-    ):
-        sub = subparsers.add_parser(name, help=help_text)
-        sub.add_argument("config", help="path to the YAML experiment config")
-        sub.add_argument("--output-dir", help="override the configured output directory")
-        sub.add_argument("--seed", type=int, help="run only this seed")
-        sub.add_argument("--rounds", type=int, help="override the number of rounds")
+    sub = subparsers.add_parser(
+        "compare", help="run every configured strategy on identical shards"
+    )
+    sub.add_argument("config", help="path to the YAML experiment config")
+    sub.add_argument("--output-dir", help="override the configured output directory")
+    sub.add_argument("--seed", type=int, help="run only this seed")
+    sub.add_argument("--rounds", type=int, help="override the number of rounds")
     args = parser.parse_args(argv)
     _init_logging()
     try:
-        config = _apply_overrides(parse_config(args.config), args)
-        if args.command == "run" and len(config.rules) != 1:
-            raise ConfigError(
-                "'run' expects exactly one strategy; use 'compare' for several"
-            )
-        return run_experiment(config)
+        return run_experiment(_apply_overrides(parse_config(args.config), args))
     except (FedsimError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

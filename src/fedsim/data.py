@@ -112,15 +112,13 @@ def generate_blobs(
     spread = checked("spread", spread, float, {"ge": 0})
     rng = np.random.default_rng(checked("seed", seed, int, {"ge": 0}))
     centers = rng.normal(0.0, 1.0, size=(num_classes, dim))
-    features = np.concatenate(
-        [
-            centers[c] + rng.normal(0.0, 1.0, size=(samples_per_class, dim)) * spread
-            for c in range(num_classes)
-        ]
-    )
+    # One draw reads the stream the per-class draws did, class after class.
+    features = rng.normal(0.0, 1.0, size=(num_classes, samples_per_class, dim))
+    features *= spread
+    features += centers[:, None, :]
     labels = np.repeat(np.arange(num_classes), samples_per_class)
     names = tuple(f"class_{c}" for c in range(num_classes))
-    return Dataset(features, labels, names)
+    return Dataset(features.reshape(-1, dim), labels, names)
 
 
 def load_csv(path: str, label_column: str) -> Dataset:

@@ -220,7 +220,11 @@ def sgd_train(
 
 
 def evaluate(params: ParamVector, spec: ModelSpec, dataset: "Dataset") -> dict[str, float]:
-    """Accuracy (argmax, ties to the lowest class index) and mean cross-entropy."""
+    """Accuracy (argmax, ties to the lowest class index) and mean cross-entropy.
+
+    A finite model whose logits overflow scores a non-finite loss; numpy's
+    overflow and invalid-value warnings are silenced meanwhile.
+    """
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     # A Dataset's labels index its class names, so this bounds every label.
@@ -228,9 +232,11 @@ def evaluate(params: ParamVector, spec: ModelSpec, dataset: "Dataset") -> dict[s
         raise ValueError(f"dataset has {dataset.num_classes} classes, model has {spec.num_classes}")
     x = _check_features(spec, dataset.features)
     y = dataset.labels
-    _, logits = _forward(_layers(params.values, spec), spec, x)
     n = x.shape[0]
-    # A Python float: its repr goes into history.csv.
-    accuracy = int(np.count_nonzero(np.argmax(logits, axis=1) == y)) / n
-    log_norm = _shifted_exp(logits)[2]
-    return {"accuracy": accuracy, "loss": _cross_entropy(logits, np.arange(n), y, log_norm)}
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, logits = _forward(_layers(params.values, spec), spec, x)
+        # A Python float: its repr goes into history.csv.
+        accuracy = int(np.count_nonzero(np.argmax(logits, axis=1) == y)) / n
+        log_norm = _shifted_exp(logits)[2]
+        loss = _cross_entropy(logits, np.arange(n), y, log_norm)
+    return {"accuracy": accuracy, "loss": loss}

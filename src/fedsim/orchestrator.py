@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -83,7 +84,8 @@ def _train_round(
 ) -> tuple[list[ClientUpdate], list[ClientRoundMetrics]]:
     """Train every client from ``global_params`` and score each local model on
     its own test split; client ``i`` trains with seed ``config.seed + i``.  A
-    client whose training goes non-finite is named after ``where``."""
+    client whose training goes non-finite is named after ``where``, and so is
+    one whose local test loss is non-finite, in a logged warning."""
     updates: list[ClientUpdate] = []
     per_client: list[ClientRoundMetrics] = []
     for i, shard in enumerate(shards):
@@ -94,6 +96,8 @@ def _train_round(
         except NumericError as exc:
             raise NumericError(f"{where}, {shard.client_id}: training failed: {exc}") from exc
         metrics = evaluate(local, config.model, shard.test)
+        if not math.isfinite(metrics["loss"]):
+            logger.warning("%s, %s: local test loss is %r", where, shard.client_id, metrics["loss"])
         per_client.append(
             ClientRoundMetrics(
                 client_id=shard.client_id,
@@ -128,16 +132,19 @@ def run_federation(
     :func:`_train_round` computes them from that starting model; round 1 is
     then not trained again.  They depend only on the model, training config,
     seed and shards, never on the strategy.
+
+    A round whose coefficient search stops at its iteration cap unconverged
+    is logged as a warning that names the strategy, seed and round.
     """
     _check_shards(shards)
     global_params = init_params(config.model, config.seed)
     aggregator = Aggregator(config.rule)
     reports: list[RoundReport] = []
     for round_idx in range(1, config.rounds + 1):
+        where = f"{config.strategy}, seed {config.seed}, round {round_idx}"
         if round_idx == 1 and first_round is not None:
             updates, per_client = first_round
         else:
-            where = f"{config.strategy}, seed {config.seed}, round {round_idx}"
             updates, per_client = _train_round(config, shards, global_params, where)
         aggregated_accuracy = weighted_accuracy(
             [(m.num_test_examples, m.accuracy) for m in per_client]
@@ -148,6 +155,13 @@ def run_federation(
             raise NumericError(
                 f"{config.strategy}: aggregation failed in round {round_idx}: {exc}"
             ) from exc
+        alpha = aggregator.last_alpha
+        if alpha is not None and not alpha.converged:
+            logger.warning(
+                "%s: coefficient search stopped unconverged at its cap of %d iterations",
+                where,
+                alpha.iterations,
+            )
         global_accuracy = weighted_accuracy(
             [
                 (len(s.test), evaluate(global_params, config.model, s.test)["accuracy"])
@@ -160,7 +174,7 @@ def run_federation(
                 per_client=tuple(per_client),
                 aggregated_accuracy=aggregated_accuracy,
                 global_accuracy=global_accuracy,
-                alpha=aggregator.last_alpha,
+                alpha=alpha,
             )
         )
         logger.debug(
@@ -198,19 +212,11 @@ class ComparisonResult:
 
     @property
     def strategies(self) -> list[str]:
-        seen: list[str] = []
-        for run in self.runs:
-            if run.strategy not in seen:
-                seen.append(run.strategy)
-        return seen
+        return list(dict.fromkeys(run.strategy for run in self.runs))
 
     @property
     def seeds(self) -> list[int]:
-        seen: list[int] = []
-        for run in self.runs:
-            if run.seed not in seen:
-                seen.append(run.seed)
-        return seen
+        return list(dict.fromkeys(run.seed for run in self.runs))
 
     def runs_for(self, strategy: str) -> list[StrategyRun]:
         return [run for run in self.runs if run.strategy == strategy]

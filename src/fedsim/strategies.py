@@ -6,7 +6,9 @@ rule's own defaults.  Its ``step`` method maps this round's client updates,
 the previous global model and the state carried from the last round to the
 next global model and the state to carry.  A step computes on the raw
 ``values`` arrays; only the vectors it hands back are wrapped in a
-:class:`ParamVector`, so each is checked finite once per round.
+:class:`ParamVector`, so each is checked finite once per round.  numpy's
+overflow and invalid-value warnings are silenced in a step: an overflow
+surfaces only as that check's :class:`NumericError`.
 """
 
 from __future__ import annotations
@@ -44,19 +46,15 @@ class ClientUpdate:
 
 @dataclass(frozen=True)
 class AlphaSolution:
-    """Per-round diagnostic of the coefficient solve: the coefficients, their
-    and all-ones' :func:`objective_f`, and the Nelder-Mead search's outcome."""
+    """Per-round diagnostic of the coefficient solve: the coefficients (a
+    read-only float64 vector), their and all-ones' :func:`objective_f`, and
+    the Nelder-Mead search's outcome."""
 
     alpha: np.ndarray
     objective_at_alpha: float
     objective_at_ones: float
     converged: bool
     iterations: int
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.alpha, dtype=np.float64).reshape(-1)
-        arr.setflags(write=False)
-        object.__setattr__(self, "alpha", arr)
 
 
 def _params_and_counts(updates: Sequence[ClientUpdate]) -> tuple[list[ParamVector], list[int]]:
@@ -192,6 +190,7 @@ def aggregate_fedavgopt(
     """
     params, counts = _params_and_counts(updates)
     x0 = np.ones(len(updates))
+    x0.setflags(write=False)
     # An overflow scores inf or raises NumericError; numpy need not warn of it.
     with np.errstate(over="ignore", invalid="ignore"):
         at_ones = objective_f(x0, params, counts)
@@ -255,11 +254,12 @@ class FedAvgM(Config):
         previous_global: ParamVector,
         momentum: ParamVector | None,
     ) -> tuple[ParamVector, ParamVector]:
-        previous = previous_global.values
-        delta = previous - _values_under(previous_global, aggregate_fedavg(updates))
-        carried = momentum.values if momentum is not None else 0.0
-        velocity = self.momentum_beta * carried + delta
-        return ParamVector(previous - self.server_lr * velocity), ParamVector(velocity)
+        with np.errstate(over="ignore", invalid="ignore"):
+            previous = previous_global.values
+            delta = previous - _values_under(previous_global, aggregate_fedavg(updates))
+            carried = momentum.values if momentum is not None else 0.0
+            velocity = self.momentum_beta * carried + delta
+            return ParamVector(previous - self.server_lr * velocity), ParamVector(velocity)
 
 
 @dataclass(frozen=True)
@@ -274,20 +274,22 @@ class FedMedian(Config):
     def step(
         self, updates: Sequence[ClientUpdate], previous_global: ParamVector, state: None
     ) -> tuple[ParamVector, None]:
-        params, _ = _params_and_counts(updates)
-        stacked = np.stack([_values_under(previous_global, p) for p in params])
-        # np.median's own steps, so its bits, signed zeros included: one
-        # partition (with the trailing -1 its NaN check adds), then the mean of
-        # the middle row, or of the two middle rows for an even count.  Its NaN
-        # check itself imports numpy.ma; ParamVector keeps every entry finite.
-        mid = len(stacked) // 2
-        middle = [mid] if len(stacked) % 2 else [mid - 1, mid]
-        stacked.partition(middle + [-1], axis=0)
-        median = stacked[middle[0] : mid + 1].mean(axis=0)
-        if self.server_lr == 1.0:
-            return ParamVector(median), None
-        previous = previous_global.values
-        return ParamVector(previous - self.server_lr * (previous - median)), None
+        with np.errstate(over="ignore", invalid="ignore"):
+            params, _ = _params_and_counts(updates)
+            stacked = np.stack([_values_under(previous_global, p) for p in params])
+            # np.median's own steps, so its bits, signed zeros included: one
+            # partition (with the trailing -1 its NaN check adds), then the
+            # mean of the middle row, or of the two middle rows for an even
+            # count.  Its NaN check itself imports numpy.ma; ParamVector keeps
+            # every entry finite.
+            mid = len(stacked) // 2
+            middle = [mid] if len(stacked) % 2 else [mid - 1, mid]
+            stacked.partition(middle + [-1], axis=0)
+            median = stacked[middle[0] : mid + 1].mean(axis=0)
+            if self.server_lr == 1.0:
+                return ParamVector(median), None
+            previous = previous_global.values
+            return ParamVector(previous - self.server_lr * (previous - median)), None
 
 
 @dataclass(frozen=True)
@@ -315,28 +317,29 @@ class FedOpt(Config):
         previous_global: ParamVector,
         moments: tuple[ParamVector, ParamVector] | None,
     ) -> tuple[ParamVector, tuple[ParamVector, ParamVector]]:
-        previous = previous_global.values
-        delta = _values_under(previous_global, aggregate_fedavg(updates)) - previous
-        if moments is None:
-            m_prev, v_prev = 0.0, np.full(len(previous_global), self.tau**2)
-        else:
-            m_prev, v_prev = moments[0].values, moments[1].values
-        m = self.beta1 * m_prev + (1.0 - self.beta1) * delta
+        with np.errstate(over="ignore", invalid="ignore"):
+            previous = previous_global.values
+            delta = _values_under(previous_global, aggregate_fedavg(updates)) - previous
+            if moments is None:
+                m_prev, v_prev = 0.0, np.full(len(previous_global), self.tau**2)
+            else:
+                m_prev, v_prev = moments[0].values, moments[1].values
+            m = self.beta1 * m_prev + (1.0 - self.beta1) * delta
 
-        d2 = delta**2
-        if self.server_optimizer == "sgd":
-            v = v_prev
-            step = self.server_lr * m
-        else:
-            if self.server_optimizer == "adagrad":
-                v = v_prev + d2
-            elif self.server_optimizer == "adam":
-                v = self.beta2 * v_prev + (1.0 - self.beta2) * d2
-            else:  # yogi
-                v = v_prev - (1.0 - self.beta2) * d2 * np.sign(v_prev - d2)
-            step = self.server_lr * m / (np.sqrt(v) + self.tau)
+            d2 = delta**2
+            if self.server_optimizer == "sgd":
+                v = v_prev
+                step = self.server_lr * m
+            else:
+                if self.server_optimizer == "adagrad":
+                    v = v_prev + d2
+                elif self.server_optimizer == "adam":
+                    v = self.beta2 * v_prev + (1.0 - self.beta2) * d2
+                else:  # yogi
+                    v = v_prev - (1.0 - self.beta2) * d2 * np.sign(v_prev - d2)
+                step = self.server_lr * m / (np.sqrt(v) + self.tau)
 
-        return ParamVector(previous + step), (ParamVector(m), ParamVector(v))
+            return ParamVector(previous + step), (ParamVector(m), ParamVector(v))
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,11 @@ fresh fancy index in place, must hold the same bits, read-only.
 own per-class loop and take rows through ``subset``; :mod:`fedsim.data`,
 which deals both through one routine, must return the same rows in the same
 order or raise the same error.
+
+``generate_blobs`` draws each class's noise in its own call and joins the
+classes with ``np.concatenate``; :func:`fedsim.generate_blobs`, which draws
+all of the noise in one call and scales and shifts it in place, must return
+the same bits.
 """
 
 from __future__ import annotations
@@ -575,3 +580,18 @@ def stratified_train_test_split(
     train_idx = rng.permutation(np.concatenate(train_parts))
     test_idx = rng.permutation(np.concatenate(test_parts))
     return subset(dataset, train_idx), subset(dataset, test_idx)
+
+
+def generate_blobs(
+    samples_per_class: int, num_classes: int, dim: int, spread: float, seed: int
+) -> Dataset:
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(0.0, 1.0, size=(num_classes, dim))
+    features = np.concatenate(
+        [
+            centers[c] + rng.normal(0.0, 1.0, size=(samples_per_class, dim)) * spread
+            for c in range(num_classes)
+        ]
+    )
+    labels = np.repeat(np.arange(num_classes), samples_per_class)
+    return Dataset(features, labels, tuple(f"class_{c}" for c in range(num_classes)))

@@ -910,27 +910,20 @@ class TestMain:
             "notes.dat",
         ]
 
-    def test_run_requires_single_strategy(self, tmp_path, capsys):
+    def test_compare_is_the_only_subcommand(self, tmp_path, capsys):
         path = write_config(tmp_path, SMALL_YAML)
-        assert main(["run", path, "--output-dir", str(tmp_path / "out")]) == 2
-        assert "error:" in capsys.readouterr().err
-
-    def test_run_single_strategy(self, tmp_path):
-        path = write_config(
-            tmp_path,
-            SMALL_YAML.replace("strategies: [fedavg, fedavgopt]", "strategy: fedavgm"),
-        )
-        assert main(["run", path, "--output-dir", str(tmp_path / "out")]) == 0
-        summary = (tmp_path / "out" / "summary.txt").read_text(encoding="utf-8")
-        assert "fedavgm" in summary
+        with pytest.raises(SystemExit) as exc:
+            main(["run", path])
+        assert exc.value.code == 2
+        assert "invalid choice: 'run'" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
-        assert main(["run", str(tmp_path / "nope.yaml")]) == 2
+        assert main(["compare", str(tmp_path / "nope.yaml")]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_config_error_is_reported(self, tmp_path, capsys):
         path = write_config(tmp_path, "dataset: {kind: blobs}\nstrategy: fedprox\n")
-        assert main(["run", path]) == 2
+        assert main(["compare", path]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "fedprox" in err
 
@@ -958,8 +951,7 @@ class TestMain:
         text = SMALL_YAML.replace("learning_rate: 0.2", "learning_rate: 1.0e+300")
         path = write_config(tmp_path, text + "model: {hidden_dims: [5]}\n")
         out = tmp_path / "out"
-        with np.errstate(all="ignore"):
-            assert main(["compare", path, "--output-dir", str(out)]) == 2
+        assert main(["compare", path, "--output-dir", str(out)]) == 2
         assert capsys.readouterr().err.strip() == (
             "error: fedavg, seed 0, round 2, client_0: training failed: "
             "parameter vector contains non-finite entries"
@@ -1032,7 +1024,7 @@ class TestMain:
             """,
         )
         out = tmp_path / "out"
-        assert main(["run", path, "--output-dir", str(out)]) == 0
+        assert main(["compare", path, "--output-dir", str(out)]) == 0
         with open(out / "history.csv", newline="", encoding="utf-8") as handle:
             rows = list(csv.DictReader(handle))
         assert len(rows) == 2 * 2

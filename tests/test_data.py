@@ -174,6 +174,24 @@ class TestGenerateBlobs:
         b = generate_blobs(5, 2, 3, 1.0, 4)
         assert np.array_equal(a.features, b.features)
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (1, 2, 1, 1.0, 0),
+            (30, 3, 5, 1.5, 9),
+            (7, 5, 3, 0.0, 4),
+            (7, 5, 3, 1e-300, 4),
+            (500, 4, 20, 1.8, 0),
+        ],
+    )
+    def test_matches_per_class_oracle(self, args):
+        # Spread 0 scales the noise to signed zeros; at 1e-300 it rounds away
+        # against the centres.
+        got, expected = generate_blobs(*args), oracles.generate_blobs(*args)
+        assert got.features.tobytes() == expected.features.tobytes()
+        assert got.labels.tobytes() == expected.labels.tobytes()
+        assert got.class_names == expected.class_names
+
     @pytest.mark.parametrize("spread", [-0.5, float("nan"), float("inf")])
     def test_bad_spread_is_named(self, spread):
         # A non-finite spread once reached the features and was reported

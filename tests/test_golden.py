@@ -1,8 +1,10 @@
 """Golden outputs: ``fedsim compare`` writes the recorded bytes.
 
-Each config runs ``fedsim compare`` in a subprocess with the BLAS threads
-pinned to one, OpenBLAS held to its Haswell kernels and numpy's AVX-512
-dispatch disabled, so that any x86-64 host with AVX2 picks the same kernels.
+Each config runs ``fedsim compare`` in a subprocess under
+``-W error::RuntimeWarning``, so that a numpy warning fails the run.  The
+BLAS threads are pinned to one, OpenBLAS is held to its Haswell kernels and
+numpy's AVX-512 dispatch is disabled, so that any x86-64 host with AVX2
+picks the same kernels.
 The SHA-256 of every output file must equal the one recorded in
 ``tests/golden/digests.json`` under the running numpy version and the BLAS
 library numpy was built with.  The test skips, saying why, on a host that is
@@ -123,7 +125,10 @@ def run_compare(name: str, work: Path) -> dict[str, str]:
     env = {**os.environ, **PINNED_ENV,
            "PYTHONPATH": str(SRC) + (os.pathsep + path if path else "")}
     proc = subprocess.run(
-        [sys.executable, "-m", "fedsim.cli", "compare", str(config), "--output-dir", str(out)],
+        [
+            sys.executable, "-W", "error::RuntimeWarning",
+            "-m", "fedsim.cli", "compare", str(config), "--output-dir", str(out),
+        ],
         env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr

@@ -22,6 +22,7 @@ from fedsim import (
     FedOpt,
     FedYogi,
     ModelSpec,
+    SimplexConfig,
     TrainConfig,
     aggregate_fedavg,
     compare_strategies,
@@ -245,9 +246,29 @@ class TestRunFederation:
             rounds=3,
             seed=0,
         )
-        with np.errstate(invalid="ignore", over="ignore"):
-            with pytest.raises(NumericError, match="fedopt.*round 1"):
-                run_federation(config, shards)
+        with pytest.raises(NumericError, match="fedopt.*round 1"):
+            run_federation(config, shards)
+
+    def test_capped_coefficient_search_is_logged(self, caplog):
+        rule = FedAvgOpt(SimplexConfig(max_iterations=1))
+        config = FederationConfig(model=SPEC, train=TRAIN, rule=rule, rounds=2, seed=3)
+        reports = run_federation(config, blob_shards(3, 3))
+        assert not any(r.alpha.converged for r in reports)
+        assert [(r.levelname, r.name, r.getMessage()) for r in caplog.records] == [
+            (
+                "WARNING",
+                "fedsim.orchestrator",
+                f"fedavgopt, seed 3, round {k}: "
+                "coefficient search stopped unconverged at its cap of 1 iterations",
+            )
+            for k in (1, 2)
+        ]
+
+    def test_converged_coefficient_search_logs_nothing(self, caplog):
+        config = FederationConfig(model=SPEC, train=TRAIN, rule=FedAvgOpt(), rounds=2, seed=3)
+        reports = run_federation(config, blob_shards(3, 3))
+        assert all(r.alpha.converged for r in reports)
+        assert caplog.records == []
 
 
 class TestCompareStrategies:
@@ -344,20 +365,32 @@ class TestCompareStrategies:
         train = TrainConfig(learning_rate=1e300, batch_size=batch_size)
         base = FederationConfig(model=spec, train=train, rounds=2)
         message = f"{where}: training failed: parameter vector contains non-finite entries"
-        with np.errstate(all="ignore"):
-            with pytest.raises(NumericError, match=f"^{message}$"):
-                compare_strategies(
-                    base, (FedAvg(), FedAvgM()), (1,), lambda seed: blob_shards(2, seed, 8)
-                )
+        with pytest.raises(NumericError, match=f"^{message}$"):
+            compare_strategies(
+                base, (FedAvg(), FedAvgM()), (1,), lambda seed: blob_shards(2, seed, 8)
+            )
 
     def test_run_federation_names_the_strategy_of_a_diverged_round_one(self):
         spec = ModelSpec(input_dim=3, hidden_dims=(5,), num_classes=2)
         train = TrainConfig(learning_rate=1e300, batch_size=2)
         config = FederationConfig(model=spec, train=train, rule=FedAvgM(), rounds=2, seed=1)
         message = "fedavgm, seed 1, round 1, client_1: training failed: "
-        with np.errstate(all="ignore"):
-            with pytest.raises(NumericError, match=f"^{message}"):
-                run_federation(config, blob_shards(2, 1, 8))
+        with pytest.raises(NumericError, match=f"^{message}"):
+            run_federation(config, blob_shards(2, 1, 8))
+
+    def test_non_finite_local_loss_is_logged(self, caplog):
+        # Round 1's one full-batch step at this rate leaves client_1's model
+        # finite, but its logits overflow on the test split; round 2 fails.
+        spec = ModelSpec(input_dim=3, hidden_dims=(5,), num_classes=2)
+        train = TrainConfig(learning_rate=1e300, batch_size=4)
+        base = FederationConfig(model=spec, train=train, rounds=2)
+        with pytest.raises(NumericError, match="^fedavg, seed 1, round 2, client_0: "):
+            compare_strategies(
+                base, (FedAvg(), FedAvgM()), (1,), lambda seed: blob_shards(2, seed, 8)
+            )
+        assert [(r.levelname, r.name, r.getMessage()) for r in caplog.records] == [
+            ("WARNING", "fedsim.orchestrator", "seed 1, round 1, client_1: local test loss is nan")
+        ]
 
     def test_repeated_strategy_rejected(self):
         # Runs are reported by strategy name, so two fedavgm settings would

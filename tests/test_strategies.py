@@ -665,6 +665,7 @@ class TestFedAvgOpt:
         )
         out, solution = aggregate_fedavgopt(updates)
         assert np.array_equal(solution.alpha, np.ones(4))
+        assert not solution.alpha.flags.writeable
         assert np.array_equal(out.values, aggregate_fedavg(updates).values)
         assert solution.objective_at_alpha == solution.objective_at_ones
         assert (solution.iterations, solution.converged) == (1, True)
@@ -680,8 +681,13 @@ class TestFedAvgOpt:
 
     def test_non_finite_objective_at_ones_raises(self):
         # objective_f's norms overflow at 1e200, so it is non-finite at all-ones.
-        with pytest.raises(NumericError), np.errstate(over="ignore"):
+        with pytest.raises(NumericError):
             aggregate_fedavgopt(make_updates([[1e200, 0.0], [0.0, 1e200]]))
+
+    def test_solved_alpha_is_read_only(self):
+        _, solution = aggregate_fedavgopt(make_updates([[1.0, 0.0], [0.0, 1.0]]))
+        assert solution.objective_at_alpha < solution.objective_at_ones
+        assert not solution.alpha.flags.writeable
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -725,6 +731,36 @@ class TestAggregator:
         assert agg.strategy == "fedyogi"
         assert agg.rule.server_optimizer == "yogi"
         assert agg.rule.server_lr == 0.01
+
+
+@pytest.mark.filterwarnings("error")
+class TestOverflow:
+    """A step's overflow surfaces only as NumericError: a numpy warning would
+    fail these tests first."""
+
+    # Sums and differences of these entries overflow; so do their squares.
+    UPDATES = make_updates([[1.5e308, 1.5e308], [1.2e308, 1.2e308]], counts=[1, 2])
+    PREVIOUS = make_vec([-1.5e308, -1.5e308])
+
+    @pytest.mark.parametrize(
+        "rule",
+        [
+            FedAvgM(),
+            FedMedian(),
+            *(FedOpt(server_optimizer=name) for name in SERVER_OPTIMIZERS),
+            FedYogi(),
+            FedAvgOpt(),
+        ],
+        ids=lambda rule: f"fedopt-{rule.server_optimizer}" if rule.name == "fedopt" else rule.name,
+    )
+    def test_step_raises_numeric_error(self, rule):
+        with pytest.raises(NumericError):
+            rule.step(self.UPDATES, self.PREVIOUS, None)
+
+    def test_fedavg_stays_within_its_clients(self):
+        # A count-weighted mean of finite clients cannot overflow.
+        out, _ = FedAvg().step(self.UPDATES, self.PREVIOUS, None)
+        assert np.allclose(out.values, 1.3e308, rtol=1e-15, atol=0)
 
 
 class TestLengthChecks:
