@@ -22,8 +22,9 @@ from .exceptions import CsvParseError, checked
 class Dataset:
     """Labeled feature matrix with the label-name mapping, held read-only.
 
-    The constructor copies and checks the caller's arrays.  :meth:`subset` and
-    :func:`load_csv` hand over arrays they allocated and checked themselves.
+    The constructor copies and checks the caller's arrays.  :meth:`subset`,
+    :func:`generate_blobs` and :func:`load_csv` hand over arrays they
+    allocated and checked themselves.
     """
 
     features: np.ndarray
@@ -46,12 +47,7 @@ class Dataset:
                 raise ValueError(f"labels must be integers; label {i} is {raw_labels[i].item()!r}")
         if labels.size and (labels.min() < 0 or labels.max() >= len(self.class_names)):
             raise ValueError("labels must index into class_names")
-        finite = np.isfinite(feats)
-        if not finite.all():
-            row, col = np.argwhere(~finite)[0]
-            raise ValueError(
-                f"features must be finite; row {row}, column {col} is {float(feats[row, col])}"
-            )
+        _check_finite(feats)
         feats.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "features", feats)
@@ -74,6 +70,15 @@ class Dataset:
             # Fancy indexing made fresh copies of rows this dataset checked.
             return _adopt(features, labels, self.class_names)
         return Dataset(features, labels, self.class_names)
+
+
+def _check_finite(features: np.ndarray) -> None:
+    finite = np.isfinite(features)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise ValueError(
+            f"features must be finite; row {row}, column {col} is {float(features[row, col])}"
+        )
 
 
 def _adopt(features: np.ndarray, labels: np.ndarray, class_names: tuple[str, ...]) -> Dataset:
@@ -112,13 +117,15 @@ def generate_blobs(
     spread = checked("spread", spread, float, {"ge": 0})
     rng = np.random.default_rng(checked("seed", seed, int, {"ge": 0}))
     centers = rng.normal(0.0, 1.0, size=(num_classes, dim))
-    # One draw reads the stream the per-class draws did, class after class.
-    features = rng.normal(0.0, 1.0, size=(num_classes, samples_per_class, dim))
-    features *= spread
-    features += centers[:, None, :]
-    labels = np.repeat(np.arange(num_classes), samples_per_class)
-    names = tuple(f"class_{c}" for c in range(num_classes))
-    return Dataset(features.reshape(-1, dim), labels, names)
+    # One draw reads the stream the per-class draws did, class after class,
+    # straight into the dataset's own matrix.
+    features = rng.normal(0.0, 1.0, size=(num_classes * samples_per_class, dim))
+    with np.errstate(over="ignore"):  # an overflow is named by _check_finite
+        features *= spread
+    features.reshape(num_classes, samples_per_class, dim)[...] += centers[:, None, :]
+    _check_finite(features)
+    labels = np.repeat(np.arange(num_classes, dtype=np.int64), samples_per_class)
+    return _adopt(features, labels, tuple(f"class_{c}" for c in range(num_classes)))
 
 
 def load_csv(path: str, label_column: str) -> Dataset:

@@ -66,12 +66,11 @@ class TrainConfig(Config):
 def init_params(spec: ModelSpec, seed: int) -> ParamVector:
     """Seeded initialization: weights uniform in +-1/sqrt(fan_in), biases zero."""
     rng = np.random.default_rng(checked("seed", seed, int, {"ge": 0}))
-    flat = []
-    for fan_in, fan_out in spec.layer_dims():
-        bound = 1.0 / np.sqrt(fan_in)
-        flat.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)).reshape(-1))
-        flat.append(np.zeros(fan_out))
-    return ParamVector(np.concatenate(flat))
+    flat = np.zeros(spec.num_params)
+    for weight, _ in _layers(flat, spec):
+        bound = 1.0 / np.sqrt(weight.shape[0])
+        weight[...] = rng.uniform(-bound, bound, size=weight.shape)
+    return ParamVector(flat)
 
 
 def _layers(flat: np.ndarray, spec: ModelSpec) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -115,21 +114,18 @@ def _forward(layers: list[tuple[np.ndarray, np.ndarray]], spec: ModelSpec, x: np
     return inputs, h
 
 
-def _shifted_exp(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Max-shifted exponentials of the logits, their (n, 1) row sums (the
-    softmax divides by them), and each row's log-normalizer (log-sum-exp)."""
+def _softmax_cross_entropy(
+    logits: np.ndarray, y: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Mean cross-entropy of ``logits`` against labels ``y``, with the
+    max-shifted exponentials and their (n, 1) row sums, by which the softmax
+    divides.  The sum over n is the bits of ``np.mean``."""
     max_logit = logits.max(axis=1, keepdims=True)
     exp = np.exp(logits - max_logit)
     row_sums = exp.sum(axis=1, keepdims=True)
-    return exp, row_sums, max_logit[:, 0] + np.log(row_sums[:, 0])
-
-
-def _cross_entropy(
-    logits: np.ndarray, rows: np.ndarray, y: np.ndarray, log_norm: np.ndarray
-) -> float:
-    """Mean cross-entropy, given ``rows = arange(n)`` and the log-normalizers
-    from :func:`_shifted_exp`.  The sum over n is the bits of ``np.mean``."""
-    return float((log_norm - logits[rows, y]).sum() / rows.size)
+    log_norm = max_logit[:, 0] + np.log(row_sums[:, 0])
+    n = y.shape[0]
+    return float((log_norm - logits[np.arange(n), y]).sum() / n), exp, row_sums
 
 
 def _check_labels(spec: ModelSpec, labels: np.ndarray, n_rows: int) -> np.ndarray:
@@ -158,11 +154,9 @@ def loss_and_gradient(
     n = x.shape[0]
     layers = _layers(values, spec)
     inputs, logits = _forward(layers, spec, x)
-    rows = np.arange(n)
-    delta, row_sums, log_norm = _shifted_exp(logits)
-    loss = _cross_entropy(logits, rows, y, log_norm)
+    loss, delta, row_sums = _softmax_cross_entropy(logits, y)
     delta /= row_sums
-    delta[rows, y] -= 1.0
+    delta[np.arange(n), y] -= 1.0
     delta /= n
 
     # Each layer's gradient is written into its views of one flat buffer.
@@ -222,8 +216,9 @@ def sgd_train(
 def evaluate(params: ParamVector, spec: ModelSpec, dataset: "Dataset") -> dict[str, float]:
     """Accuracy (argmax, ties to the lowest class index) and mean cross-entropy.
 
-    A finite model whose logits overflow scores a non-finite loss; numpy's
-    overflow and invalid-value warnings are silenced meanwhile.
+    A finite model whose logits overflow scores a non-finite loss, and a row
+    with a NaN logit counts as a miss; numpy's overflow and invalid-value
+    warnings are silenced meanwhile.
     """
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
@@ -235,8 +230,10 @@ def evaluate(params: ParamVector, spec: ModelSpec, dataset: "Dataset") -> dict[s
     n = x.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         _, logits = _forward(_layers(params.values, spec), spec, x)
-        # A Python float: its repr goes into history.csv.
-        accuracy = int(np.count_nonzero(np.argmax(logits, axis=1) == y)) / n
-        log_norm = _shifted_exp(logits)[2]
-        loss = _cross_entropy(logits, np.arange(n), y, log_norm)
-    return {"accuracy": accuracy, "loss": loss}
+        loss = _softmax_cross_entropy(logits, y)[0]
+        hits = np.argmax(logits, axis=1) == y
+        # np.argmax picks a row's first NaN; any NaN logit makes the loss NaN.
+        if np.isnan(loss):
+            hits &= ~np.isnan(logits).any(axis=1)
+    # A Python float: its repr goes into history.csv.
+    return {"accuracy": int(np.count_nonzero(hits)) / n, "loss": loss}

@@ -152,9 +152,7 @@ def run_federation(
         try:
             global_params = aggregator.aggregate(updates, global_params)
         except NumericError as exc:
-            raise NumericError(
-                f"{config.strategy}: aggregation failed in round {round_idx}: {exc}"
-            ) from exc
+            raise NumericError(f"{where}: aggregation failed: {exc}") from exc
         alpha = aggregator.last_alpha
         if alpha is not None and not alpha.converged:
             logger.warning(

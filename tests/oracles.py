@@ -43,6 +43,11 @@ order or raise the same error.
 classes with ``np.concatenate``; :func:`fedsim.generate_blobs`, which draws
 all of the noise in one call and scales and shifts it in place, must return
 the same bits.
+
+``init_params`` lays out each layer's weight and bias itself and joins them
+with ``np.concatenate``; :func:`fedsim.init_params`, which draws each weight
+into its view of a zeroed vector laid out by the spec, must return the same
+bits.
 """
 
 from __future__ import annotations
@@ -64,6 +69,7 @@ from fedsim import (
     FedMedian,
     FedOpt,
     MinimizeResult,
+    ModelSpec,
     NumericError,
     ParamVector,
     SimplexConfig,
@@ -239,6 +245,17 @@ def gram_objective(
         return value if math.isfinite(value) else math.inf
 
     return evaluate
+
+
+def init_params(spec: ModelSpec, seed: int) -> ParamVector:
+    """Weights uniform in +-1/sqrt(fan_in), biases zero, layer by layer."""
+    rng = np.random.default_rng(seed)
+    flat = []
+    for fan_in, fan_out in spec.layer_dims():
+        bound = 1.0 / np.sqrt(fan_in)
+        flat.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)).reshape(-1))
+        flat.append(np.zeros(fan_out))
+    return ParamVector(np.concatenate(flat))
 
 
 def _split(values: np.ndarray, layer_dims: Sequence[tuple[int, int]]) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -192,6 +192,26 @@ class TestGenerateBlobs:
         assert got.labels.tobytes() == expected.labels.tobytes()
         assert got.class_names == expected.class_names
 
+    def test_peak_memory_stays_near_the_matrix(self):
+        # The noise is drawn into the dataset's own matrix; the finiteness
+        # mask is the only other large allocation.  A first small call makes
+        # the one-off allocations of a fresh process outside the trace.
+        generate_blobs(1, 2, 1, 1.0, 0)
+        tracemalloc.start()
+        try:
+            data = generate_blobs(2000, 4, 20, 1.8, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * data.features.nbytes
+        assert not data.features.flags.writeable and not data.labels.flags.writeable
+
+    def test_a_spread_that_overflows_names_the_feature(self):
+        # The overflow is reported as the constructor reports a non-finite
+        # feature, not as a numpy warning.
+        with pytest.raises(ValueError, match=r"^features must be finite; row 4, column 0 is -inf$"):
+            generate_blobs(5, 2, 2, 1e308, 0)
+
     @pytest.mark.parametrize("spread", [-0.5, float("nan"), float("inf")])
     def test_bad_spread_is_named(self, spread):
         # A non-finite spread once reached the features and was reported

@@ -130,6 +130,20 @@ class TestInitParams:
         spec = ModelSpec(input_dim=2)
         assert np.array_equal(init_params(spec, np.uint8(4)).values, init_params(spec, 4).values)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ModelSpec(input_dim=1),
+            ModelSpec(input_dim=20, num_classes=4),
+            ModelSpec(input_dim=7, hidden_dims=(4,), num_classes=3),
+            ModelSpec(input_dim=5, hidden_dims=(6, 3), activation="tanh", num_classes=2),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 123])
+    def test_matches_concatenating_oracle(self, spec, seed):
+        got, expected = init_params(spec, seed).values, oracles.init_params(spec, seed).values
+        assert got.tobytes() == expected.tobytes()
+
 
 class TestLossAndGradient:
     def test_feature_width_checked(self):
@@ -369,6 +383,18 @@ class TestEvaluate:
         data = Dataset(np.zeros((2, 2)), np.array([0, 1]), ("a", "b", "c"))
         with pytest.raises(ValueError, match="dataset has 3 classes, model has 2"):
             evaluate(init_params(spec, 0), spec, data)
+
+    def test_a_row_with_a_nan_logit_is_a_miss(self):
+        # Each hidden unit reads inf, so the logits are [inf - inf, inf, inf - inf]:
+        # np.argmax alone picks the first NaN and scores the class-0 rows correct.
+        spec = ModelSpec(input_dim=2, hidden_dims=(2,), num_classes=3)
+        hidden = np.full(4, 1e308), np.zeros(2)
+        head = np.array([[1.0, 1.0, 2.0], [-1.0, 1.0, -2.0]]).reshape(-1), np.zeros(3)
+        params = ParamVector(np.concatenate([*hidden, *head]))
+        data = dataset_from(np.ones((6, 2)), [0, 0, 1, 1, 2, 2], 3)
+        metrics = evaluate(params, spec, data)
+        assert metrics["accuracy"] == 0.0
+        assert math.isnan(metrics["loss"])
 
     def test_fewer_classes_than_the_model_accepted(self):
         # Zero features and zero biases tie every logit, so class 0 wins.

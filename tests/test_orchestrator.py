@@ -347,7 +347,7 @@ class TestCompareStrategies:
         # a numpy overflow warning once surfaced in place of this error.
         train = TrainConfig(learning_rate=1e300, batch_size=4)
         base = FederationConfig(model=SPEC, train=train, rounds=2)
-        with pytest.raises(NumericError, match="^fedavgopt: aggregation failed in round 1: "):
+        with pytest.raises(NumericError, match="^fedavgopt, seed 0, round 1: aggregation failed: "):
             compare_strategies(base, (FedAvgOpt(),), (0,), lambda seed: blob_shards(2, seed, 8))
 
     @pytest.mark.parametrize(

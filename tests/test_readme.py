@@ -1,11 +1,29 @@
 """README examples stay runnable: a key, argument, subcommand or flag the
-code no longer accepts cannot stay in the docs."""
+code no longer accepts cannot stay in the docs, and a round message it
+quotes must be one the code writes."""
 
+import logging
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import fedsim.orchestrator
+from fedsim import (
+    FedAvg,
+    FedAvgOpt,
+    FederationConfig,
+    FedOpt,
+    ModelSpec,
+    NumericError,
+    ParamVector,
+    SimplexConfig,
+    TrainConfig,
+    generate_blobs,
+    make_client_shards,
+    run_federation,
+)
 from fedsim.cli import main, parse_config
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -58,3 +76,76 @@ def test_readme_flags_are_defined(capsys):
     assert flags, "the CLI section names no flag"
     helps = " ".join(help_text(name, capsys) for name in readme_subcommands())
     assert sorted(f for f in flags if not re.search(rf"(?<![\w-]){f}(?![\w-])", helps)) == []
+
+
+def run_rounds(rule, rounds):
+    """``rounds`` rounds of ``rule`` at seed 0 over two blob clients."""
+    config = FederationConfig(
+        model=ModelSpec(input_dim=3), train=TrainConfig(), rule=rule, rounds=rounds, seed=0
+    )
+    return run_federation(config, make_client_shards(generate_blobs(16, 2, 3, 1.0, 0), 2, 0.5, 0))
+
+
+def replace_call(monkeypatch, owner, name, call, replacement):
+    """``owner.name`` as it is, except that its ``call``-th call (counted from
+    1) returns ``replacement(*args)``."""
+    original, calls = getattr(owner, name), []
+
+    def patched(*args):
+        calls.append(None)
+        return (replacement if len(calls) == call else original)(*args)
+
+    monkeypatch.setattr(owner, name, patched)
+
+
+def non_finite_like(params, *_):
+    """Builds a ParamVector of infs, so raises the code's own NumericError."""
+    return ParamVector(np.full(len(params), np.inf))
+
+
+def training_failure(monkeypatch, caplog):
+    # Calls 1 and 2 train round 1's clients; call 3 is client_0 in round 2.
+    replace_call(monkeypatch, fedsim.orchestrator, "sgd_train", 3, non_finite_like)
+    with pytest.raises(NumericError) as exc:
+        run_rounds(FedAvg(), 2)
+    return str(exc.value)
+
+
+def aggregation_failure(monkeypatch, caplog):
+    def step(rule, updates, previous, state):
+        return non_finite_like(previous), state
+
+    replace_call(monkeypatch, FedOpt, "step", 1, step)
+    with pytest.raises(NumericError) as exc:
+        run_rounds(FedOpt(), 1)
+    return str(exc.value)
+
+
+def capped_solve(monkeypatch, caplog):
+    # Tolerances no 60-iteration search meets: every round stops at the cap.
+    solver = SimplexConfig(x_tolerance=1e-300, f_tolerance=1e-300, max_iterations=60)
+    run_rounds(FedAvgOpt(solver), 3)
+    assert len(caplog.records) == 3
+    return caplog.records[2].getMessage()
+
+
+def non_finite_loss(monkeypatch, caplog):
+    # Each round scores the two local models, then the global model on both
+    # test splits: call 6 is client_1's local model in round 2.
+    def score(params, spec, dataset):
+        return {"accuracy": 0.0, "loss": float("nan")}
+
+    replace_call(monkeypatch, fedsim.orchestrator, "evaluate", 6, score)
+    run_rounds(FedAvg(), 2)
+    (record,) = caplog.records
+    return record.getMessage()
+
+
+@pytest.mark.parametrize(
+    "produce", [training_failure, aggregation_failure, capped_solve, non_finite_loss]
+)
+def test_round_message_is_quoted_verbatim(produce, monkeypatch, caplog):
+    caplog.set_level(logging.WARNING, logger="fedsim.orchestrator")
+    message = produce(monkeypatch, caplog)
+    # Line breaks in the README's prose are spaces.
+    assert f"`{message}`" in " ".join(README.split())
