@@ -219,6 +219,11 @@ def run_comparison(config: ExperimentConfig) -> ComparisonResult:
     is read once for every seed; blobs are drawn afresh for each seed."""
     ds = config.dataset
     table = load_csv(ds.path, ds.label_column) if ds.kind == "csv" else None
+    if table is not None and table.num_classes < 2:
+        raise ConfigError(
+            f"{ds.path}: label column {ds.label_column!r} holds {table.num_classes} class; "
+            "need at least 2"
+        )
 
     def shards(seed: int) -> list[ClientShard]:
         data = table

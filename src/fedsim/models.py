@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .exceptions import Config, ShapeMismatchError, bounded, checked
+from .exceptions import Config, NumericError, ShapeMismatchError, bounded, checked
 from .params import ParamVector
 
 if TYPE_CHECKING:
@@ -75,25 +75,31 @@ def init_params(spec: ModelSpec, seed: int) -> ParamVector:
 
 def _layers(flat: np.ndarray, spec: ModelSpec) -> list[tuple[np.ndarray, np.ndarray]]:
     """(weight, bias) views of each dense layer of a flat vector laid out as
-    :class:`ModelSpec` describes; a vector of any other size is rejected."""
-    if flat.size != spec.num_params:
+    :class:`ModelSpec` describes, or of each row of a (K, P) stack of such
+    vectors: shapes (..., fan_in, fan_out) and (..., fan_out).  A vector of
+    any other size is rejected."""
+    if flat.shape[-1] != spec.num_params:
         raise ShapeMismatchError(
-            f"model expects {spec.num_params} parameters, got {flat.size}"
+            f"model expects {spec.num_params} parameters, got {flat.shape[-1]}"
         )
-    return [(flat[w:b].reshape(shape), flat[b:end]) for w, b, end, shape in spec._slices]
+    stack = flat.shape[:-1]
+    return [
+        (flat[..., w:b].reshape(*stack, *shape), flat[..., b:end])
+        for w, b, end, shape in spec._slices
+    ]
 
 
-def _check_features(spec: ModelSpec, features: np.ndarray) -> np.ndarray:
+def _check_features(spec: ModelSpec, features: np.ndarray, stack: tuple[int, ...] = ()) -> np.ndarray:
     x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != spec.input_dim:
-        raise ShapeMismatchError(
-            f"features must be (n, {spec.input_dim}), got {x.shape}"
-        )
+    if x.ndim != len(stack) + 2 or x.shape[:-2] != stack or x.shape[-1] != spec.input_dim:
+        dims = ", ".join([*map(str, stack), "n", str(spec.input_dim)])
+        raise ShapeMismatchError(f"features must be ({dims}), got {x.shape}")
     return x
 
 
 def _forward(layers: list[tuple[np.ndarray, np.ndarray]], spec: ModelSpec, x: np.ndarray):
-    """Returns (per-layer inputs, logits).
+    """Returns (per-layer inputs, logits); with stacked layers, model k reads
+    ``x[k]``, one product per slice.
 
     Each hidden activation overwrites its pre-activation, which backprop
     does not need: relu's mask is ``h > 0`` and tanh's derivative is
@@ -103,7 +109,7 @@ def _forward(layers: list[tuple[np.ndarray, np.ndarray]], spec: ModelSpec, x: np
     h = x
     for k, (w, b) in enumerate(layers):
         z = h @ w
-        z += b
+        z += b[..., None, :]
         if k < len(layers) - 1:
             if spec.activation == "relu":
                 np.maximum(z, 0.0, out=z)
@@ -116,22 +122,29 @@ def _forward(layers: list[tuple[np.ndarray, np.ndarray]], spec: ModelSpec, x: np
 
 def _softmax_cross_entropy(
     logits: np.ndarray, y: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean cross-entropy of ``logits`` against labels ``y``, with the
-    max-shifted exponentials and their (n, 1) row sums, by which the softmax
-    divides.  The sum over n is the bits of ``np.mean``."""
-    max_logit = logits.max(axis=1, keepdims=True)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean cross-entropy of ``logits`` (..., n, C) against labels ``y``
+    (..., n), one per leading index, with the max-shifted exponentials and
+    their (..., n, 1) row sums, by which the softmax divides.  The sum over n
+    is the bits of ``np.mean``.
+
+    The row max reduces a class-major copy: a max along a short last axis
+    costs numpy about 60 ns a row.  A max is exact, so no bit changes; the
+    row sums, whose order matters, stay along the last axis.
+    """
+    rows = logits.reshape(-1, logits.shape[-1])
+    max_logit = rows.T.copy().max(axis=0).reshape(*y.shape, 1)
     exp = np.exp(logits - max_logit)
-    row_sums = exp.sum(axis=1, keepdims=True)
-    log_norm = max_logit[:, 0] + np.log(row_sums[:, 0])
-    n = y.shape[0]
-    return float((log_norm - logits[np.arange(n), y]).sum() / n), exp, row_sums
+    row_sums = exp.sum(axis=-1, keepdims=True)
+    log_norm = max_logit[..., 0] + np.log(row_sums[..., 0])
+    picked = rows[np.arange(y.size), y.reshape(-1)].reshape(y.shape)
+    return (log_norm - picked).sum(axis=-1) / y.shape[-1], exp, row_sums
 
 
-def _check_labels(spec: ModelSpec, labels: np.ndarray, n_rows: int) -> np.ndarray:
+def _check_labels(spec: ModelSpec, labels: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     y = np.asarray(labels)
-    if y.shape != (n_rows,):
-        raise ValueError(f"labels must have shape ({n_rows},), got {y.shape}")
+    if y.shape != shape:
+        raise ValueError(f"labels must have shape {shape}, got {y.shape}")
     if y.size and (y.min() < 0 or y.max() >= spec.num_classes):
         raise ValueError(
             f"labels must lie in [0, {spec.num_classes}), got range "
@@ -142,84 +155,113 @@ def _check_labels(spec: ModelSpec, labels: np.ndarray, n_rows: int) -> np.ndarra
 
 def loss_and_gradient(
     values: np.ndarray, spec: ModelSpec, features: np.ndarray, labels: np.ndarray
-) -> tuple[float, np.ndarray]:
+) -> tuple[float | np.ndarray, np.ndarray]:
     """Mean cross-entropy over the batch and its exact gradient.
 
-    ``values`` is the flat weight vector laid out as ``spec`` describes.  The
-    gradient comes back as a fresh, writable float64 array of the same
-    layout; neither ``values`` nor ``features`` is written to.
+    ``values`` is the flat weight vector laid out as ``spec`` describes, with
+    ``features`` (n, d) and ``labels`` (n,); the loss comes back as a float.
+    With a leading stack axis, ``values`` (K, P), ``features`` (K, n, d) and
+    ``labels`` (K, n), model k is scored on batch k: the losses come back as
+    a (K,) array and the gradients as (K, P), and each slice has the bits of
+    the unstacked call on it.  The gradient is a fresh, writable float64
+    array; neither ``values`` nor ``features`` is written to.
     """
-    x = _check_features(spec, features)
-    y = _check_labels(spec, labels, x.shape[0])
-    n = x.shape[0]
+    if np.ndim(values) not in (1, 2):
+        raise ShapeMismatchError(f"values must be (P,) or (K, P), got {np.shape(values)}")
+    stack = values.shape[:-1]
+    x = _check_features(spec, features, stack)
+    y = _check_labels(spec, labels, x.shape[:-1])
     layers = _layers(values, spec)
     inputs, logits = _forward(layers, spec, x)
     loss, delta, row_sums = _softmax_cross_entropy(logits, y)
     delta /= row_sums
-    delta[np.arange(n), y] -= 1.0
-    delta /= n
+    # delta is a fresh C-ordered array, so this reshape is a view of it.
+    delta.reshape(-1, spec.num_classes)[np.arange(y.size), y.reshape(-1)] -= 1.0
+    delta /= y.shape[-1]
 
     # Each layer's gradient is written into its views of one flat buffer.
-    flat = np.empty(values.size)
+    flat = np.empty(values.shape)
     grads = _layers(flat, spec)
     for k in range(len(layers) - 1, -1, -1):
         grad_w, grad_b = grads[k]
-        np.matmul(inputs[k].T, delta, out=grad_w)
-        delta.sum(axis=0, out=grad_b)
+        np.matmul(np.swapaxes(inputs[k], -1, -2), delta, out=grad_w)
+        delta.sum(axis=-2, out=grad_b)
         if k > 0:
-            delta = delta @ layers[k][0].T
+            delta = delta @ np.swapaxes(layers[k][0], -1, -2)
             h = inputs[k]
             if spec.activation == "relu":
                 delta *= h > 0
             else:
                 delta *= 1.0 - h**2
-    return loss, flat
+    return (loss if stack else float(loss)), flat
 
 
 def sgd_train(
-    params: ParamVector, spec: ModelSpec, dataset: "Dataset", config: TrainConfig, seed: int
-) -> ParamVector:
-    """Mini-batch SGD for ``local_epochs`` epochs, shuffled by ``seed``.
+    params: ParamVector,
+    spec: ModelSpec,
+    datasets: Sequence["Dataset"],
+    config: TrainConfig,
+    seeds: Sequence[int],
+) -> list[ParamVector]:
+    """Mini-batch SGD from ``params`` for ``local_epochs`` epochs on each
+    dataset; model ``i`` trains on ``datasets[i]``, shuffled by ``seeds[i]``.
 
-    Pure function of its arguments: the same (params, dataset, config, seed)
-    always returns the same vector.  Training steps one working copy of the
-    weights in place; finiteness is checked once, on the result, because an
-    entry that goes non-finite under ``values -= lr * grad`` stays so.  numpy's
-    overflow and invalid-value warnings are silenced meanwhile, so a diverging
-    run reports only that ``NumericError``.
+    Pure function of its arguments, and model ``i`` has the bits of a call
+    on ``datasets[i]`` and ``seeds[i]`` alone.  Datasets of equal size train
+    as one stack, with one ``loss_and_gradient`` call per step; each epoch's
+    batches are gathered once into one buffer.  Each stack steps one working
+    copy of its weights in place.  Finiteness is checked once, on the
+    results in input order, because an entry that goes non-finite under
+    ``values -= lr * grad`` stays so; the ``NumericError`` of the first
+    non-finite model carries its position as ``index``.  numpy's overflow
+    and invalid-value warnings are silenced meanwhile, so a diverging run
+    reports only that error.
     """
-    n = len(dataset)
-    if n == 0:
-        raise ValueError("cannot train on an empty dataset")
-    rng = np.random.default_rng(checked("seed", seed, int, {"ge": 0}))
-    values = params.values.copy()
+    if len(datasets) != len(seeds):
+        raise ValueError(f"{len(datasets)} datasets but {len(seeds)} seeds")
+    rngs = [np.random.default_rng(checked("seed", seed, int, {"ge": 0})) for seed in seeds]
+    stacks: dict[int, list[int]] = {}
+    for i, dataset in enumerate(datasets):
+        if len(dataset) == 0:
+            raise ValueError("cannot train on an empty dataset")
+        _check_features(spec, dataset.features)
+        stacks.setdefault(len(dataset), []).append(i)
     lr, size = config.learning_rate, config.batch_size
-    full = n - n % size
+    trained: list = [None] * len(datasets)
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(config.local_epochs):
-            perm = rng.permutation(n)
-            # Sorted batch indices keep the full-batch case bit-identical to a
-            # single loss_and_gradient step.  One gather covers every full
-            # batch; the ragged tail, if any, is its own.
-            batches = np.sort(perm[:full].reshape(-1, size), axis=1)
-            steps = list(zip(dataset.features[batches], dataset.labels[batches]))
-            if full < n:
-                tail = np.sort(perm[full:])
-                steps.append((dataset.features[tail], dataset.labels[tail]))
-            for x, y in steps:
-                grad = loss_and_gradient(values, spec, x, y)[1]
-                grad *= lr  # the bits of values - lr * grad, with no temporary
-                values -= grad
-    return ParamVector(values)
+        for n, members in stacks.items():
+            values = np.tile(params.values, (len(members), 1))
+            x = np.empty((len(members), n, spec.input_dim))
+            y = np.empty((len(members), n), dtype=np.int64)
+            full = n - n % size
+            for _ in range(config.local_epochs):
+                for row, i in enumerate(members):
+                    # Each batch's rows in sorted order, then the ragged tail
+                    # sorted: the full-batch case is then bit-identical to a
+                    # single loss_and_gradient step.
+                    order = rngs[i].permutation(n)
+                    order[:full].reshape(-1, size).sort(axis=1)
+                    order[full:].sort()
+                    np.take(datasets[i].features, order, axis=0, out=x[row], mode="clip")
+                    np.take(datasets[i].labels, order, out=y[row], mode="clip")
+                for start in range(0, n, size):
+                    batch = slice(start, start + size)
+                    grad = loss_and_gradient(values, spec, x[:, batch], y[:, batch])[1]
+                    grad *= lr  # the bits of values - lr * grad, with no temporary
+                    values -= grad
+            for row, i in enumerate(members):
+                trained[i] = values[row]
+    results: list[ParamVector] = []
+    for values in trained:
+        try:
+            results.append(ParamVector(values))
+        except NumericError as exc:
+            exc.index = len(results)
+            raise
+    return results
 
 
-def evaluate(params: ParamVector, spec: ModelSpec, dataset: "Dataset") -> dict[str, float]:
-    """Accuracy (argmax, ties to the lowest class index) and mean cross-entropy.
-
-    A finite model whose logits overflow scores a non-finite loss, and a row
-    with a NaN logit counts as a miss; numpy's overflow and invalid-value
-    warnings are silenced meanwhile.
-    """
+def _score(params: ParamVector, spec: ModelSpec, dataset: "Dataset") -> dict[str, float]:
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     # A Dataset's labels index its class names, so this bounds every label.
@@ -227,13 +269,28 @@ def evaluate(params: ParamVector, spec: ModelSpec, dataset: "Dataset") -> dict[s
         raise ValueError(f"dataset has {dataset.num_classes} classes, model has {spec.num_classes}")
     x = _check_features(spec, dataset.features)
     y = dataset.labels
-    n = x.shape[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, logits = _forward(_layers(params.values, spec), spec, x)
-        loss = _softmax_cross_entropy(logits, y)[0]
-        hits = np.argmax(logits, axis=1) == y
-        # np.argmax picks a row's first NaN; any NaN logit makes the loss NaN.
-        if np.isnan(loss):
-            hits &= ~np.isnan(logits).any(axis=1)
+    _, logits = _forward(_layers(params.values, spec), spec, x)
+    loss = float(_softmax_cross_entropy(logits, y)[0])
+    hits = np.argmax(logits, axis=1) == y
+    # np.argmax picks a row's first NaN; any NaN logit makes the loss NaN.
+    if np.isnan(loss):
+        hits &= ~np.isnan(logits).any(axis=1)
     # A Python float: its repr goes into history.csv.
-    return {"accuracy": int(np.count_nonzero(hits)) / n, "loss": loss}
+    return {"accuracy": int(np.count_nonzero(hits)) / x.shape[0], "loss": loss}
+
+
+def evaluate(
+    models: Sequence[ParamVector], spec: ModelSpec, datasets: Sequence["Dataset"]
+) -> list[dict[str, float]]:
+    """Accuracy (argmax, ties to the lowest class index) and mean
+    cross-entropy of ``models[i]`` on ``datasets[i]``, one dict per pair.
+
+    Each pair is its own forward pass: a pass stacked over the pairs copies
+    every test set and runs no faster.  A finite model whose logits overflow
+    scores a non-finite loss, and a row with a NaN logit counts as a miss;
+    numpy's overflow and invalid-value warnings are silenced meanwhile.
+    """
+    if len(models) != len(datasets):
+        raise ValueError(f"{len(models)} models but {len(datasets)} datasets")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [_score(params, spec, dataset) for params, dataset in zip(models, datasets)]

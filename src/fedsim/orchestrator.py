@@ -82,20 +82,28 @@ def _check_shards(shards: Sequence[ClientShard]) -> None:
 def _train_round(
     config: FederationConfig, shards: Sequence[ClientShard], global_params: ParamVector, where: str
 ) -> tuple[list[ClientUpdate], list[ClientRoundMetrics]]:
-    """Train every client from ``global_params`` and score each local model on
-    its own test split; client ``i`` trains with seed ``config.seed + i``.  A
-    client whose training goes non-finite is named after ``where``, and so is
-    one whose local test loss is non-finite, in a logged warning."""
+    """Train every client from ``global_params`` in one ``sgd_train`` call and
+    score each local model on its own test split; client ``i`` trains with
+    seed ``config.seed + i``.  A client whose training goes non-finite is
+    named after ``where``, and so is one whose local test loss is non-finite,
+    in a logged warning.  ``evaluate`` scores the very list ``sgd_train``
+    returned: the benchmark's tracer tells local from global scoring by it."""
+    try:
+        trained = sgd_train(
+            global_params,
+            config.model,
+            [shard.train for shard in shards],
+            config.train,
+            [config.seed + i for i in range(len(shards))],
+        )
+    except NumericError as exc:
+        client_id = shards[exc.index].client_id
+        raise NumericError(f"{where}, {client_id}: training failed: {exc}") from exc
     updates: list[ClientUpdate] = []
     per_client: list[ClientRoundMetrics] = []
-    for i, shard in enumerate(shards):
-        try:
-            local = sgd_train(
-                global_params, config.model, shard.train, config.train, config.seed + i
-            )
-        except NumericError as exc:
-            raise NumericError(f"{where}, {shard.client_id}: training failed: {exc}") from exc
-        metrics = evaluate(local, config.model, shard.test)
+    for shard, local, metrics in zip(
+        shards, trained, evaluate(trained, config.model, [shard.test for shard in shards])
+    ):
         if not math.isfinite(metrics["loss"]):
             logger.warning("%s, %s: local test loss is %r", where, shard.client_id, metrics["loss"])
         per_client.append(
@@ -160,11 +168,11 @@ def run_federation(
                 where,
                 alpha.iterations,
             )
+        global_metrics = evaluate(
+            [global_params] * len(shards), config.model, [s.test for s in shards]
+        )
         global_accuracy = weighted_accuracy(
-            [
-                (len(s.test), evaluate(global_params, config.model, s.test)["accuracy"])
-                for s in shards
-            ]
+            [(len(s.test), m["accuracy"]) for s, m in zip(shards, global_metrics)]
         )
         reports.append(
             RoundReport(

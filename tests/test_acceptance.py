@@ -269,14 +269,14 @@ def _centralized_accuracy(config: ExperimentConfig) -> float:
             ds.samples_per_class, ds.num_classes, ds.dim, ds.spread, seed
         )
         train, test = stratified_train_test_split(data, config.train_fraction, seed)
-        trained = sgd_train(
+        (trained,) = sgd_train(
             init_params(spec, seed),
             spec,
-            train,
+            [train],
             TrainConfig(learning_rate=0.1, batch_size=32, local_epochs=60),
-            seed,
+            [seed],
         )
-        accuracies.append(evaluate(trained, spec, test)["accuracy"])
+        accuracies.append(evaluate([trained], spec, [test])[0]["accuracy"])
     return float(np.mean(accuracies))
 
 

@@ -1004,6 +1004,21 @@ class TestMain:
         assert len(lines) == 1 + 3
         assert "seed=5" in (out / "summary.txt").read_text(encoding="utf-8")
 
+    def test_one_class_csv_names_the_file_and_label_column(self, tmp_path, capsys):
+        # The class count comes from the file, not from a field the user set.
+        csv_path = tmp_path / "one.csv"
+        csv_path.write_text("x1,label\n1.0,a\n2.0,a\n3.0,a\n4.0,a\n", encoding="utf-8")
+        path = write_config(
+            tmp_path,
+            f"dataset: {{kind: csv, path: {csv_path}, label_column: label}}\nstrategy: fedavg\n",
+        )
+        out = tmp_path / "out"
+        assert main(["compare", path, "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err.strip() == (
+            f"error: {csv_path}: label column 'label' holds 1 class; need at least 2"
+        )
+        assert not out.exists()
+
     def test_csv_dataset_end_to_end(self, tmp_path):
         rows = ["x1,x2,label"]
         for i in range(8):

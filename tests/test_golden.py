@@ -13,6 +13,11 @@ BLAS) key with no recorded digests.  It never writes the digests; after a
 deliberate output change, record the running key's digests with
 
     PYTHONPATH=src python tests/test_golden.py
+
+The same pinned subprocess runs ``tests/stacked_kernels.py``, which checks
+stacked SGD steps against per-slice ones bit for bit, once under each
+OpenBLAS kernel the host's CPU can run, with numpy's AVX-512 dispatch on and
+off; a kernel the CPU lacks the flags for is skipped, naming them.
 """
 
 from __future__ import annotations
@@ -93,6 +98,18 @@ CONFIGS = {
         train_fraction: 0.5
         train: {learning_rate: 0.3, batch_size: 2}
         """,
+    # Train splits of 12, 12, 9 and 9 rows: two stacks of two clients, each
+    # with a ragged last batch of 5.
+    "ragged-stacks": """
+        dataset: {kind: blobs, samples_per_class: 26, num_classes: 3, dim: 4}
+        strategies: [fedavg, fedmedian, fedavgopt]
+        seeds: [0, 1]
+        rounds: 3
+        num_clients: 4
+        train_fraction: 0.5
+        model: {hidden_dims: [5]}
+        train: {learning_rate: 0.2, batch_size: 5}
+        """,
 }
 
 
@@ -109,6 +126,19 @@ def write_csv(path: Path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def run_pinned(args: list[str], env: dict[str, str] = PINNED_ENV) -> subprocess.CompletedProcess:
+    """Run ``python -W error::RuntimeWarning *args`` with fedsim's ``src`` on
+    the path and the variables of ``env`` set; the environment's other
+    variables pass through, but never a kernel pin ``env`` does not name."""
+    path = os.environ.get("PYTHONPATH")
+    inherited = {k: v for k, v in os.environ.items() if k not in PINNED_ENV}
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", *args],
+        env={**inherited, **env, "PYTHONPATH": str(SRC) + (os.pathsep + path if path else "")},
+        capture_output=True, text=True,
+    )
+
+
 def run_compare(name: str, work: Path) -> dict[str, str]:
     """Run config ``name`` in a pinned subprocess under ``work`` and return
     the SHA-256 of each output file by its path relative to the output
@@ -121,16 +151,7 @@ def run_compare(name: str, work: Path) -> dict[str, str]:
     config = work / "config.yaml"
     config.write_text(text, encoding="utf-8")
     out = work / "out"
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, **PINNED_ENV,
-           "PYTHONPATH": str(SRC) + (os.pathsep + path if path else "")}
-    proc = subprocess.run(
-        [
-            sys.executable, "-W", "error::RuntimeWarning",
-            "-m", "fedsim.cli", "compare", str(config), "--output-dir", str(out),
-        ],
-        env=env, capture_output=True, text=True,
-    )
+    proc = run_pinned(["-m", "fedsim.cli", "compare", str(config), "--output-dir", str(out)])
     assert proc.returncode == 0, proc.stderr
     return {
         p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
@@ -168,6 +189,51 @@ def test_outputs_match_recorded_digests(name, tmp_path):
     if recorded is None:
         pytest.skip(f"no digests recorded for {key!r}")
     assert run_compare(name, tmp_path) == recorded[name]
+
+
+# Each OpenBLAS kernel the stacked-step check forces, with the CPU flags
+# (as /proc/cpuinfo names them) it needs.
+KERNELS = {
+    "Prescott": {"pni"},
+    "Nehalem": {"ssse3", "sse4_2"},
+    "Sandybridge": {"avx"},
+    "Haswell": {"avx2", "fma"},
+    "SkylakeX": {"avx512f", "avx512cd", "avx512bw", "avx512dq", "avx512vl"},
+}
+
+
+def cpu_flags() -> set[str] | None:
+    """The host CPU's flags, or None where /proc/cpuinfo does not list them."""
+    try:
+        text = Path("/proc/cpuinfo").read_text(encoding="utf-8")
+    except OSError:
+        return None
+    for line in text.splitlines():
+        if line.startswith("flags"):
+            return set(line.split(":", 1)[1].split())
+    return None
+
+
+@pytest.mark.parametrize("avx512", ["avx512-on", "avx512-off"])
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_stacked_step_matches_per_slice_under_every_kernel(kernel, avx512):
+    reason = unpinned_reason()
+    if reason is not None:
+        pytest.skip(reason)
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
+    if "openblas" not in blas:
+        pytest.skip(f"numpy's BLAS is {blas}, not OpenBLAS, so no kernel can be forced")
+    flags = cpu_flags()
+    if flags is None:
+        pytest.skip("/proc/cpuinfo lists no CPU flags")
+    missing = sorted(KERNELS[kernel] - flags)
+    if missing:
+        pytest.skip(f"this CPU cannot run the {kernel} kernel; it lacks {', '.join(missing)}")
+    env = {**PINNED_ENV, "OPENBLAS_CORETYPE": kernel}
+    if avx512 == "avx512-on":
+        del env["NPY_DISABLE_CPU_FEATURES"]
+    proc = run_pinned([str(HERE / "stacked_kernels.py")], env)
+    assert (proc.returncode, proc.stdout.strip()) == (0, "ok"), proc.stdout + proc.stderr
 
 
 if __name__ == "__main__":

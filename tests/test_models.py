@@ -18,6 +18,7 @@ from fedsim import (
     sgd_train,
 )
 from fedsim.exceptions import NumericError, ShapeMismatchError
+from fedsim.models import _softmax_cross_entropy
 from helpers import finite_difference_gradient
 import oracles
 
@@ -152,7 +153,7 @@ class TestLossAndGradient:
         with pytest.raises(ShapeMismatchError):
             loss_and_gradient(params.values, spec, np.zeros((2, 5)), y)
         with pytest.raises(ShapeMismatchError):
-            evaluate(params, spec, dataset_from(np.zeros((2, 5)), y, spec.num_classes))
+            evaluate([params], spec, [dataset_from(np.zeros((2, 5)), y, spec.num_classes)])
 
     @pytest.mark.parametrize("delta", [-1, 1])
     def test_parameter_count_checked(self, delta):
@@ -164,7 +165,7 @@ class TestLossAndGradient:
         with pytest.raises(ShapeMismatchError, match=f"expects {spec.num_params} parameters"):
             loss_and_gradient(params.values, spec, x, y)
         with pytest.raises(ShapeMismatchError, match=f"expects {spec.num_params} parameters"):
-            evaluate(params, spec, dataset_from(x, y, spec.num_classes))
+            evaluate([params], spec, [dataset_from(x, y, spec.num_classes)])
 
     def test_zero_params_loss_is_log_num_classes(self):
         spec = ModelSpec(input_dim=3, num_classes=4)
@@ -252,7 +253,7 @@ class TestSgdTrain:
         data = self._blobs()
         spec = ModelSpec(input_dim=4, num_classes=3)
         params = init_params(spec, 1)
-        out = sgd_train(params, spec, data, TrainConfig(learning_rate=0.0), 3)
+        out = sgd_train(params, spec, [data], TrainConfig(learning_rate=0.0), [3])[0]
         assert np.array_equal(out.values, params.values)
 
     def test_full_batch_single_epoch_matches_gradient_step(self):
@@ -261,7 +262,7 @@ class TestSgdTrain:
         params = init_params(spec, 2)
         lr = 0.2
         config = TrainConfig(learning_rate=lr, batch_size=len(data), local_epochs=1)
-        out = sgd_train(params, spec, data, config, 9)
+        out = sgd_train(params, spec, [data], config, [9])[0]
         _, grad = loss_and_gradient(params.values, spec, data.features, data.labels)
         expected = params.values - lr * grad
         assert np.array_equal(out.values, expected)
@@ -272,9 +273,9 @@ class TestSgdTrain:
         params = init_params(spec, 3)
         outs = [
             sgd_train(
-                params, spec, data,
-                TrainConfig(learning_rate=0.1, batch_size=len(data), local_epochs=3), s,
-            )
+                params, spec, [data],
+                TrainConfig(learning_rate=0.1, batch_size=len(data), local_epochs=3), [s],
+            )[0]
             for s in (0, 1, 99)
         ]
         assert np.array_equal(outs[0].values, outs[1].values)
@@ -285,10 +286,10 @@ class TestSgdTrain:
         spec = ModelSpec(input_dim=4, num_classes=3)
         params = init_params(spec, 4)
         config = TrainConfig(learning_rate=0.1, batch_size=8, local_epochs=2)
-        a = sgd_train(params, spec, data, config, 5)
-        b = sgd_train(params, spec, data, config, 5)
+        a = sgd_train(params, spec, [data], config, [5])[0]
+        b = sgd_train(params, spec, [data], config, [5])[0]
         assert np.array_equal(a.values, b.values)
-        c = sgd_train(params, spec, data, config, 6)
+        c = sgd_train(params, spec, [data], config, [6])[0]
         assert not np.array_equal(a.values, c.values)
 
     def test_descent_on_separable_two_class_blobs(self):
@@ -297,7 +298,7 @@ class TestSgdTrain:
         params = init_params(spec, 11)
         loss_init, _ = loss_and_gradient(params.values, spec, data.features, data.labels)
         config = TrainConfig(learning_rate=0.1, batch_size=16, local_epochs=50)
-        trained = sgd_train(params, spec, data, config, 1)
+        trained = sgd_train(params, spec, [data], config, [1])[0]
         loss_final, _ = loss_and_gradient(trained.values, spec, data.features, data.labels)
         assert loss_final < loss_init
 
@@ -308,7 +309,7 @@ class TestSgdTrain:
         config = TrainConfig(learning_rate=0.02, batch_size=len(data), local_epochs=1)
         losses = [loss_and_gradient(params.values, spec, data.features, data.labels)[0]]
         for _ in range(30):
-            params = sgd_train(params, spec, data, config, 0)
+            params = sgd_train(params, spec, [data], config, [0])[0]
             losses.append(loss_and_gradient(params.values, spec, data.features, data.labels)[0])
         diffs = np.diff(losses)
         assert np.all(diffs <= 1e-10)
@@ -317,13 +318,13 @@ class TestSgdTrain:
         spec = ModelSpec(input_dim=4, num_classes=3)
         empty = Dataset(np.zeros((0, 4)), np.zeros(0, dtype=np.int64), ("a", "b", "c"))
         with pytest.raises(ValueError):
-            sgd_train(init_params(spec, 0), spec, empty, TrainConfig(), 0)
+            sgd_train(init_params(spec, 0), spec, [empty], TrainConfig(), [0])
 
     @pytest.mark.parametrize("seed", BAD_SEEDS)
     def test_bad_seed_is_named(self, seed):
         spec = ModelSpec(input_dim=4, num_classes=3)
         with pytest.raises(ValueError, match=seed_message(seed)):
-            sgd_train(init_params(spec, 0), spec, self._blobs(), TrainConfig(), seed)
+            sgd_train(init_params(spec, 0), spec, [self._blobs()], TrainConfig(), [seed])
 
     @pytest.mark.parametrize("activation, learning_rate", [("relu", 1e300), ("tanh", 1e308)])
     def test_diverging_run_raises_numeric_error(self, activation, learning_rate):
@@ -336,7 +337,7 @@ class TestSgdTrain:
         spec = ModelSpec(input_dim=4, hidden_dims=(5,), activation=activation, num_classes=3)
         config = TrainConfig(learning_rate=learning_rate, batch_size=8, local_epochs=3)
         with pytest.raises(NumericError, match="^parameter vector contains non-finite entries$"):
-            sgd_train(init_params(spec, 6), spec, data, config, 0)
+            sgd_train(init_params(spec, 6), spec, [data], config, [0])
 
 
 class TestEvaluate:
@@ -347,7 +348,7 @@ class TestEvaluate:
         features = rng.normal(size=(20, 3))
         labels = np.tile(np.arange(4), 5)
         data = dataset_from(features, labels, 4)
-        metrics = evaluate(params, spec, data)
+        metrics = evaluate([params], spec, [data])[0]
         assert metrics["accuracy"] == 0.25
         assert metrics["loss"] == float(np.log(4.0))
 
@@ -359,7 +360,7 @@ class TestEvaluate:
         )
         labels = np.array([0, 1, 2, 3, 1, 2])
         features = np.eye(4)[labels]
-        metrics = evaluate(params, spec, dataset_from(features, labels, 4))
+        metrics = evaluate([params], spec, [dataset_from(features, labels, 4)])[0]
         assert metrics["accuracy"] == 1.0
 
     def test_accuracy_in_unit_interval(self):
@@ -367,7 +368,7 @@ class TestEvaluate:
         spec = ModelSpec(input_dim=5, hidden_dims=(4,), num_classes=3)
         for seed in range(5):
             data = generate_blobs(10, 3, 5, 2.0, seed)
-            metrics = evaluate(init_params(spec, seed), spec, data)
+            metrics = evaluate([init_params(spec, seed)], spec, [data])[0]
             assert 0.0 <= metrics["accuracy"] <= 1.0
             assert metrics["loss"] >= 0.0
 
@@ -375,14 +376,14 @@ class TestEvaluate:
         spec = ModelSpec(input_dim=2, num_classes=2)
         empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), ("a", "b"))
         with pytest.raises(ValueError):
-            evaluate(init_params(spec, 0), spec, empty)
+            evaluate([init_params(spec, 0)], spec, [empty])
 
     def test_more_classes_than_the_model_rejected(self):
         # Every label fits a 2-class model, but the dataset names 3 classes.
         spec = ModelSpec(input_dim=2, num_classes=2)
         data = Dataset(np.zeros((2, 2)), np.array([0, 1]), ("a", "b", "c"))
         with pytest.raises(ValueError, match="dataset has 3 classes, model has 2"):
-            evaluate(init_params(spec, 0), spec, data)
+            evaluate([init_params(spec, 0)], spec, [data])
 
     def test_a_row_with_a_nan_logit_is_a_miss(self):
         # Each hidden unit reads inf, so the logits are [inf - inf, inf, inf - inf]:
@@ -392,7 +393,7 @@ class TestEvaluate:
         head = np.array([[1.0, 1.0, 2.0], [-1.0, 1.0, -2.0]]).reshape(-1), np.zeros(3)
         params = ParamVector(np.concatenate([*hidden, *head]))
         data = dataset_from(np.ones((6, 2)), [0, 0, 1, 1, 2, 2], 3)
-        metrics = evaluate(params, spec, data)
+        metrics = evaluate([params], spec, [data])[0]
         assert metrics["accuracy"] == 0.0
         assert math.isnan(metrics["loss"])
 
@@ -400,7 +401,7 @@ class TestEvaluate:
         # Zero features and zero biases tie every logit, so class 0 wins.
         spec = ModelSpec(input_dim=2, num_classes=3)
         data = Dataset(np.zeros((2, 2)), np.array([0, 1]), ("a", "b"))
-        assert evaluate(init_params(spec, 0), spec, data)["accuracy"] == 0.5
+        assert evaluate([init_params(spec, 0)], spec, [data])[0]["accuracy"] == 0.5
 
 
 @st.composite
@@ -445,7 +446,7 @@ class TestAgainstRawArrayOracle:
     def test_sgd_train_matches_raw_array_sgd_bit_for_bit(self, case, init_seed):
         spec, config, data, seed = case
         params = init_params(spec, init_seed)
-        trained = sgd_train(params, spec, data, config, seed)
+        trained = sgd_train(params, spec, [data], config, [seed])[0]
         expected = oracles.sgd_train(
             params.values,
             spec.layer_dims(),
@@ -461,7 +462,7 @@ class TestAgainstRawArrayOracle:
 
         # One cross-entropy: evaluation and training report the same loss.
         loss, _ = loss_and_gradient(trained.values, spec, data.features, data.labels)
-        assert evaluate(trained, spec, data)["loss"] == loss
+        assert evaluate([trained], spec, [data])[0]["loss"] == loss
 
 
 class TestAgainstPreActivationOracle:
@@ -486,7 +487,7 @@ class TestAgainstPreActivationOracle:
         assert type(loss) is float and loss == expected_loss
         assert grad.tobytes() == expected_grad.tobytes()
 
-        metrics = evaluate(params, spec, dataset_from(x, y, spec.num_classes))
+        metrics = evaluate([params], spec, [dataset_from(x, y, spec.num_classes)])[0]
         expected = oracles.evaluate(values, dims, activation, x, y)
         assert type(metrics["accuracy"]) is float
         assert repr(metrics["accuracy"]) == repr(expected["accuracy"])
@@ -494,3 +495,187 @@ class TestAgainstPreActivationOracle:
 
         # The in-place forward pass never writes into the caller's features.
         assert x.tobytes() == x_before.tobytes()
+
+
+def random_datasets(spec, sizes, seed):
+    """One dataset of each size, with N(0, 1) features and uniform labels."""
+    rng = np.random.default_rng(seed)
+    return [
+        dataset_from(
+            rng.normal(size=(n, spec.input_dim)),
+            rng.integers(0, spec.num_classes, size=n),
+            spec.num_classes,
+        )
+        for n in sizes
+    ]
+
+
+# A hidden layer of width 1 makes a bias gradient a sum over a lone column.
+STACK_SPECS = {
+    "logistic": ModelSpec(input_dim=4, num_classes=3),
+    "relu": ModelSpec(input_dim=4, hidden_dims=(5,), activation="relu", num_classes=3),
+    "tanh": ModelSpec(input_dim=4, hidden_dims=(1, 6), activation="tanh", num_classes=4),
+}
+
+
+class TestStacks:
+    """Datasets of equal size train as one stack; every model still has the
+    bits of the per-model oracle, whatever the mix of sizes."""
+
+    @pytest.mark.parametrize("name", sorted(STACK_SPECS))
+    @pytest.mark.parametrize(
+        "sizes, batch_size, epochs",
+        [
+            ((12, 12, 9, 9), 5, 1),  # the ragged golden geometry
+            ((9, 12, 9, 12, 7), 4, 2),  # interleaved sizes, two epochs
+            ((11,), 3, 2),  # a single dataset
+            ((6, 6, 6), 32, 1),  # one batch larger than every dataset
+        ],
+    )
+    def test_each_trained_model_matches_the_oracle(self, name, sizes, batch_size, epochs):
+        spec = STACK_SPECS[name]
+        datasets = random_datasets(spec, sizes, len(sizes))
+        params = init_params(spec, batch_size)
+        config = TrainConfig(learning_rate=0.3, batch_size=batch_size, local_epochs=epochs)
+        seeds = [7 + i for i in range(len(sizes))]
+        trained = sgd_train(params, spec, datasets, config, seeds)
+        assert len(trained) == len(datasets)
+        for model, data, seed in zip(trained, datasets, seeds):
+            expected = oracles.sgd_train(
+                params.values, spec.layer_dims(), spec.activation, data.features,
+                data.labels, config.learning_rate, batch_size, epochs, seed,
+            )
+            assert model.values.tobytes() == expected.tobytes()
+            alone = sgd_train(params, spec, [data], config, [seed])[0]
+            assert alone.values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(STACK_SPECS))
+    def test_each_score_matches_the_oracle(self, name):
+        spec = STACK_SPECS[name]
+        datasets = random_datasets(spec, (13, 8, 13, 1), 4)
+        rng = np.random.default_rng(4)
+        models = [ParamVector(rng.normal(size=spec.num_params)) for _ in datasets]
+        metrics = evaluate(models, spec, datasets)
+        assert len(metrics) == len(datasets)
+        for got, params, data in zip(metrics, models, datasets):
+            expected = oracles.evaluate(
+                params.values, spec.layer_dims(), spec.activation, data.features, data.labels
+            )
+            assert repr(got["accuracy"]) == repr(expected["accuracy"])
+            assert type(got["loss"]) is float and got["loss"] == expected["loss"]
+
+    @pytest.mark.parametrize("name", sorted(STACK_SPECS))
+    @pytest.mark.parametrize("stack, n", [(1, 5), (4, 32), (3, 1)])
+    def test_stacked_step_matches_each_slice(self, name, stack, n):
+        spec = STACK_SPECS[name]
+        rng = np.random.default_rng([stack, n])
+        values = rng.normal(size=(stack, spec.num_params))
+        x = rng.normal(size=(stack, n, spec.input_dim))
+        y = rng.integers(0, spec.num_classes, size=(stack, n))
+        losses, grads = loss_and_gradient(values, spec, x, y)
+        assert losses.shape == (stack,) and grads.shape == (stack, spec.num_params)
+        for k in range(stack):
+            loss, grad = loss_and_gradient(values[k], spec, x[k], y[k])
+            expected_loss, expected_grad = oracles.loss_and_gradient(
+                values[k], spec.layer_dims(), spec.activation, x[k], y[k]
+            )
+            assert float(losses[k]) == loss == expected_loss
+            assert grads[k].tobytes() == grad.tobytes() == expected_grad.tobytes()
+
+    def test_stacked_shapes_are_checked(self):
+        spec = STACK_SPECS["relu"]
+        values = np.zeros((2, spec.num_params))
+        x, y = np.zeros((2, 3, 4)), np.zeros((2, 3), dtype=np.int64)
+        with pytest.raises(ShapeMismatchError, match=re.escape("features must be (2, n, 4), got (3, 3, 4)")):
+            loss_and_gradient(values, spec, np.zeros((3, 3, 4)), y)
+        with pytest.raises(ShapeMismatchError, match=re.escape("features must be (2, n, 4), got (3, 4)")):
+            loss_and_gradient(values, spec, x[0], y)
+        with pytest.raises(ValueError, match=re.escape("labels must have shape (2, 3), got (3,)")):
+            loss_and_gradient(values, spec, x, y[0])
+        with pytest.raises(ShapeMismatchError, match=re.escape("values must be (P,) or (K, P)")):
+            loss_and_gradient(values[None], spec, x[None], y[None])
+
+    def test_lengths_must_pair_up(self):
+        spec = STACK_SPECS["logistic"]
+        datasets = random_datasets(spec, (4, 4), 0)
+        params = init_params(spec, 0)
+        with pytest.raises(ValueError, match="^2 datasets but 1 seeds$"):
+            sgd_train(params, spec, datasets, TrainConfig(), [0])
+        with pytest.raises(ValueError, match="^1 models but 2 datasets$"):
+            evaluate([params], spec, datasets)
+
+    @pytest.mark.parametrize(
+        "diverging, named",
+        [
+            ({2}, 2),  # the middle of the stack of three 12-row datasets
+            ({1, 2, 4}, 1),  # the 9-row stack trains second, but client 1 comes first
+        ],
+    )
+    def test_first_diverging_model_in_input_order_is_named(self, diverging, named):
+        # Features of 1e300 overflow the weights within the first epoch.
+        spec = STACK_SPECS["logistic"]
+        datasets = random_datasets(spec, (12, 9, 12, 12, 9), 5)
+        datasets = [
+            dataset_from(d.features * 1e300, d.labels, spec.num_classes) if i in diverging else d
+            for i, d in enumerate(datasets)
+        ]
+        config = TrainConfig(learning_rate=0.5, batch_size=5, local_epochs=2)
+        with pytest.raises(NumericError, match="^parameter vector contains non-finite entries$") as exc:
+            sgd_train(init_params(spec, 0), spec, datasets, config, [0, 1, 2, 3, 4])
+        assert exc.value.index == named
+        healthy = [d for i, d in enumerate(datasets) if i not in diverging]
+        sgd_train(init_params(spec, 0), spec, healthy, config, list(range(len(healthy))))
+
+
+def same_bits(got, expected) -> bool:
+    """Equal bits, signed zeros included; any NaN equals any NaN."""
+    got, expected = np.asarray(got, dtype=np.float64), np.asarray(expected, dtype=np.float64)
+    canonical = lambda a: np.where(np.isnan(a), np.nan, a).tobytes()
+    return np.array_equal(np.isnan(got), np.isnan(expected)) and canonical(got) == canonical(expected)
+
+
+class TestSoftmaxCrossEntropy:
+    """The row max reduces a class-major copy; the oracle reduces each row."""
+
+    @staticmethod
+    def logits(num_classes, special):
+        rng = np.random.default_rng(num_classes)
+        logits = rng.normal(size=(30, num_classes))
+        logits[0] = 0.0
+        logits[0, ::2] = -0.0  # a max tied between +0 and -0
+        logits[1] = -1.0
+        logits[1, 0], logits[1, -1] = -0.0, 0.0
+        logits[2, -1] = -np.inf
+        if special:
+            logits[3, 1] = np.nan
+            logits[4, 0] = np.inf
+            logits[5] = -np.inf
+            logits[6, 0], logits[6, 1] = np.inf, np.nan
+            logits[7, -1] = np.inf
+            logits[7, 0] = -np.inf
+        return logits, rng.integers(0, num_classes, size=logits.shape[0])
+
+    @pytest.mark.parametrize("special", [False, True], ids=["finite-max", "nan-inf"])
+    @pytest.mark.parametrize("num_classes", [2, 3, 4, 5, 8, 12])
+    def test_matches_the_oracle(self, num_classes, special):
+        logits, y = self.logits(num_classes, special)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            loss, exp, row_sums = _softmax_cross_entropy(logits, y)
+            softmax = exp / row_sums
+            expected_softmax = oracles._softmax(logits)
+            expected_loss = oracles._mean_cross_entropy(logits, y)
+        assert same_bits(softmax, expected_softmax)
+        assert same_bits(loss, expected_loss)
+        # A label on a -inf logit scores an infinite loss, never a NaN one.
+        assert special or not np.isnan(loss)
+
+    @pytest.mark.parametrize("num_classes", [2, 4, 12])
+    def test_stacked_rows_match_each_slice(self, num_classes):
+        logits, y = self.logits(num_classes, True)
+        stacked, labels = logits.reshape(3, 10, num_classes), y.reshape(3, 10)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            losses, exp, row_sums = _softmax_cross_entropy(stacked, labels)
+            for k in range(3):
+                loss_k, exp_k, sums_k = _softmax_cross_entropy(stacked[k], labels[k])
+                assert same_bits(losses[k], loss_k)
+                assert same_bits(exp[k], exp_k) and same_bits(row_sums[k], sums_k)

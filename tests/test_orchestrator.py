@@ -152,8 +152,8 @@ class TestRunFederation:
         config = FederationConfig(model=SPEC, train=TRAIN, rounds=1, seed=3)
         (report,) = run_federation(config, shards)
         w0 = init_params(SPEC, 3)
-        local = sgd_train(w0, SPEC, shards[0].train, TRAIN, 3)
-        metrics = evaluate(local, SPEC, shards[0].test)
+        local = sgd_train(w0, SPEC, [shards[0].train], TRAIN, [3])[0]
+        metrics = evaluate([local], SPEC, [shards[0].test])[0]
         assert report.aggregated_accuracy == metrics["accuracy"]
         # A single-client average is the local model itself.
         assert report.global_accuracy == metrics["accuracy"]
@@ -171,9 +171,9 @@ class TestRunFederation:
             updates = []
             local_metrics = []
             for i, shard in enumerate(shards):
-                local = sgd_train(params, SPEC, shard.train, TRAIN, 11 + i)
+                local = sgd_train(params, SPEC, [shard.train], TRAIN, [11 + i])[0]
                 local_metrics.append(
-                    (len(shard.test), evaluate(local, SPEC, shard.test)["accuracy"])
+                    (len(shard.test), evaluate([local], SPEC, [shard.test])[0]["accuracy"])
                 )
                 updates.append(
                     ClientUpdate(
@@ -185,7 +185,7 @@ class TestRunFederation:
             params = aggregate_fedavg(updates)
             expected_global = weighted_accuracy(
                 [
-                    (len(s.test), evaluate(params, SPEC, s.test)["accuracy"])
+                    (len(s.test), evaluate([params], SPEC, [s.test])[0]["accuracy"])
                     for s in shards
                 ]
             )
@@ -320,7 +320,7 @@ class TestCompareStrategies:
         w0 = init_params(SPEC, 3)
         expected = weighted_accuracy(
             [
-                (len(s.test), evaluate(w0, SPEC, s.test)["accuracy"])
+                (len(s.test), evaluate([w0], SPEC, [s.test])[0]["accuracy"])
                 for s in shards
             ]
         )
@@ -377,6 +377,20 @@ class TestCompareStrategies:
         message = "fedavgm, seed 1, round 1, client_1: training failed: "
         with pytest.raises(NumericError, match=f"^{message}"):
             run_federation(config, blob_shards(2, 1, 8))
+
+    def test_a_diverged_client_in_the_middle_of_a_stack_is_named(self):
+        # The four train splits have one size, so they train as one stack;
+        # only client_2's features, scaled to 1e300, overflow its weights.
+        shards = blob_shards(4, 0)
+        assert len({len(shard.train) for shard in shards}) == 1
+        big = shards[2].train
+        shards[2] = ClientShard(
+            "client_2", Dataset(big.features * 1e300, big.labels, big.class_names), shards[2].test
+        )
+        config = FederationConfig(model=SPEC, train=TRAIN, rounds=1)
+        message = "fedavg, seed 0, round 1, client_2: training failed: "
+        with pytest.raises(NumericError, match=f"^{message}"):
+            run_federation(config, shards)
 
     def test_non_finite_local_loss_is_logged(self, caplog):
         # Round 1's one full-batch step at this rate leaves client_1's model
@@ -489,18 +503,26 @@ class TestSharedFirstRound:
         compare_strategies(
             base, strategies, self.SEEDS, lambda seed: blob_shards(clients, seed)
         )
-        local = clients * len(self.SEEDS) * (1 + len(strategies) * (self.ROUNDS - 1))
-        assert len(trained) == local
+        # One sgd_train call per trained round, one model per client in each.
+        rounds = len(self.SEEDS) * (1 + len(strategies) * (self.ROUNDS - 1))
+        local = clients * rounds
+        assert len(trained) == rounds
+        assert sum(len(datasets) for _, _, datasets, _, _ in trained) == local
         # One local evaluation per trained model, one global one per client
-        # and round of every federation.
+        # and round of every federation; one evaluate call scores a round's
+        # local models, and one its global model.
         federations = len(strategies) * len(self.SEEDS)
-        assert len(evaluated) == local + federations * self.ROUNDS * clients
+        assert len(evaluated) == rounds + federations * self.ROUNDS
+        assert sum(len(datasets) for _, _, datasets in evaluated) == (
+            local + federations * self.ROUNDS * clients
+        )
 
     def test_run_federation_alone_trains_round_one(self, monkeypatch):
         trained = count_calls(monkeypatch, fedsim.orchestrator, "sgd_train")
         config = FederationConfig(model=SPEC, train=TRAIN, rounds=self.ROUNDS)
         run_federation(config, blob_shards(4, 0))
-        assert len(trained) == 4 * self.ROUNDS
+        assert len(trained) == self.ROUNDS
+        assert sum(len(datasets) for _, _, datasets, _, _ in trained) == 4 * self.ROUNDS
 
     def test_invalid_shards_rejected_before_training(self, monkeypatch):
         trained = count_calls(monkeypatch, fedsim.orchestrator, "sgd_train")

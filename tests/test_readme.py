@@ -5,6 +5,7 @@ quotes must be one the code writes."""
 import logging
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,9 +21,11 @@ from fedsim import (
     ParamVector,
     SimplexConfig,
     TrainConfig,
+    evaluate,
     generate_blobs,
     make_client_shards,
     run_federation,
+    sgd_train,
 )
 from fedsim.cli import main, parse_config
 
@@ -103,9 +106,15 @@ def non_finite_like(params, *_):
     return ParamVector(np.full(len(params), np.inf))
 
 
+def from_nan_weights(params, *rest):
+    """Trains every client from NaN weights, so sgd_train's own check fails
+    and names the first client."""
+    return sgd_train(SimpleNamespace(values=np.full(len(params), np.nan)), *rest)
+
+
 def training_failure(monkeypatch, caplog):
-    # Calls 1 and 2 train round 1's clients; call 3 is client_0 in round 2.
-    replace_call(monkeypatch, fedsim.orchestrator, "sgd_train", 3, non_finite_like)
+    # Call 1 trains round 1's clients; call 2 trains round 2's.
+    replace_call(monkeypatch, fedsim.orchestrator, "sgd_train", 2, from_nan_weights)
     with pytest.raises(NumericError) as exc:
         run_rounds(FedAvg(), 2)
     return str(exc.value)
@@ -130,12 +139,15 @@ def capped_solve(monkeypatch, caplog):
 
 
 def non_finite_loss(monkeypatch, caplog):
-    # Each round scores the two local models, then the global model on both
-    # test splits: call 6 is client_1's local model in round 2.
-    def score(params, spec, dataset):
-        return {"accuracy": 0.0, "loss": float("nan")}
+    # Each round scores the two local models in one call, then the global
+    # model on both test splits in another: call 3 scores round 2's local
+    # models, and client_1's loss is made NaN.
+    def score(models, spec, datasets):
+        metrics = evaluate(models, spec, datasets)
+        metrics[1] = {"accuracy": 0.0, "loss": float("nan")}
+        return metrics
 
-    replace_call(monkeypatch, fedsim.orchestrator, "evaluate", 6, score)
+    replace_call(monkeypatch, fedsim.orchestrator, "evaluate", 3, score)
     run_rounds(FedAvg(), 2)
     (record,) = caplog.records
     return record.getMessage()
