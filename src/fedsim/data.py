@@ -12,6 +12,7 @@ import csv
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -128,17 +129,34 @@ def generate_blobs(
     return _adopt(features, labels, tuple(f"class_{c}" for c in range(num_classes)))
 
 
+# The data rows are read in chunks of about this many characters.
+_CHUNK_CHARS = 1 << 16
+
+# Characters that send a chunk to the row reader: a quote, which starts csv
+# quoting; NUL, which the csv module refuses before Python 3.11; and the
+# separators U+001C to U+001F, which np.loadtxt strips around a number as
+# whitespace but float() refuses.
+_ROW_READER_CHARS = '"\0\x1c\x1d\x1e\x1f'
+
+
 def load_csv(path: str, label_column: str) -> Dataset:
     """Parse a comma-separated file: header row, numeric feature columns, one
     label column mapped to class indices by first appearance.  A leading
     UTF-8 byte-order mark, as spreadsheet "CSV UTF-8" exports write, is
-    dropped.  The first fault in row order is reported."""
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvParseError(f"{path}: file is empty") from None
+    dropped.  The first fault in row order is reported.
+
+    Data rows are read in chunks of about 64 KB.  A chunk of plain rows is
+    parsed in one ``np.loadtxt`` call; from the first chunk that is not
+    plain (quoting, a fault, anything :func:`_bulk_rows` refuses), the rest
+    of the file goes through the csv module row by row.  Both give the same
+    bits, as ``np.loadtxt`` reads a number with the parser ``float()`` uses.
+    """
+    # Undecodable bytes become lone surrogates, so the row that holds one can
+    # be named; _undecoded_byte finds them.
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as handle:
+        header = _next_row(path, csv.reader(handle), 0)
+        if header is None:
+            raise CsvParseError(f"{path}: file is empty")
         if label_column not in header:
             raise CsvParseError(
                 f"{path}: label column {label_column!r} not found in header {header}"
@@ -151,25 +169,21 @@ def load_csv(path: str, label_column: str) -> Dataset:
             )
 
         # Rows go straight into one float64 buffer, so no per-cell float
-        # object or per-row list outlives its row.
+        # object or per-row list outlives its chunk.
         values = array("d")
         labels = array("q")
         class_index: dict[str, int] = {}
-        for row_num, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise CsvParseError(
-                    f"{path}: row {row_num} has {len(row)} cells, expected {len(header)}"
-                )
-            labels.append(class_index.setdefault(row.pop(label_idx), len(class_index)))
-            try:
-                parsed = list(map(float, row))
-            except ValueError:
-                parsed = None
-            # float() also accepts nan and inf, and rounds 1e400 to inf; a
-            # finite row can still sum to inf, so a non-finite sum is re-checked.
-            if parsed is None or not math.isfinite(sum(parsed)):
-                parsed = _parse_cells(path, row_num, names, row)
-            values.fromlist(parsed)
+        while lines := handle.readlines(_CHUNK_CHARS):
+            chunk = _bulk_rows(lines, len(header), label_idx)
+            if chunk is None:
+                rows = csv.reader(chain(lines, handle))
+                _read_rows(path, rows, names, label_idx, values, labels, class_index)
+                break
+            features, label_cells = chunk
+            values.frombytes(features.tobytes())
+            for name in dict.fromkeys(label_cells):
+                class_index.setdefault(name, len(class_index))
+            labels.extend(map(class_index.__getitem__, label_cells))
 
     if not labels:
         raise CsvParseError(f"{path}: no data rows")
@@ -177,6 +191,102 @@ def load_csv(path: str, label_column: str) -> Dataset:
     # parse buffers become the dataset's arrays as they are.
     features = np.frombuffer(values, dtype=np.float64).reshape(len(labels), len(names))
     return _adopt(features, np.frombuffer(labels, dtype=np.int64), tuple(class_index))
+
+
+def _bulk_rows(
+    lines: list[str], num_cells: int, label_idx: int
+) -> tuple[np.ndarray, list[str]] | None:
+    """The feature matrix and the label cells of ``lines``, one data row per
+    line, or None if any line needs the row reader: a character of
+    ``_ROW_READER_CHARS``, an undecodable byte, a line ending in a lone
+    ``\\r``, a line longer than the csv module's field limit, a line
+    with the wrong number of commas (so a blank, short or long row), or a
+    feature cell that is not a finite number to ``np.loadtxt``."""
+    text = "".join(lines)
+    if (
+        any(char in text for char in _ROW_READER_CHARS)
+        or not (text.isascii() or _undecoded_byte(text) is None)
+        or ("\r" in text and any(line.endswith("\r") for line in lines))
+        or max(map(len, lines)) > csv.field_size_limit()
+        or set(map(str.count, lines, repeat(","))) != {num_cells - 1}
+    ):
+        return None
+    usecols = [i for i in range(num_cells) if i != label_idx]
+    try:
+        features = np.loadtxt(lines, delimiter=",", usecols=usecols, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if not np.isfinite(features).all():
+        return None
+    if label_idx < num_cells - 1:
+        label_cells = [line.split(",", label_idx + 1)[label_idx] for line in lines]
+    else:
+        # Only the last cell holds the line end, "\n" or "\r\n".
+        label_cells = [line.rpartition(",")[2].rstrip("\r\n") for line in lines]
+    return features, label_cells
+
+
+def _read_rows(
+    path: str,
+    rows,
+    names: list[str],
+    label_idx: int,
+    values: array,
+    labels: array,
+    class_index: dict[str, int],
+) -> None:
+    """Parse the rest of the file row by row from the csv reader ``rows``,
+    appending to the buffers, and raise on the first faulty row."""
+    row_num = len(labels)
+    while (row := _next_row(path, rows, row_num + 1)) is not None:
+        row_num += 1
+        if len(row) != len(names) + 1:
+            raise CsvParseError(
+                f"{path}: row {row_num} has {len(row)} cells, expected {len(names) + 1}"
+            )
+        labels.append(class_index.setdefault(row.pop(label_idx), len(class_index)))
+        try:
+            parsed = list(map(float, row))
+        except ValueError:
+            parsed = None
+        # float() also accepts nan and inf, and rounds 1e400 to inf; a
+        # finite row can still sum to inf, so a non-finite sum is re-checked.
+        if parsed is None or not math.isfinite(sum(parsed)):
+            parsed = _parse_cells(path, row_num, names, row)
+        values.fromlist(parsed)
+
+
+def _next_row(path: str, rows, row_num: int) -> list[str] | None:
+    """The next row from the csv reader ``rows``, or None at the end of the
+    file.  Raises :class:`CsvParseError` for a row (``row_num`` 0 is the
+    header) with a cell over the csv module's field limit or with a byte
+    that is not UTF-8."""
+    where = f"row {row_num}" if row_num else "header"
+    try:
+        row = next(rows, None)
+    except csv.Error as exc:
+        # Under the default dialect the csv module refuses only a cell over
+        # its field limit and, before Python 3.11, a NUL.
+        if "field limit" not in str(exc):
+            raise CsvParseError(f"{path}: {where}: {exc}") from None
+        raise CsvParseError(
+            f"{path}: {where} has a cell longer than {csv.field_size_limit()} characters"
+        ) from None
+    if row is not None:
+        text = "".join(row)
+        if not text.isascii() and (byte := _undecoded_byte(text)) is not None:
+            raise CsvParseError(f"{path}: {where} is not UTF-8 text (byte 0x{byte:02x})")
+    return row
+
+
+def _undecoded_byte(text: str) -> int | None:
+    """The first byte that the ``surrogateescape`` error handler kept in
+    ``text`` as a lone surrogate, or None if every byte was UTF-8."""
+    try:
+        text.encode()
+    except UnicodeEncodeError as exc:
+        return ord(text[exc.start]) - 0xDC00
+    return None
 
 
 def _parse_cells(path: str, row_num: int, names: list[str], cells: list[str]) -> list[float]:

@@ -27,8 +27,10 @@ match them bit for bit, global model and carried state alike.
 
 ``load_csv`` parses each cell into its own Python float, keeps one list per
 row and converts them all at the end; :func:`fedsim.data.load_csv`, which
-streams rows into one float64 buffer and scans cells one by one only in a
-row that fails, must return the same bits or raise the same message.
+parses chunks of plain rows with one ``np.loadtxt`` call each, streams the
+rest through the csv module into one float64 buffer and scans cells one by
+one only in a row that fails, must return the same bits or raise the same
+message.
 
 ``subset`` takes rows through the public ``Dataset`` constructor, which
 copies and re-checks them; :meth:`fedsim.Dataset.subset`, which freezes a
@@ -55,6 +57,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
+import re
 from typing import Callable, Sequence
 
 import numpy as np
@@ -490,12 +493,11 @@ def load_csv(path: str, label_column: str) -> Dataset:
     label column mapped to class indices by first appearance.  A leading
     UTF-8 byte-order mark, as spreadsheet "CSV UTF-8" exports write, is
     dropped."""
-    with open(path, newline="", encoding="utf-8-sig") as handle:
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as handle:
         reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvParseError(f"{path}: file is empty") from None
+        header = _csv_row(path, reader, "header")
+        if header is None:
+            raise CsvParseError(f"{path}: file is empty")
         if label_column not in header:
             raise CsvParseError(
                 f"{path}: label column {label_column!r} not found in header {header}"
@@ -504,7 +506,12 @@ def load_csv(path: str, label_column: str) -> Dataset:
 
         rows: list[list[float]] = []
         raw_labels: list[str] = []
-        for row_num, row in enumerate(reader, start=1):
+        row_num = 0
+        while True:
+            row_num += 1
+            row = _csv_row(path, reader, f"row {row_num}")
+            if row is None:
+                break
             if len(row) != len(header):
                 raise CsvParseError(
                     f"{path}: row {row_num} has {len(row)} cells, expected {len(header)}"
@@ -539,6 +546,26 @@ def load_csv(path: str, label_column: str) -> Dataset:
             class_names.append(name)
         labels.append(mapping[name])
     return Dataset(np.asarray(rows, dtype=np.float64), np.asarray(labels), tuple(class_names))
+
+
+def _csv_row(path: str, reader, where: str) -> list[str] | None:
+    """The next row of ``reader``, or None at the end; a cell over the csv
+    module's field limit, or a byte the ``surrogateescape`` handler kept as
+    U+DC80 to U+DCFF, is a fault of the row ``where``."""
+    try:
+        row = next(reader)
+    except StopIteration:
+        return None
+    except csv.Error as exc:
+        limit = csv.field_size_limit()
+        if str(exc) == f"field larger than field limit ({limit})":
+            raise CsvParseError(f"{path}: {where} has a cell longer than {limit} characters") from None
+        raise CsvParseError(f"{path}: {where}: {exc}") from None
+    undecoded = re.search("[\udc80-\udcff]", "".join(row))
+    if undecoded:
+        byte = ord(undecoded.group()) - 0xDC00
+        raise CsvParseError(f"{path}: {where} is not UTF-8 text (byte 0x{byte:02x})")
+    return row
 
 
 def subset(dataset: Dataset, indices) -> Dataset:

@@ -1019,6 +1019,34 @@ class TestMain:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "data, fault",
+        [
+            (
+                b"x1,label\n1.0,a\n2.0," + b"b" * 131_073 + b"\n",
+                "row 2 has a cell longer than 131072 characters",
+            ),
+            (
+                "x1,label\n1.0,a\n2.0,\xff\n".encode("latin-1"),
+                "row 2 is not UTF-8 text (byte 0xff)",
+            ),
+        ],
+        ids=["long-cell", "latin-1"],
+    )
+    def test_unreadable_csv_row_is_named(self, tmp_path, capsys, data, fault):
+        # Each once left compare without a file or row to point at: the long
+        # cell as a csv module traceback, the Latin-1 byte as a bare codec error.
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_bytes(data)
+        path = write_config(
+            tmp_path,
+            f"dataset: {{kind: csv, path: {csv_path}, label_column: label}}\nstrategy: fedavg\n",
+        )
+        out = tmp_path / "out"
+        assert main(["compare", path, "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err.strip() == f"error: {csv_path}: {fault}"
+        assert not out.exists()
+
     def test_csv_dataset_end_to_end(self, tmp_path):
         rows = ["x1,x2,label"]
         for i in range(8):

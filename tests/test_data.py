@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 
+import fedsim.data
 from fedsim import (
     ClientShard,
     Dataset,
@@ -343,6 +344,24 @@ class TestLoadCsv:
             load_csv(path, "label")
         assert str(info.value) == f"{path}: no feature column besides the label column 'label'"
 
+    @pytest.mark.parametrize(
+        "data, fault",
+        [
+            ("x1,label\n1.0,a\n2.0,\xff\n".encode("latin-1"), "row 2 is not UTF-8 text (byte 0xff)"),
+            ("x1,lab\xe9l\n1.0,a\n".encode("latin-1"), "header is not UTF-8 text (byte 0xe9)"),
+            (b"x1,label\n1.0,a\n" + b"2" * 131_073 + b",b\n", "row 2 has a cell longer than 131072 characters"),
+        ],
+        ids=["latin-1-row", "latin-1-header", "long-cell"],
+    )
+    def test_unreadable_row_names_file_and_row(self, tmp_path, data, fault):
+        # Both once escaped without a row: a bare codec error and a csv
+        # module error.
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        with pytest.raises(CsvParseError) as info:
+            load_csv(str(path), "label")
+        assert str(info.value) == f"{path}: {fault}"
+
     @settings(max_examples=300)
     @given(text_and_label=csv_texts())
     @example(text_and_label=("x1,label,x2\n1,a,2\n1,a\n3,b,oops\n", "label"))
@@ -387,6 +406,165 @@ class TestLoadCsv:
             data.features[0, 0] = 9.0
         with pytest.raises(ValueError):
             data.labels[0] = 1
+
+
+def plain_csv_lines(label_idx, newline="\n", rows=3000):
+    """The lines of a plain CSV, header first, that spans several of
+    load_csv's 64 KB chunks: six features, labels in three classes at
+    column ``label_idx``, and every cell a number that loads."""
+    rng = np.random.default_rng(label_idx)
+    features = rng.normal(size=(rows, 6)) * 10.0 ** rng.integers(-5, 6, size=(rows, 6))
+    header = [f"x{j}" for j in range(6)]
+    header.insert(label_idx, "label")
+    lines = [",".join(header) + newline]
+    for i, row in enumerate(features.tolist()):
+        cells = list(map(repr, row))
+        cells.insert(label_idx, f"class {i % 3}")
+        lines.append(",".join(cells) + newline)
+    return lines
+
+
+def row_reader_starts(monkeypatch):
+    """Record, for each time load_csv hands the rest of a file to its row
+    reader, how many rows the bulk path had already parsed."""
+    starts = []
+    read_rows = fedsim.data._read_rows
+
+    def recorded(path, rows, names, label_idx, values, labels, class_index):
+        starts.append(len(labels))
+        return read_rows(path, rows, names, label_idx, values, labels, class_index)
+
+    monkeypatch.setattr(fedsim.data, "_read_rows", recorded)
+    return starts
+
+
+def loaded_like_the_oracle(path):
+    """load_csv's result or message, after asserting it is the oracle's."""
+    expected = load_or_message(oracles.load_csv, path, "label")
+    got = load_or_message(load_csv, path, "label")
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert not isinstance(got, str), got
+        assert got.features.shape == expected.features.shape
+        assert got.features.tobytes() == expected.features.tobytes()
+        assert got.labels.tobytes() == expected.labels.tobytes()
+        assert got.class_names == expected.class_names
+    return got
+
+
+class TestBulkParse:
+    """Plain chunks of rows are parsed in one np.loadtxt call each; anything
+    else reaches the csv module row by row.  Both must give the oracle's
+    result, and the row reader must run only where a chunk needs it."""
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["LF", "CRLF"])
+    @pytest.mark.parametrize("label_idx", [0, 3, 6], ids=["label-first", "label-middle", "label-last"])
+    def test_plain_file_never_reaches_the_row_reader(self, tmp_path, monkeypatch, newline, label_idx):
+        path = tmp_path / "plain.csv"
+        path.write_text("".join(plain_csv_lines(label_idx, newline)), encoding="utf-8", newline="")
+        assert path.stat().st_size > 4 * fedsim.data._CHUNK_CHARS
+        starts = row_reader_starts(monkeypatch)
+        data = loaded_like_the_oracle(str(path))
+        assert len(data) == 3000 and data.class_names == ("class 0", "class 1", "class 2")
+        assert starts == []
+
+    @pytest.mark.parametrize(
+        "line, falls_back",
+        [
+            ('"1.5",2,3,"a",4,5,6\n', True),
+            ("1.5,2,3,a,4,5,6\r", True),
+            ("1.5,2\x00,3,a,4,5,6\n", True),
+            ("\n", True),
+            ("1.5,2,3,a,4,5\n", True),
+            ("1.5,2,3,a,4,5,6,7\n", True),
+            ("1.5,2,3," + "a" * 131_073 + ",4,5,6\n", True),
+            ("1.5,2,3,\udcff,4,5,6\n", True),
+            ("1.5,abc,3,a,4,5,6\n", True),
+            ("1.5,\x1c2,3,a,4,5,6\n", True),
+            ("1.5,1_0,3,a,4,5,6\n", True),
+            ("1.5,\u0661\u0662,3,a,4,5,6\n", True),
+            ("1.5,2,nan,a,4,5,6\n", True),
+            ("1.5,2,3,a,4,5,1e400\n", True),
+            ("1e308,1e308,3,a,4,5,6\n", False),
+            ("1.5,\u20002,3,caf\u00e9,4,5,6\n", False),
+        ],
+        ids=[
+            "quote", "lone-CR", "NUL", "blank", "short", "long", "over-field-limit",
+            "not-UTF-8", "non-numeric", "U+001C", "underscore", "Arabic-Indic",
+            "nan", "1e400", "sum-overflows", "non-ASCII",
+        ],
+    )
+    def test_one_line_in_the_last_chunk(self, tmp_path, monkeypatch, line, falls_back):
+        lines = plain_csv_lines(3)
+        lines[-2] = line
+        path = tmp_path / "last.csv"
+        path.write_bytes("".join(lines).encode("utf-8", "surrogateescape"))
+        starts = row_reader_starts(monkeypatch)
+        got = loaded_like_the_oracle(str(path))
+        # Only the last chunk goes to the row reader, which counts on from
+        # the rows the bulk path parsed.
+        assert len(starts) == falls_back and all(start > 2000 for start in starts)
+        if isinstance(got, str):
+            # The fault is in the file's next-to-last row, past several chunks.
+            assert f"{path}: row {len(lines) - 2}" in got
+
+    def test_lower_field_limit_sends_long_lines_to_the_row_reader(self, tmp_path, monkeypatch):
+        # The row reader then refuses only a cell over the limit, not a row.
+        lines = plain_csv_lines(0)
+        path = tmp_path / "limit.csv"
+        path.write_text("".join(lines), encoding="utf-8")
+        limit = csv.field_size_limit(min(map(len, lines[1:])) - 1)
+        try:
+            starts = row_reader_starts(monkeypatch)
+            loaded_like_the_oracle(str(path))
+            assert starts == [0]
+        finally:
+            csv.field_size_limit(limit)
+
+
+def loadtxt_cell(cell):
+    """np.loadtxt's reading of ``cell`` as the first cell of a row, as
+    load_csv calls it, or None if it refuses the cell."""
+    try:
+        return np.loadtxt([f"{cell},a\n"], delimiter=",", usecols=[0], comments=None, ndmin=2)[0, 0]
+    except ValueError:
+        return None
+
+
+FLOATS = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+NUMERALS = st.one_of(
+    GOOD_CELLS.filter(lambda cell: "_" not in cell and cell.isascii() and "\n" not in cell),
+    st.tuples(FLOATS, st.sampled_from(["{:.17e}", "{:.3g}", "{:f}", "{:.25g}", "{:+.1E}"])).map(
+        lambda pair: pair[1].format(pair[0])
+    ),
+    st.tuples(st.integers(-(10**25), 10**25), st.integers(-400, 400)).map(lambda p: "%de%d" % p),
+    st.sampled_from(["1e400", "-1e400", "2.4703282292062327e-324", "2.4703282292062328e-324"]),
+)
+
+
+class TestLoadtxtReadsLikeFloat:
+    """load_csv's bulk path trusts np.loadtxt to read a number to the bits
+    float() gives, and to refuse what float() refuses; these check that under
+    the numpy that runs them."""
+
+    @settings(max_examples=500)
+    @given(cell=NUMERALS)
+    def test_numerals(self, cell):
+        got = loadtxt_cell(cell)
+        assert got is not None
+        assert np.float64(got).tobytes() == np.float64(float(cell)).tobytes()
+
+    def test_no_character_is_read_more_loosely(self):
+        # Each ASCII character, and some Unicode spaces, around and inside a
+        # number; characters the bulk path never hands to np.loadtxt aside.
+        chars = [chr(c) for c in range(128)] + ["\x85", "\xa0", "\u2000", "\u3000", "\u0661"]
+        chars = [c for c in chars if c not in fedsim.data._ROW_READER_CHARS + ',\r\n']
+        for char in chars:
+            for cell in (char, char + "1.5", "1.5" + char, "1" + char + "5", char + "1.5" + char):
+                got = loadtxt_cell(cell)
+                if got is not None:
+                    assert np.float64(got).tobytes() == np.float64(float(cell)).tobytes(), repr(cell)
 
 
 class TestStratifiedPartition:

@@ -64,3 +64,31 @@ def test_traced_compare_passes_the_tracer_self_check(monkeypatch, tmp_path, caps
     assert metrics["models.evaluate_local.calls"] == 3
     assert metrics["models.evaluate_global.calls"] == 2 * 2
     assert metrics["models.steps"] == 3 * (3 + 2)
+
+
+def test_traced_csv_compare_passes_the_tracer_self_check(monkeypatch, tmp_path):
+    # The tracer times CSV loading through fedsim.cli's load_csv name; a
+    # compare that reached the loader another way would read 0 there.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    rows = ["x1,label,x2"] + [f"{i % 5}.5,c{i % 2},{-i}.25" for i in range(24)]
+    (tmp_path / "data.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    config = tmp_path / "config.yaml"
+    config.write_text(
+        textwrap.dedent(
+            f"""
+            dataset: {{kind: csv, path: {tmp_path / "data.csv"}, label_column: label}}
+            strategies: [fedavg, fedmedian]
+            rounds: 2
+            num_clients: 2
+            train_fraction: 0.5
+            """
+        ),
+        encoding="utf-8",
+    )
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        assert main(["compare", str(config), "--output-dir", str(tmp_path / "out")]) == 0
+    metrics = tracing.layer_metrics(tracer, tracer.trace_id)
+    tracing.check_fired(metrics, expects_solver=False, uses_csv=True)
