@@ -75,8 +75,8 @@ def init_params(spec: ModelSpec, seed: int) -> ParamVector:
 
 def _layers(flat: np.ndarray, spec: ModelSpec) -> list[tuple[np.ndarray, np.ndarray]]:
     """(weight, bias) views of each dense layer of a flat vector laid out as
-    :class:`ModelSpec` describes, or of each row of a (K, P) stack of such
-    vectors: shapes (..., fan_in, fan_out) and (..., fan_out).  A vector of
+    :class:`ModelSpec` describes, or of each vector of a (..., P) stack of
+    them: shapes (..., fan_in, fan_out) and (..., fan_out).  A vector of
     any other size is rejected."""
     if flat.shape[-1] != spec.num_params:
         raise ShapeMismatchError(
@@ -98,8 +98,8 @@ def _check_features(spec: ModelSpec, features: np.ndarray, stack: tuple[int, ...
 
 
 def _forward(layers: list[tuple[np.ndarray, np.ndarray]], spec: ModelSpec, x: np.ndarray):
-    """Returns (per-layer inputs, logits); with stacked layers, model k reads
-    ``x[k]``, one product per slice.
+    """Returns (per-layer inputs, logits); with stacked layers, the model at
+    each stack index reads the features at that index, one product per slice.
 
     Each hidden activation overwrites its pre-activation, which backprop
     does not need: relu's mask is ``h > 0`` and tanh's derivative is
@@ -160,14 +160,16 @@ def loss_and_gradient(
 
     ``values`` is the flat weight vector laid out as ``spec`` describes, with
     ``features`` (n, d) and ``labels`` (n,); the loss comes back as a float.
-    With a leading stack axis, ``values`` (K, P), ``features`` (K, n, d) and
-    ``labels`` (K, n), model k is scored on batch k: the losses come back as
-    a (K,) array and the gradients as (K, P), and each slice has the bits of
-    the unstacked call on it.  The gradient is a fresh, writable float64
-    array; neither ``values`` nor ``features`` is written to.
+    With leading stack axes, ``values`` (..., P), ``features`` (..., n, d)
+    and ``labels`` (..., n), each model is scored on the batch at its own
+    index: the losses come back as an array of the stack's shape and the
+    gradients as (..., P), and each slice has the bits of the unstacked call
+    on it.  ``features`` and ``labels`` may be read-only broadcast views.
+    The gradient is a fresh, writable float64 array; neither ``values`` nor
+    ``features`` is written to.
     """
-    if np.ndim(values) not in (1, 2):
-        raise ShapeMismatchError(f"values must be (P,) or (K, P), got {np.shape(values)}")
+    if np.ndim(values) == 0:
+        raise ShapeMismatchError(f"values must be (..., P), got {np.shape(values)}")
     stack = values.shape[:-1]
     x = _check_features(spec, features, stack)
     y = _check_labels(spec, labels, x.shape[:-1])
@@ -197,25 +199,27 @@ def loss_and_gradient(
 
 
 def sgd_train(
-    params: ParamVector,
+    starts: Sequence[ParamVector],
     spec: ModelSpec,
     datasets: Sequence["Dataset"],
     config: TrainConfig,
     seeds: Sequence[int],
 ) -> list[ParamVector]:
-    """Mini-batch SGD from ``params`` for ``local_epochs`` epochs on each
-    dataset; model ``i`` trains on ``datasets[i]``, shuffled by ``seeds[i]``.
+    """Mini-batch SGD for ``local_epochs`` epochs from each of ``starts`` on
+    each dataset: with K datasets, entry ``s * K + i`` of the result is
+    ``starts[s]`` trained on ``datasets[i]``, shuffled by ``seeds[i]``.
 
-    Pure function of its arguments, and model ``i`` has the bits of a call
-    on ``datasets[i]`` and ``seeds[i]`` alone.  Datasets of equal size train
-    as one stack, with one ``loss_and_gradient`` call per step; each epoch's
-    batches are gathered once into one buffer.  Each stack steps one working
-    copy of its weights in place.  Finiteness is checked once, on the
-    results in input order, because an entry that goes non-finite under
-    ``values -= lr * grad`` stays so; the ``NumericError`` of the first
-    non-finite model carries its position as ``index``.  numpy's overflow
-    and invalid-value warnings are silenced meanwhile, so a diverging run
-    reports only that error.
+    Pure function of its arguments, and each entry has the bits of a call
+    from its start alone on ``datasets[i]`` and ``seeds[i]`` alone.  Datasets
+    of equal size train as one stack of every (start, dataset) pair, with one
+    ``loss_and_gradient`` call per step; each epoch's batches are gathered
+    once into one buffer, which every start reads through a broadcast view.
+    Each stack steps one working copy of its weights in place.  Finiteness
+    is checked once, on the results in result order, because an entry that
+    goes non-finite under ``values -= lr * grad`` stays so; the
+    ``NumericError`` of the first non-finite model carries its position as
+    ``index``.  numpy's overflow and invalid-value warnings are silenced
+    meanwhile, so a diverging run reports only that error.
     """
     if len(datasets) != len(seeds):
         raise ValueError(f"{len(datasets)} datasets but {len(seeds)} seeds")
@@ -226,13 +230,18 @@ def sgd_train(
             raise ValueError("cannot train on an empty dataset")
         _check_features(spec, dataset.features)
         stacks.setdefault(len(dataset), []).append(i)
-    lr, size = config.learning_rate, config.batch_size
-    trained: list = [None] * len(datasets)
+    origins = np.stack([start.values for start in starts])
+    lr, size, count = config.learning_rate, config.batch_size, len(datasets)
+    trained: list = [None] * (len(starts) * count)
     with np.errstate(over="ignore", invalid="ignore"):
         for n, members in stacks.items():
-            values = np.tile(params.values, (len(members), 1))
+            values = np.repeat(origins[:, None], len(members), axis=1)
             x = np.empty((len(members), n, spec.input_dim))
             y = np.empty((len(members), n), dtype=np.int64)
+            # Every start reads the one buffer; a stacked product has the bits
+            # of one product per slice, where concatenated rows would not.
+            xs = np.broadcast_to(x, (len(starts), *x.shape))
+            ys = np.broadcast_to(y, (len(starts), *y.shape))
             full = n - n % size
             for _ in range(config.local_epochs):
                 for row, i in enumerate(members):
@@ -244,13 +253,14 @@ def sgd_train(
                     order[full:].sort()
                     np.take(datasets[i].features, order, axis=0, out=x[row], mode="clip")
                     np.take(datasets[i].labels, order, out=y[row], mode="clip")
-                for start in range(0, n, size):
-                    batch = slice(start, start + size)
-                    grad = loss_and_gradient(values, spec, x[:, batch], y[:, batch])[1]
+                for offset in range(0, n, size):
+                    batch = slice(offset, offset + size)
+                    grad = loss_and_gradient(values, spec, xs[:, :, batch], ys[:, :, batch])[1]
                     grad *= lr  # the bits of values - lr * grad, with no temporary
                     values -= grad
-            for row, i in enumerate(members):
-                trained[i] = values[row]
+            for s in range(len(starts)):
+                for row, i in enumerate(members):
+                    trained[s * count + i] = values[s, row]
     results: list[ParamVector] = []
     for values in trained:
         try:

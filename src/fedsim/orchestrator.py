@@ -2,7 +2,9 @@
 
 One round = broadcast the global parameters, train every client locally,
 evaluate each client's freshly trained model on its own test set, then fold
-the updates into the next global model with the configured strategy.
+the updates into the next global model with the configured strategy.  A
+federation runs several strategies on the same clients side by side: each
+round trains every strategy's clients in one ``sgd_train`` call.
 
 Per-round accuracy is deliberately measured on the local models *before*
 aggregation, from the per-client metrics the round loop records; the
@@ -28,15 +30,24 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class FederationConfig(Config):
+    """One federation of every rule in ``rules`` over the same clients, each
+    from the same initial weights ``init_params(model, seed)``."""
+
     model: ModelSpec
     train: TrainConfig
-    rule: Rule = FedAvg()
+    rules: tuple[Rule, ...] = (FedAvg(),)
     rounds: int = bounded(10, ge=1)
     seed: int = bounded(0, ge=0)
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not self.rules:
+            raise ConfigError("need at least one strategy")
+
     @property
     def strategy(self) -> str:
-        return self.rule.name
+        """The rule names joined by commas: the label of the run's log lines."""
+        return ",".join(rule.name for rule in self.rules)
 
 
 @dataclass(frozen=True)
@@ -60,6 +71,23 @@ class RoundReport:
     alpha: AlphaSolution | None = None
 
 
+@dataclass(frozen=True)
+class StrategyRun:
+    """All rounds of one (strategy, seed) federation."""
+
+    strategy: str
+    seed: int
+    reports: tuple[RoundReport, ...]
+
+    @property
+    def round_accuracies(self) -> list[float]:
+        return [r.aggregated_accuracy for r in self.reports]
+
+    @property
+    def mean_accuracy(self) -> float:
+        return sum(self.round_accuracies) / len(self.reports)
+
+
 def weighted_accuracy(entries: Sequence[tuple[int, float]]) -> float:
     """Count-weighted mean accuracy: sum(n_i * acc_i) / sum(n_i)."""
     if len(entries) == 0:
@@ -80,134 +108,137 @@ def _check_shards(shards: Sequence[ClientShard]) -> None:
 
 
 def _train_round(
-    config: FederationConfig, shards: Sequence[ClientShard], global_params: ParamVector, where: str
-) -> tuple[list[ClientUpdate], list[ClientRoundMetrics]]:
-    """Train every client from ``global_params`` in one ``sgd_train`` call and
+    config: FederationConfig,
+    shards: Sequence[ClientShard],
+    starts: Sequence[ParamVector],
+    wheres: Sequence[str],
+) -> list[tuple[list[ClientUpdate], tuple[ClientRoundMetrics, ...]]]:
+    """Train every client from each of ``starts`` in one ``sgd_train`` call and
     score each local model on its own test split; client ``i`` trains with
-    seed ``config.seed + i``.  A client whose training goes non-finite is
-    named after ``where``, and so is one whose local test loss is non-finite,
-    in a logged warning.  ``evaluate`` scores the very list ``sgd_train``
-    returned: the benchmark's tracer tells local from global scoring by it."""
+    seed ``config.seed + i``.  Returns each start's client updates and
+    metrics.  A client whose training goes non-finite is named after its
+    start's entry of ``wheres``, and so is one whose local test loss is
+    non-finite, in a logged warning.  ``evaluate`` scores the very list
+    ``sgd_train`` returned: the benchmark's tracer tells local from global
+    scoring by it."""
+    count = len(shards)
     try:
         trained = sgd_train(
-            global_params,
+            starts,
             config.model,
             [shard.train for shard in shards],
             config.train,
-            [config.seed + i for i in range(len(shards))],
+            [config.seed + i for i in range(count)],
         )
     except NumericError as exc:
-        client_id = shards[exc.index].client_id
-        raise NumericError(f"{where}, {client_id}: training failed: {exc}") from exc
-    updates: list[ClientUpdate] = []
-    per_client: list[ClientRoundMetrics] = []
-    for shard, local, metrics in zip(
-        shards, trained, evaluate(trained, config.model, [shard.test for shard in shards])
-    ):
-        if not math.isfinite(metrics["loss"]):
-            logger.warning("%s, %s: local test loss is %r", where, shard.client_id, metrics["loss"])
-        per_client.append(
-            ClientRoundMetrics(
-                client_id=shard.client_id,
-                num_test_examples=len(shard.test),
-                accuracy=metrics["accuracy"],
-                loss=metrics["loss"],
+        start, client = divmod(exc.index, count)
+        raise NumericError(
+            f"{wheres[start]}, {shards[client].client_id}: training failed: {exc}"
+        ) from exc
+    metrics = evaluate(trained, config.model, [shard.test for shard in shards] * len(starts))
+    outcomes = []
+    for s, where in enumerate(wheres):
+        updates: list[ClientUpdate] = []
+        per_client: list[ClientRoundMetrics] = []
+        for i, shard in enumerate(shards):
+            local, scores = trained[s * count + i], metrics[s * count + i]
+            if not math.isfinite(scores["loss"]):
+                logger.warning("%s, %s: local test loss is %r", where, shard.client_id, scores["loss"])
+            per_client.append(
+                ClientRoundMetrics(
+                    client_id=shard.client_id,
+                    num_test_examples=len(shard.test),
+                    accuracy=scores["accuracy"],
+                    loss=scores["loss"],
+                )
             )
-        )
-        updates.append(
-            ClientUpdate(
-                client_id=shard.client_id,
-                num_examples=len(shard.train),
-                params=local,
+            updates.append(
+                ClientUpdate(client_id=shard.client_id, num_examples=len(shard.train), params=local)
             )
-        )
-    return updates, per_client
+        outcomes.append((updates, tuple(per_client)))
+    return outcomes
 
 
-def run_federation(
-    config: FederationConfig,
-    shards: Sequence[ClientShard],
-    *,
-    first_round: tuple[Sequence[ClientUpdate], Sequence[ClientRoundMetrics]] | None = None,
-) -> list[RoundReport]:
-    """Run the configured number of rounds over the given clients.
+def run_federation(config: FederationConfig, shards: Sequence[ClientShard]) -> tuple[StrategyRun, ...]:
+    """Run the configured number of rounds of every rule over the given
+    clients, all rules one round at a time; one run per rule, in rule order.
 
-    Deterministic: the global model starts from ``init_params(model, seed)``
-    and client ``i`` always trains with seed ``config.seed + i``, so a fixed
-    (config, shards) pair reproduces the same reports bit for bit.
+    Deterministic: every rule's global model starts from
+    ``init_params(model, seed)`` and client ``i`` always trains with seed
+    ``config.seed + i``, so a fixed (config, shards) pair reproduces the same
+    reports bit for bit, and each rule's reports have the bits of a
+    federation of that rule alone.  Round 1 trains the one shared starting
+    model once for every rule, so its events name no strategy; from round 2
+    on, one ``sgd_train`` call trains every rule's clients from that rule's
+    global model.
 
-    ``first_round``, when given, is round 1's client updates and metrics as
-    :func:`_train_round` computes them from that starting model; round 1 is
-    then not trained again.  They depend only on the model, training config,
-    seed and shards, never on the strategy.
-
-    A round whose coefficient search stops at its iteration cap unconverged
-    is logged as a warning that names the strategy, seed and round.
+    A round trains, then aggregates rule by rule, so the failure reported is
+    the earliest round's, a training failure before an aggregation one, and
+    then the first rule's.  A round whose coefficient search stops at its
+    iteration cap unconverged is logged as a warning that names the
+    strategy, seed and round.
     """
     _check_shards(shards)
-    global_params = init_params(config.model, config.seed)
-    aggregator = Aggregator(config.rule)
-    reports: list[RoundReport] = []
+    tests = [shard.test for shard in shards]
+    aggregators = [Aggregator(rule) for rule in config.rules]
+    global_models = [init_params(config.model, config.seed)] * len(aggregators)
+    reports: list[list[RoundReport]] = [[] for _ in aggregators]
     for round_idx in range(1, config.rounds + 1):
-        where = f"{config.strategy}, seed {config.seed}, round {round_idx}"
-        if round_idx == 1 and first_round is not None:
-            updates, per_client = first_round
+        where = f"seed {config.seed}, round {round_idx}"
+        if round_idx == 1:
+            outcomes = _train_round(config, shards, global_models[:1], [where])
+            outcomes *= len(aggregators)
         else:
-            updates, per_client = _train_round(config, shards, global_params, where)
-        aggregated_accuracy = weighted_accuracy(
-            [(m.num_test_examples, m.accuracy) for m in per_client]
-        )
-        try:
-            global_params = aggregator.aggregate(updates, global_params)
-        except NumericError as exc:
-            raise NumericError(f"{where}: aggregation failed: {exc}") from exc
-        alpha = aggregator.last_alpha
-        if alpha is not None and not alpha.converged:
-            logger.warning(
-                "%s: coefficient search stopped unconverged at its cap of %d iterations",
-                where,
-                alpha.iterations,
-            )
+            wheres = [f"{aggregator.strategy}, {where}" for aggregator in aggregators]
+            outcomes = _train_round(config, shards, global_models, wheres)
+        for s, (aggregator, (updates, _)) in enumerate(zip(aggregators, outcomes)):
+            try:
+                global_models[s] = aggregator.aggregate(updates, global_models[s])
+            except NumericError as exc:
+                raise NumericError(
+                    f"{aggregator.strategy}, {where}: aggregation failed: {exc}"
+                ) from exc
+            alpha = aggregator.last_alpha
+            if alpha is not None and not alpha.converged:
+                logger.warning(
+                    "%s, %s: coefficient search stopped unconverged at its cap of %d iterations",
+                    aggregator.strategy,
+                    where,
+                    alpha.iterations,
+                )
         global_metrics = evaluate(
-            [global_params] * len(shards), config.model, [s.test for s in shards]
+            [model for model in global_models for _ in shards], config.model, tests * len(aggregators)
         )
-        global_accuracy = weighted_accuracy(
-            [(len(s.test), m["accuracy"]) for s, m in zip(shards, global_metrics)]
-        )
-        reports.append(
-            RoundReport(
-                round=round_idx,
-                per_client=tuple(per_client),
-                aggregated_accuracy=aggregated_accuracy,
-                global_accuracy=global_accuracy,
-                alpha=alpha,
+        for s, (aggregator, (_, per_client)) in enumerate(zip(aggregators, outcomes)):
+            aggregated_accuracy = weighted_accuracy(
+                [(m.num_test_examples, m.accuracy) for m in per_client]
             )
-        )
-        logger.debug(
-            "%s round %d: aggregated_accuracy=%.4f global_accuracy=%.4f",
-            config.strategy,
-            round_idx,
-            aggregated_accuracy,
-            global_accuracy,
-        )
-    return reports
-
-
-@dataclass(frozen=True)
-class StrategyRun:
-    """All rounds of one (strategy, seed) federation."""
-
-    strategy: str
-    seed: int
-    reports: tuple[RoundReport, ...]
-
-    @property
-    def round_accuracies(self) -> list[float]:
-        return [r.aggregated_accuracy for r in self.reports]
-
-    @property
-    def mean_accuracy(self) -> float:
-        return sum(self.round_accuracies) / len(self.reports)
+            global_accuracy = weighted_accuracy(
+                [
+                    (len(test), m["accuracy"])
+                    for test, m in zip(tests, global_metrics[s * len(shards) :])
+                ]
+            )
+            reports[s].append(
+                RoundReport(
+                    round=round_idx,
+                    per_client=per_client,
+                    aggregated_accuracy=aggregated_accuracy,
+                    global_accuracy=global_accuracy,
+                    alpha=aggregator.last_alpha,
+                )
+            )
+            logger.debug(
+                "%s round %d: aggregated_accuracy=%.4f global_accuracy=%.4f",
+                aggregator.strategy,
+                round_idx,
+                aggregated_accuracy,
+                global_accuracy,
+            )
+    return tuple(
+        StrategyRun(strategy=aggregator.strategy, seed=config.seed, reports=tuple(rule_reports))
+        for aggregator, rule_reports in zip(aggregators, reports)
+    )
 
 
 @dataclass(frozen=True)
@@ -244,42 +275,27 @@ def compare_strategies(
     """Run every rule on identical shards and identical initial weights.
 
     For each seed, ``shard_factory(seed)`` builds the client shards once and
-    every rule reuses them; the shared seed also fixes w0, so curves differ
-    only through the aggregation rule.  Round 1's client training and local
-    evaluation therefore do not depend on the rule: they run once per seed
-    and every rule's federation starts from them.
+    one :func:`run_federation` runs every rule on them; the shared seed also
+    fixes w0, so curves differ only through the aggregation rule.
 
-    ``base_config``'s ``rule`` and ``seed`` are replaced for each run, and
-    every run's config is built, so checked, before any shards are.  Runs
-    are reported by strategy name and seed, so each must be distinct.
+    ``base_config``'s ``rules`` and ``seed`` are replaced, and every seed's
+    config is built, so checked, before any shards are.  Runs are reported
+    by strategy name and seed, so each must be distinct.  Runs come seed by
+    seed, each seed's in rule order.
     """
-    if len(rules) == 0:
-        raise ConfigError("need at least one strategy")
+    base_config = dataclasses.replace(base_config, rules=tuple(rules))
     if len(seeds) == 0:
         raise ConfigError("need at least one seed")
-    per_seed = [
-        [dataclasses.replace(base_config, rule=rule, seed=seed) for rule in rules] for seed in seeds
-    ]
-    distinct = {"seed": [configs[0].seed for configs in per_seed],
-                "strategy": [config.strategy for config in per_seed[0]]}
+    configs = [dataclasses.replace(base_config, seed=seed) for seed in seeds]
+    distinct = {"seed": [config.seed for config in configs],
+                "strategy": [rule.name for rule in base_config.rules]}
     for kind, values in distinct.items():
         for i, value in enumerate(values):
             if value in values[:i]:
                 raise ConfigError(f"{kind} {value!r} is given more than once")
     runs: list[StrategyRun] = []
-    for seed, configs in zip(seeds, per_seed):
-        shards = shard_factory(seed)
-        _check_shards(shards)
-        first_round = _train_round(
-            configs[0], shards, init_params(base_config.model, seed), f"seed {seed}, round 1"
-        )
-        for config in configs:
-            logger.info("running strategy=%s seed=%d", config.strategy, seed)
-            reports = run_federation(config, shards, first_round=first_round)
-            runs.append(
-                StrategyRun(strategy=config.strategy, seed=seed, reports=tuple(reports))
-            )
-        # Release this seed's shards and round-1 models before the next seed
-        # builds its own.
-        del shards, first_round
+    for config in configs:
+        logger.info("running strategy=%s seed=%d", config.strategy, config.seed)
+        # Each seed's shards are released before the next seed builds its own.
+        runs.extend(run_federation(config, shard_factory(config.seed)))
     return ComparisonResult(runs=tuple(runs))

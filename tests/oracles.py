@@ -17,8 +17,10 @@ pre-activations in place and write gradients into one flat buffer, must
 match them bit for bit.
 
 ``compare_strategies`` runs every (rule, seed) pair as its own
-``run_federation``; :func:`fedsim.orchestrator.compare_strategies`, which
-trains round 1 once per seed and shares it, must write the same files.
+``run_federation``, a sequential round loop that trains only that rule's
+clients, round 1 included; :func:`fedsim.orchestrator.compare_strategies`,
+which advances every rule one round at a time and trains all of a round's
+(rule, client) pairs in one ``sgd_train`` call, must write the same files.
 
 ``aggregate_fedavgm``, ``aggregate_fedmedian`` and ``aggregate_fedopt`` build
 every intermediate as a ``ParamVector`` through ``linear_combination``; the
@@ -62,7 +64,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+import fedsim
 from fedsim import (
+    Aggregator,
+    ClientRoundMetrics,
     ClientShard,
     ClientUpdate,
     ComparisonResult,
@@ -75,11 +80,12 @@ from fedsim import (
     ModelSpec,
     NumericError,
     ParamVector,
+    RoundReport,
     SimplexConfig,
     StrategyRun,
     aggregate_fedavg,
     linear_combination,
-    run_federation,
+    weighted_accuracy,
 )
 from fedsim.exceptions import CsvParseError, checked
 from fedsim.nelder_mead import Objective
@@ -382,20 +388,58 @@ def sgd_train(
     return np.concatenate([a.reshape(-1) for layer in layers for a in layer])
 
 
+def run_federation(
+    config: FederationConfig, rule: Rule, shards: Sequence[ClientShard]
+) -> list[RoundReport]:
+    """``rule``'s federation alone: each round trains the clients from this
+    rule's global model in their own ``sgd_train`` call, scores them, steps
+    the rule and scores the new global model."""
+    trains, tests = [s.train for s in shards], [s.test for s in shards]
+    seeds = [config.seed + i for i in range(len(shards))]
+    global_params = init_params(config.model, config.seed)
+    aggregator = Aggregator(rule)
+    reports = []
+    for round_idx in range(1, config.rounds + 1):
+        trained = fedsim.sgd_train([global_params], config.model, trains, config.train, seeds)
+        per_client = tuple(
+            ClientRoundMetrics(shard.client_id, len(shard.test), m["accuracy"], m["loss"])
+            for shard, m in zip(shards, fedsim.evaluate(trained, config.model, tests))
+        )
+        updates = [
+            ClientUpdate(shard.client_id, len(shard.train), local)
+            for shard, local in zip(shards, trained)
+        ]
+        global_params = aggregator.aggregate(updates, global_params)
+        global_metrics = fedsim.evaluate([global_params] * len(shards), config.model, tests)
+        reports.append(
+            RoundReport(
+                round=round_idx,
+                per_client=per_client,
+                aggregated_accuracy=weighted_accuracy(
+                    [(m.num_test_examples, m.accuracy) for m in per_client]
+                ),
+                global_accuracy=weighted_accuracy(
+                    [(len(test), m["accuracy"]) for test, m in zip(tests, global_metrics)]
+                ),
+                alpha=aggregator.last_alpha,
+            )
+        )
+    return reports
+
+
 def compare_strategies(
     base_config: FederationConfig,
     rules: Sequence[Rule],
     seeds: Sequence[int],
     shard_factory: Callable[[int], Sequence[ClientShard]],
 ) -> ComparisonResult:
-    """Every (rule, seed) pair as one plain ``run_federation`` that trains
-    all its rounds itself, round 1 included."""
+    """Every (rule, seed) pair as its own :func:`run_federation`."""
     runs = []
     for seed in seeds:
         shards = shard_factory(seed)
+        config = dataclasses.replace(base_config, seed=seed)
         for rule in rules:
-            config = dataclasses.replace(base_config, rule=rule, seed=seed)
-            runs.append(StrategyRun(rule.name, seed, tuple(run_federation(config, shards))))
+            runs.append(StrategyRun(rule.name, seed, tuple(run_federation(config, rule, shards))))
     return ComparisonResult(tuple(runs))
 
 

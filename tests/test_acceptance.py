@@ -127,12 +127,13 @@ def test_criterion_3_descent_holds_every_round(check):
     config = FederationConfig(
         model=ModelSpec(input_dim=10, num_classes=4),
         train=TrainConfig(learning_rate=0.1, batch_size=32, local_epochs=1),
-        rule=FedAvgOpt(),
+        rules=(FedAvgOpt(),),
         rounds=10,
         seed=0,
     )
     start = time.perf_counter()
-    reports = run_federation(config, shards)
+    (run,) = run_federation(config, shards)
+    reports = run.reports
     elapsed = time.perf_counter() - start
     descents = [
         report.alpha.objective_at_alpha <= report.alpha.objective_at_ones
@@ -270,7 +271,7 @@ def _centralized_accuracy(config: ExperimentConfig) -> float:
         )
         train, test = stratified_train_test_split(data, config.train_fraction, seed)
         (trained,) = sgd_train(
-            init_params(spec, seed),
+            [init_params(spec, seed)],
             spec,
             [train],
             TrainConfig(learning_rate=0.1, batch_size=32, local_epochs=60),

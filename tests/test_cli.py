@@ -644,8 +644,8 @@ class TestConfigTypes:
             (DatasetConfig, {"path": 3}, "path must be an instance of str, got 3"),
             (
                 FederationConfig,
-                {"rule": "fedavg"},
-                f"rule must be an instance of {RULE_TYPES}, got 'fedavg'",
+                {"rules": ("fedavg",)},
+                f"rules must be instances of {RULE_TYPES}, got 'fedavg'",
             ),
             (
                 ExperimentConfig,
@@ -948,13 +948,28 @@ class TestMain:
         assert not out.exists()
 
     def test_diverged_training_names_its_client(self, tmp_path, capsys):
+        # fedavg alone: its round-1 models stay finite and round 2 diverges.
         text = SMALL_YAML.replace("learning_rate: 0.2", "learning_rate: 1.0e+300")
+        text = text.replace("strategies: [fedavg, fedavgopt]", "strategies: [fedavg]")
         path = write_config(tmp_path, text + "model: {hidden_dims: [5]}\n")
         out = tmp_path / "out"
         assert main(["compare", path, "--output-dir", str(out)]) == 2
         assert capsys.readouterr().err.strip() == (
             "error: fedavg, seed 0, round 2, client_0: training failed: "
             "parameter vector contains non-finite entries"
+        )
+        assert not out.exists()
+
+    def test_the_earliest_rounds_failure_is_reported(self, tmp_path, capsys):
+        # The same run with fedavgopt too: fedavgopt's round-1 aggregation
+        # fails before fedavg's round-2 training, though fedavg is listed first.
+        text = SMALL_YAML.replace("learning_rate: 0.2", "learning_rate: 1.0e+300")
+        path = write_config(tmp_path, text + "model: {hidden_dims: [5]}\n")
+        out = tmp_path / "out"
+        assert main(["compare", path, "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err.strip() == (
+            "error: fedavgopt, seed 0, round 1: aggregation failed: "
+            "fedavgopt objective is non-finite at all-ones"
         )
         assert not out.exists()
 

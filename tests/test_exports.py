@@ -58,12 +58,18 @@ def test_traced_compare_passes_the_tracer_self_check(monkeypatch, tmp_path, caps
         assert main(["compare", str(config), "--output-dir", str(tmp_path / "out")]) == 0
     metrics = tracing.layer_metrics(tracer, tracer.trace_id)
     tracing.check_fired(metrics, expects_solver=True, uses_csv=False)
-    # Round 1 once, then round 2 per strategy: three trained rounds of one
-    # sgd_train and one local evaluate call each, and of 3 + 2 stacked steps.
-    assert metrics["models.sgd_train.calls"] == 3
-    assert metrics["models.evaluate_local.calls"] == 3
-    assert metrics["models.evaluate_global.calls"] == 2 * 2
-    assert metrics["models.steps"] == 3 * (3 + 2)
+    # One federation of both rules for the one seed.  Each of its two rounds
+    # is one sgd_train call (round 1 from the shared initial model, round 2
+    # from both rules' global models), one local and one global evaluate
+    # call, and 3 + 2 stacked steps: the 12-row stack takes batches of 5, 5
+    # and 2, the 9-row one 5 and 4, whatever the number of starts.
+    assert metrics["orchestrator.run_federation.calls"] == 1
+    assert metrics["models.sgd_train.calls"] == 2
+    assert metrics["models.evaluate_local.calls"] == 2
+    assert metrics["models.evaluate_global.calls"] == 2
+    assert metrics["models.steps"] == 2 * (3 + 2)
+    assert metrics["strategies.aggregate_ms.fedavg"] > 0
+    assert metrics["strategies.aggregate_ms.fedavgopt"] > 0
 
 
 def test_traced_csv_compare_passes_the_tracer_self_check(monkeypatch, tmp_path):

@@ -253,7 +253,7 @@ class TestSgdTrain:
         data = self._blobs()
         spec = ModelSpec(input_dim=4, num_classes=3)
         params = init_params(spec, 1)
-        out = sgd_train(params, spec, [data], TrainConfig(learning_rate=0.0), [3])[0]
+        out = sgd_train([params], spec, [data], TrainConfig(learning_rate=0.0), [3])[0]
         assert np.array_equal(out.values, params.values)
 
     def test_full_batch_single_epoch_matches_gradient_step(self):
@@ -262,7 +262,7 @@ class TestSgdTrain:
         params = init_params(spec, 2)
         lr = 0.2
         config = TrainConfig(learning_rate=lr, batch_size=len(data), local_epochs=1)
-        out = sgd_train(params, spec, [data], config, [9])[0]
+        out = sgd_train([params], spec, [data], config, [9])[0]
         _, grad = loss_and_gradient(params.values, spec, data.features, data.labels)
         expected = params.values - lr * grad
         assert np.array_equal(out.values, expected)
@@ -273,7 +273,7 @@ class TestSgdTrain:
         params = init_params(spec, 3)
         outs = [
             sgd_train(
-                params, spec, [data],
+                [params], spec, [data],
                 TrainConfig(learning_rate=0.1, batch_size=len(data), local_epochs=3), [s],
             )[0]
             for s in (0, 1, 99)
@@ -286,10 +286,10 @@ class TestSgdTrain:
         spec = ModelSpec(input_dim=4, num_classes=3)
         params = init_params(spec, 4)
         config = TrainConfig(learning_rate=0.1, batch_size=8, local_epochs=2)
-        a = sgd_train(params, spec, [data], config, [5])[0]
-        b = sgd_train(params, spec, [data], config, [5])[0]
+        a = sgd_train([params], spec, [data], config, [5])[0]
+        b = sgd_train([params], spec, [data], config, [5])[0]
         assert np.array_equal(a.values, b.values)
-        c = sgd_train(params, spec, [data], config, [6])[0]
+        c = sgd_train([params], spec, [data], config, [6])[0]
         assert not np.array_equal(a.values, c.values)
 
     def test_descent_on_separable_two_class_blobs(self):
@@ -298,7 +298,7 @@ class TestSgdTrain:
         params = init_params(spec, 11)
         loss_init, _ = loss_and_gradient(params.values, spec, data.features, data.labels)
         config = TrainConfig(learning_rate=0.1, batch_size=16, local_epochs=50)
-        trained = sgd_train(params, spec, [data], config, [1])[0]
+        trained = sgd_train([params], spec, [data], config, [1])[0]
         loss_final, _ = loss_and_gradient(trained.values, spec, data.features, data.labels)
         assert loss_final < loss_init
 
@@ -309,7 +309,7 @@ class TestSgdTrain:
         config = TrainConfig(learning_rate=0.02, batch_size=len(data), local_epochs=1)
         losses = [loss_and_gradient(params.values, spec, data.features, data.labels)[0]]
         for _ in range(30):
-            params = sgd_train(params, spec, [data], config, [0])[0]
+            params = sgd_train([params], spec, [data], config, [0])[0]
             losses.append(loss_and_gradient(params.values, spec, data.features, data.labels)[0])
         diffs = np.diff(losses)
         assert np.all(diffs <= 1e-10)
@@ -318,13 +318,13 @@ class TestSgdTrain:
         spec = ModelSpec(input_dim=4, num_classes=3)
         empty = Dataset(np.zeros((0, 4)), np.zeros(0, dtype=np.int64), ("a", "b", "c"))
         with pytest.raises(ValueError):
-            sgd_train(init_params(spec, 0), spec, [empty], TrainConfig(), [0])
+            sgd_train([init_params(spec, 0)], spec, [empty], TrainConfig(), [0])
 
     @pytest.mark.parametrize("seed", BAD_SEEDS)
     def test_bad_seed_is_named(self, seed):
         spec = ModelSpec(input_dim=4, num_classes=3)
         with pytest.raises(ValueError, match=seed_message(seed)):
-            sgd_train(init_params(spec, 0), spec, [self._blobs()], TrainConfig(), [seed])
+            sgd_train([init_params(spec, 0)], spec, [self._blobs()], TrainConfig(), [seed])
 
     @pytest.mark.parametrize("activation, learning_rate", [("relu", 1e300), ("tanh", 1e308)])
     def test_diverging_run_raises_numeric_error(self, activation, learning_rate):
@@ -337,7 +337,7 @@ class TestSgdTrain:
         spec = ModelSpec(input_dim=4, hidden_dims=(5,), activation=activation, num_classes=3)
         config = TrainConfig(learning_rate=learning_rate, batch_size=8, local_epochs=3)
         with pytest.raises(NumericError, match="^parameter vector contains non-finite entries$"):
-            sgd_train(init_params(spec, 6), spec, [data], config, [0])
+            sgd_train([init_params(spec, 6)], spec, [data], config, [0])
 
 
 class TestEvaluate:
@@ -446,7 +446,7 @@ class TestAgainstRawArrayOracle:
     def test_sgd_train_matches_raw_array_sgd_bit_for_bit(self, case, init_seed):
         spec, config, data, seed = case
         params = init_params(spec, init_seed)
-        trained = sgd_train(params, spec, [data], config, [seed])[0]
+        trained = sgd_train([params], spec, [data], config, [seed])[0]
         expected = oracles.sgd_train(
             params.values,
             spec.layer_dims(),
@@ -538,7 +538,7 @@ class TestStacks:
         params = init_params(spec, batch_size)
         config = TrainConfig(learning_rate=0.3, batch_size=batch_size, local_epochs=epochs)
         seeds = [7 + i for i in range(len(sizes))]
-        trained = sgd_train(params, spec, datasets, config, seeds)
+        trained = sgd_train([params], spec, datasets, config, seeds)
         assert len(trained) == len(datasets)
         for model, data, seed in zip(trained, datasets, seeds):
             expected = oracles.sgd_train(
@@ -546,7 +546,7 @@ class TestStacks:
                 data.labels, config.learning_rate, batch_size, epochs, seed,
             )
             assert model.values.tobytes() == expected.tobytes()
-            alone = sgd_train(params, spec, [data], config, [seed])[0]
+            alone = sgd_train([params], spec, [data], config, [seed])[0]
             assert alone.values.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("name", sorted(STACK_SPECS))
@@ -592,15 +592,87 @@ class TestStacks:
             loss_and_gradient(values, spec, x[0], y)
         with pytest.raises(ValueError, match=re.escape("labels must have shape (2, 3), got (3,)")):
             loss_and_gradient(values, spec, x, y[0])
-        with pytest.raises(ShapeMismatchError, match=re.escape("values must be (P,) or (K, P)")):
-            loss_and_gradient(values[None], spec, x[None], y[None])
+        with pytest.raises(ShapeMismatchError, match=re.escape("values must be (..., P), got ()")):
+            loss_and_gradient(np.float64(0.0), spec, x[0], y[0])
+        # Two stack axes: the features and labels must carry both.
+        with pytest.raises(ShapeMismatchError, match=re.escape("features must be (1, 2, n, 4), got (2, 3, 4)")):
+            loss_and_gradient(values[None], spec, x, y[None])
+        with pytest.raises(ValueError, match=re.escape("labels must have shape (1, 2, 3), got (2, 3)")):
+            loss_and_gradient(values[None], spec, x[None], y)
+
+    @pytest.mark.parametrize("name", sorted(STACK_SPECS))
+    @pytest.mark.parametrize("starts, stack, n", [(1, 4, 5), (3, 2, 8), (2, 3, 1)])
+    def test_broadcast_batches_under_two_stack_axes_match_each_slice(self, name, starts, stack, n):
+        # sgd_train's step: S starts over K batches, each batch read by every
+        # start through a read-only broadcast view.
+        spec = STACK_SPECS[name]
+        rng = np.random.default_rng([starts, stack, n])
+        values = rng.normal(size=(starts, stack, spec.num_params))
+        x = np.broadcast_to(rng.normal(size=(stack, n, spec.input_dim)), (starts, stack, n, spec.input_dim))
+        y = np.broadcast_to(rng.integers(0, spec.num_classes, size=(stack, n)), (starts, stack, n))
+        values_before = values.copy()
+        losses, grads = loss_and_gradient(values, spec, x, y)
+        assert losses.shape == (starts, stack) and grads.shape == values.shape
+        assert values.tobytes() == values_before.tobytes()
+        for s in range(starts):
+            for k in range(stack):
+                expected_loss, expected_grad = oracles.loss_and_gradient(
+                    values[s, k], spec.layer_dims(), spec.activation, x[s, k], y[s, k]
+                )
+                assert float(losses[s, k]) == expected_loss
+                assert grads[s, k].tobytes() == expected_grad.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(STACK_SPECS))
+    @pytest.mark.parametrize("num_starts", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "sizes, batch_size, epochs",
+        [
+            ((12, 12, 9, 9), 5, 1),  # ragged sizes
+            ((9, 12, 9, 12, 7), 4, 2),  # interleaved sizes, two epochs
+            ((6, 6, 6), 32, 1),  # one batch larger than every dataset
+        ],
+    )
+    def test_each_start_on_each_dataset_matches_the_oracle(
+        self, name, num_starts, sizes, batch_size, epochs
+    ):
+        spec = STACK_SPECS[name]
+        datasets = random_datasets(spec, sizes, len(sizes))
+        starts = [init_params(spec, 40 + s) for s in range(num_starts)]
+        config = TrainConfig(learning_rate=0.3, batch_size=batch_size, local_epochs=epochs)
+        seeds = [7 + i for i in range(len(sizes))]
+        trained = sgd_train(starts, spec, datasets, config, seeds)
+        assert len(trained) == num_starts * len(sizes)
+        for s, start in enumerate(starts):
+            for i, (data, seed) in enumerate(zip(datasets, seeds)):
+                expected = oracles.sgd_train(
+                    start.values, spec.layer_dims(), spec.activation, data.features,
+                    data.labels, config.learning_rate, batch_size, epochs, seed,
+                )
+                assert trained[s * len(sizes) + i].values.tobytes() == expected.tobytes()
+
+    def test_a_start_diverging_on_one_dataset_is_named_by_its_index(self):
+        # Weights of 1e160 overflow the logits only on the features of 1e150;
+        # every other (start, dataset) pair stays finite through its one
+        # full-batch step.
+        spec = STACK_SPECS["logistic"]
+        datasets = random_datasets(spec, (6, 6, 6), 9)
+        big = datasets[1]
+        datasets[1] = dataset_from(big.features * 1e150, big.labels, spec.num_classes)
+        w0 = init_params(spec, 0)
+        starts = [w0, ParamVector(np.full(spec.num_params, 1e160)), w0]
+        config = TrainConfig(learning_rate=0.1, batch_size=8)
+        with pytest.raises(NumericError, match="^parameter vector contains non-finite entries$") as exc:
+            sgd_train(starts, spec, datasets, config, [0, 1, 2])
+        assert exc.value.index == 1 * 3 + 1
+        sgd_train(starts[::2], spec, datasets, config, [0, 1, 2])
+        sgd_train(starts[1:2], spec, datasets[::2], config, [0, 2])
 
     def test_lengths_must_pair_up(self):
         spec = STACK_SPECS["logistic"]
         datasets = random_datasets(spec, (4, 4), 0)
         params = init_params(spec, 0)
         with pytest.raises(ValueError, match="^2 datasets but 1 seeds$"):
-            sgd_train(params, spec, datasets, TrainConfig(), [0])
+            sgd_train([params], spec, datasets, TrainConfig(), [0])
         with pytest.raises(ValueError, match="^1 models but 2 datasets$"):
             evaluate([params], spec, datasets)
 
@@ -621,10 +693,10 @@ class TestStacks:
         ]
         config = TrainConfig(learning_rate=0.5, batch_size=5, local_epochs=2)
         with pytest.raises(NumericError, match="^parameter vector contains non-finite entries$") as exc:
-            sgd_train(init_params(spec, 0), spec, datasets, config, [0, 1, 2, 3, 4])
+            sgd_train([init_params(spec, 0)], spec, datasets, config, [0, 1, 2, 3, 4])
         assert exc.value.index == named
         healthy = [d for i, d in enumerate(datasets) if i not in diverging]
-        sgd_train(init_params(spec, 0), spec, healthy, config, list(range(len(healthy))))
+        sgd_train([init_params(spec, 0)], spec, healthy, config, list(range(len(healthy))))
 
 
 def same_bits(got, expected) -> bool:

@@ -22,6 +22,7 @@ from fedsim import (
     FedOpt,
     FedYogi,
     ModelSpec,
+    ParamVector,
     SimplexConfig,
     TrainConfig,
     aggregate_fedavg,
@@ -48,6 +49,21 @@ def blob_shards(num_clients, seed, samples_per_class=16):
     return make_client_shards(data, num_clients, 0.5, seed)
 
 
+def reports_of(config, shards):
+    """The reports of a one-rule ``run_federation``."""
+    (run,) = run_federation(config, shards)
+    return run.reports
+
+
+def report_bits(reports):
+    """Every field of each report, with a coefficient vector as its bytes."""
+    return [
+        (*dataclasses.astuple(report)[:-1], None if report.alpha is None else (
+            report.alpha.alpha.tobytes(), *dataclasses.astuple(report.alpha)[1:]))
+        for report in reports
+    ]
+
+
 class TestWeightedAccuracy:
     def test_weighted_mean(self):
         assert weighted_accuracy([(10, 1.0), (30, 0.5)]) == 0.625
@@ -71,8 +87,18 @@ class TestWeightedAccuracy:
 
 class TestFederationConfig:
     def test_unknown_strategy(self):
-        with pytest.raises(ConfigError, match="rule"):
-            FederationConfig(model=SPEC, train=TRAIN, rule="fedavg")
+        with pytest.raises(ConfigError, match="^rules must be instances of FedAvg or "):
+            FederationConfig(model=SPEC, train=TRAIN, rules=("fedavg",))
+
+    def test_rules_must_be_a_nonempty_list(self):
+        with pytest.raises(ConfigError, match="^rules must be a list of instances of "):
+            FederationConfig(model=SPEC, train=TRAIN, rules=FedAvg())
+        with pytest.raises(ConfigError, match="^need at least one strategy$"):
+            FederationConfig(model=SPEC, train=TRAIN, rules=[])
+        config = FederationConfig(model=SPEC, train=TRAIN, rules=[FedAvg(), FedAvgOpt()])
+        assert config.rules == (FedAvg(), FedAvgOpt())
+        # The label of the run's log lines and of the benchmark's tracer.
+        assert config.strategy == "fedavg,fedavgopt"
 
     def test_bounds(self):
         with pytest.raises(ConfigError):
@@ -94,17 +120,17 @@ class TestFederationConfig:
         # The default rule is fedavg; a rule's changed field is used.
         shards = blob_shards(4, 0)
         config = FederationConfig(model=SPEC, train=TRAIN, rounds=2)
-        assert (config.rule, config.strategy) == (FedAvg(), "fedavg")
-        yogi = dataclasses.replace(config, rule=FedYogi())
-        changed = dataclasses.replace(config, rule=FedYogi(server_lr=0.5))
-        assert run_federation(yogi, shards) != run_federation(changed, shards)
+        assert (config.rules, config.strategy) == ((FedAvg(),), "fedavg")
+        yogi = dataclasses.replace(config, rules=(FedYogi(),))
+        changed = dataclasses.replace(config, rules=(FedYogi(server_lr=0.5),))
+        assert reports_of(yogi, shards) != reports_of(changed, shards)
 
 
 class TestRunFederation:
     def test_report_shape(self):
         shards = blob_shards(4, 0)
         config = FederationConfig(model=SPEC, train=TRAIN, rounds=3, seed=0)
-        reports = run_federation(config, shards)
+        reports = reports_of(config, shards)
         assert [r.round for r in reports] == [1, 2, 3]
         for report in reports:
             assert [m.client_id for m in report.per_client] == [
@@ -123,9 +149,9 @@ class TestRunFederation:
     def test_alpha_present_only_for_weight_search(self):
         shards = blob_shards(4, 1)
         config = FederationConfig(
-            model=SPEC, train=TRAIN, rule=FedAvgOpt(), rounds=2, seed=1
+            model=SPEC, train=TRAIN, rules=(FedAvgOpt(),), rounds=2, seed=1
         )
-        for report in run_federation(config, shards):
+        for report in reports_of(config, shards):
             assert isinstance(report.alpha, AlphaSolution)
             assert report.alpha.alpha.shape == (4,)
             assert report.alpha.objective_at_alpha <= report.alpha.objective_at_ones
@@ -137,11 +163,11 @@ class TestRunFederation:
         config = FederationConfig(
             model=ModelSpec(input_dim=10, num_classes=4),
             train=TrainConfig(learning_rate=0.1, batch_size=32, local_epochs=1),
-            rule=FedAvgOpt(),
+            rules=(FedAvgOpt(),),
             rounds=2,
             seed=0,
         )
-        reports = run_federation(config, shards)
+        reports = reports_of(config, shards)
         assert len(reports) == 2
         for report in reports:
             assert report.alpha.alpha.shape == (num_clients,)
@@ -150,9 +176,9 @@ class TestRunFederation:
     def test_single_client_round_matches_local_training(self):
         shards = blob_shards(1, 2)
         config = FederationConfig(model=SPEC, train=TRAIN, rounds=1, seed=3)
-        (report,) = run_federation(config, shards)
+        (report,) = reports_of(config, shards)
         w0 = init_params(SPEC, 3)
-        local = sgd_train(w0, SPEC, [shards[0].train], TRAIN, [3])[0]
+        local = sgd_train([w0], SPEC, [shards[0].train], TRAIN, [3])[0]
         metrics = evaluate([local], SPEC, [shards[0].test])[0]
         assert report.aggregated_accuracy == metrics["accuracy"]
         # A single-client average is the local model itself.
@@ -164,14 +190,14 @@ class TestRunFederation:
         data = generate_blobs(20, 2, 3, 1.0, 4)
         shards = make_client_shards(data, 2, 0.3, 4)
         config = FederationConfig(model=SPEC, train=TRAIN, rounds=2, seed=11)
-        reports = run_federation(config, shards)
+        reports = reports_of(config, shards)
 
         params = init_params(SPEC, 11)
         for report in reports:
             updates = []
             local_metrics = []
             for i, shard in enumerate(shards):
-                local = sgd_train(params, SPEC, [shard.train], TRAIN, [11 + i])[0]
+                local = sgd_train([params], SPEC, [shard.train], TRAIN, [11 + i])[0]
                 local_metrics.append(
                     (len(shard.test), evaluate([local], SPEC, [shard.test])[0]["accuracy"])
                 )
@@ -200,12 +226,8 @@ class TestRunFederation:
         train, test = data.subset(np.arange(8)), data.subset(np.arange(8, 16))
         shards = [ClientShard(f"client_{i}", train, test) for i in range(4)]
         base = FederationConfig(model=SPEC, train=TRAIN, rounds=3, seed=7)
-        avg_reports = run_federation(
-            dataclasses.replace(base, rule=FedAvg()), shards
-        )
-        opt_reports = run_federation(
-            dataclasses.replace(base, rule=FedAvgOpt()), shards
-        )
+        avg_reports = reports_of(dataclasses.replace(base, rules=(FedAvg(),)), shards)
+        opt_reports = reports_of(dataclasses.replace(base, rules=(FedAvgOpt(),)), shards)
         for avg, opt in zip(avg_reports, opt_reports):
             assert opt.aggregated_accuracy == avg.aggregated_accuracy
             assert opt.global_accuracy == avg.global_accuracy
@@ -215,7 +237,7 @@ class TestRunFederation:
     def test_deterministic(self):
         shards = blob_shards(4, 6)
         config = FederationConfig(
-            model=SPEC, train=TRAIN, rule=FedAvgM(), rounds=3, seed=2
+            model=SPEC, train=TRAIN, rules=(FedAvgM(),), rounds=3, seed=2
         )
         assert run_federation(config, shards) == run_federation(config, shards)
 
@@ -242,7 +264,7 @@ class TestRunFederation:
         config = FederationConfig(
             model=SPEC,
             train=TrainConfig(learning_rate=0.2, batch_size=16, local_epochs=1),
-            rule=FedOpt(server_lr=0.1, tau=1e-9, server_optimizer="adagrad"),
+            rules=(FedOpt(server_lr=0.1, tau=1e-9, server_optimizer="adagrad"),),
             rounds=3,
             seed=0,
         )
@@ -251,8 +273,8 @@ class TestRunFederation:
 
     def test_capped_coefficient_search_is_logged(self, caplog):
         rule = FedAvgOpt(SimplexConfig(max_iterations=1))
-        config = FederationConfig(model=SPEC, train=TRAIN, rule=rule, rounds=2, seed=3)
-        reports = run_federation(config, blob_shards(3, 3))
+        config = FederationConfig(model=SPEC, train=TRAIN, rules=(rule,), rounds=2, seed=3)
+        reports = reports_of(config, blob_shards(3, 3))
         assert not any(r.alpha.converged for r in reports)
         assert [(r.levelname, r.name, r.getMessage()) for r in caplog.records] == [
             (
@@ -265,10 +287,35 @@ class TestRunFederation:
         ]
 
     def test_converged_coefficient_search_logs_nothing(self, caplog):
-        config = FederationConfig(model=SPEC, train=TRAIN, rule=FedAvgOpt(), rounds=2, seed=3)
-        reports = run_federation(config, blob_shards(3, 3))
+        config = FederationConfig(model=SPEC, train=TRAIN, rules=(FedAvgOpt(),), rounds=2, seed=3)
+        reports = reports_of(config, blob_shards(3, 3))
         assert all(r.alpha.converged for r in reports)
         assert caplog.records == []
+
+    def test_every_rule_reports_as_if_it_ran_alone(self):
+        # Rules of one federation share round 1 and train side by side from
+        # round 2 on; each rule's reports keep the bits of its own federation.
+        shards = blob_shards(4, 2, samples_per_class=17)
+        assert [len(shard.train) for shard in shards] == [6, 4, 4, 4]
+        rules = (FedAvgOpt(), FedMedian(), FedAvg(), FedYogi())
+        train = TrainConfig(learning_rate=0.2, batch_size=3, local_epochs=2)
+        config = FederationConfig(model=SPEC, train=train, rules=rules, rounds=3, seed=2)
+        runs = run_federation(config, shards)
+        assert [(run.strategy, run.seed) for run in runs] == [(rule.name, 2) for rule in rules]
+        for rule, run in zip(rules, runs):
+            alone = dataclasses.replace(config, rules=(rule,))
+            assert report_bits(run.reports) == report_bits(reports_of(alone, shards))
+            assert report_bits(run.reports) == report_bits(oracles.run_federation(config, rule, shards))
+
+    def test_repeated_rule_names_are_left_to_the_caller(self):
+        # run_federation returns one run per rule, in rule order; only
+        # compare_strategies, which reports runs by name, rejects a repeat.
+        config = FederationConfig(
+            model=SPEC, train=TRAIN, rules=(FedAvgM(), FedAvgM(server_lr=0.5)), rounds=2
+        )
+        first, second = run_federation(config, blob_shards(2, 0))
+        assert first.strategy == second.strategy == "fedavgm"
+        assert first.reports != second.reports
 
 
 class TestCompareStrategies:
@@ -370,11 +417,13 @@ class TestCompareStrategies:
                 base, (FedAvg(), FedAvgM()), (1,), lambda seed: blob_shards(2, seed, 8)
             )
 
-    def test_run_federation_names_the_strategy_of_a_diverged_round_one(self):
+    def test_run_federation_names_no_strategy_for_a_diverged_round_one(self):
+        # Round 1 trains the one shared initial model for every rule, as it
+        # does under compare_strategies.
         spec = ModelSpec(input_dim=3, hidden_dims=(5,), num_classes=2)
         train = TrainConfig(learning_rate=1e300, batch_size=2)
-        config = FederationConfig(model=spec, train=train, rule=FedAvgM(), rounds=2, seed=1)
-        message = "fedavgm, seed 1, round 1, client_1: training failed: "
+        config = FederationConfig(model=spec, train=train, rules=(FedAvgM(),), rounds=2, seed=1)
+        message = "seed 1, round 1, client_1: training failed: "
         with pytest.raises(NumericError, match=f"^{message}"):
             run_federation(config, blob_shards(2, 1, 8))
 
@@ -388,9 +437,53 @@ class TestCompareStrategies:
             "client_2", Dataset(big.features * 1e300, big.labels, big.class_names), shards[2].test
         )
         config = FederationConfig(model=SPEC, train=TRAIN, rounds=1)
-        message = "fedavg, seed 0, round 1, client_2: training failed: "
+        message = "seed 0, round 1, client_2: training failed: "
         with pytest.raises(NumericError, match=f"^{message}"):
             run_federation(config, shards)
+
+    def test_a_diverged_rule_and_client_in_the_middle_of_a_round_two_stack_are_named(
+        self, monkeypatch
+    ):
+        # client_2's train features of 1e140 leave every round-1 model
+        # finite, but fedavgm's server rate of 1e40 takes its global model to
+        # about 1e178, whose logits on those features overflow in round 2.
+        # fedavg's round 2 and fedavgm's other clients stay finite, so the
+        # failing entry is in the middle of the (rule, client) stack.
+        shards = blob_shards(4, 0)
+        big = shards[2].train
+        shards[2] = ClientShard(
+            "client_2", Dataset(big.features * 1e140, big.labels, big.class_names), shards[2].test
+        )
+        train = TrainConfig(learning_rate=0.2, batch_size=16, local_epochs=1)
+        trained = count_calls(monkeypatch, fedsim.orchestrator, "sgd_train")
+        rules = (FedAvg(), FedAvgM(server_lr=1e40), FedMedian())
+        config = FederationConfig(model=SPEC, train=train, rules=rules, rounds=2)
+        message = "fedavgm, seed 0, round 2, client_2: training failed: "
+        with pytest.raises(NumericError, match=f"^{message}") as exc:
+            run_federation(config, shards)
+        assert exc.value.__cause__.index == 1 * 4 + 2
+        assert [len(starts) for starts, *_ in trained] == [1, 3]
+
+    def test_the_earliest_rounds_failure_is_reported(self, monkeypatch):
+        # fedavg fails in round 3 and fedmedian in round 2; the rules advance
+        # round by round, so fedmedian's failure comes first although fedavg
+        # is listed first.
+        def fail_on(rule_type, call):
+            original, calls = rule_type.step, []
+
+            def step(rule, updates, previous, state):
+                calls.append(None)
+                if len(calls) == call:
+                    return ParamVector(np.full(len(previous), np.inf)), state
+                return original(rule, updates, previous, state)
+
+            monkeypatch.setattr(rule_type, "step", step)
+
+        fail_on(FedAvg, 3)
+        fail_on(FedMedian, 2)
+        base = FederationConfig(model=SPEC, train=TRAIN, rounds=4)
+        with pytest.raises(NumericError, match="^fedmedian, seed 0, round 2: aggregation failed: "):
+            compare_strategies(base, (FedAvg(), FedMedian()), (0,), lambda seed: blob_shards(2, seed))
 
     def test_non_finite_local_loss_is_logged(self, caplog):
         # Round 1's one full-batch step at this rate leaves client_1's model
@@ -481,7 +574,19 @@ class TestSharedFirstRound:
     )
     def test_outputs_match_one_run_federation_per_pair(self, tmp_path, model):
         base = FederationConfig(model=model, train=TRAIN, rounds=self.ROUNDS)
-        factory = lambda seed: blob_shards(4, seed)
+        self.assert_outputs_match_the_oracle(tmp_path, base, lambda seed: blob_shards(4, seed))
+
+    def test_outputs_match_with_ragged_train_sizes(self, tmp_path):
+        # Train splits of 6, 4, 4 and 4 rows at seed 0 train as two stacks of
+        # (rule, client) pairs, with ragged batches of 3.
+        model = ModelSpec(input_dim=3, hidden_dims=(5,), num_classes=2)
+        train = TrainConfig(learning_rate=0.2, batch_size=3, local_epochs=2)
+        base = FederationConfig(model=model, train=train, rounds=self.ROUNDS)
+        factory = lambda seed: blob_shards(4, seed, samples_per_class=17)
+        assert len({len(shard.train) for shard in factory(0)}) == 2
+        self.assert_outputs_match_the_oracle(tmp_path, base, factory)
+
+    def assert_outputs_match_the_oracle(self, tmp_path, base, factory):
         rules = [rule() for rule in RULES.values()]
         shared = compare_strategies(base, rules, self.SEEDS, factory)
         plain = oracles.compare_strategies(base, rules, self.SEEDS, factory)
@@ -496,6 +601,7 @@ class TestSharedFirstRound:
         assert (mismatch, errors) == ([], [])
 
     def test_round_one_trained_once_per_seed(self, monkeypatch):
+        federations = count_calls(monkeypatch, fedsim.orchestrator, "run_federation")
         trained = count_calls(monkeypatch, fedsim.orchestrator, "sgd_train")
         evaluated = count_calls(monkeypatch, fedsim.orchestrator, "evaluate")
         clients, strategies = 4, (FedAvg(), FedMedian(), FedYogi())
@@ -503,18 +609,25 @@ class TestSharedFirstRound:
         compare_strategies(
             base, strategies, self.SEEDS, lambda seed: blob_shards(clients, seed)
         )
-        # One sgd_train call per trained round, one model per client in each.
-        rounds = len(self.SEEDS) * (1 + len(strategies) * (self.ROUNDS - 1))
-        local = clients * rounds
-        assert len(trained) == rounds
-        assert sum(len(datasets) for _, _, datasets, _, _ in trained) == local
-        # One local evaluation per trained model, one global one per client
-        # and round of every federation; one evaluate call scores a round's
-        # local models, and one its global model.
-        federations = len(strategies) * len(self.SEEDS)
-        assert len(evaluated) == rounds + federations * self.ROUNDS
+        # One federation of every rule per seed, and one sgd_train call per
+        # round: round 1 trains the shared initial model, each later round
+        # every rule's global model, one model per (start, client).
+        assert len(federations) == len(self.SEEDS)
+        assert [len(starts) for starts, *_ in trained] == (
+            [1] + [len(strategies)] * (self.ROUNDS - 1)
+        ) * len(self.SEEDS)
+        local = len(self.SEEDS) * clients * (1 + len(strategies) * (self.ROUNDS - 1))
+        assert sum(len(starts) * len(datasets) for starts, _, datasets, _, _ in trained) == local
+        # Per seed and round, one evaluate call scores the round's local
+        # models and one every rule's global model on every client.
+        assert len(evaluated) == 2 * len(self.SEEDS) * self.ROUNDS
+        assert [len(models) for models, _, _ in evaluated] == [
+            size
+            for starts, *_ in trained
+            for size in (len(starts) * clients, len(strategies) * clients)
+        ]
         assert sum(len(datasets) for _, _, datasets in evaluated) == (
-            local + federations * self.ROUNDS * clients
+            local + len(strategies) * len(self.SEEDS) * self.ROUNDS * clients
         )
 
     def test_run_federation_alone_trains_round_one(self, monkeypatch):

@@ -84,7 +84,7 @@ def test_readme_flags_are_defined(capsys):
 def run_rounds(rule, rounds):
     """``rounds`` rounds of ``rule`` at seed 0 over two blob clients."""
     config = FederationConfig(
-        model=ModelSpec(input_dim=3), train=TrainConfig(), rule=rule, rounds=rounds, seed=0
+        model=ModelSpec(input_dim=3), train=TrainConfig(), rules=(rule,), rounds=rounds, seed=0
     )
     return run_federation(config, make_client_shards(generate_blobs(16, 2, 3, 1.0, 0), 2, 0.5, 0))
 
@@ -106,14 +106,16 @@ def non_finite_like(params, *_):
     return ParamVector(np.full(len(params), np.inf))
 
 
-def from_nan_weights(params, *rest):
+def from_nan_weights(starts, *rest):
     """Trains every client from NaN weights, so sgd_train's own check fails
-    and names the first client."""
-    return sgd_train(SimpleNamespace(values=np.full(len(params), np.nan)), *rest)
+    and names the first client of the first start."""
+    nan = SimpleNamespace(values=np.full(len(starts[0]), np.nan))
+    return sgd_train([nan] * len(starts), *rest)
 
 
 def training_failure(monkeypatch, caplog):
-    # Call 1 trains round 1's clients; call 2 trains round 2's.
+    # A one-rule federation trains each round in one sgd_train call: call 1
+    # trains round 1's clients, call 2 round 2's, which name the strategy.
     replace_call(monkeypatch, fedsim.orchestrator, "sgd_train", 2, from_nan_weights)
     with pytest.raises(NumericError) as exc:
         run_rounds(FedAvg(), 2)
