@@ -237,8 +237,8 @@ def run_comparison(config: ExperimentConfig) -> ComparisonResult:
         activation=config.activation,
         num_classes=ds.num_classes if table is None else table.num_classes,
     )
-    base = FederationConfig(model=model, train=config.train, rounds=config.rounds)
-    return compare_strategies(base, config.rules, config.seeds, shards)
+    base = FederationConfig(model=model, train=config.train, rules=config.rules, rounds=config.rounds)
+    return compare_strategies(base, config.seeds, shards)
 
 
 def write_history_csv(result: ComparisonResult, path: Path) -> None:

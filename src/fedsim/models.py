@@ -223,6 +223,8 @@ def sgd_train(
     """
     if len(datasets) != len(seeds):
         raise ValueError(f"{len(datasets)} datasets but {len(seeds)} seeds")
+    if len(starts) == 0:
+        raise ValueError("need at least one starting model")
     rngs = [np.random.default_rng(checked("seed", seed, int, {"ge": 0})) for seed in seeds]
     stacks: dict[int, list[int]] = {}
     for i, dataset in enumerate(datasets):

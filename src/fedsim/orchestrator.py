@@ -1,10 +1,11 @@
 """Federation round loop and cross-strategy comparison harness.
 
-One round = broadcast the global parameters, train every client locally,
-evaluate each client's freshly trained model on its own test set, then fold
-the updates into the next global model with the configured strategy.  A
-federation runs several strategies on the same clients side by side: each
-round trains every strategy's clients in one ``sgd_train`` call.
+A federation runs several strategies on the same clients side by side, in
+one round body: one ``sgd_train`` call trains every client from each
+strategy's global model (from the one shared initial model in round 1),
+one ``evaluate`` call scores each freshly trained model on its own client's
+test set, each strategy folds its clients' models into its next global
+model, and one more ``evaluate`` call scores the new global models.
 
 Per-round accuracy is deliberately measured on the local models *before*
 aggregation, from the per-client metrics the round loop records; the
@@ -22,7 +23,6 @@ from typing import Callable, Sequence
 from .data import ClientShard
 from .exceptions import Config, ConfigError, NumericError, bounded
 from .models import ModelSpec, TrainConfig, evaluate, init_params, sgd_train
-from .params import ParamVector
 from .strategies import Aggregator, AlphaSolution, ClientUpdate, FedAvg, Rule
 
 logger = logging.getLogger(__name__)
@@ -99,66 +99,6 @@ def weighted_accuracy(entries: Sequence[tuple[int, float]]) -> float:
     return sum(count * acc for count, acc in entries) / total
 
 
-def _check_shards(shards: Sequence[ClientShard]) -> None:
-    if len(shards) == 0:
-        raise ConfigError("need at least one client")
-    for shard in shards:
-        if len(shard.train) == 0 or len(shard.test) == 0:
-            raise ConfigError(f"{shard.client_id}: empty train or test split")
-
-
-def _train_round(
-    config: FederationConfig,
-    shards: Sequence[ClientShard],
-    starts: Sequence[ParamVector],
-    wheres: Sequence[str],
-) -> list[tuple[list[ClientUpdate], tuple[ClientRoundMetrics, ...]]]:
-    """Train every client from each of ``starts`` in one ``sgd_train`` call and
-    score each local model on its own test split; client ``i`` trains with
-    seed ``config.seed + i``.  Returns each start's client updates and
-    metrics.  A client whose training goes non-finite is named after its
-    start's entry of ``wheres``, and so is one whose local test loss is
-    non-finite, in a logged warning.  ``evaluate`` scores the very list
-    ``sgd_train`` returned: the benchmark's tracer tells local from global
-    scoring by it."""
-    count = len(shards)
-    try:
-        trained = sgd_train(
-            starts,
-            config.model,
-            [shard.train for shard in shards],
-            config.train,
-            [config.seed + i for i in range(count)],
-        )
-    except NumericError as exc:
-        start, client = divmod(exc.index, count)
-        raise NumericError(
-            f"{wheres[start]}, {shards[client].client_id}: training failed: {exc}"
-        ) from exc
-    metrics = evaluate(trained, config.model, [shard.test for shard in shards] * len(starts))
-    outcomes = []
-    for s, where in enumerate(wheres):
-        updates: list[ClientUpdate] = []
-        per_client: list[ClientRoundMetrics] = []
-        for i, shard in enumerate(shards):
-            local, scores = trained[s * count + i], metrics[s * count + i]
-            if not math.isfinite(scores["loss"]):
-                logger.warning("%s, %s: local test loss is %r", where, shard.client_id, scores["loss"])
-            per_client.append(
-                ClientRoundMetrics(
-                    client_id=shard.client_id,
-                    num_test_examples=len(shard.test),
-                    accuracy=scores["accuracy"],
-                    loss=scores["loss"],
-                )
-            )
-            updates.append(
-                ClientUpdate(client_id=shard.client_id, num_examples=len(shard.train), params=local)
-            )
-        outcomes.append((updates, tuple(per_client)))
-    return outcomes
-
-
 def run_federation(config: FederationConfig, shards: Sequence[ClientShard]) -> tuple[StrategyRun, ...]:
     """Run the configured number of rounds of every rule over the given
     clients, all rules one round at a time; one run per rule, in rule order.
@@ -167,31 +107,71 @@ def run_federation(config: FederationConfig, shards: Sequence[ClientShard]) -> t
     ``init_params(model, seed)`` and client ``i`` always trains with seed
     ``config.seed + i``, so a fixed (config, shards) pair reproduces the same
     reports bit for bit, and each rule's reports have the bits of a
-    federation of that rule alone.  Round 1 trains the one shared starting
-    model once for every rule, so its events name no strategy; from round 2
-    on, one ``sgd_train`` call trains every rule's clients from that rule's
-    global model.
+    federation of that rule alone.
 
-    A round trains, then aggregates rule by rule, so the failure reported is
-    the earliest round's, a training failure before an aggregation one, and
-    then the first rule's.  A round whose coefficient search stops at its
-    iteration cap unconverged is logged as a warning that names the
-    strategy, seed and round.
+    One round body runs top to bottom:
+
+    1. one ``sgd_train`` call trains the round's starting models on every
+       client: in round 1 the one shared initial model, once for every
+       rule, so round 1's events name no strategy; later, each rule's
+       global model;
+    2. ``evaluate`` scores the very list ``sgd_train`` returned (the
+       benchmark's tracer tells local from global scoring by it);
+    3. each rule in turn aggregates its slice of the local models;
+    4. one ``evaluate`` call scores every rule's new global model.
+
+    So the failure reported is the earliest round's, a training failure
+    before an aggregation one, and then the first rule's.  A non-finite
+    local test loss is logged as a warning named as a training failure
+    is; a coefficient search that stops at its iteration cap unconverged,
+    as one that names the strategy, seed and round.
     """
-    _check_shards(shards)
-    tests = [shard.test for shard in shards]
+    if len(shards) == 0:
+        raise ConfigError("need at least one client")
+    for shard in shards:
+        if len(shard.train) == 0 or len(shard.test) == 0:
+            raise ConfigError(f"{shard.client_id}: empty train or test split")
+    count = len(shards)
+    trains, tests = [shard.train for shard in shards], [shard.test for shard in shards]
+    client_seeds = [config.seed + i for i in range(count)]
     aggregators = [Aggregator(rule) for rule in config.rules]
     global_models = [init_params(config.model, config.seed)] * len(aggregators)
     reports: list[list[RoundReport]] = [[] for _ in aggregators]
     for round_idx in range(1, config.rounds + 1):
         where = f"seed {config.seed}, round {round_idx}"
         if round_idx == 1:
-            outcomes = _train_round(config, shards, global_models[:1], [where])
-            outcomes *= len(aggregators)
+            starts, labels = global_models[:1], [where]
         else:
-            wheres = [f"{aggregator.strategy}, {where}" for aggregator in aggregators]
-            outcomes = _train_round(config, shards, global_models, wheres)
-        for s, (aggregator, (updates, _)) in enumerate(zip(aggregators, outcomes)):
+            starts, labels = global_models, [f"{a.strategy}, {where}" for a in aggregators]
+        # Entry s * count + i of the round's results is start s trained on client i.
+        names = [f"{label}, {shard.client_id}" for label in labels for shard in shards]
+        try:
+            trained = sgd_train(starts, config.model, trains, config.train, client_seeds)
+        except NumericError as exc:
+            raise NumericError(f"{names[exc.index]}: training failed: {exc}") from exc
+        local_metrics = evaluate(trained, config.model, tests * len(starts))
+        for name, scores in zip(names, local_metrics):
+            if not math.isfinite(scores["loss"]):
+                logger.warning("%s: local test loss is %r", name, scores["loss"])
+        per_client: list[tuple[ClientRoundMetrics, ...]] = []
+        for s, aggregator in enumerate(aggregators):
+            # Rule s reads start s's results; in round 1 every rule reads the one start's.
+            rows = slice(s * count, (s + 1) * count) if round_idx > 1 else slice(count)
+            updates = [
+                ClientUpdate(client_id=shard.client_id, num_examples=len(shard.train), params=local)
+                for shard, local in zip(shards, trained[rows])
+            ]
+            per_client.append(
+                tuple(
+                    ClientRoundMetrics(
+                        client_id=shard.client_id,
+                        num_test_examples=len(shard.test),
+                        accuracy=scores["accuracy"],
+                        loss=scores["loss"],
+                    )
+                    for shard, scores in zip(shards, local_metrics[rows])
+                )
+            )
             try:
                 global_models[s] = aggregator.aggregate(updates, global_models[s])
             except NumericError as exc:
@@ -209,20 +189,20 @@ def run_federation(config: FederationConfig, shards: Sequence[ClientShard]) -> t
         global_metrics = evaluate(
             [model for model in global_models for _ in shards], config.model, tests * len(aggregators)
         )
-        for s, (aggregator, (_, per_client)) in enumerate(zip(aggregators, outcomes)):
+        for s, aggregator in enumerate(aggregators):
             aggregated_accuracy = weighted_accuracy(
-                [(m.num_test_examples, m.accuracy) for m in per_client]
+                [(m.num_test_examples, m.accuracy) for m in per_client[s]]
             )
             global_accuracy = weighted_accuracy(
                 [
                     (len(test), m["accuracy"])
-                    for test, m in zip(tests, global_metrics[s * len(shards) :])
+                    for test, m in zip(tests, global_metrics[s * count :])
                 ]
             )
             reports[s].append(
                 RoundReport(
                     round=round_idx,
-                    per_client=per_client,
+                    per_client=per_client[s],
                     aggregated_accuracy=aggregated_accuracy,
                     global_accuracy=global_accuracy,
                     alpha=aggregator.last_alpha,
@@ -267,35 +247,34 @@ class ComparisonResult:
 
 
 def compare_strategies(
-    base_config: FederationConfig,
-    rules: Sequence[Rule],
+    config: FederationConfig,
     seeds: Sequence[int],
     shard_factory: Callable[[int], Sequence[ClientShard]],
 ) -> ComparisonResult:
-    """Run every rule on identical shards and identical initial weights.
+    """Run every rule of ``config.rules`` on identical shards and identical
+    initial weights.
 
     For each seed, ``shard_factory(seed)`` builds the client shards once and
     one :func:`run_federation` runs every rule on them; the shared seed also
     fixes w0, so curves differ only through the aggregation rule.
 
-    ``base_config``'s ``rules`` and ``seed`` are replaced, and every seed's
-    config is built, so checked, before any shards are.  Runs are reported
-    by strategy name and seed, so each must be distinct.  Runs come seed by
-    seed, each seed's in rule order.
+    ``config``'s ``seed`` is replaced, and every seed's config is built, so
+    checked, before any shards are.  Runs are reported by strategy name and
+    seed, so each must be distinct.  Runs come seed by seed, each seed's in
+    rule order.
     """
-    base_config = dataclasses.replace(base_config, rules=tuple(rules))
     if len(seeds) == 0:
         raise ConfigError("need at least one seed")
-    configs = [dataclasses.replace(base_config, seed=seed) for seed in seeds]
-    distinct = {"seed": [config.seed for config in configs],
-                "strategy": [rule.name for rule in base_config.rules]}
+    configs = [dataclasses.replace(config, seed=seed) for seed in seeds]
+    distinct = {"seed": [seed_config.seed for seed_config in configs],
+                "strategy": [rule.name for rule in config.rules]}
     for kind, values in distinct.items():
         for i, value in enumerate(values):
             if value in values[:i]:
                 raise ConfigError(f"{kind} {value!r} is given more than once")
     runs: list[StrategyRun] = []
-    for config in configs:
-        logger.info("running strategy=%s seed=%d", config.strategy, config.seed)
+    for seed_config in configs:
+        logger.info("running strategy=%s seed=%d", seed_config.strategy, seed_config.seed)
         # Each seed's shards are released before the next seed builds its own.
-        runs.extend(run_federation(config, shard_factory(config.seed)))
+        runs.extend(run_federation(seed_config, shard_factory(seed_config.seed)))
     return ComparisonResult(runs=tuple(runs))

@@ -676,6 +676,13 @@ class TestStacks:
         with pytest.raises(ValueError, match="^1 models but 2 datasets$"):
             evaluate([params], spec, datasets)
 
+    def test_no_starting_model_is_named(self):
+        # numpy's own "need at least one array to stack" once surfaced here.
+        spec = STACK_SPECS["logistic"]
+        datasets = random_datasets(spec, (4, 4), 0)
+        with pytest.raises(ValueError, match="^need at least one starting model$"):
+            sgd_train([], spec, datasets, TrainConfig(), [0, 1])
+
     @pytest.mark.parametrize(
         "diverging, named",
         [

@@ -321,7 +321,9 @@ class TestRunFederation:
 class TestCompareStrategies:
     def comparison(self, rules=(FedAvg(), FedAvgM()), seeds=(0, 1)):
         base = FederationConfig(model=SPEC, train=TRAIN, rounds=2, seed=0)
-        return compare_strategies(base, rules, seeds, lambda seed: blob_shards(4, seed))
+        return compare_strategies(
+            dataclasses.replace(base, rules=rules), seeds, lambda seed: blob_shards(4, seed)
+        )
 
     def test_one_run_per_strategy_seed_pair(self):
         result = self.comparison()
@@ -385,7 +387,9 @@ class TestCompareStrategies:
             return built
 
         base = FederationConfig(model=SPEC, train=TRAIN, rounds=2, seed=0)
-        compare_strategies(base, (FedAvg(), FedMedian()), (0, 1, 2), shards)
+        compare_strategies(
+            dataclasses.replace(base, rules=(FedAvg(), FedMedian())), (0, 1, 2), shards
+        )
         assert alive_at_build == [0, 0, 0]
         assert len(datasets) == 12
 
@@ -395,7 +399,11 @@ class TestCompareStrategies:
         train = TrainConfig(learning_rate=1e300, batch_size=4)
         base = FederationConfig(model=SPEC, train=train, rounds=2)
         with pytest.raises(NumericError, match="^fedavgopt, seed 0, round 1: aggregation failed: "):
-            compare_strategies(base, (FedAvgOpt(),), (0,), lambda seed: blob_shards(2, seed, 8))
+            compare_strategies(
+                dataclasses.replace(base, rules=(FedAvgOpt(),)),
+                (0,),
+                lambda seed: blob_shards(2, seed, 8),
+            )
 
     @pytest.mark.parametrize(
         "batch_size, where",
@@ -414,7 +422,9 @@ class TestCompareStrategies:
         message = f"{where}: training failed: parameter vector contains non-finite entries"
         with pytest.raises(NumericError, match=f"^{message}$"):
             compare_strategies(
-                base, (FedAvg(), FedAvgM()), (1,), lambda seed: blob_shards(2, seed, 8)
+                dataclasses.replace(base, rules=(FedAvg(), FedAvgM())),
+                (1,),
+                lambda seed: blob_shards(2, seed, 8),
             )
 
     def test_run_federation_names_no_strategy_for_a_diverged_round_one(self):
@@ -483,7 +493,11 @@ class TestCompareStrategies:
         fail_on(FedMedian, 2)
         base = FederationConfig(model=SPEC, train=TRAIN, rounds=4)
         with pytest.raises(NumericError, match="^fedmedian, seed 0, round 2: aggregation failed: "):
-            compare_strategies(base, (FedAvg(), FedMedian()), (0,), lambda seed: blob_shards(2, seed))
+            compare_strategies(
+                dataclasses.replace(base, rules=(FedAvg(), FedMedian())),
+                (0,),
+                lambda seed: blob_shards(2, seed),
+            )
 
     def test_non_finite_local_loss_is_logged(self, caplog):
         # Round 1's one full-batch step at this rate leaves client_1's model
@@ -493,11 +507,31 @@ class TestCompareStrategies:
         base = FederationConfig(model=spec, train=train, rounds=2)
         with pytest.raises(NumericError, match="^fedavg, seed 1, round 2, client_0: "):
             compare_strategies(
-                base, (FedAvg(), FedAvgM()), (1,), lambda seed: blob_shards(2, seed, 8)
+                dataclasses.replace(base, rules=(FedAvg(), FedAvgM())),
+                (1,),
+                lambda seed: blob_shards(2, seed, 8),
             )
         assert [(r.levelname, r.name, r.getMessage()) for r in caplog.records] == [
             ("WARNING", "fedsim.orchestrator", "seed 1, round 1, client_1: local test loss is nan")
         ]
+
+    def test_runs_exactly_the_configs_rules(self):
+        base = FederationConfig(model=SPEC, train=TRAIN, rules=(FedAvgOpt(),), rounds=1)
+        result = compare_strategies(base, (0, 1), lambda seed: blob_shards(2, seed))
+        assert [(run.strategy, run.seed) for run in result.runs] == [
+            ("fedavgopt", 0),
+            ("fedavgopt", 1),
+        ]
+
+    def test_repeats_in_the_config_are_rejected_before_any_shards(self):
+        calls = []
+        rules = (FedAvgM(), FedAvgM(server_lr=0.5))
+        config = FederationConfig(model=SPEC, train=TRAIN, rules=rules, rounds=1)
+        with pytest.raises(ConfigError, match="^strategy 'fedavgm' is given more than once$"):
+            compare_strategies(config, (0,), calls.append)
+        with pytest.raises(ConfigError, match="^seed 4 is given more than once$"):
+            compare_strategies(dataclasses.replace(config, rules=rules[:1]), (4, 4), calls.append)
+        assert calls == []
 
     def test_repeated_strategy_rejected(self):
         # Runs are reported by strategy name, so two fedavgm settings would
@@ -512,7 +546,9 @@ class TestCompareStrategies:
     def test_empty_strategies_or_seeds_rejected(self, rules, seeds, message):
         base = FederationConfig(model=SPEC, train=TRAIN, rounds=1)
         with pytest.raises(ConfigError, match=f"^{message}$"):
-            compare_strategies(base, rules, seeds, lambda seed: blob_shards(2, seed))
+            compare_strategies(
+                dataclasses.replace(base, rules=rules), seeds, lambda seed: blob_shards(2, seed)
+            )
 
     def test_shard_factory_called_once_per_seed(self):
         calls = []
@@ -522,7 +558,9 @@ class TestCompareStrategies:
             return blob_shards(4, seed)
 
         base = FederationConfig(model=SPEC, train=TRAIN, rounds=1, seed=0)
-        compare_strategies(base, (FedAvg(), FedAvgM(), FedYogi()), (5, 6), factory)
+        compare_strategies(
+            dataclasses.replace(base, rules=(FedAvg(), FedAvgM(), FedYogi())), (5, 6), factory
+        )
         assert calls == [5, 6]
 
     @pytest.mark.parametrize(
@@ -541,7 +579,7 @@ class TestCompareStrategies:
         calls = []
         base = FederationConfig(model=SPEC, train=TRAIN, rounds=1)
         with pytest.raises(ConfigError, match=f"^{message}$"):
-            compare_strategies(base, (FedAvg(),), seeds, calls.append)
+            compare_strategies(dataclasses.replace(base, rules=(FedAvg(),)), seeds, calls.append)
         assert calls == []
 
     def test_numpy_integer_seed_runs(self):
@@ -551,9 +589,13 @@ class TestCompareStrategies:
     def test_empty_inputs_rejected(self):
         base = FederationConfig(model=SPEC, train=TRAIN, rounds=1)
         with pytest.raises(ValueError):
-            compare_strategies(base, (), (0,), lambda s: blob_shards(4, s))
+            compare_strategies(
+                dataclasses.replace(base, rules=()), (0,), lambda s: blob_shards(4, s)
+            )
         with pytest.raises(ValueError):
-            compare_strategies(base, (FedAvg(),), (), lambda s: blob_shards(4, s))
+            compare_strategies(
+                dataclasses.replace(base, rules=(FedAvg(),)), (), lambda s: blob_shards(4, s)
+            )
 
 
 def write_outputs(result, directory):
@@ -588,7 +630,7 @@ class TestSharedFirstRound:
 
     def assert_outputs_match_the_oracle(self, tmp_path, base, factory):
         rules = [rule() for rule in RULES.values()]
-        shared = compare_strategies(base, rules, self.SEEDS, factory)
+        shared = compare_strategies(dataclasses.replace(base, rules=rules), self.SEEDS, factory)
         plain = oracles.compare_strategies(base, rules, self.SEEDS, factory)
         write_outputs(shared, tmp_path / "shared")
         write_outputs(plain, tmp_path / "plain")
@@ -607,7 +649,9 @@ class TestSharedFirstRound:
         clients, strategies = 4, (FedAvg(), FedMedian(), FedYogi())
         base = FederationConfig(model=SPEC, train=TRAIN, rounds=self.ROUNDS)
         compare_strategies(
-            base, strategies, self.SEEDS, lambda seed: blob_shards(clients, seed)
+            dataclasses.replace(base, rules=strategies),
+            self.SEEDS,
+            lambda seed: blob_shards(clients, seed),
         )
         # One federation of every rule per seed, and one sgd_train call per
         # round: round 1 trains the shared initial model, each later round
@@ -641,5 +685,7 @@ class TestSharedFirstRound:
         trained = count_calls(monkeypatch, fedsim.orchestrator, "sgd_train")
         base = FederationConfig(model=SPEC, train=TRAIN, rounds=2)
         with pytest.raises(ConfigError, match="at least one client"):
-            compare_strategies(base, (FedAvg(), FedAvgM()), (0,), lambda s: [])
+            compare_strategies(
+                dataclasses.replace(base, rules=(FedAvg(), FedAvgM())), (0,), lambda s: []
+            )
         assert trained == []

@@ -46,6 +46,20 @@ def test_yaml_example_parses(tmp_path):
     )
 
 
+def test_yaml_example_runs(tmp_path):
+    path, out = tmp_path / "config.yaml", tmp_path / "out"
+    path.write_text(fenced_block("yaml"), encoding="utf-8")
+    argv = ["compare", str(path), "--rounds", "1", "--seed", "0", "--output-dir", str(out)]
+    assert main(argv) == 0
+    names = ["fedavg", "fedavgm", "fedmedian", "fedopt", "fedyogi", "fedavgopt"]
+    # summary.txt: a title, a blank line, a header, then one row per strategy.
+    rows = (out / "summary.txt").read_text(encoding="utf-8").splitlines()[3:]
+    assert [row.split()[0] for row in rows] == names
+    assert sorted(path.name for path in (out / "curves").iterdir()) == sorted(
+        f"{name}.dat" for name in names
+    )
+
+
 def test_library_example_runs(capsys):
     exec(compile(fenced_block("python"), "README.md", "exec"), {})
     assert len(capsys.readouterr().out.splitlines()) == 10
