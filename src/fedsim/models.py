@@ -233,8 +233,8 @@ def sgd_train(
         _check_features(spec, dataset.features)
         stacks.setdefault(len(dataset), []).append(i)
     origins = np.stack([start.values for start in starts])
-    lr, size, count = config.learning_rate, config.batch_size, len(datasets)
-    trained: list = [None] * (len(starts) * count)
+    lr, size = config.learning_rate, config.batch_size
+    trained = np.empty((len(starts), len(datasets), spec.num_params))
     with np.errstate(over="ignore", invalid="ignore"):
         for n, members in stacks.items():
             values = np.repeat(origins[:, None], len(members), axis=1)
@@ -260,11 +260,9 @@ def sgd_train(
                     grad = loss_and_gradient(values, spec, xs[:, :, batch], ys[:, :, batch])[1]
                     grad *= lr  # the bits of values - lr * grad, with no temporary
                     values -= grad
-            for s in range(len(starts)):
-                for row, i in enumerate(members):
-                    trained[s * count + i] = values[s, row]
+            trained[:, members] = values
     results: list[ParamVector] = []
-    for values in trained:
+    for values in trained.reshape(-1, spec.num_params):
         try:
             results.append(ParamVector(values))
         except NumericError as exc:

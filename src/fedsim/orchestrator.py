@@ -103,11 +103,11 @@ def run_federation(config: FederationConfig, shards: Sequence[ClientShard]) -> t
     """Run the configured number of rounds of every rule over the given
     clients, all rules one round at a time; one run per rule, in rule order.
 
-    Deterministic: every rule's global model starts from
-    ``init_params(model, seed)`` and client ``i`` always trains with seed
-    ``config.seed + i``, so a fixed (config, shards) pair reproduces the same
-    reports bit for bit, and each rule's reports have the bits of a
-    federation of that rule alone.
+    Deterministic: every rule starts from ``init_params(model, seed)``, and
+    client ``i`` always trains with seed ``config.seed + i``, so visits its
+    rows in the same batch order in every round of every rule; a fixed
+    (config, shards) pair reproduces the same reports bit for bit, and each
+    rule's reports have the bits of a federation of that rule alone.
 
     One round body runs top to bottom:
 
@@ -117,14 +117,16 @@ def run_federation(config: FederationConfig, shards: Sequence[ClientShard]) -> t
        global model;
     2. ``evaluate`` scores the very list ``sgd_train`` returned (the
        benchmark's tracer tells local from global scoring by it);
-    3. each rule in turn aggregates its slice of the local models;
-    4. one ``evaluate`` call scores every rule's new global model.
+    3. one pass builds each trained model's ``ClientUpdate`` and
+       ``ClientRoundMetrics``, warning of a non-finite local test loss;
+    4. each rule in turn aggregates its start's block of the updates;
+    5. one ``evaluate`` call scores every rule's new global model.
 
     So the failure reported is the earliest round's, a training failure
-    before an aggregation one, and then the first rule's.  A non-finite
-    local test loss is logged as a warning named as a training failure
-    is; a coefficient search that stops at its iteration cap unconverged,
-    as one that names the strategy, seed and round.
+    before an aggregation one, and then the first rule's.  A warning names
+    a non-finite local test loss as a training failure of that model is
+    named, and an unconverged capped coefficient search by strategy, seed
+    and round.
     """
     if len(shards) == 0:
         raise ConfigError("need at least one client")
@@ -136,44 +138,31 @@ def run_federation(config: FederationConfig, shards: Sequence[ClientShard]) -> t
     client_seeds = [config.seed + i for i in range(count)]
     aggregators = [Aggregator(rule) for rule in config.rules]
     global_models = [init_params(config.model, config.seed)] * len(aggregators)
+    # Entry s * count + i of a round's results is start s trained on client i.
+    blocks = [slice(s * count, (s + 1) * count) for s in range(len(aggregators))]
     reports: list[list[RoundReport]] = [[] for _ in aggregators]
     for round_idx in range(1, config.rounds + 1):
         where = f"seed {config.seed}, round {round_idx}"
-        if round_idx == 1:
-            starts, labels = global_models[:1], [where]
+        if round_idx == 1:  # every rule reads the one shared start's block
+            starts, labels, rows = global_models[:1], [where], blocks[:1] * len(aggregators)
         else:
-            starts, labels = global_models, [f"{a.strategy}, {where}" for a in aggregators]
-        # Entry s * count + i of the round's results is start s trained on client i.
+            starts, rows = global_models, blocks
+            labels = [f"{a.strategy}, {where}" for a in aggregators]
         names = [f"{label}, {shard.client_id}" for label in labels for shard in shards]
         try:
             trained = sgd_train(starts, config.model, trains, config.train, client_seeds)
         except NumericError as exc:
             raise NumericError(f"{names[exc.index]}: training failed: {exc}") from exc
         local_metrics = evaluate(trained, config.model, tests * len(starts))
-        for name, scores in zip(names, local_metrics):
+        updates, records = [], []
+        for name, shard, local, scores in zip(names, shards * len(starts), trained, local_metrics):
             if not math.isfinite(scores["loss"]):
                 logger.warning("%s: local test loss is %r", name, scores["loss"])
-        per_client: list[tuple[ClientRoundMetrics, ...]] = []
+            updates.append(ClientUpdate(shard.client_id, len(shard.train), local))
+            records.append(ClientRoundMetrics(shard.client_id, len(shard.test), **scores))
         for s, aggregator in enumerate(aggregators):
-            # Rule s reads start s's results; in round 1 every rule reads the one start's.
-            rows = slice(s * count, (s + 1) * count) if round_idx > 1 else slice(count)
-            updates = [
-                ClientUpdate(client_id=shard.client_id, num_examples=len(shard.train), params=local)
-                for shard, local in zip(shards, trained[rows])
-            ]
-            per_client.append(
-                tuple(
-                    ClientRoundMetrics(
-                        client_id=shard.client_id,
-                        num_test_examples=len(shard.test),
-                        accuracy=scores["accuracy"],
-                        loss=scores["loss"],
-                    )
-                    for shard, scores in zip(shards, local_metrics[rows])
-                )
-            )
             try:
-                global_models[s] = aggregator.aggregate(updates, global_models[s])
+                global_models[s] = aggregator.aggregate(updates[rows[s]], global_models[s])
             except NumericError as exc:
                 raise NumericError(
                     f"{aggregator.strategy}, {where}: aggregation failed: {exc}"
@@ -190,19 +179,17 @@ def run_federation(config: FederationConfig, shards: Sequence[ClientShard]) -> t
             [model for model in global_models for _ in shards], config.model, tests * len(aggregators)
         )
         for s, aggregator in enumerate(aggregators):
+            per_client = tuple(records[rows[s]])
             aggregated_accuracy = weighted_accuracy(
-                [(m.num_test_examples, m.accuracy) for m in per_client[s]]
+                [(m.num_test_examples, m.accuracy) for m in per_client]
             )
             global_accuracy = weighted_accuracy(
-                [
-                    (len(test), m["accuracy"])
-                    for test, m in zip(tests, global_metrics[s * count :])
-                ]
+                [(len(test), m["accuracy"]) for test, m in zip(tests, global_metrics[blocks[s]])]
             )
             reports[s].append(
                 RoundReport(
                     round=round_idx,
-                    per_client=per_client[s],
+                    per_client=per_client,
                     aggregated_accuracy=aggregated_accuracy,
                     global_accuracy=global_accuracy,
                     alpha=aggregator.last_alpha,

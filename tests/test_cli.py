@@ -1088,6 +1088,30 @@ class TestMain:
         assert len(rows) == 2 * 2
         assert {row["client_id"] for row in rows} == {"client_0", "client_1"}
 
+    def test_relative_paths_resolve_against_the_working_directory(self, tmp_path, monkeypatch):
+        # The data file and the output directory are named relative to the
+        # working directory, not to the config file's subdirectory.
+        rows = ["x1,x2,label"]
+        for i in range(8):
+            rows += [f"{i}.0,{i + 1}.5,pos", f"-{i}.0,-{i + 1}.5,neg"]
+        (tmp_path / "data.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        (tmp_path / "configs").mkdir()
+        write_config(
+            tmp_path / "configs",
+            """
+            dataset: {kind: csv, path: data.csv, label_column: label}
+            strategy: fedavg
+            rounds: 1
+            num_clients: 2
+            train_fraction: 0.5
+            output_dir: out
+            """,
+        )
+        monkeypatch.chdir(tmp_path)
+        assert main(["compare", "configs/config.yaml"]) == 0
+        assert (tmp_path / "out" / "history.csv").is_file()
+        assert sorted(p.name for p in (tmp_path / "configs").iterdir()) == ["config.yaml"]
+
 
 class TestLogging:
     def test_env_var_sets_level(self, monkeypatch):

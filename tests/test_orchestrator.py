@@ -646,6 +646,8 @@ class TestSharedFirstRound:
         federations = count_calls(monkeypatch, fedsim.orchestrator, "run_federation")
         trained = count_calls(monkeypatch, fedsim.orchestrator, "sgd_train")
         evaluated = count_calls(monkeypatch, fedsim.orchestrator, "evaluate")
+        updates = count_calls(monkeypatch, fedsim.orchestrator, "ClientUpdate")
+        records = count_calls(monkeypatch, fedsim.orchestrator, "ClientRoundMetrics")
         clients, strategies = 4, (FedAvg(), FedMedian(), FedYogi())
         base = FederationConfig(model=SPEC, train=TRAIN, rounds=self.ROUNDS)
         compare_strategies(
@@ -662,6 +664,9 @@ class TestSharedFirstRound:
         ) * len(self.SEEDS)
         local = len(self.SEEDS) * clients * (1 + len(strategies) * (self.ROUNDS - 1))
         assert sum(len(starts) * len(datasets) for starts, _, datasets, _, _ in trained) == local
+        # Each trained model gets one update and one metrics record, which
+        # every rule reads in round 1.
+        assert len(updates) == len(records) == local
         # Per seed and round, one evaluate call scores the round's local
         # models and one every rule's global model on every client.
         assert len(evaluated) == 2 * len(self.SEEDS) * self.ROUNDS
