@@ -19,7 +19,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .exceptions import Config, NumericError, ShapeMismatchError, bounded, checked
+from .exceptions import Config, ShapeMismatchError, bounded, checked
 from .nelder_mead import Objective, SimplexConfig, minimize
 from .params import ParamVector, linear_combination
 
@@ -47,7 +47,8 @@ class ClientUpdate:
 @dataclass(frozen=True)
 class AlphaSolution:
     """Per-round diagnostic of the coefficient solve: the coefficients (a
-    read-only float64 vector), their and all-ones' :func:`objective_f`, and
+    read-only float64 vector), the search's objective value at them and
+    :func:`objective_f` at all-ones, the first never above the second, and
     the Nelder-Mead search's outcome."""
 
     alpha: np.ndarray
@@ -100,25 +101,23 @@ def objective_f(
     counts: Sequence[int],
 ) -> float:
     """Sum over clients of ||w(x) - w_j|| / ||w(x) + w_j|| for the candidate
-    aggregate w(x), with the denominator floored to stay finite."""
+    aggregate w(x), with the denominator floored to stay finite: one
+    evaluation of :func:`gram_objective`, so each call costs one QR
+    factorization of the clients."""
     xs = np.asarray(x, dtype=np.float64).reshape(-1)
     if not (len(xs) == len(client_params) == len(counts)) or len(xs) < 1:
         raise ValueError(
             "x, client_params, and counts must have equal nonzero length"
         )
-    candidate = candidate_aggregate(client_params, counts, xs).values
-    return sum(
-        float(np.linalg.norm(candidate - w.values))
-        / max(float(np.linalg.norm(candidate + w.values)), DENOMINATOR_FLOOR)
-        for w in client_params
-    )
+    return gram_objective(client_params, counts)(xs)
 
 
 def gram_objective(
     client_params: Sequence[ParamVector],
     counts: Sequence[int],
 ) -> Objective:
-    """:func:`objective_f` for fixed clients, at O(K^2) per call for K clients.
+    """The fedavgopt objective as a function of x for fixed clients, at
+    O(K^2) per call for K clients; :func:`objective_f` is one call of it.
 
     Every vector the objective measures is a combination of K + 1 basis
     vectors: each client's offset d_j from the count-weighted mean m, and m
@@ -127,8 +126,8 @@ def gram_objective(
     factored once, in O(K^2 P), as B^T = Q R, and since ||B^T a|| = ||R a||
     for every coefficient vector a, each norm is a plain vector norm in the
     min(P, K + 1) coordinates of R.  Each difference w(x) -/+ w_j is formed
-    there directly, as :func:`objective_f` forms it from the full vectors,
-    so no norm is taken of a sum of squares that cancel.
+    there directly, as it would be from the full vectors, so no norm is
+    taken of a sum of squares that cancel.
 
     The vectors are first scaled by a power of two so that every entry is
     below 1 in magnitude: this is exact, keeps the factorization from
@@ -182,11 +181,11 @@ def aggregate_fedavgopt(
     """Solve for per-client scaling coefficients starting from all-ones, then
     aggregate with them.
 
-    The search scores candidates with :func:`gram_objective`.  The reported
-    objective values are :func:`objective_f` at the solution and at
-    all-ones, and a solution that scores worse than all-ones under
-    :func:`objective_f` is replaced by all-ones, so the coefficients never
-    score worse than plain fedavg.
+    The search scores candidates with :func:`gram_objective`, and the
+    reported objective values are that objective's: the search's best value
+    and :func:`objective_f` at all-ones.  All-ones is a vertex of the
+    initial simplex and the best value never rises, so the coefficients
+    never score worse than plain fedavg.
     """
     params, counts = _params_and_counts(updates)
     x0 = np.ones(len(updates))
@@ -194,26 +193,15 @@ def aggregate_fedavgopt(
     # An overflow scores inf or raises NumericError; numpy need not warn of it.
     with np.errstate(over="ignore", invalid="ignore"):
         at_ones = objective_f(x0, params, counts)
-        if not math.isfinite(at_ones):
-            raise NumericError("fedavgopt objective is non-finite at all-ones")
         result = minimize(gram_objective(params, counts), x0, config)
-        try:
-            at_alpha = objective_f(result.x_star, params, counts)
-        except NumericError:
-            # The unscaled candidate overflows where the scaled search did not.
-            at_alpha = math.inf
-    alpha = result.x_star
-    if not at_alpha <= at_ones:
-        alpha, at_alpha = x0, at_ones
-    aggregate = candidate_aggregate(params, counts, alpha)
     solution = AlphaSolution(
-        alpha=alpha,
-        objective_at_alpha=at_alpha,
+        alpha=result.x_star,
+        objective_at_alpha=result.f_star,
         objective_at_ones=at_ones,
         converged=result.converged,
         iterations=result.iterations,
     )
-    return aggregate, solution
+    return candidate_aggregate(params, counts, result.x_star), solution
 
 
 # The bounds of the fields several rules declare.  server_lr = 0 is

@@ -4,6 +4,12 @@
 vertices every iteration; :func:`fedsim.nelder_mead.minimize`, which keeps
 its vertex rows sorted by insertion, must agree with it bit for bit.
 
+``objective_f`` is the fedavgopt objective by its definition: the candidate
+aggregate built over the full vectors and each client's two distances taken
+with ``np.linalg.norm``.  :func:`fedsim.strategies.gram_objective`, which
+takes the norms in the QR factor of the client basis, must agree with it to
+rounding.
+
 ``gram_objective`` builds a fresh array for every intermediate of each call;
 the closure :func:`fedsim.strategies.gram_objective` returns, which writes
 them into buffers it allocates once, must return the same bits.
@@ -84,6 +90,7 @@ from fedsim import (
     SimplexConfig,
     StrategyRun,
     aggregate_fedavg,
+    candidate_aggregate,
     linear_combination,
     weighted_accuracy,
 )
@@ -220,6 +227,22 @@ def _shrink(
         vertices[i] = best + factor * (vertices[i] - best)
         fvalues[i] = evaluate(vertices[i])
         created[i] = base + i - 1
+
+
+def objective_f(
+    x: Sequence[float],
+    client_params: Sequence[ParamVector],
+    counts: Sequence[int],
+) -> float:
+    """Sum over clients of ||w(x) - w_j|| / ||w(x) + w_j|| for the candidate
+    aggregate w(x), with the denominator floored at ``DENOMINATOR_FLOOR``,
+    each norm taken over the full vectors."""
+    candidate = candidate_aggregate(client_params, counts, x).values
+    return sum(
+        float(np.linalg.norm(candidate - w.values))
+        / max(float(np.linalg.norm(candidate + w.values)), DENOMINATOR_FLOOR)
+        for w in client_params
+    )
 
 
 def gram_objective(

@@ -961,15 +961,18 @@ class TestMain:
         assert not out.exists()
 
     def test_the_earliest_rounds_failure_is_reported(self, tmp_path, capsys):
-        # The same run with fedavgopt too: fedavgopt's round-1 aggregation
-        # fails before fedavg's round-2 training, though fedavg is listed first.
+        # The same run with fedavgm too, whose server step overflows: its
+        # round-1 aggregation fails before fedavg's round-2 training, though
+        # fedavg is listed first.
         text = SMALL_YAML.replace("learning_rate: 0.2", "learning_rate: 1.0e+300")
-        path = write_config(tmp_path, text + "model: {hidden_dims: [5]}\n")
+        text = text.replace("strategies: [fedavg, fedavgopt]", "strategies: [fedavg, fedavgm]")
+        extra = "model: {hidden_dims: [5]}\nhyperparams: {fedavgm: {server_lr: 1.0e+10}}\n"
+        path = write_config(tmp_path, text + extra)
         out = tmp_path / "out"
         assert main(["compare", path, "--output-dir", str(out)]) == 2
         assert capsys.readouterr().err.strip() == (
-            "error: fedavgopt, seed 0, round 1: aggregation failed: "
-            "fedavgopt objective is non-finite at all-ones"
+            "error: fedavgm, seed 0, round 1: aggregation failed: "
+            "parameter vector contains non-finite entries"
         )
         assert not out.exists()
 

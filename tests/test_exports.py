@@ -2,8 +2,10 @@ import textwrap
 from pathlib import Path
 
 import fedsim
-from fedsim import ParamVector
+import fedsim.strategies
+from fedsim import ParamVector, aggregate_fedavgopt
 from fedsim.cli import main
+from helpers import count_calls, make_updates
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -29,6 +31,14 @@ def test_benchmark_hook_targets_exist(monkeypatch):
     with tracing.Tracer().installed():
         pass
     assert "with_values" in vars(ParamVector)
+
+
+def test_fedavgopt_calls_the_traced_objective_once(monkeypatch):
+    # The benchmark's hook check needs strategies.objective_f to fire on
+    # every solver workload; it counts calls of this module attribute.
+    calls = count_calls(monkeypatch, fedsim.strategies, "objective_f")
+    aggregate_fedavgopt(make_updates([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]))
+    assert len(calls) == 1
 
 
 def test_traced_compare_passes_the_tracer_self_check(monkeypatch, tmp_path, capsys):

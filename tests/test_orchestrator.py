@@ -393,14 +393,18 @@ class TestCompareStrategies:
         assert alive_at_build == [0, 0, 0]
         assert len(datasets) == 12
 
-    def test_diverged_fedavgopt_raises_its_numeric_error(self):
-        # The all-ones objective overflows.  Under the suite's warnings-as-errors
-        # a numpy overflow warning once surfaced in place of this error.
+    def test_diverged_server_step_raises_its_numeric_error(self):
+        # fedavgm's round-1 server step overflows, so its error comes before
+        # the one of fedavg's round-2 training, though fedavg is listed first.
+        # Under the suite's warnings-as-errors a numpy overflow warning once
+        # surfaced in place of such an error.
+        spec = ModelSpec(input_dim=3, hidden_dims=(5,), num_classes=2)
         train = TrainConfig(learning_rate=1e300, batch_size=4)
-        base = FederationConfig(model=SPEC, train=train, rounds=2)
-        with pytest.raises(NumericError, match="^fedavgopt, seed 0, round 1: aggregation failed: "):
+        base = FederationConfig(model=spec, train=train, rounds=2)
+        message = "fedavgm, seed 0, round 1: aggregation failed: parameter vector contains non-finite entries"
+        with pytest.raises(NumericError, match=f"^{message}$"):
             compare_strategies(
-                dataclasses.replace(base, rules=(FedAvgOpt(),)),
+                dataclasses.replace(base, rules=(FedAvg(), FedAvgM(server_lr=1e10))),
                 (0,),
                 lambda seed: blob_shards(2, seed, 8),
             )

@@ -503,8 +503,9 @@ def cancelling_x(counts, rng):
     the x whose candidate is +w_j, where ||w(x) - w_j|| cancels.
 
     Near the x whose candidate is -w_j the denominator cancels instead, and
-    the objective is ill-conditioned there: objective_f itself is off by up
-    to 3e-3 relative to a long-double evaluation, so it is no oracle there.
+    the objective is ill-conditioned there: the direct evaluation itself is
+    off by up to 3e-3 relative to a long-double evaluation, so it is no
+    oracle there.
     Nor is it at x of entries near 1e300, where it returns inf / inf.
     """
     k = len(counts)
@@ -517,7 +518,7 @@ def cancelling_x(counts, rng):
 
 
 class TestGramObjective:
-    """gram_objective against the direct evaluation objective_f."""
+    """gram_objective against the direct evaluation, oracles.objective_f."""
 
     @gram_settings
     @given(seed=seeds, k=num_clients, size=st.integers(1, 200), spread=spreads)
@@ -536,7 +537,7 @@ class TestGramObjective:
         probes = [np.ones(k), rng.uniform(-2, 2, size=k)]
         probes += [cancelling_x(counts, rng) for _ in range(3)]
         for x in probes:
-            assert same_value(gram(x), objective_f(x, params, counts))
+            assert same_value(gram(x), oracles.objective_f(x, params, counts))
 
     @gram_settings
     @given(seed=seeds, k=num_clients, size=sizes)
@@ -546,25 +547,25 @@ class TestGramObjective:
         gram = gram_objective(params, counts)
         assert gram(np.ones(k)) <= 1e-9
         x = rng.uniform(-2, 2, size=k)
-        assert same_value(gram(x), objective_f(x, params, counts))
+        assert same_value(gram(x), oracles.objective_f(x, params, counts))
 
     def test_denominator_floor(self):
         params = [make_vec([1.0, 0.0]), make_vec([-3.0, 0.0])]
         value = gram_objective(params, [1, 1])(np.ones(2))
         assert value == pytest.approx(2.0 / 1e-12 + 0.5, rel=1e-15)
-        assert same_value(value, objective_f([1.0, 1.0], params, [1, 1]))
+        assert same_value(value, oracles.objective_f([1.0, 1.0], params, [1, 1]))
 
     @gram_settings
     @given(seed=seeds, k=num_clients, size=st.integers(1, 200), spread=spreads,
            scale=st.sampled_from([1e200, 2.0**600, 1e300]))
     def test_huge_entries(self, seed, k, size, spread, scale):
-        # objective_f's norms overflow above about 1e154, so the unscaled
-        # clients are the oracle: without the floor the objective is scale
-        # invariant.
+        # The direct evaluation's norms overflow above about 1e154, so the
+        # unscaled clients are the oracle: without the floor the objective is
+        # scale invariant.
         params, counts, rng = clustered_clients(seed, k, size, spread)
         huge, _, _ = clustered_clients(seed, k, size, spread, scale)
         x = rng.uniform(-2, 2, size=k)
-        assert same_value(gram_objective(huge, counts)(x), objective_f(x, params, counts))
+        assert same_value(gram_objective(huge, counts)(x), oracles.objective_f(x, params, counts))
 
     @gram_settings
     @given(seed=seeds, k=num_clients, size=st.integers(1, 200), spread=spreads,
@@ -573,7 +574,7 @@ class TestGramObjective:
         # Every denominator sits below the floor, so both evaluations are ~0.
         params, counts, rng = clustered_clients(seed, k, size, spread, scale)
         x = rng.uniform(-2, 2, size=k)
-        assert same_value(gram_objective(params, counts)(x), objective_f(x, params, counts))
+        assert same_value(gram_objective(params, counts)(x), oracles.objective_f(x, params, counts))
 
     @pytest.mark.parametrize("size", [6, 84, 1604])
     @pytest.mark.parametrize("k", range(1, 33))
@@ -649,26 +650,43 @@ class TestFedAvgOpt:
             assert solution.objective_at_alpha <= solution.objective_at_ones
             assert len(solution.alpha) == k
 
-    @pytest.mark.parametrize("bad_alpha", [0.01, 1e200])
-    def test_solution_worse_than_ones_falls_back_to_fedavg(self, monkeypatch, bad_alpha):
-        # 0.01 scores worse than all-ones; at 1e200 the candidate overflows.
+    def test_search_result_is_used_as_given(self, monkeypatch):
+        # No fall-back: coefficients that score worse than all-ones still
+        # aggregate, reported with the value the search stored for them.
         rng = np.random.default_rng(74)
-        rows = 1e150 * (1.0 + 0.1 * rng.normal(size=(4, 3)))
-        updates = make_updates(rows, counts=[3, 1, 4, 1])
-        params, counts = [u.params for u in updates], [3, 1, 4, 1]
-        x_bad = np.full(4, bad_alpha)
-        if bad_alpha < 1:
-            assert objective_f(x_bad, params, counts) > objective_f(np.ones(4), params, counts)
+        counts = [3, 1, 4, 1]
+        updates = make_updates(1.0 + 0.1 * rng.normal(size=(4, 3)), counts)
+        params = [u.params for u in updates]
+        x_bad = np.full(4, 0.01)
+        assert oracles.objective_f(x_bad, params, counts) > oracles.objective_f(np.ones(4), params, counts)
         monkeypatch.setattr(
             "fedsim.strategies.minimize",
-            lambda objective, x0, config: MinimizeResult(x_bad, 0.0, 1, True),
+            lambda objective, x0, config: MinimizeResult(x_bad, 0.25, 1, True),
         )
         out, solution = aggregate_fedavgopt(updates)
-        assert np.array_equal(solution.alpha, np.ones(4))
-        assert not solution.alpha.flags.writeable
-        assert np.array_equal(out.values, aggregate_fedavg(updates).values)
-        assert solution.objective_at_alpha == solution.objective_at_ones
+        assert solution.alpha is x_bad
+        assert out.values.tobytes() == candidate_aggregate(params, counts, x_bad).values.tobytes()
+        assert solution.objective_at_alpha == 0.25
+        assert solution.objective_at_ones == gram_objective(params, counts)(np.ones(4))
         assert (solution.iterations, solution.converged) == (1, True)
+
+    def test_reports_the_searchs_own_values(self):
+        rng = np.random.default_rng(76)
+        for _ in range(30):
+            k = int(rng.integers(1, 9))
+            scale = rng.choice([1e-3, 1.0, 1e200])
+            counts = rng.integers(1, 100, size=k).tolist()
+            updates = make_updates(scale * rng.normal(size=(k, int(rng.integers(1, 40)))), counts)
+            params = [u.params for u in updates]
+            ones = np.ones(k)
+            result = minimize(gram_objective(params, counts), ones)
+            out, solution = aggregate_fedavgopt(updates)
+            assert solution.alpha.tobytes() == result.x_star.tobytes()
+            assert out.values.tobytes() == candidate_aggregate(params, counts, result.x_star).values.tobytes()
+            assert np.float64(solution.objective_at_alpha).tobytes() == np.float64(result.f_star).tobytes()
+            at_ones = gram_objective(params, counts)(ones)
+            assert np.float64(solution.objective_at_ones).tobytes() == np.float64(at_ones).tobytes()
+            assert solution.objective_at_alpha <= solution.objective_at_ones
 
     def test_reports_the_solve_it_ran(self):
         rng = np.random.default_rng(75)
@@ -679,10 +697,16 @@ class TestFedAvgOpt:
         assert solution.iterations > 0
         assert (solution.iterations, solution.converged) == (result.iterations, result.converged)
 
-    def test_non_finite_objective_at_ones_raises(self):
-        # objective_f's norms overflow at 1e200, so it is non-finite at all-ones.
-        with pytest.raises(NumericError):
-            aggregate_fedavgopt(make_updates([[1e200, 0.0], [0.0, 1e200]]))
+    def test_huge_clients_aggregate(self):
+        # The search's objective is scaled by a power of two, so clients whose
+        # norms overflow still solve: the orthogonal pair scales by sqrt(2).
+        updates = make_updates([[1e200, 0.0], [0.0, 1e200]])
+        out, solution = aggregate_fedavgopt(updates)
+        s = math.sqrt(2.0)
+        assert np.allclose(solution.alpha, [s, s], rtol=0, atol=5e-3)
+        assert np.allclose(out.values, [s / 2 * 1e200] * 2, rtol=1e-2, atol=0)
+        assert solution.objective_at_alpha == pytest.approx(0.82843, abs=1e-3)
+        assert solution.objective_at_ones == pytest.approx(2.0 * math.sqrt(0.2), rel=1e-12)
 
     def test_solved_alpha_is_read_only(self):
         _, solution = aggregate_fedavgopt(make_updates([[1.0, 0.0], [0.0, 1.0]]))
@@ -749,13 +773,26 @@ class TestOverflow:
             FedMedian(),
             *(FedOpt(server_optimizer=name) for name in SERVER_OPTIMIZERS),
             FedYogi(),
-            FedAvgOpt(),
         ],
         ids=lambda rule: f"fedopt-{rule.server_optimizer}" if rule.name == "fedopt" else rule.name,
     )
     def test_step_raises_numeric_error(self, rule):
         with pytest.raises(NumericError):
             rule.step(self.UPDATES, self.PREVIOUS, None)
+
+    def test_fedavgopt_solves_in_scaled_coordinates(self):
+        # The search scores these clients scaled by a power of two, so nothing
+        # overflows.  The clients lie on one ray, and the objective is least
+        # where the aggregate lands on the 2-count client: 0.3 / 2.7 there,
+        # against 0.2 / 2.8 + 0.1 / 2.5 at all-ones.
+        params, counts = [u.params for u in self.UPDATES], [1, 2]
+        out, solution = FedAvgOpt().step(self.UPDATES, self.PREVIOUS, None)
+        result = minimize(gram_objective(params, counts), np.ones(2))
+        assert solution.alpha.tobytes() == result.x_star.tobytes()
+        assert out.values.tobytes() == candidate_aggregate(params, counts, result.x_star).values.tobytes()
+        assert np.allclose(out.values, 1.2e308, rtol=1e-6, atol=0)
+        assert solution.objective_at_alpha == result.f_star == pytest.approx(1 / 9, rel=1e-8)
+        assert solution.objective_at_ones == pytest.approx(0.2 / 2.8 + 0.1 / 2.5, rel=1e-15)
 
     def test_fedavg_stays_within_its_clients(self):
         # A count-weighted mean of finite clients cannot overflow.
