@@ -19,12 +19,7 @@ class ShapeMismatchError(FedsimError):
 
 
 class NumericError(FedsimError):
-    """A non-finite value (NaN/Inf) appeared where finite math is required.
-
-    ``index``, when set, is the position of the failing item among those one
-    call handled: :func:`fedsim.models.sgd_train` sets it to the model's."""
-
-    index: int | None = None
+    """A non-finite value (NaN/Inf) appeared where finite math is required."""
 
 
 class ConfigError(FedsimError, ValueError):

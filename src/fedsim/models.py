@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .exceptions import Config, NumericError, ShapeMismatchError, bounded, checked
+from .exceptions import Config, ShapeMismatchError, bounded, checked
 from .params import ParamVector
 
 if TYPE_CHECKING:
@@ -204,22 +204,20 @@ def sgd_train(
     datasets: Sequence["Dataset"],
     config: TrainConfig,
     seeds: Sequence[int],
-) -> list[ParamVector]:
+) -> np.ndarray:
     """Mini-batch SGD for ``local_epochs`` epochs from each of ``starts`` on
-    each dataset: with K datasets, entry ``s * K + i`` of the result is
-    ``starts[s]`` trained on ``datasets[i]``, shuffled by ``seeds[i]``.
+    each dataset, as a read-only float64 (S * K, P) table: with K datasets,
+    row ``s * K + i`` is ``starts[s]`` trained on ``datasets[i]``, shuffled
+    by ``seeds[i]``.
 
-    Pure function of its arguments, and each entry has the bits of a call
+    Pure function of its arguments, and each row has the bits of a call
     from its start alone on ``datasets[i]`` and ``seeds[i]`` alone.  Datasets
     of equal size train as one stack of every (start, dataset) pair, with one
     ``loss_and_gradient`` call per step; each epoch's batches are gathered
     once into one buffer, which every start reads through a broadcast view.
-    Each stack steps one working copy of its weights in place.  Finiteness
-    is checked once, on the results in result order, because an entry that
-    goes non-finite under ``values -= lr * grad`` stays so; the
-    ``NumericError`` of the first non-finite model carries its position as
-    ``index``.  numpy's overflow and invalid-value warnings are silenced
-    meanwhile, so a diverging run reports only that error.
+    Each stack steps one working copy of its weights in place.  A model that
+    diverges comes back as a non-finite row, not as an error; numpy's
+    overflow and invalid-value warnings are silenced meanwhile.
     """
     if len(datasets) != len(seeds):
         raise ValueError(f"{len(datasets)} datasets but {len(seeds)} seeds")
@@ -261,17 +259,14 @@ def sgd_train(
                     grad *= lr  # the bits of values - lr * grad, with no temporary
                     values -= grad
             trained[:, members] = values
-    results: list[ParamVector] = []
-    for values in trained.reshape(-1, spec.num_params):
-        try:
-            results.append(ParamVector(values))
-        except NumericError as exc:
-            exc.index = len(results)
-            raise
-    return results
+    table = trained.reshape(-1, spec.num_params)
+    table.setflags(write=False)
+    return table
 
 
-def _score(params: ParamVector, spec: ModelSpec, dataset: "Dataset") -> dict[str, float]:
+def _score(values: np.ndarray, spec: ModelSpec, dataset: "Dataset") -> dict[str, float]:
+    if np.ndim(values) != 1:
+        raise ShapeMismatchError(f"a model must be a flat vector, got shape {np.shape(values)}")
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     # A Dataset's labels index its class names, so this bounds every label.
@@ -279,7 +274,7 @@ def _score(params: ParamVector, spec: ModelSpec, dataset: "Dataset") -> dict[str
         raise ValueError(f"dataset has {dataset.num_classes} classes, model has {spec.num_classes}")
     x = _check_features(spec, dataset.features)
     y = dataset.labels
-    _, logits = _forward(_layers(params.values, spec), spec, x)
+    _, logits = _forward(_layers(values, spec), spec, x)
     loss = float(_softmax_cross_entropy(logits, y)[0])
     hits = np.argmax(logits, axis=1) == y
     # np.argmax picks a row's first NaN; any NaN logit makes the loss NaN.
@@ -290,17 +285,19 @@ def _score(params: ParamVector, spec: ModelSpec, dataset: "Dataset") -> dict[str
 
 
 def evaluate(
-    models: Sequence[ParamVector], spec: ModelSpec, datasets: Sequence["Dataset"]
+    models: Sequence[np.ndarray], spec: ModelSpec, datasets: Sequence["Dataset"]
 ) -> list[dict[str, float]]:
     """Accuracy (argmax, ties to the lowest class index) and mean
     cross-entropy of ``models[i]`` on ``datasets[i]``, one dict per pair.
 
-    Each pair is its own forward pass: a pass stacked over the pairs copies
-    every test set and runs no faster.  A finite model whose logits overflow
-    scores a non-finite loss, and a row with a NaN logit counts as a miss;
-    numpy's overflow and invalid-value warnings are silenced meanwhile.
+    Each model is a flat (P,) array, such as a row of :func:`sgd_train`'s
+    table; anything else raises :class:`ShapeMismatchError`.  Each pair is
+    its own forward pass: a pass stacked over the pairs copies every test
+    set and runs no faster.  A model whose logits overflow scores a
+    non-finite loss, and a row with a NaN logit counts as a miss; numpy's
+    overflow and invalid-value warnings are silenced meanwhile.
     """
     if len(models) != len(datasets):
         raise ValueError(f"{len(models)} models but {len(datasets)} datasets")
     with np.errstate(over="ignore", invalid="ignore"):
-        return [_score(params, spec, dataset) for params, dataset in zip(models, datasets)]
+        return [_score(values, spec, dataset) for values, dataset in zip(models, datasets)]

@@ -23,6 +23,7 @@ from typing import Callable, Sequence
 from .data import ClientShard
 from .exceptions import Config, ConfigError, NumericError, bounded
 from .models import ModelSpec, TrainConfig, evaluate, init_params, sgd_train
+from .params import ParamVector
 from .strategies import Aggregator, AlphaSolution, ClientUpdate, FedAvg, Rule
 
 logger = logging.getLogger(__name__)
@@ -114,10 +115,11 @@ def run_federation(config: FederationConfig, shards: Sequence[ClientShard]) -> t
     1. one ``sgd_train`` call trains the round's starting models on every
        client: in round 1 the one shared initial model, once for every
        rule, so round 1's events name no strategy; later, each rule's
-       global model;
-    2. ``evaluate`` scores the very list ``sgd_train`` returned (the
-       benchmark's tracer tells local from global scoring by it);
-    3. one pass builds each trained model's ``ClientUpdate`` and
+       global model, as one raw row per (start, client) pair;
+    2. each row is wrapped in its ``ClientUpdate``'s ``ParamVector``, the one
+       check of a trained model: the first non-finite row fails its training;
+    3. ``evaluate`` scores the very table ``sgd_train`` returned (the
+       benchmark's tracer tells local from global scoring by it) into each
        ``ClientRoundMetrics``, warning of a non-finite local test loss;
     4. each rule in turn aggregates its start's block of the updates;
     5. one ``evaluate`` call scores every rule's new global model.
@@ -138,7 +140,7 @@ def run_federation(config: FederationConfig, shards: Sequence[ClientShard]) -> t
     client_seeds = [config.seed + i for i in range(count)]
     aggregators = [Aggregator(rule) for rule in config.rules]
     global_models = [init_params(config.model, config.seed)] * len(aggregators)
-    # Entry s * count + i of a round's results is start s trained on client i.
+    # Row s * count + i of a round's table is start s trained on client i.
     blocks = [slice(s * count, (s + 1) * count) for s in range(len(aggregators))]
     reports: list[list[RoundReport]] = [[] for _ in aggregators]
     for round_idx in range(1, config.rounds + 1):
@@ -149,16 +151,17 @@ def run_federation(config: FederationConfig, shards: Sequence[ClientShard]) -> t
             starts, rows = global_models, blocks
             labels = [f"{a.strategy}, {where}" for a in aggregators]
         names = [f"{label}, {shard.client_id}" for label in labels for shard in shards]
-        try:
-            trained = sgd_train(starts, config.model, trains, config.train, client_seeds)
-        except NumericError as exc:
-            raise NumericError(f"{names[exc.index]}: training failed: {exc}") from exc
-        local_metrics = evaluate(trained, config.model, tests * len(starts))
+        trained = sgd_train(starts, config.model, trains, config.train, client_seeds)
         updates, records = [], []
-        for name, shard, local, scores in zip(names, shards * len(starts), trained, local_metrics):
+        for name, shard, values in zip(names, shards * len(starts), trained):
+            try:
+                updates.append(ClientUpdate(shard.client_id, len(shard.train), ParamVector(values)))
+            except NumericError as exc:
+                raise NumericError(f"{name}: training failed: {exc}") from exc
+        local_metrics = evaluate(trained, config.model, tests * len(starts))
+        for name, shard, scores in zip(names, shards * len(starts), local_metrics):
             if not math.isfinite(scores["loss"]):
                 logger.warning("%s: local test loss is %r", name, scores["loss"])
-            updates.append(ClientUpdate(shard.client_id, len(shard.train), local))
             records.append(ClientRoundMetrics(shard.client_id, len(shard.test), **scores))
         for s, aggregator in enumerate(aggregators):
             try:
@@ -175,9 +178,8 @@ def run_federation(config: FederationConfig, shards: Sequence[ClientShard]) -> t
                     where,
                     alpha.iterations,
                 )
-        global_metrics = evaluate(
-            [model for model in global_models for _ in shards], config.model, tests * len(aggregators)
-        )
+        global_values = [model.values for model in global_models for _ in shards]
+        global_metrics = evaluate(global_values, config.model, tests * len(aggregators))
         for s, aggregator in enumerate(aggregators):
             per_client = tuple(records[rows[s]])
             aggregated_accuracy = weighted_accuracy(

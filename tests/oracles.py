@@ -429,11 +429,11 @@ def run_federation(
             for shard, m in zip(shards, fedsim.evaluate(trained, config.model, tests))
         )
         updates = [
-            ClientUpdate(shard.client_id, len(shard.train), local)
-            for shard, local in zip(shards, trained)
+            ClientUpdate(shard.client_id, len(shard.train), ParamVector(values))
+            for shard, values in zip(shards, trained)
         ]
         global_params = aggregator.aggregate(updates, global_params)
-        global_metrics = fedsim.evaluate([global_params] * len(shards), config.model, tests)
+        global_metrics = fedsim.evaluate([global_params.values] * len(shards), config.model, tests)
         reports.append(
             RoundReport(
                 round=round_idx,

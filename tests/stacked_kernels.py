@@ -84,7 +84,7 @@ def check_training() -> list[str]:
         for s, start in enumerate(starts):
             for i, (data, seed) in enumerate(zip(datasets, seeds)):
                 alone = sgd_train([start], spec, [data], config, [seed])[0]
-                if trained[s * len(datasets) + i].values.tobytes() != alone.values.tobytes():
+                if trained[s * len(datasets) + i].tobytes() != alone.tobytes():
                     problems.append(f"sgd_train (S={len(starts)}): model ({s}, {i}) differs from its own run")
     return problems
 

@@ -43,7 +43,7 @@ def test_fedavgopt_calls_the_traced_objective_once(monkeypatch):
 
 def test_traced_compare_passes_the_tracer_self_check(monkeypatch, tmp_path, capsys):
     # The benchmark's tracer tells local scoring from global scoring by the
-    # list sgd_train returned, and check_fired fails a run where a layer it
+    # object sgd_train returned, and check_fired fails a run where a layer it
     # needs reads 0; a compare that scored its local models one by one would
     # fail here.  Train splits of 12, 12, 9 and 9 rows train as two stacks.
     monkeypatch.syspath_prepend(str(PERFBENCH))

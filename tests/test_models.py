@@ -17,7 +17,7 @@ from fedsim import (
     loss_and_gradient,
     sgd_train,
 )
-from fedsim.exceptions import NumericError, ShapeMismatchError
+from fedsim.exceptions import ShapeMismatchError
 from fedsim.models import _softmax_cross_entropy
 from helpers import finite_difference_gradient
 import oracles
@@ -153,7 +153,7 @@ class TestLossAndGradient:
         with pytest.raises(ShapeMismatchError):
             loss_and_gradient(params.values, spec, np.zeros((2, 5)), y)
         with pytest.raises(ShapeMismatchError):
-            evaluate([params], spec, [dataset_from(np.zeros((2, 5)), y, spec.num_classes)])
+            evaluate([params.values], spec, [dataset_from(np.zeros((2, 5)), y, spec.num_classes)])
 
     @pytest.mark.parametrize("delta", [-1, 1])
     def test_parameter_count_checked(self, delta):
@@ -165,7 +165,7 @@ class TestLossAndGradient:
         with pytest.raises(ShapeMismatchError, match=f"expects {spec.num_params} parameters"):
             loss_and_gradient(params.values, spec, x, y)
         with pytest.raises(ShapeMismatchError, match=f"expects {spec.num_params} parameters"):
-            evaluate([params], spec, [dataset_from(x, y, spec.num_classes)])
+            evaluate([params.values], spec, [dataset_from(x, y, spec.num_classes)])
 
     def test_zero_params_loss_is_log_num_classes(self):
         spec = ModelSpec(input_dim=3, num_classes=4)
@@ -254,7 +254,7 @@ class TestSgdTrain:
         spec = ModelSpec(input_dim=4, num_classes=3)
         params = init_params(spec, 1)
         out = sgd_train([params], spec, [data], TrainConfig(learning_rate=0.0), [3])[0]
-        assert np.array_equal(out.values, params.values)
+        assert np.array_equal(out, params.values)
 
     def test_full_batch_single_epoch_matches_gradient_step(self):
         data = self._blobs(2)
@@ -265,7 +265,7 @@ class TestSgdTrain:
         out = sgd_train([params], spec, [data], config, [9])[0]
         _, grad = loss_and_gradient(params.values, spec, data.features, data.labels)
         expected = params.values - lr * grad
-        assert np.array_equal(out.values, expected)
+        assert np.array_equal(out, expected)
 
     def test_full_batch_result_independent_of_shuffle_seed(self):
         data = self._blobs(3)
@@ -278,8 +278,8 @@ class TestSgdTrain:
             )[0]
             for s in (0, 1, 99)
         ]
-        assert np.array_equal(outs[0].values, outs[1].values)
-        assert np.array_equal(outs[0].values, outs[2].values)
+        assert np.array_equal(outs[0], outs[1])
+        assert np.array_equal(outs[0], outs[2])
 
     def test_deterministic_in_all_arguments(self):
         data = self._blobs(4)
@@ -288,9 +288,9 @@ class TestSgdTrain:
         config = TrainConfig(learning_rate=0.1, batch_size=8, local_epochs=2)
         a = sgd_train([params], spec, [data], config, [5])[0]
         b = sgd_train([params], spec, [data], config, [5])[0]
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
         c = sgd_train([params], spec, [data], config, [6])[0]
-        assert not np.array_equal(a.values, c.values)
+        assert not np.array_equal(a, c)
 
     def test_descent_on_separable_two_class_blobs(self):
         data = generate_blobs(25, 2, 5, 0.1, 11)
@@ -299,7 +299,7 @@ class TestSgdTrain:
         loss_init, _ = loss_and_gradient(params.values, spec, data.features, data.labels)
         config = TrainConfig(learning_rate=0.1, batch_size=16, local_epochs=50)
         trained = sgd_train([params], spec, [data], config, [1])[0]
-        loss_final, _ = loss_and_gradient(trained.values, spec, data.features, data.labels)
+        loss_final, _ = loss_and_gradient(trained, spec, data.features, data.labels)
         assert loss_final < loss_init
 
     def test_convex_full_batch_descent_is_monotone(self):
@@ -309,7 +309,7 @@ class TestSgdTrain:
         config = TrainConfig(learning_rate=0.02, batch_size=len(data), local_epochs=1)
         losses = [loss_and_gradient(params.values, spec, data.features, data.labels)[0]]
         for _ in range(30):
-            params = sgd_train([params], spec, [data], config, [0])[0]
+            params = ParamVector(sgd_train([params], spec, [data], config, [0])[0])
             losses.append(loss_and_gradient(params.values, spec, data.features, data.labels)[0])
         diffs = np.diff(losses)
         assert np.all(diffs <= 1e-10)
@@ -327,17 +327,17 @@ class TestSgdTrain:
             sgd_train([init_params(spec, 0)], spec, [self._blobs()], TrainConfig(), [seed])
 
     @pytest.mark.parametrize("activation, learning_rate", [("relu", 1e300), ("tanh", 1e308)])
-    def test_diverging_run_raises_numeric_error(self, activation, learning_rate):
+    def test_a_diverging_run_comes_back_as_a_non_finite_row(self, activation, learning_rate):
         # The weights overflow early and stay non-finite for the rest of
-        # training, so the run fails with the same error whether finiteness is
-        # checked after every step or once on the result.  No errstate here:
-        # under the suite's warnings-as-errors, numpy's overflow warning would
-        # surface instead if training let it out.
+        # training.  No errstate here: under the suite's warnings-as-errors,
+        # numpy's overflow warning would surface if training let it out.
         data = self._blobs(6)
         spec = ModelSpec(input_dim=4, hidden_dims=(5,), activation=activation, num_classes=3)
         config = TrainConfig(learning_rate=learning_rate, batch_size=8, local_epochs=3)
-        with pytest.raises(NumericError, match="^parameter vector contains non-finite entries$"):
-            sgd_train([init_params(spec, 6)], spec, [data], config, [0])
+        trained = sgd_train([init_params(spec, 6)], spec, [data], config, [0])
+        assert trained.shape == (1, spec.num_params) and trained.dtype == np.float64
+        assert not np.isfinite(trained).all()
+        assert not trained.flags.writeable
 
 
 class TestEvaluate:
@@ -348,7 +348,7 @@ class TestEvaluate:
         features = rng.normal(size=(20, 3))
         labels = np.tile(np.arange(4), 5)
         data = dataset_from(features, labels, 4)
-        metrics = evaluate([params], spec, [data])[0]
+        metrics = evaluate([params.values], spec, [data])[0]
         assert metrics["accuracy"] == 0.25
         assert metrics["loss"] == float(np.log(4.0))
 
@@ -360,7 +360,7 @@ class TestEvaluate:
         )
         labels = np.array([0, 1, 2, 3, 1, 2])
         features = np.eye(4)[labels]
-        metrics = evaluate([params], spec, [dataset_from(features, labels, 4)])[0]
+        metrics = evaluate([params.values], spec, [dataset_from(features, labels, 4)])[0]
         assert metrics["accuracy"] == 1.0
 
     def test_accuracy_in_unit_interval(self):
@@ -368,7 +368,7 @@ class TestEvaluate:
         spec = ModelSpec(input_dim=5, hidden_dims=(4,), num_classes=3)
         for seed in range(5):
             data = generate_blobs(10, 3, 5, 2.0, seed)
-            metrics = evaluate([init_params(spec, seed)], spec, [data])[0]
+            metrics = evaluate([init_params(spec, seed).values], spec, [data])[0]
             assert 0.0 <= metrics["accuracy"] <= 1.0
             assert metrics["loss"] >= 0.0
 
@@ -376,14 +376,14 @@ class TestEvaluate:
         spec = ModelSpec(input_dim=2, num_classes=2)
         empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), ("a", "b"))
         with pytest.raises(ValueError):
-            evaluate([init_params(spec, 0)], spec, [empty])
+            evaluate([init_params(spec, 0).values], spec, [empty])
 
     def test_more_classes_than_the_model_rejected(self):
         # Every label fits a 2-class model, but the dataset names 3 classes.
         spec = ModelSpec(input_dim=2, num_classes=2)
         data = Dataset(np.zeros((2, 2)), np.array([0, 1]), ("a", "b", "c"))
         with pytest.raises(ValueError, match="dataset has 3 classes, model has 2"):
-            evaluate([init_params(spec, 0)], spec, [data])
+            evaluate([init_params(spec, 0).values], spec, [data])
 
     def test_a_row_with_a_nan_logit_is_a_miss(self):
         # Each hidden unit reads inf, so the logits are [inf - inf, inf, inf - inf]:
@@ -391,9 +391,9 @@ class TestEvaluate:
         spec = ModelSpec(input_dim=2, hidden_dims=(2,), num_classes=3)
         hidden = np.full(4, 1e308), np.zeros(2)
         head = np.array([[1.0, 1.0, 2.0], [-1.0, 1.0, -2.0]]).reshape(-1), np.zeros(3)
-        params = ParamVector(np.concatenate([*hidden, *head]))
+        values = np.concatenate([*hidden, *head])
         data = dataset_from(np.ones((6, 2)), [0, 0, 1, 1, 2, 2], 3)
-        metrics = evaluate([params], spec, [data])[0]
+        metrics = evaluate([values], spec, [data])[0]
         assert metrics["accuracy"] == 0.0
         assert math.isnan(metrics["loss"])
 
@@ -401,7 +401,16 @@ class TestEvaluate:
         # Zero features and zero biases tie every logit, so class 0 wins.
         spec = ModelSpec(input_dim=2, num_classes=3)
         data = Dataset(np.zeros((2, 2)), np.array([0, 1]), ("a", "b"))
-        assert evaluate([init_params(spec, 0)], spec, [data])[0]["accuracy"] == 0.5
+        assert evaluate([init_params(spec, 0).values], spec, [data])[0]["accuracy"] == 0.5
+
+    def test_a_model_must_be_a_flat_vector(self):
+        # Models are plain arrays: a ParamVector is passed by its values.
+        spec = ModelSpec(input_dim=2, num_classes=2)
+        params = init_params(spec, 0)
+        data = dataset_from(np.zeros((2, 2)), [0, 1], 2)
+        for model, shape in [(params, ()), (params.values[None], (1, spec.num_params))]:
+            with pytest.raises(ShapeMismatchError, match=re.escape(f"flat vector, got shape {shape}")):
+                evaluate([model], spec, [data])
 
 
 @st.composite
@@ -458,10 +467,10 @@ class TestAgainstRawArrayOracle:
             config.local_epochs,
             seed,
         )
-        assert trained.values.tobytes() == expected.tobytes()
+        assert trained.tobytes() == expected.tobytes()
 
         # One cross-entropy: evaluation and training report the same loss.
-        loss, _ = loss_and_gradient(trained.values, spec, data.features, data.labels)
+        loss, _ = loss_and_gradient(trained, spec, data.features, data.labels)
         assert evaluate([trained], spec, [data])[0]["loss"] == loss
 
 
@@ -487,7 +496,7 @@ class TestAgainstPreActivationOracle:
         assert type(loss) is float and loss == expected_loss
         assert grad.tobytes() == expected_grad.tobytes()
 
-        metrics = evaluate([params], spec, [dataset_from(x, y, spec.num_classes)])[0]
+        metrics = evaluate([values], spec, [dataset_from(x, y, spec.num_classes)])[0]
         expected = oracles.evaluate(values, dims, activation, x, y)
         assert type(metrics["accuracy"]) is float
         assert repr(metrics["accuracy"]) == repr(expected["accuracy"])
@@ -545,21 +554,21 @@ class TestStacks:
                 params.values, spec.layer_dims(), spec.activation, data.features,
                 data.labels, config.learning_rate, batch_size, epochs, seed,
             )
-            assert model.values.tobytes() == expected.tobytes()
+            assert model.tobytes() == expected.tobytes()
             alone = sgd_train([params], spec, [data], config, [seed])[0]
-            assert alone.values.tobytes() == expected.tobytes()
+            assert alone.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("name", sorted(STACK_SPECS))
     def test_each_score_matches_the_oracle(self, name):
         spec = STACK_SPECS[name]
         datasets = random_datasets(spec, (13, 8, 13, 1), 4)
         rng = np.random.default_rng(4)
-        models = [ParamVector(rng.normal(size=spec.num_params)) for _ in datasets]
+        models = [rng.normal(size=spec.num_params) for _ in datasets]
         metrics = evaluate(models, spec, datasets)
         assert len(metrics) == len(datasets)
-        for got, params, data in zip(metrics, models, datasets):
+        for got, values, data in zip(metrics, models, datasets):
             expected = oracles.evaluate(
-                params.values, spec.layer_dims(), spec.activation, data.features, data.labels
+                values, spec.layer_dims(), spec.activation, data.features, data.labels
             )
             assert repr(got["accuracy"]) == repr(expected["accuracy"])
             assert type(got["loss"]) is float and got["loss"] == expected["loss"]
@@ -648,9 +657,9 @@ class TestStacks:
                     start.values, spec.layer_dims(), spec.activation, data.features,
                     data.labels, config.learning_rate, batch_size, epochs, seed,
                 )
-                assert trained[s * len(sizes) + i].values.tobytes() == expected.tobytes()
+                assert trained[s * len(sizes) + i].tobytes() == expected.tobytes()
 
-    def test_a_start_diverging_on_one_dataset_is_named_by_its_index(self):
+    def test_a_start_diverging_on_one_dataset_leaves_only_its_row_non_finite(self):
         # Weights of 1e160 overflow the logits only on the features of 1e150;
         # every other (start, dataset) pair stays finite through its one
         # full-batch step.
@@ -661,11 +670,7 @@ class TestStacks:
         w0 = init_params(spec, 0)
         starts = [w0, ParamVector(np.full(spec.num_params, 1e160)), w0]
         config = TrainConfig(learning_rate=0.1, batch_size=8)
-        with pytest.raises(NumericError, match="^parameter vector contains non-finite entries$") as exc:
-            sgd_train(starts, spec, datasets, config, [0, 1, 2])
-        assert exc.value.index == 1 * 3 + 1
-        sgd_train(starts[::2], spec, datasets, config, [0, 1, 2])
-        sgd_train(starts[1:2], spec, datasets[::2], config, [0, 2])
+        assert_table(starts, spec, datasets, config, [0, 1, 2], non_finite={1 * 3 + 1})
 
     def test_lengths_must_pair_up(self):
         spec = STACK_SPECS["logistic"]
@@ -674,7 +679,7 @@ class TestStacks:
         with pytest.raises(ValueError, match="^2 datasets but 1 seeds$"):
             sgd_train([params], spec, datasets, TrainConfig(), [0])
         with pytest.raises(ValueError, match="^1 models but 2 datasets$"):
-            evaluate([params], spec, datasets)
+            evaluate([params.values], spec, datasets)
 
     def test_no_starting_model_is_named(self):
         # numpy's own "need at least one array to stack" once surfaced here.
@@ -684,13 +689,13 @@ class TestStacks:
             sgd_train([], spec, datasets, TrainConfig(), [0, 1])
 
     @pytest.mark.parametrize(
-        "diverging, named",
+        "diverging",
         [
-            ({2}, 2),  # the middle of the stack of three 12-row datasets
-            ({1, 2, 4}, 1),  # the 9-row stack trains second, but client 1 comes first
+            {2},  # the middle of the stack of three 12-row datasets
+            {1, 2, 4},  # rows of both the 12-row and the 9-row stack
         ],
     )
-    def test_first_diverging_model_in_input_order_is_named(self, diverging, named):
+    def test_exactly_the_diverging_models_are_non_finite_rows(self, diverging):
         # Features of 1e300 overflow the weights within the first epoch.
         spec = STACK_SPECS["logistic"]
         datasets = random_datasets(spec, (12, 9, 12, 12, 9), 5)
@@ -699,11 +704,23 @@ class TestStacks:
             for i, d in enumerate(datasets)
         ]
         config = TrainConfig(learning_rate=0.5, batch_size=5, local_epochs=2)
-        with pytest.raises(NumericError, match="^parameter vector contains non-finite entries$") as exc:
-            sgd_train([init_params(spec, 0)], spec, datasets, config, [0, 1, 2, 3, 4])
-        assert exc.value.index == named
-        healthy = [d for i, d in enumerate(datasets) if i not in diverging]
-        sgd_train([init_params(spec, 0)], spec, healthy, config, list(range(len(healthy))))
+        assert_table([init_params(spec, 0)], spec, datasets, config, [0, 1, 2, 3, 4], diverging)
+
+
+def assert_table(starts, spec, datasets, config, seeds, non_finite):
+    """``sgd_train``'s table of ``starts`` on ``datasets`` is read-only, its
+    rows ``non_finite`` are exactly the non-finite ones, and every other row
+    has the bits of a call from its start alone on its dataset alone."""
+    trained = sgd_train(starts, spec, datasets, config, seeds)
+    assert trained.shape == (len(starts) * len(datasets), spec.num_params)
+    assert not trained.flags.writeable
+    assert {r for r, row in enumerate(trained) if not np.isfinite(row).all()} == non_finite
+    for s, start in enumerate(starts):
+        for i, (data, seed) in enumerate(zip(datasets, seeds)):
+            row = s * len(datasets) + i
+            if row not in non_finite:
+                alone = sgd_train([start], spec, [data], config, [seed])[0]
+                assert trained[row].tobytes() == alone.tobytes()
 
 
 def same_bits(got, expected) -> bool:

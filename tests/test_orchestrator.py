@@ -1,5 +1,6 @@
 import dataclasses
 import filecmp
+import math
 import re
 import weakref
 
@@ -42,11 +43,38 @@ from helpers import count_calls
 
 SPEC = ModelSpec(input_dim=3, num_classes=2)
 TRAIN = TrainConfig(learning_rate=0.2, batch_size=16, local_epochs=2)
+NON_FINITE = "parameter vector contains non-finite entries"
 
 
 def blob_shards(num_clients, seed, samples_per_class=16):
     data = generate_blobs(samples_per_class, 2, 3, 1.0, seed)
     return make_client_shards(data, num_clients, 0.5, seed)
+
+
+def craft_round_two(monkeypatch, edit):
+    """Round 2's ``sgd_train`` table, as ``run_federation`` receives it, is a
+    read-only copy of the real one that ``edit`` has changed."""
+    calls = []
+
+    def train(*args):
+        calls.append(None)
+        table = sgd_train(*args)
+        if len(calls) == 2:
+            table = table.copy()
+            edit(table)
+            table.setflags(write=False)
+        return table
+
+    monkeypatch.setattr(fedsim.orchestrator, "sgd_train", train)
+
+
+def assert_raised_by_param_vector(error):
+    """``error`` is the NumericError that building a ParamVector raised."""
+    assert type(error) is NumericError and str(error) == NON_FINITE
+    frame = error.__traceback__
+    while frame.tb_next is not None:
+        frame = frame.tb_next
+    assert frame.tb_frame.f_code is ParamVector.__post_init__.__code__
 
 
 def reports_of(config, shards):
@@ -205,13 +233,13 @@ class TestRunFederation:
                     ClientUpdate(
                         client_id=shard.client_id,
                         num_examples=len(shard.train),
-                        params=local,
+                        params=ParamVector(local),
                     )
                 )
             params = aggregate_fedavg(updates)
             expected_global = weighted_accuracy(
                 [
-                    (len(s.test), evaluate([params], SPEC, [s.test])[0]["accuracy"])
+                    (len(s.test), evaluate([params.values], SPEC, [s.test])[0]["accuracy"])
                     for s in shards
                 ]
             )
@@ -369,7 +397,7 @@ class TestCompareStrategies:
         w0 = init_params(SPEC, 3)
         expected = weighted_accuracy(
             [
-                (len(s.test), evaluate([w0], SPEC, [s.test])[0]["accuracy"])
+                (len(s.test), evaluate([w0.values], SPEC, [s.test])[0]["accuracy"])
                 for s in shards
             ]
         )
@@ -472,11 +500,43 @@ class TestCompareStrategies:
         trained = count_calls(monkeypatch, fedsim.orchestrator, "sgd_train")
         rules = (FedAvg(), FedAvgM(server_lr=1e40), FedMedian())
         config = FederationConfig(model=SPEC, train=train, rules=rules, rounds=2)
-        message = "fedavgm, seed 0, round 2, client_2: training failed: "
-        with pytest.raises(NumericError, match=f"^{message}") as exc:
+        message = "fedavgm, seed 0, round 2, client_2: training failed: " + NON_FINITE
+        with pytest.raises(NumericError, match=f"^{message}$") as exc:
             run_federation(config, shards)
-        assert exc.value.__cause__.index == 1 * 4 + 2
+        assert_raised_by_param_vector(exc.value.__cause__)
         assert [len(starts) for starts, *_ in trained] == [1, 3]
+
+    def test_the_first_non_finite_row_in_result_order_is_named(self, monkeypatch):
+        # Round 2's table holds fedavg's two clients, then fedmedian's; its
+        # last row and fedavg's client_1 are non-finite.
+        def edit(table):
+            table[3] = np.inf
+            table[1, 0] = np.nan
+
+        craft_round_two(monkeypatch, edit)
+        config = FederationConfig(model=SPEC, train=TRAIN, rules=(FedAvg(), FedMedian()), rounds=2)
+        message = "fedavg, seed 0, round 2, client_1: training failed: " + NON_FINITE
+        with pytest.raises(NumericError, match=f"^{message}$") as exc:
+            run_federation(config, blob_shards(2, 0))
+        assert_raised_by_param_vector(exc.value.__cause__)
+
+    def test_a_training_failure_comes_before_the_rounds_local_scores(self, monkeypatch, caplog):
+        # fedavg's client_0 comes back finite but with logits that overflow
+        # on its test split, which local scoring would warn of; fedmedian's
+        # client_1 comes back non-finite, and its failure is raised first.
+        shards = blob_shards(2, 0)
+
+        def edit(table):
+            table[0] = 1e308
+            assert not math.isfinite(evaluate(table[:1], SPEC, [shards[0].test])[0]["loss"])
+            table[3] = np.nan
+
+        craft_round_two(monkeypatch, edit)
+        config = FederationConfig(model=SPEC, train=TRAIN, rules=(FedAvg(), FedMedian()), rounds=2)
+        message = "fedmedian, seed 0, round 2, client_1: training failed: " + NON_FINITE
+        with pytest.raises(NumericError, match=f"^{message}$"):
+            run_federation(config, shards)
+        assert caplog.records == []
 
     def test_the_earliest_rounds_failure_is_reported(self, monkeypatch):
         # fedavg fails in round 3 and fedmedian in round 2; the rules advance
