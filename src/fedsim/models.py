@@ -189,12 +189,12 @@ def loss_and_gradient(
         np.matmul(np.swapaxes(inputs[k], -1, -2), delta, out=grad_w)
         delta.sum(axis=-2, out=grad_b)
         if k > 0:
-            delta = delta @ np.swapaxes(layers[k][0], -1, -2)
+            # The activation is read only for its mask, so the next delta
+            # overwrites it; the product has the bits of a fresh one.
             h = inputs[k]
-            if spec.activation == "relu":
-                delta *= h > 0
-            else:
-                delta *= 1.0 - h**2
+            mask = h > 0 if spec.activation == "relu" else 1.0 - h**2
+            delta = np.matmul(delta, np.swapaxes(layers[k][0], -1, -2), out=h)
+            delta *= mask
     return (loss if stack else float(loss)), flat
 
 
@@ -215,7 +215,9 @@ def sgd_train(
     of equal size train as one stack of every (start, dataset) pair, with one
     ``loss_and_gradient`` call per step; each epoch's batches are gathered
     once into one buffer, which every start reads through a broadcast view.
-    Each stack steps one working copy of its weights in place.  A model that
+    When every dataset has one size, that one stack steps the (S, K, P)
+    buffer it returns in place; otherwise each stack steps a working copy of
+    its weights and writes it back.  A model that
     diverges comes back as a non-finite row, not as an error; numpy's
     overflow and invalid-value warnings are silenced meanwhile.
     """
@@ -235,7 +237,11 @@ def sgd_train(
     trained = np.empty((len(starts), len(datasets), spec.num_params))
     with np.errstate(over="ignore", invalid="ignore"):
         for n, members in stacks.items():
-            values = np.repeat(origins[:, None], len(members), axis=1)
+            if len(members) == len(datasets):  # one stack: step the table itself
+                values = trained
+                values[...] = origins[:, None]
+            else:
+                values = np.repeat(origins[:, None], len(members), axis=1)
             x = np.empty((len(members), n, spec.input_dim))
             y = np.empty((len(members), n), dtype=np.int64)
             # Every start reads the one buffer; a stacked product has the bits
@@ -258,7 +264,9 @@ def sgd_train(
                     grad = loss_and_gradient(values, spec, xs[:, :, batch], ys[:, :, batch])[1]
                     grad *= lr  # the bits of values - lr * grad, with no temporary
                     values -= grad
-            trained[:, members] = values
+                    del grad  # released before the next step builds its own
+            if values is not trained:
+                trained[:, members] = values
     table = trained.reshape(-1, spec.num_params)
     table.setflags(write=False)
     return table

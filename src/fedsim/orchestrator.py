@@ -121,7 +121,9 @@ def run_federation(config: FederationConfig, shards: Sequence[ClientShard]) -> t
     3. ``evaluate`` scores the very table ``sgd_train`` returned (the
        benchmark's tracer tells local from global scoring by it) into each
        ``ClientRoundMetrics``, warning of a non-finite local test loss;
-    4. each rule in turn aggregates its start's block of the updates;
+    4. each rule in turn aggregates its start's block of the updates, and
+       the round's table and updates are released, so no weights trained in
+       an earlier round survive into the next round's training;
     5. one ``evaluate`` call scores every rule's new global model.
 
     So the failure reported is the earliest round's, a training failure
@@ -178,6 +180,9 @@ def run_federation(config: FederationConfig, shards: Sequence[ClientShard]) -> t
                     where,
                     alpha.iterations,
                 )
+        # The round's trained weights, the wrap loop's last row view of them
+        # included, die here: the next round trains beside none of them.
+        del trained, values, updates
         global_values = [model.values for model in global_models for _ in shards]
         global_metrics = evaluate(global_values, config.model, tests * len(aggregators))
         for s, aggregator in enumerate(aggregators):

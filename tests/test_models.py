@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -219,25 +220,31 @@ class TestLossAndGradient:
         denom = max(1.0, float(np.max(np.abs(grad))))
         assert float(np.max(np.abs(grad - numeric))) / denom < 1e-4
 
+    @pytest.mark.parametrize("stack", [(), (2, 3)], ids=["flat", "stacked"])
+    @pytest.mark.parametrize("hidden", [(5,), (5, 4)], ids=["h1", "h2"])
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
-    def test_array_contract(self, activation):
-        spec = ModelSpec(input_dim=4, hidden_dims=(5,), activation=activation, num_classes=3)
+    def test_array_contract(self, activation, hidden, stack):
+        # The backward pass writes each delta into the activation it was
+        # masked by; the stacked case passes an (S, K, P) stack with the
+        # (K, n) batches broadcast over the S starts, as sgd_train does.
+        spec = ModelSpec(input_dim=4, hidden_dims=hidden, activation=activation, num_classes=3)
         rng = np.random.default_rng(8)
-        values = rng.normal(size=spec.num_params)
-        x, y = rng.normal(size=(6, 4)), rng.integers(0, 3, size=6)
+        values = rng.normal(size=(*stack, spec.num_params))
+        x, y = rng.normal(size=(*stack[1:], 6, 4)), rng.integers(0, 3, size=(*stack[1:], 6))
+        xs, ys = (np.broadcast_to(x, (*stack, 6, 4)), np.broadcast_to(y, (*stack, 6))) if stack else (x, y)
         values_before, x_before = values.copy(), x.copy()
 
-        loss, grad = loss_and_gradient(values, spec, x, y)
+        loss, grad = loss_and_gradient(values, spec, xs, ys)
         assert type(grad) is np.ndarray and grad.dtype == np.float64
-        assert grad.shape == (spec.num_params,) and grad.flags.writeable
+        assert grad.shape == values.shape and grad.flags.writeable
         assert not np.shares_memory(grad, values) and not np.shares_memory(grad, x)
 
         # The gradient is the caller's to scale in place: the next call
         # returns a fresh array with the same bits.
         expected = grad.copy()
         grad *= 0.5
-        loss2, grad2 = loss_and_gradient(values, spec, x, y)
-        assert loss2 == loss and grad2.tobytes() == expected.tobytes()
+        loss2, grad2 = loss_and_gradient(values, spec, xs, ys)
+        assert np.array_equal(loss2, loss) and grad2.tobytes() == expected.tobytes()
         assert not np.shares_memory(grad2, grad)
 
         assert values.tobytes() == values_before.tobytes()
@@ -338,6 +345,25 @@ class TestSgdTrain:
         assert trained.shape == (1, spec.num_params) and trained.dtype == np.float64
         assert not np.isfinite(trained).all()
         assert not trained.flags.writeable
+
+    def test_peak_memory_stays_within_five_tables(self):
+        # Two starts on sixteen clients of 52 rows, an MLP [64] and batches
+        # of 32.  tracemalloc counts numpy's own allocations, so the peak
+        # repeats exactly; a second (S, K, P) buffer, the previous step's
+        # gradient and a fresh hidden-layer delta together push it past 6.4.
+        spec = ModelSpec(input_dim=20, hidden_dims=(64,), num_classes=4)
+        starts = [init_params(spec, 0), init_params(spec, 1)]
+        datasets = random_datasets(spec, [52] * 16, 0)
+        config = TrainConfig(learning_rate=0.3, batch_size=32)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            table = sgd_train(starts, spec, datasets, config, list(range(16)))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert table.shape == (2 * 16, spec.num_params)
+        assert peak <= 5 * table.nbytes
 
 
 class TestEvaluate:

@@ -345,6 +345,33 @@ class TestRunFederation:
         assert first.strategy == second.strategy == "fedavgm"
         assert first.reports != second.reports
 
+    def test_no_earlier_rounds_weights_survive_into_training(self, monkeypatch):
+        # Each round trains beside no table, row view or ClientUpdate of an
+        # earlier round's training; only weak references are kept here.
+        tables: list[weakref.ref] = []
+        params: list[weakref.ref] = []
+        alive_at_train: list[int] = []
+
+        def train(*args):
+            alive_at_train.append(sum(ref() is not None for ref in tables + params))
+            table = sgd_train(*args)
+            tables.append(weakref.ref(table))
+            return table
+
+        def update(*args):
+            built = ClientUpdate(*args)
+            params.append(weakref.ref(built.params))
+            return built
+
+        monkeypatch.setattr(fedsim.orchestrator, "sgd_train", train)
+        monkeypatch.setattr(fedsim.orchestrator, "ClientUpdate", update)
+        config = FederationConfig(
+            model=SPEC, train=TRAIN, rules=(FedAvgM(), FedAvgOpt()), rounds=3
+        )
+        run_federation(config, blob_shards(3, 0))
+        assert alive_at_train == [0, 0, 0]
+        assert len(tables) == 3 and len(params) == 3 + 2 * 3 + 2 * 3
+
 
 class TestCompareStrategies:
     def comparison(self, rules=(FedAvg(), FedAvgM()), seeds=(0, 1)):
