@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -211,62 +212,58 @@ def sgd_train(
     by ``seeds[i]``.
 
     Pure function of its arguments, and each row has the bits of a call
-    from its start alone on ``datasets[i]`` and ``seeds[i]`` alone.  Datasets
-    of equal size train as one stack of every (start, dataset) pair, with one
-    ``loss_and_gradient`` call per step; each epoch's batches are gathered
-    once into one buffer, which every start reads through a broadcast view.
-    When every dataset has one size, that one stack steps the (S, K, P)
-    buffer it returns in place; otherwise each stack steps a working copy of
-    its weights and writes it back.  A model that
-    diverges comes back as a non-finite row, not as an error; numpy's
-    overflow and invalid-value warnings are silenced meanwhile.
+    from its start alone on ``datasets[i]`` and ``seeds[i]`` alone.  Each run
+    of adjacent datasets of equal size trains as one stack of every (start,
+    dataset) pair, with one ``loss_and_gradient`` call per step, and steps
+    its own slice of the (S, K, P) table it returns in place; each epoch's
+    batches are gathered once into one buffer, which every start reads
+    through a broadcast view.  A model that diverges comes back as a
+    non-finite row, not as an error; numpy's overflow and invalid-value
+    warnings are silenced meanwhile.
     """
     if len(datasets) != len(seeds):
         raise ValueError(f"{len(datasets)} datasets but {len(seeds)} seeds")
     if len(starts) == 0:
         raise ValueError("need at least one starting model")
+    trained = np.empty((len(starts), len(datasets), spec.num_params))
+    for s, start in enumerate(starts):
+        _layers(start.values, spec)  # rejects a start of another length before any training
+        trained[s] = start.values
     rngs = [np.random.default_rng(checked("seed", seed, int, {"ge": 0})) for seed in seeds]
-    stacks: dict[int, list[int]] = {}
-    for i, dataset in enumerate(datasets):
+    for dataset in datasets:
         if len(dataset) == 0:
             raise ValueError("cannot train on an empty dataset")
         _check_features(spec, dataset.features)
-        stacks.setdefault(len(dataset), []).append(i)
-    origins = np.stack([start.values for start in starts])
     lr, size = config.learning_rate, config.batch_size
-    trained = np.empty((len(starts), len(datasets), spec.num_params))
+    lo = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for n, members in stacks.items():
-            if len(members) == len(datasets):  # one stack: step the table itself
-                values = trained
-                values[...] = origins[:, None]
-            else:
-                values = np.repeat(origins[:, None], len(members), axis=1)
-            x = np.empty((len(members), n, spec.input_dim))
-            y = np.empty((len(members), n), dtype=np.int64)
+        for n, run in groupby(datasets, len):
+            run = list(run)
+            values = trained[:, lo : lo + len(run)]
+            x = np.empty((len(run), n, spec.input_dim))
+            y = np.empty((len(run), n), dtype=np.int64)
             # Every start reads the one buffer; a stacked product has the bits
             # of one product per slice, where concatenated rows would not.
             xs = np.broadcast_to(x, (len(starts), *x.shape))
             ys = np.broadcast_to(y, (len(starts), *y.shape))
             full = n - n % size
             for _ in range(config.local_epochs):
-                for row, i in enumerate(members):
+                for row, dataset in enumerate(run):
                     # Each batch's rows in sorted order, then the ragged tail
                     # sorted: the full-batch case is then bit-identical to a
                     # single loss_and_gradient step.
-                    order = rngs[i].permutation(n)
+                    order = rngs[lo + row].permutation(n)
                     order[:full].reshape(-1, size).sort(axis=1)
                     order[full:].sort()
-                    np.take(datasets[i].features, order, axis=0, out=x[row], mode="clip")
-                    np.take(datasets[i].labels, order, out=y[row], mode="clip")
+                    np.take(dataset.features, order, axis=0, out=x[row], mode="clip")
+                    np.take(dataset.labels, order, out=y[row], mode="clip")
                 for offset in range(0, n, size):
                     batch = slice(offset, offset + size)
                     grad = loss_and_gradient(values, spec, xs[:, :, batch], ys[:, :, batch])[1]
                     grad *= lr  # the bits of values - lr * grad, with no temporary
                     values -= grad
                     del grad  # released before the next step builds its own
-            if values is not trained:
-                trained[:, members] = values
+            lo += len(run)
     table = trained.reshape(-1, spec.num_params)
     table.setflags(write=False)
     return table

@@ -2,13 +2,14 @@
 
 ``loss_and_gradient`` on a (K, P) stack must return, for every k, the bits of
 the unstacked call on slice k, and so must it on an (S, K, P) stack whose
-features and labels are broadcast over S.  ``sgd_train`` on datasets of
-equal size, which trains them as one stack, must return the bits of one
-call per dataset, and with S starts the bits of one call per (start,
-dataset) pair.  Run as a script, this checks all four on the geometries of
-the benchmark workloads and of smaller ragged ones, prints ``ok`` and exits
-0, or names the first mismatch and exits 1.  ``tests/test_golden.py`` runs
-it once per OpenBLAS kernel the host can run.
+features and labels are broadcast over S.  ``sgd_train``, which trains each
+run of adjacent datasets of equal size as one stack stepping its own slice
+of the returned table, must return the bits of one call per dataset, and
+with S starts the bits of one call per (start, dataset) pair.  Run as a
+script, this checks all four on the geometries of the benchmark workloads
+and of smaller ragged ones, prints ``ok`` and exits 0, or names the first
+mismatch and exits 1.  ``tests/test_golden.py`` runs it once per OpenBLAS
+kernel the host can run.
 """
 
 from __future__ import annotations
@@ -69,23 +70,27 @@ def check_broadcast_steps(starts: int = 3) -> list[str]:
 
 
 def check_training() -> list[str]:
+    """Interleaved sizes, three runs, and adjacent runs, two of them."""
     spec = ModelSpec(input_dim=50, hidden_dims=(64,), num_classes=4)
     rng = np.random.default_rng(7)
     names = tuple(f"class_{c}" for c in range(spec.num_classes))
-    datasets = [
-        Dataset(rng.normal(size=(n, spec.input_dim)), rng.integers(0, 4, size=n), names)
-        for n in (100, 100, 70, 100)
-    ]
     config = TrainConfig(learning_rate=0.1, batch_size=32, local_epochs=2)
     seeds = [0, 1, 2, 3]
     problems = []
-    for starts in ([init_params(spec, 0)], [init_params(spec, s) for s in range(3)]):
-        trained = sgd_train(starts, spec, datasets, config, seeds)
-        for s, start in enumerate(starts):
-            for i, (data, seed) in enumerate(zip(datasets, seeds)):
-                alone = sgd_train([start], spec, [data], config, [seed])[0]
-                if trained[s * len(datasets) + i].tobytes() != alone.tobytes():
-                    problems.append(f"sgd_train (S={len(starts)}): model ({s}, {i}) differs from its own run")
+    for sizes in ((100, 100, 70, 100), (100, 100, 70, 70)):
+        datasets = [
+            Dataset(rng.normal(size=(n, spec.input_dim)), rng.integers(0, 4, size=n), names)
+            for n in sizes
+        ]
+        for starts in ([init_params(spec, 0)], [init_params(spec, s) for s in range(3)]):
+            trained = sgd_train(starts, spec, datasets, config, seeds)
+            for s, start in enumerate(starts):
+                for i, (data, seed) in enumerate(zip(datasets, seeds)):
+                    alone = sgd_train([start], spec, [data], config, [seed])[0]
+                    if trained[s * len(datasets) + i].tobytes() != alone.tobytes():
+                        problems.append(
+                            f"sgd_train {sizes} (S={len(starts)}): model ({s}, {i}) differs from its own run"
+                        )
     return problems
 
 

@@ -333,6 +333,15 @@ class TestLoadCsv:
         with pytest.raises(CsvParseError, match=f"row 2, column 'x2': non-finite value '{cell}'"):
             load_csv(path, "label")
 
+    def test_finite_cells_with_an_infinite_sum_load(self, tmp_path):
+        # The quoted label sends the chunk to the row reader, whose fast
+        # parse re-checks a row whose sum overflows cell by cell.
+        path = self.write(tmp_path, 'x1,x2,label\n1e308,1e308,"a"\n-1e308,-1e308,b\n')
+        data = load_csv(path, "label")
+        assert data.features.tobytes() == np.array([[1e308, 1e308], [-1e308, -1e308]]).tobytes()
+        assert np.array_equal(data.labels, [0, 1])
+        assert data.class_names == ("a", "b")
+
     def test_ragged_row_rejected(self, tmp_path):
         path = self.write(tmp_path, "x1,x2,label\n1.0,2.0,a\n1.0,a\n")
         with pytest.raises(CsvParseError, match="row 2"):
@@ -750,6 +759,24 @@ class TestMakeClientShards:
             tracemalloc.stop()
         assert sum(len(s.train) + len(s.test) for s in shards) == len(data)
         assert peak < 1.6 * data.features.nbytes
+
+    @settings(max_examples=200)
+    @given(
+        num_clients=st.integers(1, 6),
+        extra=st.lists(st.integers(0, 30), min_size=1, max_size=4),
+        fraction=st.floats(0, 1, exclude_min=True, exclude_max=True),
+        seed=st.integers(0, 2**32),
+    )
+    def test_train_sizes_never_increase_with_client_index(self, num_clients, extra, fraction, seed):
+        # np.array_split gives a class's extra rows to the lowest-numbered
+        # clients, and the half-up train count is monotone in the class
+        # count; sgd_train relies on it to train each size as one run of
+        # adjacent clients.
+        counts = [2 * num_clients + e for e in extra]
+        labels = np.repeat(np.arange(len(counts)), counts)
+        data = Dataset(np.zeros((len(labels), 1)), labels, tuple(f"c{i}" for i in range(len(counts))))
+        sizes = [len(s.train) for s in make_client_shards(data, num_clients, fraction, seed)]
+        assert sizes == sorted(sizes, reverse=True)
 
     def test_clients_get_distinct_split_shuffles(self):
         # All shards share the partition seed but split with derived seeds,
