@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 
 import yaml
 
-from .data import ClientShard, generate_blobs, load_csv, make_client_shards
+from .data import ClientShard, generate_blobs, load_csv, make_client_shards, stream_seed
 from .exceptions import Config, ConfigError, FedsimError, bounded
 from .models import ACTIVATIONS, ModelSpec, TrainConfig
 from .nelder_mead import SimplexConfig
@@ -228,7 +228,8 @@ def run_comparison(config: ExperimentConfig) -> ComparisonResult:
     def shards(seed: int) -> list[ClientShard]:
         data = table
         if data is None:
-            data = generate_blobs(ds.samples_per_class, ds.num_classes, ds.dim, ds.spread, seed)
+            blobs_seed = stream_seed(seed, "blobs")
+            data = generate_blobs(ds.samples_per_class, ds.num_classes, ds.dim, ds.spread, blobs_seed)
         return make_client_shards(data, config.num_clients, config.train_fraction, seed)
 
     model = ModelSpec(

@@ -307,6 +307,19 @@ def _parse_cells(path: str, row_num: int, names: list[str], cells: list[str]) ->
     return parsed
 
 
+STREAMS = ("blobs", "partition", "split", "init", "batches")
+
+
+def stream_seed(seed: int, stream: str, index: int = 0) -> int:
+    """The integer seed of client ``index``'s ``stream`` under config seed ``seed``: a
+    64-bit word of ``SeedSequence(seed, spawn_key=(k, index))``, k the stream's position
+    in :data:`STREAMS`.  That is the child numpy's own spawning gives, so no two (seed,
+    stream, index) triples share a stream.  Blobs, partition and init take index 0."""
+    key = STREAMS.index(checked("stream", stream, str, {"choices": STREAMS}))
+    sequence = np.random.SeedSequence(checked("seed", seed, int, {"ge": 0}), spawn_key=(key, index))
+    return int(sequence.generate_state(1, np.uint64)[0])
+
+
 def _stratified_deal(dataset: Dataset, num_parts: int, seed: int, deal) -> list[Dataset]:
     """Per class, one seeded permutation of its rows, cut into ``num_parts`` pieces by
     ``deal(class_name, rows)``; then each part's rows in one more permutation."""
@@ -355,14 +368,12 @@ def stratified_train_test_split(
 def make_client_shards(
     dataset: Dataset, num_clients: int, train_fraction: float, seed: int
 ) -> list[ClientShard]:
-    """Partition into i.i.d. clients, then split each client's data."""
-    parts = stratified_partition(dataset, num_clients, seed)
+    """Partition into i.i.d. clients, then split each client's data, each on its own stream."""
+    parts = stratified_partition(dataset, num_clients, stream_seed(seed, "partition"))
     shards = []
     for i, part in enumerate(parts):
         # The loop holds the last reference, so each part is freed once split.
         parts[i] = None
-        # Distinct derived seed per client split; offset by one to avoid
-        # reusing the partition seed itself.
-        train, test = stratified_train_test_split(part, train_fraction, seed + i + 1)
+        train, test = stratified_train_test_split(part, train_fraction, stream_seed(seed, "split", i))
         shards.append(ClientShard(client_id=f"client_{i}", train=train, test=test))
     return shards

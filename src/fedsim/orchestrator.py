@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .data import ClientShard
+from .data import ClientShard, stream_seed
 from .exceptions import Config, ConfigError, NumericError, bounded
 from .models import ModelSpec, TrainConfig, evaluate, init_params, sgd_train
 from .params import ParamVector
@@ -32,7 +32,7 @@ logger = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class FederationConfig(Config):
     """One federation of every rule in ``rules`` over the same clients, each
-    from the same initial weights ``init_params(model, seed)``."""
+    from the same initial weights ``init_params(model, stream_seed(seed, "init"))``."""
 
     model: ModelSpec
     train: TrainConfig
@@ -104,9 +104,9 @@ def run_federation(config: FederationConfig, shards: Sequence[ClientShard]) -> t
     """Run the configured number of rounds of every rule over the given
     clients, all rules one round at a time; one run per rule, in rule order.
 
-    Deterministic: every rule starts from ``init_params(model, seed)``, and
-    client ``i`` always trains with seed ``config.seed + i``, so visits its
-    rows in the same batch order in every round of every rule; a fixed
+    Deterministic: every rule starts from the weights of the seed's init
+    stream, and client ``i`` always trains on its own batches stream, so
+    visits its rows in the same batch order in every round of every rule; a fixed
     (config, shards) pair reproduces the same reports bit for bit, and each
     rule's reports have the bits of a federation of that rule alone.
 
@@ -139,9 +139,9 @@ def run_federation(config: FederationConfig, shards: Sequence[ClientShard]) -> t
             raise ConfigError(f"{shard.client_id}: empty train or test split")
     count = len(shards)
     trains, tests = [shard.train for shard in shards], [shard.test for shard in shards]
-    client_seeds = [config.seed + i for i in range(count)]
+    client_seeds = [stream_seed(config.seed, "batches", i) for i in range(count)]
     aggregators = [Aggregator(rule) for rule in config.rules]
-    global_models = [init_params(config.model, config.seed)] * len(aggregators)
+    global_models = [init_params(config.model, stream_seed(config.seed, "init"))] * len(aggregators)
     # Row s * count + i of a round's table is start s trained on client i.
     blocks = [slice(s * count, (s + 1) * count) for s in range(len(aggregators))]
     reports: list[list[RoundReport]] = [[] for _ in aggregators]

@@ -54,6 +54,13 @@ classes with ``np.concatenate``; :func:`fedsim.generate_blobs`, which draws
 all of the noise in one call and scales and shifts it in place, must return
 the same bits.
 
+``stream_seeds`` spawns a config seed's streams as numpy's documented
+parallel-streams recipe does: the seed's root ``SeedSequence`` spawns one
+child per stream, and a stream's child one per client;
+:func:`fedsim.stream_seed`, which builds each child from its spawn key
+directly, must give the same seeds.  ``make_client_shards`` and
+``run_federation`` take every seed they draw from it.
+
 ``init_params`` lays out each layer's weight and bias itself and joins them
 with ``np.concatenate``; :func:`fedsim.init_params`, which draws each weight
 into its view of a zeroed vector laid out by the spec, must return the same
@@ -378,6 +385,18 @@ def evaluate(
     return {"accuracy": accuracy, "loss": _mean_cross_entropy(logits, labels)}
 
 
+# The random streams of one config seed, in the order that keys them.
+STREAMS = ("blobs", "partition", "split", "init", "batches")
+
+
+def stream_seeds(seed: int, stream: str, count: int = 1) -> list[int]:
+    """The seeds of clients 0 to ``count - 1`` of ``stream`` under config
+    seed ``seed``: one 64-bit word of each client's spawned child."""
+    streams = np.random.SeedSequence(seed).spawn(len(STREAMS))
+    clients = streams[STREAMS.index(stream)].spawn(count)
+    return [int(child.generate_state(1, np.uint64)[0]) for child in clients]
+
+
 def sgd_train(
     values: np.ndarray,
     layer_dims: Sequence[tuple[int, int]],
@@ -418,8 +437,8 @@ def run_federation(
     rule's global model in their own ``sgd_train`` call, scores them, steps
     the rule and scores the new global model."""
     trains, tests = [s.train for s in shards], [s.test for s in shards]
-    seeds = [config.seed + i for i in range(len(shards))]
-    global_params = init_params(config.model, config.seed)
+    seeds = stream_seeds(config.seed, "batches", len(shards))
+    global_params = init_params(config.model, stream_seeds(config.seed, "init")[0])
     aggregator = Aggregator(rule)
     reports = []
     for round_idx in range(1, config.rounds + 1):
@@ -691,6 +710,18 @@ def stratified_train_test_split(
     train_idx = rng.permutation(np.concatenate(train_parts))
     test_idx = rng.permutation(np.concatenate(test_parts))
     return subset(dataset, train_idx), subset(dataset, test_idx)
+
+
+def make_client_shards(
+    dataset: Dataset, num_clients: int, train_fraction: float, seed: int
+) -> list[ClientShard]:
+    """Client i's shard: its part of the partition, split on its own stream."""
+    parts = stratified_partition(dataset, num_clients, stream_seeds(seed, "partition")[0])
+    splits = stream_seeds(seed, "split", num_clients)
+    return [
+        ClientShard(f"client_{i}", *stratified_train_test_split(part, train_fraction, split))
+        for i, (part, split) in enumerate(zip(parts, splits))
+    ]
 
 
 def generate_blobs(

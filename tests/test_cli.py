@@ -13,6 +13,7 @@ import pytest
 import yaml
 
 import fedsim.cli
+import oracles
 from fedsim import (
     ComparisonResult,
     FedAvg,
@@ -863,7 +864,7 @@ class TestRunComparison:
         blobs = count_calls(monkeypatch, fedsim.cli, "generate_blobs")
         run_comparison(small_config(tmp_path, seeds=(4, 2)))
         assert loads == []
-        assert [args[-1] for args in blobs] == [4, 2]
+        assert [args[-1] for args in blobs] == [oracles.stream_seeds(s, "blobs")[0] for s in (4, 2)]
 
 
     @pytest.mark.parametrize(

@@ -19,8 +19,9 @@ from fedsim import (
     make_client_shards,
     stratified_partition,
     stratified_train_test_split,
+    stream_seed,
 )
-from fedsim.exceptions import CsvParseError
+from fedsim.exceptions import ConfigError, CsvParseError
 
 
 def row_multiset(dataset):
@@ -719,7 +720,46 @@ class TestSplitsMatchOracles:
         assert parts_or_error(stratified_train_test_split, data, fraction, seed) == expected
 
 
+class TestStreamSeed:
+    # Config seeds 0-63, every stream, clients 0-63.
+    GRID = range(64)
+
+    def test_every_seed_stream_and_client_gets_its_own_seed(self):
+        seeds = [stream_seed(s, k, i) for s in self.GRID for k in oracles.STREAMS for i in self.GRID]
+        assert len(set(seeds)) == len(seeds) == 64 * 5 * 64
+
+    def test_matches_the_spawned_children(self):
+        for s in self.GRID:
+            for stream in oracles.STREAMS:
+                got = [stream_seed(s, stream, i) for i in self.GRID]
+                assert got == oracles.stream_seeds(s, stream, len(self.GRID))
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((-1, "init"), "seed must be an integer >= 0, got -1"),
+            ((True, "init"), "seed must be an integer >= 0, got True"),
+            ((0, "labels"), "stream must be one of"),
+        ],
+    )
+    def test_rejects_a_bad_argument(self, args, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            stream_seed(*args)
+
+
 class TestMakeClientShards:
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_matches_the_oracle(self, seed):
+        data = generate_blobs(20, 3, 2, 1.0, 4)
+        got = make_client_shards(data, 4, 0.3, seed)
+        expected = oracles.make_client_shards(data, 4, 0.3, seed)
+        assert [s.client_id for s in got] == [s.client_id for s in expected]
+        for shard, oracle in zip(got, expected):
+            for part in ("train", "test"):
+                mine, theirs = getattr(shard, part), getattr(oracle, part)
+                assert mine.features.tobytes() == theirs.features.tobytes()
+                assert mine.labels.tobytes() == theirs.labels.tobytes()
+
     def test_ids_and_shapes(self):
         data = generate_blobs(60, 4, 6, 1.0, 9)
         shards = make_client_shards(data, 4, 0.2, 0)

@@ -7,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
+import fedsim.data
 import fedsim.orchestrator
 import oracles
 from fedsim import (
@@ -205,8 +206,8 @@ class TestRunFederation:
         shards = blob_shards(1, 2)
         config = FederationConfig(model=SPEC, train=TRAIN, rounds=1, seed=3)
         (report,) = reports_of(config, shards)
-        w0 = init_params(SPEC, 3)
-        local = sgd_train([w0], SPEC, [shards[0].train], TRAIN, [3])[0]
+        w0 = init_params(SPEC, oracles.stream_seeds(3, "init")[0])
+        local = sgd_train([w0], SPEC, [shards[0].train], TRAIN, oracles.stream_seeds(3, "batches"))[0]
         metrics = evaluate([local], SPEC, [shards[0].test])[0]
         assert report.aggregated_accuracy == metrics["accuracy"]
         # A single-client average is the local model itself.
@@ -214,18 +215,19 @@ class TestRunFederation:
 
     def test_two_client_rounds_replay_exactly(self):
         # Hand-run two rounds with the public pieces and demand bit-equal
-        # accuracies, pinning the train-seed derivation and example weighting.
+        # accuracies, pinning the seeds' streams and the example weighting.
         data = generate_blobs(20, 2, 3, 1.0, 4)
         shards = make_client_shards(data, 2, 0.3, 4)
         config = FederationConfig(model=SPEC, train=TRAIN, rounds=2, seed=11)
         reports = reports_of(config, shards)
 
-        params = init_params(SPEC, 11)
+        params = init_params(SPEC, oracles.stream_seeds(11, "init")[0])
+        batches = oracles.stream_seeds(11, "batches", len(shards))
         for report in reports:
             updates = []
             local_metrics = []
             for i, shard in enumerate(shards):
-                local = sgd_train([params], SPEC, [shard.train], TRAIN, [11 + i])[0]
+                local = sgd_train([params], SPEC, [shard.train], TRAIN, [batches[i]])[0]
                 local_metrics.append(
                     (len(shard.test), evaluate([local], SPEC, [shard.test])[0]["accuracy"])
                 )
@@ -421,7 +423,7 @@ class TestCompareStrategies:
         # initial model's accuracy in every round.
         result = self.comparison(rules=(FedMedian(server_lr=0.0),), seeds=(3,))
         shards = blob_shards(4, 3)
-        w0 = init_params(SPEC, 3)
+        w0 = init_params(SPEC, oracles.stream_seeds(3, "init")[0])
         expected = weighted_accuracy(
             [
                 (len(s.test), evaluate([w0.values], SPEC, [s.test])[0]["accuracy"])
@@ -470,7 +472,7 @@ class TestCompareStrategies:
             # Round 1 is trained once per seed for every rule, so its failure
             # names no strategy.  A batch of 4 is each client's whole train
             # split, and its one step from the initial model stays finite.
-            (2, "seed 1, round 1, client_1"),
+            (2, "seed 1, round 1, client_0"),
             (4, "fedavg, seed 1, round 2, client_0"),
         ],
     )
@@ -492,7 +494,7 @@ class TestCompareStrategies:
         spec = ModelSpec(input_dim=3, hidden_dims=(5,), num_classes=2)
         train = TrainConfig(learning_rate=1e300, batch_size=2)
         config = FederationConfig(model=spec, train=train, rules=(FedAvgM(),), rounds=2, seed=1)
-        message = "seed 1, round 1, client_1: training failed: "
+        message = "seed 1, round 1, client_0: training failed: "
         with pytest.raises(NumericError, match=f"^{message}"):
             run_federation(config, blob_shards(2, 1, 8))
 
@@ -591,8 +593,9 @@ class TestCompareStrategies:
             )
 
     def test_non_finite_local_loss_is_logged(self, caplog):
-        # Round 1's one full-batch step at this rate leaves client_1's model
-        # finite, but its logits overflow on the test split; round 2 fails.
+        # Round 1's one full-batch step at this rate leaves both clients'
+        # models finite, but their logits overflow on the test splits; round 2
+        # fails.
         spec = ModelSpec(input_dim=3, hidden_dims=(5,), num_classes=2)
         train = TrainConfig(learning_rate=1e300, batch_size=4)
         base = FederationConfig(model=spec, train=train, rounds=2)
@@ -603,7 +606,8 @@ class TestCompareStrategies:
                 lambda seed: blob_shards(2, seed, 8),
             )
         assert [(r.levelname, r.name, r.getMessage()) for r in caplog.records] == [
-            ("WARNING", "fedsim.orchestrator", "seed 1, round 1, client_1: local test loss is nan")
+            ("WARNING", "fedsim.orchestrator", f"seed 1, round 1, {client}: local test loss is nan")
+            for client in ("client_0", "client_1")
         ]
 
     def test_runs_exactly_the_configs_rules(self):
@@ -687,6 +691,39 @@ class TestCompareStrategies:
             compare_strategies(
                 dataclasses.replace(base, rules=(FedAvg(),)), (), lambda s: blob_shards(4, s)
             )
+
+
+class TestSeedStreams:
+    """Each config seed draws streams of its own, so adjacent seeds are
+    independent draws rather than shifted copies of one another."""
+
+    @staticmethod
+    def seeds_drawn(monkeypatch):
+        """The seeds a two-seed compare hands to sgd_train, init_params and
+        each client's split, in call order."""
+        calls = [
+            count_calls(monkeypatch, fedsim.orchestrator, "sgd_train"),
+            count_calls(monkeypatch, fedsim.orchestrator, "init_params"),
+            count_calls(monkeypatch, fedsim.data, "stratified_train_test_split"),
+        ]
+        base = FederationConfig(model=SPEC, train=TRAIN, rounds=1)
+        compare_strategies(base, (0, 1), lambda seed: blob_shards(2, seed))
+        return calls
+
+    def test_neighbouring_clients_of_adjacent_seeds_shuffle_apart(self, monkeypatch):
+        trained, _, _ = self.seeds_drawn(monkeypatch)
+        (*_, trains_0, _, batches_0), (*_, trains_1, _, batches_1) = trained
+        # Client 1 under seed 0 and client 0 under seed 1 train on 8 rows.
+        assert len(trains_0[1]) == len(trains_1[0]) == 8
+        orders = [np.random.default_rng(b).permutation(8) for b in (batches_0[1], batches_1[0])]
+        assert not np.array_equal(*orders)
+
+    def test_initial_weights_share_no_stream_with_a_split(self, monkeypatch):
+        # Seed 1's initial weights and seed 0's client-0 split.
+        _, inits, splits = self.seeds_drawn(monkeypatch)
+        (_, init_1), split_0 = inits[1], splits[0][2]
+        draws = [np.random.default_rng(seed).random(8) for seed in (init_1, split_0)]
+        assert not np.array_equal(*draws)
 
 
 def write_outputs(result, directory):

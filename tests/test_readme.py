@@ -61,8 +61,12 @@ def test_yaml_example_runs(tmp_path):
 
 
 def test_library_example_runs(capsys):
-    exec(compile(fenced_block("python"), "README.md", "exec"), {})
+    namespace: dict = {}
+    exec(compile(fenced_block("python"), "README.md", "exec"), namespace)
     assert len(capsys.readouterr().out.splitlines()) == 10
+    # The hand-run local training is round 1's client 0, as the example says.
+    client = namespace["run"].reports[0].per_client[0]
+    assert namespace["scores"] == {"accuracy": client.accuracy, "loss": client.loss}
 
 
 def help_text(subcommand, capsys):
