@@ -35,13 +35,16 @@ class Dataset:
     def __post_init__(self) -> None:
         feats = np.array(self.features, dtype=np.float64)
         raw_labels = np.asarray(self.labels)
+        if raw_labels.dtype.kind == "c" and raw_labels.size:
+            raise ValueError(f"labels must be integers; label 0 is {raw_labels.flat[0].item()!r}")
         with np.errstate(invalid="ignore"):
-            labels = raw_labels.astype(np.int64)
+            # .real: an empty complex vector has no label to refuse, and casts quietly.
+            labels = raw_labels.real.astype(np.int64)
         if feats.ndim != 2:
             raise ValueError("features must be a 2-D matrix")
         if labels.ndim != 1 or labels.shape[0] != feats.shape[0]:
             raise ValueError("labels must be a vector matching the feature rows")
-        if raw_labels.dtype.kind in "fc":
+        if raw_labels.dtype.kind == "f":
             changed = np.flatnonzero(labels != raw_labels)
             if changed.size:
                 i = int(changed[0])

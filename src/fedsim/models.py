@@ -90,12 +90,15 @@ def _layers(flat: np.ndarray, spec: ModelSpec) -> list[tuple[np.ndarray, np.ndar
     ]
 
 
-def _check_features(spec: ModelSpec, features: np.ndarray, stack: tuple[int, ...] = ()) -> np.ndarray:
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != len(stack) + 2 or x.shape[:-2] != stack or x.shape[-1] != spec.input_dim:
-        dims = ", ".join([*map(str, stack), "n", str(spec.input_dim)])
-        raise ShapeMismatchError(f"features must be ({dims}), got {x.shape}")
-    return x
+def _check_dataset(spec: ModelSpec, dataset: "Dataset", use: str) -> None:
+    """Rejects an empty dataset, one of another feature width, or one naming more
+    classes than the model: a Dataset's labels index its names, so this bounds them."""
+    if len(dataset) == 0:
+        raise ValueError(f"cannot {use} on an empty dataset")
+    if dataset.num_classes > spec.num_classes:
+        raise ValueError(f"dataset has {dataset.num_classes} classes, model has {spec.num_classes}")
+    if dataset.features.shape[1] != spec.input_dim:
+        raise ShapeMismatchError(f"features must be (n, {spec.input_dim}), got {dataset.features.shape}")
 
 
 def _forward(layers: list[tuple[np.ndarray, np.ndarray]], spec: ModelSpec, x: np.ndarray):
@@ -142,18 +145,6 @@ def _softmax_cross_entropy(
     return (log_norm - picked).sum(axis=-1) / y.shape[-1], exp, row_sums
 
 
-def _check_labels(spec: ModelSpec, labels: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    y = np.asarray(labels)
-    if y.shape != shape:
-        raise ValueError(f"labels must have shape {shape}, got {y.shape}")
-    if y.size and (y.min() < 0 or y.max() >= spec.num_classes):
-        raise ValueError(
-            f"labels must lie in [0, {spec.num_classes}), got range "
-            f"[{y.min()}, {y.max()}]"
-        )
-    return y.astype(np.int64, copy=False)
-
-
 def loss_and_gradient(
     values: np.ndarray, spec: ModelSpec, features: np.ndarray, labels: np.ndarray
 ) -> tuple[float | np.ndarray, np.ndarray]:
@@ -168,19 +159,19 @@ def loss_and_gradient(
     on it.  ``features`` and ``labels`` may be read-only broadcast views.
     The gradient is a fresh, writable float64 array; neither ``values`` nor
     ``features`` is written to.
+
+    It is :func:`sgd_train`'s step, which checks each dataset once, so it
+    checks only the parameter count: the caller keeps the batch shapes in
+    step and every label in [0, num_classes).
     """
-    if np.ndim(values) == 0:
-        raise ShapeMismatchError(f"values must be (..., P), got {np.shape(values)}")
     stack = values.shape[:-1]
-    x = _check_features(spec, features, stack)
-    y = _check_labels(spec, labels, x.shape[:-1])
     layers = _layers(values, spec)
-    inputs, logits = _forward(layers, spec, x)
-    loss, delta, row_sums = _softmax_cross_entropy(logits, y)
+    inputs, logits = _forward(layers, spec, features)
+    loss, delta, row_sums = _softmax_cross_entropy(logits, labels)
     delta /= row_sums
     # delta is a fresh C-ordered array, so this reshape is a view of it.
-    delta.reshape(-1, spec.num_classes)[np.arange(y.size), y.reshape(-1)] -= 1.0
-    delta /= y.shape[-1]
+    delta.reshape(-1, spec.num_classes)[np.arange(labels.size), labels.reshape(-1)] -= 1.0
+    delta /= labels.shape[-1]
 
     # Each layer's gradient is written into its views of one flat buffer.
     flat = np.empty(values.shape)
@@ -219,7 +210,8 @@ def sgd_train(
     batches are gathered once into one buffer, which every start reads
     through a broadcast view.  A model that diverges comes back as a
     non-finite row, not as an error; numpy's overflow and invalid-value
-    warnings are silenced meanwhile.
+    warnings are silenced meanwhile.  Each dataset is checked once, before
+    any training, as :func:`evaluate` checks it.
     """
     if len(datasets) != len(seeds):
         raise ValueError(f"{len(datasets)} datasets but {len(seeds)} seeds")
@@ -231,9 +223,7 @@ def sgd_train(
         trained[s] = start.values
     rngs = [np.random.default_rng(checked("seed", seed, int, {"ge": 0})) for seed in seeds]
     for dataset in datasets:
-        if len(dataset) == 0:
-            raise ValueError("cannot train on an empty dataset")
-        _check_features(spec, dataset.features)
+        _check_dataset(spec, dataset, "train")
     lr, size = config.learning_rate, config.batch_size
     lo = 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -269,17 +259,12 @@ def sgd_train(
     return table
 
 
-def _score(values: np.ndarray, spec: ModelSpec, dataset: "Dataset") -> dict[str, float]:
-    if np.ndim(values) != 1:
-        raise ShapeMismatchError(f"a model must be a flat vector, got shape {np.shape(values)}")
-    if len(dataset) == 0:
-        raise ValueError("cannot evaluate on an empty dataset")
-    # A Dataset's labels index its class names, so this bounds every label.
-    if dataset.num_classes > spec.num_classes:
-        raise ValueError(f"dataset has {dataset.num_classes} classes, model has {spec.num_classes}")
-    x = _check_features(spec, dataset.features)
-    y = dataset.labels
-    _, logits = _forward(_layers(values, spec), spec, x)
+def _score(model: np.ndarray, spec: ModelSpec, dataset: "Dataset") -> dict[str, float]:
+    if np.ndim(model) != 1:
+        raise ShapeMismatchError(f"a model must be a flat vector, got shape {np.shape(model)}")
+    _check_dataset(spec, dataset, "evaluate")
+    x, y = dataset.features, dataset.labels
+    _, logits = _forward(_layers(model, spec), spec, x)
     loss = float(_softmax_cross_entropy(logits, y)[0])
     hits = np.argmax(logits, axis=1) == y
     # np.argmax picks a row's first NaN; any NaN logit makes the loss NaN.
@@ -305,4 +290,4 @@ def evaluate(
     if len(models) != len(datasets):
         raise ValueError(f"{len(models)} models but {len(datasets)} datasets")
     with np.errstate(over="ignore", invalid="ignore"):
-        return [_score(values, spec, dataset) for values, dataset in zip(models, datasets)]
+        return [_score(model, spec, dataset) for model, dataset in zip(models, datasets)]

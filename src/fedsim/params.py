@@ -59,13 +59,12 @@ def linear_combination(
             f"{len(vectors)} vectors but {len(coefficients)} coefficients"
         )
     coeffs = [float(c) for c in coefficients]
-    if not all(np.isfinite(coeffs)):
-        raise NumericError("non-finite coefficient in linear combination")
     size = len(vectors[0])
     if any(len(v) != size for v in vectors[1:]):
         raise ShapeMismatchError("parameter vectors differ in length")
-    # Overflow surfaces as NumericError when the result vector is built.
-    with np.errstate(over="ignore"):
+    # A non-finite coefficient, like an overflow, leaves a non-finite entry,
+    # which surfaces as NumericError when the result vector is built.
+    with np.errstate(over="ignore", invalid="ignore"):
         acc = coeffs[0] * vectors[0].values
         for c, v in zip(coeffs[1:], vectors[1:]):
             acc += c * v.values

@@ -90,7 +90,7 @@ def random_vectors(rng, num, size):
 
 def finite_difference_gradient(params, spec, features, labels, h=1e-5):
     """Central-difference loss gradient, coordinate by coordinate."""
-    from fedsim import loss_and_gradient
+    from fedsim.models import loss_and_gradient
 
     base = params.values
     numeric = np.zeros_like(base)

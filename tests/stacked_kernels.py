@@ -18,7 +18,8 @@ import sys
 
 import numpy as np
 
-from fedsim import Dataset, ModelSpec, TrainConfig, init_params, loss_and_gradient, sgd_train
+from fedsim import Dataset, ModelSpec, TrainConfig, init_params, sgd_train
+from fedsim.models import loss_and_gradient
 
 # (spec, stack size K, batch rows B): the blobs, mlp-csv and many-clients
 # geometries, then small ragged ones.

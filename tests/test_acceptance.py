@@ -31,7 +31,6 @@ from fedsim import (
     evaluate,
     generate_blobs,
     init_params,
-    loss_and_gradient,
     make_client_shards,
     run_federation,
     sgd_train,
@@ -39,6 +38,7 @@ from fedsim import (
     weighted_accuracy,
 )
 from fedsim.cli import DatasetConfig, ExperimentConfig, run_comparison, run_experiment
+from fedsim.models import loss_and_gradient
 from helpers import finite_difference_gradient, make_updates, random_vectors
 import oracles
 

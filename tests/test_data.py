@@ -68,6 +68,9 @@ class TestDataset:
             Dataset(np.zeros((3, 2)), [0.0, 1.7, 0.2], ("a", "b"))
         with pytest.raises(ValueError, match="label 0 is nan"):
             Dataset(np.zeros((2, 2)), [np.nan, 1.0], ("a", "b"))
+        # Integral in value, but numpy would cast them with a ComplexWarning.
+        with pytest.raises(ValueError, match=re.escape("label 0 is (1+0j)")):
+            Dataset(np.zeros((2, 1)), np.array([1 + 0j, 0j]), ("a", "b"))
         data = Dataset(np.zeros((3, 2)), [0.0, 1.0, 1.0], ("a", "b"))
         assert np.array_equal(data.labels, [0, 1, 1])
         assert data.labels.dtype == np.int64

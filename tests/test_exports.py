@@ -2,6 +2,7 @@ import textwrap
 from pathlib import Path
 
 import fedsim
+import fedsim.models
 import fedsim.strategies
 from fedsim import ParamVector, aggregate_fedavgopt
 from fedsim.cli import main
@@ -20,6 +21,14 @@ def test_star_import():
     namespace: dict = {}
     exec("from fedsim import *", namespace)
     assert set(fedsim.__all__) <= set(namespace)
+
+
+def test_loss_and_gradient_is_internal():
+    # It is sgd_train's unchecked step: gone from the package's namespace, but
+    # kept under its name in fedsim.models, where the benchmark's tracer hooks it.
+    assert "loss_and_gradient" not in fedsim.__all__
+    assert not hasattr(fedsim, "loss_and_gradient")
+    assert callable(fedsim.models.loss_and_gradient)
 
 
 def test_benchmark_hook_targets_exist(monkeypatch):

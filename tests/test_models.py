@@ -15,12 +15,12 @@ from fedsim import (
     evaluate,
     generate_blobs,
     init_params,
-    loss_and_gradient,
     sgd_train,
 )
+import fedsim.models
 from fedsim.exceptions import ShapeMismatchError
-from fedsim.models import _softmax_cross_entropy
-from helpers import finite_difference_gradient
+from fedsim.models import _softmax_cross_entropy, loss_and_gradient
+from helpers import count_calls, finite_difference_gradient
 import oracles
 
 
@@ -150,11 +150,13 @@ class TestInitParams:
 class TestLossAndGradient:
     def test_feature_width_checked(self):
         spec = ModelSpec(input_dim=4, num_classes=3)
-        params, y = init_params(spec, 0), np.zeros(2, dtype=np.int64)
-        with pytest.raises(ShapeMismatchError):
-            loss_and_gradient(params.values, spec, np.zeros((2, 5)), y)
-        with pytest.raises(ShapeMismatchError):
-            evaluate([params.values], spec, [dataset_from(np.zeros((2, 5)), y, spec.num_classes)])
+        params = init_params(spec, 0)
+        data = dataset_from(np.zeros((2, 5)), [0, 1], spec.num_classes)
+        message = re.escape("features must be (n, 4), got (2, 5)")
+        with pytest.raises(ShapeMismatchError, match=message):
+            evaluate([params.values], spec, [data])
+        with pytest.raises(ShapeMismatchError, match=message):
+            sgd_train([params], spec, [data], TrainConfig(), [0])
 
     @pytest.mark.parametrize("delta", [-1, 1])
     def test_parameter_count_checked(self, delta):
@@ -187,19 +189,6 @@ class TestLossAndGradient:
         y = np.array([0, 1, 2, 3, 0, 1, 2, 3])
         loss, _ = loss_and_gradient(params.values, spec, x, y)
         assert loss == float(np.log(4.0))
-
-    def test_out_of_range_label_rejected(self):
-        spec = ModelSpec(input_dim=2, num_classes=2)
-        params = init_params(spec, 0)
-        with pytest.raises(ValueError):
-            loss_and_gradient(params.values, spec, np.zeros((1, 2)), np.array([2]))
-
-    @pytest.mark.parametrize("shape", [(3,), (2, 1)])
-    def test_label_shape_checked(self, shape):
-        spec = ModelSpec(input_dim=2, num_classes=2)
-        labels = np.zeros(shape, dtype=np.int64)
-        with pytest.raises(ValueError, match=re.escape(f"must have shape (2,), got {shape}")):
-            loss_and_gradient(init_params(spec, 0).values, spec, np.zeros((2, 2)), labels)
 
     def test_duplicating_samples_is_invariant(self):
         rng = np.random.default_rng(6)
@@ -339,6 +328,16 @@ class TestSgdTrain:
         with pytest.raises(ValueError):
             sgd_train([init_params(spec, 0)], spec, [empty], TrainConfig(), [0])
 
+    def test_every_dataset_checked_before_any_step(self, monkeypatch):
+        # The step trusts its batches, so a bad dataset anywhere in the list
+        # stops the call before the good ones ahead of it take a step.
+        spec = ModelSpec(input_dim=4, num_classes=3)
+        bad = dataset_from(np.zeros((5, 4)), [0, 1, 2, 3, 0], 4)
+        steps = count_calls(monkeypatch, fedsim.models, "loss_and_gradient")
+        with pytest.raises(ValueError, match="dataset has 4 classes, model has 3"):
+            sgd_train([init_params(spec, 0)], spec, [self._blobs(), bad], TrainConfig(), [0, 1])
+        assert steps == []
+
     @pytest.mark.parametrize("seed", BAD_SEEDS)
     def test_bad_seed_is_named(self, seed):
         spec = ModelSpec(input_dim=4, num_classes=3)
@@ -429,12 +428,22 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate([init_params(spec, 0).values], spec, [empty])
 
-    def test_more_classes_than_the_model_rejected(self):
-        # Every label fits a 2-class model, but the dataset names 3 classes.
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            [0, 1],  # every label fits a 2-class model, but the dataset names 3 classes
+            [2],  # a label out of the model's range
+        ],
+    )
+    def test_more_classes_than_the_model_rejected(self, labels):
+        # The one class rule bounds every label, in training as in scoring.
         spec = ModelSpec(input_dim=2, num_classes=2)
-        data = Dataset(np.zeros((2, 2)), np.array([0, 1]), ("a", "b", "c"))
+        params = init_params(spec, 0)
+        data = Dataset(np.zeros((len(labels), 2)), np.array(labels), ("a", "b", "c"))
         with pytest.raises(ValueError, match="dataset has 3 classes, model has 2"):
-            evaluate([init_params(spec, 0).values], spec, [data])
+            evaluate([params.values], spec, [data])
+        with pytest.raises(ValueError, match="dataset has 3 classes, model has 2"):
+            sgd_train([params], spec, [data], TrainConfig(), [0])
 
     def test_a_row_with_a_nan_logit_is_a_miss(self):
         # Each hidden unit reads inf, so the logits are [inf - inf, inf, inf - inf]:
@@ -642,24 +651,6 @@ class TestStacks:
             )
             assert float(losses[k]) == loss == expected_loss
             assert grads[k].tobytes() == grad.tobytes() == expected_grad.tobytes()
-
-    def test_stacked_shapes_are_checked(self):
-        spec = STACK_SPECS["relu"]
-        values = np.zeros((2, spec.num_params))
-        x, y = np.zeros((2, 3, 4)), np.zeros((2, 3), dtype=np.int64)
-        with pytest.raises(ShapeMismatchError, match=re.escape("features must be (2, n, 4), got (3, 3, 4)")):
-            loss_and_gradient(values, spec, np.zeros((3, 3, 4)), y)
-        with pytest.raises(ShapeMismatchError, match=re.escape("features must be (2, n, 4), got (3, 4)")):
-            loss_and_gradient(values, spec, x[0], y)
-        with pytest.raises(ValueError, match=re.escape("labels must have shape (2, 3), got (3,)")):
-            loss_and_gradient(values, spec, x, y[0])
-        with pytest.raises(ShapeMismatchError, match=re.escape("values must be (..., P), got ()")):
-            loss_and_gradient(np.float64(0.0), spec, x[0], y[0])
-        # Two stack axes: the features and labels must carry both.
-        with pytest.raises(ShapeMismatchError, match=re.escape("features must be (1, 2, n, 4), got (2, 3, 4)")):
-            loss_and_gradient(values[None], spec, x, y[None])
-        with pytest.raises(ValueError, match=re.escape("labels must have shape (1, 2, 3), got (2, 3)")):
-            loss_and_gradient(values[None], spec, x[None], y)
 
     @pytest.mark.parametrize("name", sorted(STACK_SPECS))
     @pytest.mark.parametrize("starts, stack, n", [(1, 4, 5), (3, 2, 8), (2, 3, 1)])

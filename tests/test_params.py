@@ -64,9 +64,19 @@ class TestLinearCombination:
         with pytest.raises(ShapeMismatchError):
             linear_combination([make_vec([1.0]), make_vec([1.0, 2.0])], [0.5, 0.5])
 
-    def test_non_finite_coefficient_rejected(self):
+    @pytest.mark.parametrize(
+        "values, coefficients",
+        [
+            ([[1.0]], [np.nan]),
+            # inf * 0.0 and inf - inf are invalid operations, not overflows.
+            ([[0.0, 1.0]], [np.inf]),
+            ([[1.0], [1.0]], [np.inf, -np.inf]),
+        ],
+        ids=["nan", "inf-times-zero", "inf-minus-inf"],
+    )
+    def test_non_finite_coefficient_rejected(self, values, coefficients):
         with pytest.raises(NumericError):
-            linear_combination([make_vec([1.0])], [np.nan])
+            linear_combination([make_vec(v) for v in values], coefficients)
 
     def test_overflow_raises_numeric_error(self):
         v = make_vec([1e308])

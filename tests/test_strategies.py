@@ -879,15 +879,21 @@ class TestAggregationProperties:
         assert scaled == base
 
     @property_settings
-    @given(seed=seeds, k=st.integers(1, 9), size=st.integers(1, 50),
-           s=st.sampled_from([3.0, 0.7, 1e-3, 1e3, -2.5]), data=st.data())
-    def test_objective_f_scale_invariant(self, seed, k, size, s, data):
-        rows, counts = random_clients(seed, k, size)
-        x = data.draw(st.lists(st.floats(0.1, 3.0), min_size=k, max_size=k))
+    @given(seed=seeds, size=st.integers(1, 50), s=st.sampled_from([3.0, 0.7, 1e-3, 1e3, -2.5]),
+           x=st.lists(st.floats(0.1, 3.0), min_size=1, max_size=9))
+    # Client 2 lies almost opposite the candidate: ||w + w_2|| is about 1e-4.
+    @example(seed=6503, size=1, s=3.0, x=[1.51078551445619, 1.671875, 1.671875])
+    def test_objective_f_scale_invariant(self, seed, size, s, x):
+        rows, counts = random_clients(seed, len(x), size)
         assume(clear_of_floor(x, rows, counts, s))
         base = objective_f(x, [make_vec(r) for r in rows], counts)
         scaled = objective_f(x, [make_vec(s * r) for r in rows], counts)
-        assert scaled == pytest.approx(base, rel=1e-12)
+        # Rounding s * w_j moves each ratio by about eps * kappa relative, with
+        # kappa the largest (||w|| + ||w_j||) / ||w + w_j|| at the candidate w;
+        # over 20,000 uniform random draws the error stayed below 4 eps * kappa.
+        w = candidate_aggregate([make_vec(r) for r in rows], counts, x).values
+        kappa = max((np.linalg.norm(w) + np.linalg.norm(r)) / np.linalg.norm(w + r) for r in rows)
+        assert scaled == pytest.approx(base, rel=20 * np.finfo(np.float64).eps * kappa)
 
 
 def chained_rounds(step, seed, k, size, scale, rounds=3):
