@@ -319,6 +319,7 @@ def stream_seed(seed: int, stream: str, index: int = 0) -> int:
     in :data:`STREAMS`.  That is the child numpy's own spawning gives, so no two (seed,
     stream, index) triples share a stream.  Blobs, partition and init take index 0."""
     key = STREAMS.index(checked("stream", stream, str, {"choices": STREAMS}))
+    index = checked("index", index, int, {"ge": 0})
     sequence = np.random.SeedSequence(checked("seed", seed, int, {"ge": 0}), spawn_key=(key, index))
     return int(sequence.generate_state(1, np.uint64)[0])
 

@@ -3,9 +3,9 @@
 A model's parameters travel between client training and the server step as
 one flat, finite float64 vector.  Its layout (which slice is which layer's
 weight or bias) is fixed by :meth:`fedsim.models.ModelSpec.layer_dims`, and
-every vector in a run comes from one spec.  Server steps compute on the raw
-``values`` arrays and wrap only what they hand back in a
-:class:`ParamVector`, which is where finiteness is checked.
+every vector in a run comes from one spec.  Server steps compute on the
+raw ``values`` arrays, summing them with :func:`linear_combination`;
+``Aggregator.aggregate`` wraps a step's result, which checks it finite.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exceptions import NumericError, ShapeMismatchError
+from .exceptions import NumericError
 
 
 @dataclass(frozen=True)
@@ -46,26 +46,11 @@ class ParamVector:
 
 def linear_combination(
     vectors: Sequence[ParamVector], coefficients: Sequence[float]
-) -> ParamVector:
-    """Elementwise sum of ``coefficients[i] * vectors[i]``.
-
-    Accumulation runs in input order, so the result is deterministic for a
-    fixed argument order.
-    """
-    if len(vectors) == 0:
-        raise ValueError("linear_combination needs at least one vector")
-    if len(vectors) != len(coefficients):
-        raise ValueError(
-            f"{len(vectors)} vectors but {len(coefficients)} coefficients"
-        )
-    coeffs = [float(c) for c in coefficients]
-    size = len(vectors[0])
-    if any(len(v) != size for v in vectors[1:]):
-        raise ShapeMismatchError("parameter vectors differ in length")
-    # A non-finite coefficient, like an overflow, leaves a non-finite entry,
-    # which surfaces as NumericError when the result vector is built.
-    with np.errstate(over="ignore", invalid="ignore"):
-        acc = coeffs[0] * vectors[0].values
-        for c, v in zip(coeffs[1:], vectors[1:]):
-            acc += c * v.values
-    return ParamVector(acc)
+) -> np.ndarray:
+    """Elementwise sum of ``coefficients[i] * vectors[i]``, unchecked, as a raw
+    array; it runs in input order, so it is deterministic for a fixed order.
+    The caller passes at least one vector, each as long, one coefficient each."""
+    acc = coefficients[0] * vectors[0].values
+    for c, v in zip(coefficients[1:], vectors[1:]):
+        acc += c * v.values
+    return acc

@@ -4,11 +4,11 @@ maps each strategy name to its rule type.
 A rule's fields are exactly the settings its server step reads, with the
 rule's own defaults.  Its ``step`` method maps this round's client updates,
 the previous global model and the state carried from the last round to the
-next global model and the state to carry.  A step computes on the raw
-``values`` arrays; only the vectors it hands back are wrapped in a
-:class:`ParamVector`, so each is checked finite once per round.  numpy's
-overflow and invalid-value warnings are silenced in a step: an overflow
-surfaces only as that check's :class:`NumericError`.
+next global model, as a raw float64 array, and the state to carry.  A step
+is an unchecked array kernel; :meth:`Aggregator.aggregate` alone checks the
+clients, silences numpy's overflow and invalid-value warnings, and wraps
+the new global in a :class:`ParamVector`, so an overflow surfaces only as
+that wrap's :class:`NumericError`, or a state wrap's.
 """
 
 from __future__ import annotations
@@ -58,21 +58,19 @@ class AlphaSolution:
     iterations: int
 
 
-def _params_and_counts(updates: Sequence[ClientUpdate]) -> tuple[list[ParamVector], list[int]]:
+def _params_and_counts(updates: Sequence[ClientUpdate], size: int | None = None) -> tuple[list[ParamVector], list[int]]:
+    """The clients' vectors and counts: at least one, each of length ``size`` (the
+    first's when None), so that numpy cannot broadcast a size-1 vector."""
     if len(updates) == 0:
         raise ValueError("need at least one client update")
-    return [u.params for u in updates], [u.num_examples for u in updates]
+    params = [u.params for u in updates]
+    size = len(params[0]) if size is None else size
+    if any(len(p) != size for p in params):
+        raise ShapeMismatchError(f"client parameter vectors must all have length {size}")
+    return params, [u.num_examples for u in updates]
 
 
-def _values_under(previous_global: ParamVector, vector: ParamVector) -> np.ndarray:
-    """Raw array of a client vector, checked to be as long as the previous
-    global so that numpy cannot broadcast a size-1 client vector."""
-    if len(vector) != len(previous_global):
-        raise ShapeMismatchError("client parameters differ in length from the previous global")
-    return vector.values
-
-
-def aggregate_fedavg(updates: Sequence[ClientUpdate]) -> ParamVector:
+def aggregate_fedavg(updates: Sequence[ClientUpdate]) -> np.ndarray:
     """Count-weighted mean of client parameters: :func:`candidate_aggregate` at all-ones."""
     params, counts = _params_and_counts(updates)
     return candidate_aggregate(params, counts, [1.0] * len(counts))
@@ -82,8 +80,8 @@ def candidate_aggregate(
     client_params: Sequence[ParamVector],
     counts: Sequence[int],
     x: Sequence[float],
-) -> ParamVector:
-    """Candidate global model for coefficient vector ``x``:
+) -> np.ndarray:
+    """Candidate global model for coefficient vector ``x``, unchecked:
     sum_i params_i * n_i * x_i / sum_i n_i.
 
     At x = 1 this is :func:`aggregate_fedavg`.  The denominator deliberately
@@ -177,7 +175,7 @@ def gram_objective(
 def aggregate_fedavgopt(
     updates: Sequence[ClientUpdate],
     config: SimplexConfig = SimplexConfig(),
-) -> tuple[ParamVector, AlphaSolution]:
+) -> tuple[np.ndarray, AlphaSolution]:
     """Solve for per-client scaling coefficients starting from all-ones, then
     aggregate with them.
 
@@ -190,10 +188,11 @@ def aggregate_fedavgopt(
     params, counts = _params_and_counts(updates)
     x0 = np.ones(len(updates))
     x0.setflags(write=False)
-    # An overflow scores inf or raises NumericError; numpy need not warn of it.
+    # An overflow scores inf or leaves a non-finite aggregate; numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
         at_ones = objective_f(x0, params, counts)
         result = minimize(gram_objective(params, counts), x0, config)
+        aggregate = candidate_aggregate(params, counts, result.x_star)
     solution = AlphaSolution(
         alpha=result.x_star,
         objective_at_alpha=result.f_star,
@@ -201,7 +200,7 @@ def aggregate_fedavgopt(
         converged=result.converged,
         iterations=result.iterations,
     )
-    return candidate_aggregate(params, counts, result.x_star), solution
+    return aggregate, solution
 
 
 # The bounds of the fields several rules declare.  server_lr = 0 is
@@ -219,7 +218,7 @@ class FedAvg(Config):
 
     def step(
         self, updates: Sequence[ClientUpdate], previous_global: ParamVector, state: None
-    ) -> tuple[ParamVector, None]:
+    ) -> tuple[np.ndarray, None]:
         return aggregate_fedavg(updates), None
 
 
@@ -241,13 +240,12 @@ class FedAvgM(Config):
         updates: Sequence[ClientUpdate],
         previous_global: ParamVector,
         momentum: ParamVector | None,
-    ) -> tuple[ParamVector, ParamVector]:
-        with np.errstate(over="ignore", invalid="ignore"):
-            previous = previous_global.values
-            delta = previous - _values_under(previous_global, aggregate_fedavg(updates))
-            carried = momentum.values if momentum is not None else 0.0
-            velocity = self.momentum_beta * carried + delta
-            return ParamVector(previous - self.server_lr * velocity), ParamVector(velocity)
+    ) -> tuple[np.ndarray, ParamVector]:
+        previous = previous_global.values
+        delta = previous - aggregate_fedavg(updates)
+        carried = momentum.values if momentum is not None else 0.0
+        velocity = self.momentum_beta * carried + delta
+        return previous - self.server_lr * velocity, ParamVector(velocity)
 
 
 @dataclass(frozen=True)
@@ -261,23 +259,21 @@ class FedMedian(Config):
 
     def step(
         self, updates: Sequence[ClientUpdate], previous_global: ParamVector, state: None
-    ) -> tuple[ParamVector, None]:
-        with np.errstate(over="ignore", invalid="ignore"):
-            params, _ = _params_and_counts(updates)
-            stacked = np.stack([_values_under(previous_global, p) for p in params])
-            # np.median's own steps, so its bits, signed zeros included: one
-            # partition (with the trailing -1 its NaN check adds), then the
-            # mean of the middle row, or of the two middle rows for an even
-            # count.  Its NaN check itself imports numpy.ma; ParamVector keeps
-            # every entry finite.
-            mid = len(stacked) // 2
-            middle = [mid] if len(stacked) % 2 else [mid - 1, mid]
-            stacked.partition(middle + [-1], axis=0)
-            median = stacked[middle[0] : mid + 1].mean(axis=0)
-            if self.server_lr == 1.0:
-                return ParamVector(median), None
-            previous = previous_global.values
-            return ParamVector(previous - self.server_lr * (previous - median)), None
+    ) -> tuple[np.ndarray, None]:
+        stacked = np.stack([u.params.values for u in updates])
+        # np.median's own steps, so its bits, signed zeros included: one
+        # partition (with the trailing -1 its NaN check adds), then the mean
+        # of the middle row, or of the two middle rows for an even count.
+        # Its NaN check itself imports numpy.ma; ParamVector keeps every
+        # entry finite.
+        mid = len(stacked) // 2
+        middle = [mid] if len(stacked) % 2 else [mid - 1, mid]
+        stacked.partition(middle + [-1], axis=0)
+        median = stacked[middle[0] : mid + 1].mean(axis=0)
+        if self.server_lr == 1.0:
+            return median, None
+        previous = previous_global.values
+        return previous - self.server_lr * (previous - median), None
 
 
 @dataclass(frozen=True)
@@ -304,30 +300,30 @@ class FedOpt(Config):
         updates: Sequence[ClientUpdate],
         previous_global: ParamVector,
         moments: tuple[ParamVector, ParamVector] | None,
-    ) -> tuple[ParamVector, tuple[ParamVector, ParamVector]]:
-        with np.errstate(over="ignore", invalid="ignore"):
-            previous = previous_global.values
-            delta = _values_under(previous_global, aggregate_fedavg(updates)) - previous
-            if moments is None:
-                m_prev, v_prev = 0.0, np.full(len(previous_global), self.tau**2)
-            else:
-                m_prev, v_prev = moments[0].values, moments[1].values
-            m = self.beta1 * m_prev + (1.0 - self.beta1) * delta
+    ) -> tuple[np.ndarray, tuple[ParamVector, ParamVector]]:
+        previous = previous_global.values
+        delta = aggregate_fedavg(updates) - previous
+        if moments is None:
+            # A float64 square: a huge tau gives inf, which the v wrap rejects.
+            m_prev, v_prev = 0.0, np.full(len(previous), np.float64(self.tau) ** 2)
+        else:
+            m_prev, v_prev = moments[0].values, moments[1].values
+        m = self.beta1 * m_prev + (1.0 - self.beta1) * delta
 
-            d2 = delta**2
-            if self.server_optimizer == "sgd":
-                v = v_prev
-                step = self.server_lr * m
-            else:
-                if self.server_optimizer == "adagrad":
-                    v = v_prev + d2
-                elif self.server_optimizer == "adam":
-                    v = self.beta2 * v_prev + (1.0 - self.beta2) * d2
-                else:  # yogi
-                    v = v_prev - (1.0 - self.beta2) * d2 * np.sign(v_prev - d2)
-                step = self.server_lr * m / (np.sqrt(v) + self.tau)
+        d2 = delta**2
+        if self.server_optimizer == "sgd":
+            v = v_prev
+            step = self.server_lr * m
+        else:
+            if self.server_optimizer == "adagrad":
+                v = v_prev + d2
+            elif self.server_optimizer == "adam":
+                v = self.beta2 * v_prev + (1.0 - self.beta2) * d2
+            else:  # yogi
+                v = v_prev - (1.0 - self.beta2) * d2 * np.sign(v_prev - d2)
+            step = self.server_lr * m / (np.sqrt(v) + self.tau)
 
-            return ParamVector(previous + step), (ParamVector(m), ParamVector(v))
+        return previous + step, (ParamVector(m), ParamVector(v))
 
 
 @dataclass(frozen=True)
@@ -355,7 +351,7 @@ class FedAvgOpt(Config):
 
     def step(
         self, updates: Sequence[ClientUpdate], previous_global: ParamVector, state: object
-    ) -> tuple[ParamVector, AlphaSolution]:
+    ) -> tuple[np.ndarray, AlphaSolution]:
         return aggregate_fedavgopt(updates, self.solver)
 
 
@@ -390,5 +386,11 @@ class Aggregator:
     def aggregate(
         self, updates: Sequence[ClientUpdate], previous_global: ParamVector
     ) -> ParamVector:
-        new_global, self.state = self.rule.step(updates, previous_global, self.state)
+        """The rule's next global model, keeping its new state: the one checked
+        server step.  A client of another length than ``previous_global``, or a
+        non-finite global or state, raises and leaves the state as it was."""
+        _params_and_counts(updates, len(previous_global))
+        with np.errstate(over="ignore", invalid="ignore"):
+            values, state = self.rule.step(updates, previous_global, self.state)
+        new_global, self.state = ParamVector(values), state
         return new_global

@@ -29,9 +29,10 @@ which advances every rule one round at a time and trains all of a round's
 (rule, client) pairs in one ``sgd_train`` call, must write the same files.
 
 ``aggregate_fedavgm``, ``aggregate_fedmedian`` and ``aggregate_fedopt`` build
-every intermediate as a ``ParamVector`` through ``linear_combination``; the
-array-based ``step`` methods of the rules in :mod:`fedsim.strategies` must
-match them bit for bit, global model and carried state alike.
+every intermediate as a checked ``ParamVector`` through ``linear_combination``;
+the ``step`` methods of the rules in :mod:`fedsim.strategies`, unchecked
+kernels on raw arrays, must match them bit for bit, global model and carried
+state alike.
 
 ``load_csv`` parses each cell into its own Python float, keeps one list per
 row and converts them all at the end; :func:`fedsim.data.load_csv`, which
@@ -97,13 +98,12 @@ from fedsim import (
     SimplexConfig,
     StrategyRun,
     aggregate_fedavg,
-    candidate_aggregate,
-    linear_combination,
     weighted_accuracy,
 )
 from fedsim.exceptions import CsvParseError, checked
 from fedsim.nelder_mead import Objective
-from fedsim.strategies import DENOMINATOR_FLOOR, Rule, _params_and_counts
+from fedsim.params import linear_combination as ordered_sum
+from fedsim.strategies import DENOMINATOR_FLOOR, Rule, _params_and_counts, candidate_aggregate
 
 
 def minimize(objective: Objective, x0: Sequence[float], config: SimplexConfig = SimplexConfig()) -> MinimizeResult:
@@ -244,7 +244,7 @@ def objective_f(
     """Sum over clients of ||w(x) - w_j|| / ||w(x) + w_j|| for the candidate
     aggregate w(x), with the denominator floored at ``DENOMINATOR_FLOOR``,
     each norm taken over the full vectors."""
-    candidate = candidate_aggregate(client_params, counts, x).values
+    candidate = candidate_aggregate(client_params, counts, x)
     return sum(
         float(np.linalg.norm(candidate - w.values))
         / max(float(np.linalg.norm(candidate + w.values)), DENOMINATOR_FLOOR)
@@ -496,6 +496,12 @@ def coordinate_median(vectors: Sequence[ParamVector]) -> ParamVector:
     return ParamVector(np.median(stacked, axis=0))
 
 
+def linear_combination(vectors: Sequence[ParamVector], coefficients: Sequence[float]) -> ParamVector:
+    """The ordered sum of ``coefficients[i] * vectors[i]``, wrapped and so
+    checked finite."""
+    return ParamVector(ordered_sum(vectors, coefficients))
+
+
 def aggregate_fedavgm(
     updates: Sequence[ClientUpdate],
     previous_global: ParamVector,
@@ -507,7 +513,7 @@ def aggregate_fedavgm(
     v <- beta * v + (previous - fedavg);  next = previous - lr * v.
     With beta = 0 and lr = 1 this collapses to plain fedavg.  The state is v.
     """
-    average = aggregate_fedavg(updates)
+    average = ParamVector(aggregate_fedavg(updates))
     delta = linear_combination([previous_global, average], [1.0, -1.0])
     momentum = momentum if momentum is not None else zeros_like(previous_global)
     velocity = linear_combination([momentum, delta], [hp.momentum_beta, 1.0])
@@ -546,7 +552,7 @@ def aggregate_fedopt(
     moment starts at tau^2 so the first division is well conditioned.  The
     state is (m, v).
     """
-    average = aggregate_fedavg(updates)
+    average = ParamVector(aggregate_fedavg(updates))
     delta = linear_combination([average, previous_global], [1.0, -1.0])
 
     if moments is None:

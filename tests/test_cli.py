@@ -977,6 +977,21 @@ class TestMain:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    def test_huge_tau_fails_as_an_aggregation(self, tmp_path, capsys, optimizer):
+        # tau^2 overflows to inf in fedopt's second moment: a NumericError and
+        # exit 2, where a Python float square once raised OverflowError.
+        text = SMALL_YAML.replace("strategies: [fedavg, fedavgopt]", "strategies: [fedavg, fedopt]")
+        extra = f"hyperparams: {{fedopt: {{tau: 1.0e+200, server_optimizer: {optimizer}}}}}\n"
+        path = write_config(tmp_path, text + extra)
+        out = tmp_path / "out"
+        assert main(["compare", path, "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err.strip() == (
+            "error: fedopt, seed 0, round 1: aggregation failed: "
+            "parameter vector contains non-finite entries"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flag, value, message",
         [

@@ -743,6 +743,9 @@ class TestStreamSeed:
             ((-1, "init"), "seed must be an integer >= 0, got -1"),
             ((True, "init"), "seed must be an integer >= 0, got True"),
             ((0, "labels"), "stream must be one of"),
+            # True once read as client 1; -1 once raised numpy's bare ValueError.
+            ((0, "split", True), "index must be an integer >= 0, got True"),
+            ((0, "split", -1), "index must be an integer >= 0, got -1"),
         ],
     )
     def test_rejects_a_bad_argument(self, args, message):

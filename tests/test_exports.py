@@ -31,6 +31,17 @@ def test_loss_and_gradient_is_internal():
     assert callable(fedsim.models.loss_and_gradient)
 
 
+def test_linear_combination_and_candidate_aggregate_are_internal():
+    # Unchecked array kernels of the server step: out of the package's
+    # namespace, but kept under their names, where the benchmark's tracer
+    # counts fedsim.strategies.linear_combination calls.
+    for name in ("linear_combination", "candidate_aggregate"):
+        assert name not in fedsim.__all__
+        assert not hasattr(fedsim, name)
+    assert callable(fedsim.strategies.linear_combination)
+    assert callable(fedsim.strategies.candidate_aggregate)
+
+
 def test_benchmark_hook_targets_exist(monkeypatch):
     # The benchmark's tracer patches fedsim functions by name and raises
     # HookError naming any that is gone; its sweep builds vectors with with_values.

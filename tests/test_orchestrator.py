@@ -238,7 +238,7 @@ class TestRunFederation:
                         params=ParamVector(local),
                     )
                 )
-            params = aggregate_fedavg(updates)
+            params = ParamVector(aggregate_fedavg(updates))
             expected_global = weighted_accuracy(
                 [
                     (len(s.test), evaluate([params.values], SPEC, [s.test])[0]["accuracy"])
