@@ -151,8 +151,9 @@ def load_csv(path: str, label_column: str) -> Dataset:
     Data rows are read in chunks of about 64 KB.  A chunk of plain rows is
     parsed in one ``np.loadtxt`` call; from the first chunk that is not
     plain (quoting, a fault, anything :func:`_bulk_rows` refuses), the rest
-    of the file goes through the csv module row by row.  Both give the same
-    bits, as ``np.loadtxt`` reads a number with the parser ``float()`` uses.
+    of the file goes through the csv module row by row, and :func:`_read_rows`
+    reads each feature cell once with ``float()``.  Both give the same bits,
+    as ``np.loadtxt`` reads a number with the parser ``float()`` uses.
     """
     # Undecodable bytes become lone surrogates, so the row that holds one can
     # be named; _undecoded_byte finds them.
@@ -239,7 +240,8 @@ def _read_rows(
     class_index: dict[str, int],
 ) -> None:
     """Parse the rest of the file row by row from the csv reader ``rows``,
-    appending to the buffers, and raise on the first faulty row."""
+    appending to the buffers.  Each feature cell is read once, in row order,
+    with ``float()``; the first cell that is not a finite number raises."""
     row_num = len(labels)
     while (row := _next_row(path, rows, row_num + 1)) is not None:
         row_num += 1
@@ -248,15 +250,18 @@ def _read_rows(
                 f"{path}: row {row_num} has {len(row)} cells, expected {len(names) + 1}"
             )
         labels.append(class_index.setdefault(row.pop(label_idx), len(class_index)))
-        try:
-            parsed = list(map(float, row))
-        except ValueError:
-            parsed = None
-        # float() also accepts nan and inf, and rounds 1e400 to inf; a
-        # finite row can still sum to inf, so a non-finite sum is re-checked.
-        if parsed is None or not math.isfinite(sum(parsed)):
-            parsed = _parse_cells(path, row_num, names, row)
-        values.fromlist(parsed)
+        for name, cell in zip(names, row):
+            try:
+                value = float(cell)
+            except ValueError:
+                value = None
+            # float() also accepts nan and inf, and rounds 1e400 to inf.
+            if value is None or not math.isfinite(value):
+                raise CsvParseError(
+                    f"{path}: row {row_num}, column {name!r}: "
+                    f"{'non-numeric' if value is None else 'non-finite'} value {cell!r}"
+                )
+            values.append(value)
 
 
 def _next_row(path: str, rows, row_num: int) -> list[str] | None:
@@ -290,24 +295,6 @@ def _undecoded_byte(text: str) -> int | None:
     except UnicodeEncodeError as exc:
         return ord(text[exc.start]) - 0xDC00
     return None
-
-
-def _parse_cells(path: str, row_num: int, names: list[str], cells: list[str]) -> list[float]:
-    """Cell-by-cell parse of one row's feature cells, raising on the first
-    cell that is not a finite number."""
-    parsed = []
-    for name, cell in zip(names, cells):
-        try:
-            value = float(cell)
-        except ValueError:
-            value = None
-        if value is None or not math.isfinite(value):
-            raise CsvParseError(
-                f"{path}: row {row_num}, column {name!r}: "
-                f"{'non-numeric' if value is None else 'non-finite'} value {cell!r}"
-            )
-        parsed.append(value)
-    return parsed
 
 
 STREAMS = ("blobs", "partition", "split", "init", "batches")

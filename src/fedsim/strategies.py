@@ -19,7 +19,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .exceptions import Config, ShapeMismatchError, bounded, checked
+from .exceptions import Config, ShapeMismatchError, bounded
 from .nelder_mead import Objective, SimplexConfig, minimize
 from .params import ParamVector, linear_combination
 
@@ -31,17 +31,13 @@ DENOMINATOR_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
-class ClientUpdate:
+class ClientUpdate(Config):
     """One client's round output: its trained parameters and the number of
     training examples that weights them in the aggregate."""
 
     client_id: str
-    num_examples: int
+    num_examples: int = bounded(ge=1)
     params: ParamVector
-
-    def __post_init__(self) -> None:
-        count = checked("num_examples", self.num_examples, int, {"ge": 1})
-        object.__setattr__(self, "num_examples", count)
 
 
 @dataclass(frozen=True)

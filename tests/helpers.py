@@ -32,6 +32,7 @@ CONFIG_TYPES = (
     FedYogi,
     FedAvg,
     FedAvgOpt,
+    ClientUpdate,
 )
 
 # The fields of each strategy's rule type, which are the settings its server

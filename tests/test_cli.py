@@ -15,6 +15,7 @@ import yaml
 import fedsim.cli
 import oracles
 from fedsim import (
+    ClientUpdate,
     ComparisonResult,
     FedAvg,
     FedAvgM,
@@ -24,6 +25,7 @@ from fedsim import (
     FedOpt,
     FedYogi,
     ModelSpec,
+    ParamVector,
     SimplexConfig,
     TrainConfig,
 )
@@ -93,6 +95,7 @@ BELOW_BOUND = [
     (FederationConfig, "rounds", 1, None),
     (FederationConfig, "seed", 0, None),
     (SimplexConfig, "max_iterations", 1, "solver: {max_iterations: 0}"),
+    (ClientUpdate, "num_examples", 1, None),
 ]
 # The annotations of int-typed fields, and of float-typed ones.
 INT_TYPES = ("int", "int | None", "tuple[int, ...]")
@@ -498,6 +501,7 @@ REQUIRED = {
     ExperimentConfig: {"dataset": DatasetConfig("blobs"), "rules": (FedAvg(),)},
     ModelSpec: {"input_dim": 3},
     FederationConfig: {"model": ModelSpec(input_dim=3), "train": TrainConfig()},
+    ClientUpdate: {"client_id": "c", "num_examples": 1, "params": ParamVector(np.zeros(2))},
 }
 # How a message names the rule types, which make up ``Rule``.
 RULE_TYPES = "FedAvg or FedAvgM or FedMedian or FedOpt or FedAvgOpt"
@@ -532,6 +536,7 @@ INT_FIELDS = [
     (FederationConfig, "rounds"),
     (FederationConfig, "seed"),
     (SimplexConfig, "max_iterations"),
+    (ClientUpdate, "num_examples"),
 ]
 # Each float-typed field of every config type, with a value it accepts.
 FLOAT_FIELDS = [

@@ -396,12 +396,20 @@ class TestLoadCsv:
         assert np.array_equal(got.labels, expected.labels)
         assert got.class_names == expected.class_names
 
-    def test_peak_memory_stays_near_the_matrix(self, tmp_path):
+    @pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted-labels"])
+    def test_peak_memory_stays_near_the_matrix(self, tmp_path, monkeypatch, quoted):
+        # Quoted labels, as R's write.csv writes them, send every row to the
+        # row reader; plain rows take the bulk path.
         rng = np.random.default_rng(0)
         features = rng.normal(size=(4000, 20))
+        label = '"c{}"' if quoted else "c{}"
         lines = ["label," + ",".join(f"x{j}" for j in range(20))]
-        lines += [f"c{i % 3}," + ",".join(map(repr, row)) for i, row in enumerate(features.tolist())]
+        lines += [
+            label.format(i % 3) + "," + ",".join(map(repr, row))
+            for i, row in enumerate(features.tolist())
+        ]
         path = self.write(tmp_path, "\n".join(lines) + "\n")
+        starts = row_reader_starts(monkeypatch)
         tracemalloc.start()
         try:
             data = load_csv(path, "label")
@@ -409,6 +417,7 @@ class TestLoadCsv:
         finally:
             tracemalloc.stop()
         assert data.features.tobytes() == features.tobytes()
+        assert starts == ([0] if quoted else [])
         # The parse buffers become the dataset's arrays, with no second copy.
         assert peak < 1.5 * features.nbytes
 

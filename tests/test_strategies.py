@@ -115,6 +115,12 @@ class TestHyperparams:
         update = ClientUpdate("c", np.int64(3), make_vec([1.0]))
         assert type(update.num_examples) is int and update.num_examples == 3
 
+    def test_client_update_refuses_a_raw_array(self):
+        # Once accepted, and then fedavg failed on `.values` naming nothing.
+        message = re.escape("params must be an instance of ParamVector, got array([1., 2.])")
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            ClientUpdate("c", 3, np.array([1.0, 2.0]))
+
 
 # A valid value for every field that is no rule's default.
 PERTURBED = {
