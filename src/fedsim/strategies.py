@@ -5,10 +5,10 @@ A rule's fields are exactly the settings its server step reads, with the
 rule's own defaults.  Its ``step`` method maps this round's client updates,
 the previous global model and the state carried from the last round to the
 next global model, as a raw float64 array, and the state to carry.  A step
-is an unchecked array kernel; :meth:`Aggregator.aggregate` alone checks the
-clients, silences numpy's overflow and invalid-value warnings, and wraps
-the new global in a :class:`ParamVector`, so an overflow surfaces only as
-that wrap's :class:`NumericError`, or a state wrap's.
+checks the client set it combines; :meth:`Aggregator.aggregate` also checks
+their length against the previous global, silences numpy's overflow and
+invalid-value warnings, and wraps the new global in a :class:`ParamVector`,
+so an overflow surfaces only as a wrap's :class:`NumericError`.
 """
 
 from __future__ import annotations
@@ -43,9 +43,9 @@ class ClientUpdate(Config):
 @dataclass(frozen=True)
 class AlphaSolution:
     """Per-round diagnostic of the coefficient solve: the coefficients (a
-    read-only float64 vector), the search's objective value at them and
-    :func:`objective_f` at all-ones, the first never above the second, and
-    the Nelder-Mead search's outcome."""
+    read-only float64 vector), the search's objective value at them and at
+    all-ones, the first never above the second, and the Nelder-Mead
+    search's outcome."""
 
     alpha: np.ndarray
     objective_at_alpha: float
@@ -90,28 +90,12 @@ def candidate_aggregate(
 
 
 def objective_f(
-    x: Sequence[float],
-    client_params: Sequence[ParamVector],
-    counts: Sequence[int],
-) -> float:
-    """Sum over clients of ||w(x) - w_j|| / ||w(x) + w_j|| for the candidate
-    aggregate w(x), with the denominator floored to stay finite: one
-    evaluation of :func:`gram_objective`, so each call costs one QR
-    factorization of the clients."""
-    xs = np.asarray(x, dtype=np.float64).reshape(-1)
-    if not (len(xs) == len(client_params) == len(counts)) or len(xs) < 1:
-        raise ValueError(
-            "x, client_params, and counts must have equal nonzero length"
-        )
-    return gram_objective(client_params, counts)(xs)
-
-
-def gram_objective(
     client_params: Sequence[ParamVector],
     counts: Sequence[int],
 ) -> Objective:
-    """The fedavgopt objective as a function of x for fixed clients, at
-    O(K^2) per call for K clients; :func:`objective_f` is one call of it.
+    """Sum over clients of ||w(x) - w_j|| / ||w(x) + w_j|| for the candidate
+    aggregate w(x), denominator floored, as a function of x (one coefficient
+    per client, unchecked) for fixed clients, at O(K^2) per call for K clients.
 
     Every vector the objective measures is a combination of K + 1 basis
     vectors: each client's offset d_j from the count-weighted mean m, and m
@@ -175,19 +159,19 @@ def aggregate_fedavgopt(
     """Solve for per-client scaling coefficients starting from all-ones, then
     aggregate with them.
 
-    The search scores candidates with :func:`gram_objective`, and the
-    reported objective values are that objective's: the search's best value
-    and :func:`objective_f` at all-ones.  All-ones is a vertex of the
-    initial simplex and the best value never rises, so the coefficients
+    One :func:`objective_f` of the clients scores the search's candidates
+    and all-ones, so both reported values are that objective's: the
+    search's best value and its value at all-ones.  All-ones is a vertex of
+    the initial simplex and the best value never rises, so the coefficients
     never score worse than plain fedavg.
     """
     params, counts = _params_and_counts(updates)
     x0 = np.ones(len(updates))
-    x0.setflags(write=False)
     # An overflow scores inf or leaves a non-finite aggregate; numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
-        at_ones = objective_f(x0, params, counts)
-        result = minimize(gram_objective(params, counts), x0, config)
+        objective = objective_f(params, counts)
+        at_ones = objective(x0)
+        result = minimize(objective, x0, config)
         aggregate = candidate_aggregate(params, counts, result.x_star)
     solution = AlphaSolution(
         alpha=result.x_star,
@@ -256,7 +240,8 @@ class FedMedian(Config):
     def step(
         self, updates: Sequence[ClientUpdate], previous_global: ParamVector, state: None
     ) -> tuple[np.ndarray, None]:
-        stacked = np.stack([u.params.values for u in updates])
+        params, _ = _params_and_counts(updates)
+        stacked = np.stack([p.values for p in params])
         # np.median's own steps, so its bits, signed zeros included: one
         # partition (with the trailing -1 its NaN check adds), then the mean
         # of the middle row, or of the two middle rows for an even count.

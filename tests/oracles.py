@@ -6,12 +6,12 @@ its vertex rows sorted by insertion, must agree with it bit for bit.
 
 ``objective_f`` is the fedavgopt objective by its definition: the candidate
 aggregate built over the full vectors and each client's two distances taken
-with ``np.linalg.norm``.  :func:`fedsim.strategies.gram_objective`, which
-takes the norms in the QR factor of the client basis, must agree with it to
-rounding.
+with ``np.linalg.norm``.  The closure :func:`fedsim.strategies.objective_f`
+returns, which takes the norms in the QR factor of the client basis, must
+agree with it to rounding.
 
 ``gram_objective`` builds a fresh array for every intermediate of each call;
-the closure :func:`fedsim.strategies.gram_objective` returns, which writes
+the closure :func:`fedsim.strategies.objective_f` returns, which writes
 them into buffers it allocates once, must return the same bits.
 
 ``forward`` is the model's forward pass keeping every pre-activation, with
@@ -258,7 +258,7 @@ def gram_objective(
 ) -> Objective:
     """The fedavgopt objective in the QR factor of the client basis, each
     call allocating its intermediates; the closure
-    :func:`fedsim.strategies.gram_objective` returns, which writes them into
+    :func:`fedsim.strategies.objective_f` returns, which writes them into
     buffers it keeps, must return the same bits."""
     weights = np.asarray(counts, dtype=np.float64) / float(sum(counts))
     stacked = np.stack([w.values for w in client_params])

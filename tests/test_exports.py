@@ -1,6 +1,8 @@
 import textwrap
 from pathlib import Path
 
+import pytest
+
 import fedsim
 import fedsim.models
 import fedsim.strategies
@@ -23,23 +25,24 @@ def test_star_import():
     assert set(fedsim.__all__) <= set(namespace)
 
 
-def test_loss_and_gradient_is_internal():
-    # It is sgd_train's unchecked step: gone from the package's namespace, but
-    # kept under its name in fedsim.models, where the benchmark's tracer hooks it.
-    assert "loss_and_gradient" not in fedsim.__all__
-    assert not hasattr(fedsim, "loss_and_gradient")
-    assert callable(fedsim.models.loss_and_gradient)
-
-
-def test_linear_combination_and_candidate_aggregate_are_internal():
-    # Unchecked array kernels of the server step: out of the package's
-    # namespace, but kept under their names, where the benchmark's tracer
-    # counts fedsim.strategies.linear_combination calls.
-    for name in ("linear_combination", "candidate_aggregate"):
-        assert name not in fedsim.__all__
-        assert not hasattr(fedsim, name)
-    assert callable(fedsim.strategies.linear_combination)
-    assert callable(fedsim.strategies.candidate_aggregate)
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        (fedsim.models, "loss_and_gradient"),
+        (fedsim.strategies, "linear_combination"),
+        (fedsim.strategies, "candidate_aggregate"),
+        (fedsim.strategies, "objective_f"),
+    ],
+    ids=lambda arg: arg if isinstance(arg, str) else arg.__name__.removeprefix("fedsim."),
+)
+def test_unchecked_kernel_is_internal(module, name):
+    # Unchecked kernels of the training and server steps: out of the
+    # package's namespace, but kept under their names in their modules,
+    # where the benchmark's tracer hooks loss_and_gradient, linear_combination
+    # and objective_f.
+    assert name not in fedsim.__all__
+    assert not hasattr(fedsim, name)
+    assert callable(getattr(module, name))
 
 
 def test_benchmark_hook_targets_exist(monkeypatch):

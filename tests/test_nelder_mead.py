@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from fedsim import ConfigError, NumericError, ParamVector, SimplexConfig, minimize
-from fedsim.strategies import gram_objective
+from fedsim.strategies import objective_f
 from helpers import random_vectors
 
 # The coefficients of the 1965 method, which a config restores by naming them.
@@ -239,7 +239,7 @@ class TestMatchesListOracle:
         rng = np.random.default_rng(16)
         base = rng.normal(size=200)
         params = [v.with_values(base + 0.1 * v.values) for v in random_vectors(rng, 16, 200)]
-        objective = gram_objective(params, rng.integers(1, 100, size=16))
+        objective = objective_f(params, rng.integers(1, 100, size=16))
         x0 = np.ones(16)
         config = SimplexConfig(**coefficients)
         result = minimize(objective, x0, config)
@@ -251,7 +251,7 @@ class TestMatchesListOracle:
         rng = np.random.default_rng(32)
         base = rng.normal(size=84)
         params = [v.with_values(base + 0.05 * v.values) for v in random_vectors(rng, 32, 84)]
-        objective = gram_objective(params, rng.integers(50, 151, size=32))
+        objective = objective_f(params, rng.integers(50, 151, size=32))
         x0 = np.ones(32)
         config = SimplexConfig(**coefficients)
         result = minimize(objective, x0, config)
@@ -264,7 +264,7 @@ def client_objective(clients: int, seed: int, size: int = 84):
     rng = np.random.default_rng([clients, seed])
     base = rng.normal(size=size)
     params = [ParamVector(base + 0.1 * rng.normal(size=size)) for _ in range(clients)]
-    return gram_objective(params, rng.integers(50, 151, size=clients))
+    return objective_f(params, rng.integers(50, 151, size=clients))
 
 
 class TestAdaptiveDefault:

@@ -25,7 +25,6 @@ from fedsim import (
     SimplexConfig,
     aggregate_fedavg,
     aggregate_fedavgopt,
-    objective_f,
 )
 from fedsim.exceptions import ConfigError, NumericError, ShapeMismatchError
 from fedsim.nelder_mead import MinimizeResult, minimize
@@ -35,9 +34,9 @@ from fedsim.strategies import (
     SERVER_OPTIMIZERS,
     STRATEGIES,
     candidate_aggregate,
-    gram_objective,
+    objective_f,
 )
-from helpers import RULE_FIELDS, make_updates, make_vec, random_vectors
+from helpers import RULE_FIELDS, count_calls, make_updates, make_vec, random_vectors
 import oracles
 
 
@@ -437,28 +436,22 @@ class TestObjectiveF:
     def test_identical_clients_at_ones_is_zero(self):
         w = make_vec([0.4, -1.1, 2.2])
         params = [w, w, w, w]
-        assert objective_f([1.0] * 4, params, [5, 5, 5, 5]) == 0.0
+        assert objective_f(params, [5, 5, 5, 5])(np.ones(4)) == 0.0
 
     def test_orthogonal_pair_at_ones(self):
         params = [make_vec([1.0, 0.0]), make_vec([0.0, 1.0])]
-        value = objective_f([1.0, 1.0], params, [1, 1])
+        value = objective_f(params, [1, 1])(np.ones(2))
         # 2*sqrt(0.5/2.5) by hand
         assert value == pytest.approx(2.0 * math.sqrt(0.2), abs=1e-6)
 
     def test_orthogonal_pair_at_sqrt2(self):
         params = [make_vec([1.0, 0.0]), make_vec([0.0, 1.0])]
         s = math.sqrt(2.0)
-        value = objective_f([s, s], params, [1, 1])
+        value = objective_f(params, [1, 1])(np.full(2, s))
         # analytic minimum on the symmetric axis: 2*sqrt((2-sqrt2)/(2+sqrt2))
         expected = 2.0 * math.sqrt((2.0 - s) / (2.0 + s))
         assert value == pytest.approx(expected, abs=1e-6)
         assert value == pytest.approx(0.82843, abs=1e-5)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            objective_f([1.0], [make_vec([1.0]), make_vec([2.0])], [1, 1])
-        with pytest.raises(ValueError):
-            objective_f([], [], [])
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(61)
@@ -466,14 +459,14 @@ class TestObjectiveF:
         counts = [3, 1, 4, 2]
         x = rng.uniform(0.5, 1.5, size=4)
         perm = [2, 0, 3, 1]
-        a = objective_f(x, params, counts)
-        b = objective_f(x[perm], [params[k] for k in perm], [counts[k] for k in perm])
+        a = objective_f(params, counts)(x)
+        b = objective_f([params[k] for k in perm], [counts[k] for k in perm])(x[perm])
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_denominator_guard_keeps_value_finite(self):
         # candidate equals -w1 exactly, so that summand hits the 1e-12 floor
         params = [make_vec([1.0, 0.0]), make_vec([-3.0, 0.0])]
-        value = objective_f([1.0, 1.0], params, [1, 1])
+        value = objective_f(params, [1, 1])(np.ones(2))
         assert math.isfinite(value)
         assert value == pytest.approx(2.0 / 1e-12 + 0.5, rel=1e-15)
 
@@ -482,7 +475,7 @@ class TestObjectiveF:
         for _ in range(20):
             params = random_vectors(rng, 3, 6)
             x = rng.uniform(-2, 2, size=3)
-            assert objective_f(x, params, [1, 2, 3]) >= 0.0
+            assert objective_f(params, [1, 2, 3])(x) >= 0.0
 
 
 def clustered_clients(seed, num_clients, size, spread, scale=1.0):
@@ -528,7 +521,8 @@ def cancelling_x(counts, rng):
 
 
 class TestGramObjective:
-    """gram_objective against the direct evaluation, oracles.objective_f."""
+    """objective_f's closure, which scores x in the QR factor of the client
+    basis, against the direct evaluation, oracles.objective_f."""
 
     @gram_settings
     @given(seed=seeds, k=num_clients, size=st.integers(1, 200), spread=spreads)
@@ -536,14 +530,14 @@ class TestGramObjective:
         params, counts, rng = clustered_clients(seed, k, size, spread)
         x = 10.0 ** rng.uniform(155, 300, size=k)
         with np.errstate(over="ignore", invalid="ignore"):
-            assert gram_objective(params, counts)(x) == math.inf
+            assert objective_f(params, counts)(x) == math.inf
 
     @gram_settings
     @given(seed=seeds, k=num_clients, size=sizes, spread=spreads)
     @example(seed=0, k=32, size=5, spread=0.1)  # fewer parameters than clients
     def test_matches_objective_f(self, seed, k, size, spread):
         params, counts, rng = clustered_clients(seed, k, size, spread)
-        gram = gram_objective(params, counts)
+        gram = objective_f(params, counts)
         probes = [np.ones(k), rng.uniform(-2, 2, size=k)]
         probes += [cancelling_x(counts, rng) for _ in range(3)]
         for x in probes:
@@ -554,14 +548,14 @@ class TestGramObjective:
     def test_identical_clients(self, seed, k, size):
         params, counts, rng = clustered_clients(seed, k, size, 0.0)
         assert all(np.array_equal(w.values, params[0].values) for w in params)
-        gram = gram_objective(params, counts)
+        gram = objective_f(params, counts)
         assert gram(np.ones(k)) <= 1e-9
         x = rng.uniform(-2, 2, size=k)
         assert same_value(gram(x), oracles.objective_f(x, params, counts))
 
     def test_denominator_floor(self):
         params = [make_vec([1.0, 0.0]), make_vec([-3.0, 0.0])]
-        value = gram_objective(params, [1, 1])(np.ones(2))
+        value = objective_f(params, [1, 1])(np.ones(2))
         assert value == pytest.approx(2.0 / 1e-12 + 0.5, rel=1e-15)
         assert same_value(value, oracles.objective_f([1.0, 1.0], params, [1, 1]))
 
@@ -575,7 +569,7 @@ class TestGramObjective:
         params, counts, rng = clustered_clients(seed, k, size, spread)
         huge, _, _ = clustered_clients(seed, k, size, spread, scale)
         x = rng.uniform(-2, 2, size=k)
-        assert same_value(gram_objective(huge, counts)(x), oracles.objective_f(x, params, counts))
+        assert same_value(objective_f(huge, counts)(x), oracles.objective_f(x, params, counts))
 
     @gram_settings
     @given(seed=seeds, k=num_clients, size=st.integers(1, 200), spread=spreads,
@@ -584,7 +578,7 @@ class TestGramObjective:
         # Every denominator sits below the floor, so both evaluations are ~0.
         params, counts, rng = clustered_clients(seed, k, size, spread, scale)
         x = rng.uniform(-2, 2, size=k)
-        assert same_value(gram_objective(params, counts)(x), oracles.objective_f(x, params, counts))
+        assert same_value(objective_f(params, counts)(x), oracles.objective_f(x, params, counts))
 
     @pytest.mark.parametrize("size", [6, 84, 1604])
     @pytest.mark.parametrize("k", range(1, 33))
@@ -592,7 +586,7 @@ class TestGramObjective:
         # The closure writes every intermediate into buffers it keeps across
         # calls; the oracle allocates them, and scores each x in the same bits.
         params, counts, rng = clustered_clients([k, size], k, size, 0.1)
-        gram, oracle = gram_objective(params, counts), oracles.gram_objective(params, counts)
+        gram, oracle = objective_f(params, counts), oracles.gram_objective(params, counts)
         probes = [np.ones(k)] + [1.0 + scale * rng.normal(size=k) for scale in (1e-3, 0.1, 1.0, 10.0)]
         probes += [cancelling_x(counts, rng) for _ in range(4)]
         probes += [10.0 ** rng.uniform(155, 300, size=k) * rng.choice([-1.0, 1.0], size=k)]
@@ -610,7 +604,7 @@ class TestGramObjective:
             st.sampled_from([math.inf, -math.inf, math.nan])
         )
         with np.errstate(over="ignore", invalid="ignore"):
-            assert gram_objective(params, counts)(x) == math.inf
+            assert objective_f(params, counts)(x) == math.inf
 
 
 class TestFedAvgOpt:
@@ -677,7 +671,7 @@ class TestFedAvgOpt:
         assert solution.alpha is x_bad
         assert out.tobytes() == candidate_aggregate(params, counts, x_bad).tobytes()
         assert solution.objective_at_alpha == 0.25
-        assert solution.objective_at_ones == gram_objective(params, counts)(np.ones(4))
+        assert solution.objective_at_ones == objective_f(params, counts)(np.ones(4))
         assert (solution.iterations, solution.converged) == (1, True)
 
     def test_reports_the_searchs_own_values(self):
@@ -689,12 +683,12 @@ class TestFedAvgOpt:
             updates = make_updates(scale * rng.normal(size=(k, int(rng.integers(1, 40)))), counts)
             params = [u.params for u in updates]
             ones = np.ones(k)
-            result = minimize(gram_objective(params, counts), ones)
+            result = minimize(objective_f(params, counts), ones)
             out, solution = aggregate_fedavgopt(updates)
             assert solution.alpha.tobytes() == result.x_star.tobytes()
             assert out.tobytes() == candidate_aggregate(params, counts, result.x_star).tobytes()
             assert np.float64(solution.objective_at_alpha).tobytes() == np.float64(result.f_star).tobytes()
-            at_ones = gram_objective(params, counts)(ones)
+            at_ones = objective_f(params, counts)(ones)
             assert np.float64(solution.objective_at_ones).tobytes() == np.float64(at_ones).tobytes()
             assert solution.objective_at_alpha <= solution.objective_at_ones
 
@@ -702,10 +696,16 @@ class TestFedAvgOpt:
         rng = np.random.default_rng(75)
         counts = rng.integers(1, 100, size=5).tolist()
         updates = make_updates(rng.normal(size=(5, 12)), counts)
-        result = minimize(gram_objective([u.params for u in updates], counts), np.ones(5))
+        result = minimize(objective_f([u.params for u in updates], counts), np.ones(5))
         _, solution = aggregate_fedavgopt(updates)
         assert solution.iterations > 0
         assert (solution.iterations, solution.converged) == (result.iterations, result.converged)
+
+    def test_factors_the_clients_once(self, monkeypatch):
+        # One objective_f closure scores all-ones and every search candidate.
+        calls = count_calls(monkeypatch, np.linalg, "qr")
+        aggregate_fedavgopt(make_updates([[1.0, 0.0, 2.0], [0.0, 1.0, 0.5], [0.5, 0.5, -1.0]]))
+        assert len(calls) == 1
 
     def test_huge_clients_aggregate(self):
         # The search's objective is scaled by a power of two, so clients whose
@@ -804,7 +804,7 @@ class TestOverflow:
         # against 0.2 / 2.8 + 0.1 / 2.5 at all-ones.
         params, counts = [u.params for u in self.UPDATES], [1, 2]
         out, solution = FedAvgOpt().step(self.UPDATES, self.PREVIOUS, None)
-        result = minimize(gram_objective(params, counts), np.ones(2))
+        result = minimize(objective_f(params, counts), np.ones(2))
         assert solution.alpha.tobytes() == result.x_star.tobytes()
         assert out.tobytes() == candidate_aggregate(params, counts, result.x_star).tobytes()
         assert np.allclose(out, 1.2e308, rtol=1e-6, atol=0)
@@ -849,6 +849,16 @@ class TestLengthChecks:
         updates = [ClientUpdate(client_id="c0", num_examples=3, params=client)]
         with pytest.raises(ShapeMismatchError):
             Aggregator(RULES[strategy]()).aggregate(updates, make_vec([0.0, 0.0]))
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_step_checks_its_client_set(self, strategy):
+        # Called directly, each step checks the set it combines before numpy
+        # stacks or broadcasts it.
+        step, previous = RULES[strategy]().step, make_vec([0.0, 0.0])
+        with pytest.raises(ValueError, match="^need at least one client update$"):
+            step([], previous, None)
+        with pytest.raises(ShapeMismatchError):
+            step(make_updates([[1.0, 2.0], [3.0]]), previous, None)
 
 
 def random_clients(seed, k, size):
@@ -912,8 +922,8 @@ class TestAggregationProperties:
         x = data.draw(st.lists(st.floats(0.1, 3.0), min_size=k, max_size=k))
         s = 2.0**exponent
         assume(clear_of_floor(x, rows, counts, s))
-        base = objective_f(x, [make_vec(r) for r in rows], counts)
-        scaled = objective_f(x, [make_vec(s * r) for r in rows], counts)
+        base = objective_f([make_vec(r) for r in rows], counts)(np.array(x))
+        scaled = objective_f([make_vec(s * r) for r in rows], counts)(np.array(x))
         assert scaled == base
 
     @property_settings
@@ -924,8 +934,8 @@ class TestAggregationProperties:
     def test_objective_f_scale_invariant(self, seed, size, s, x):
         rows, counts = random_clients(seed, len(x), size)
         assume(clear_of_floor(x, rows, counts, s))
-        base = objective_f(x, [make_vec(r) for r in rows], counts)
-        scaled = objective_f(x, [make_vec(s * r) for r in rows], counts)
+        base = objective_f([make_vec(r) for r in rows], counts)(np.array(x))
+        scaled = objective_f([make_vec(s * r) for r in rows], counts)(np.array(x))
         # Rounding s * w_j moves each ratio by about eps * kappa relative, with
         # kappa the largest (||w|| + ||w_j||) / ||w + w_j|| at the candidate w;
         # over 20,000 uniform random draws the error stayed below 4 eps * kappa.
