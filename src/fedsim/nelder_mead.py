@@ -1,15 +1,17 @@
 """Nelder-Mead downhill-simplex minimization.
 
 Plain implementation of the 1965 reflect / expand / contract / shrink
-iteration, for small dimensions (one coordinate per federated client).  By
-default the coefficients adapt to the dimension as in Gao & Han (2012),
-"Implementing the Nelder-Mead simplex algorithm with adaptive parameters",
-Comput. Optim. Appl. 51:259-277, which keeps the search converging as the
-dimension grows.  The vertices stay sorted by (objective value, creation
-order): each replacement is inserted in place, and only a shrink, which may
-produce a new best vertex, re-sorts the simplex.  It never propagates
-non-finite objective values: any NaN/Inf seen after the start point is
-treated as +inf so the offending vertex loses every comparison.
+iteration, for small dimensions (one coordinate per federated client).  The
+coefficients adapt to the dimension as in Gao & Han (2012), "Implementing the
+Nelder-Mead simplex algorithm with adaptive parameters", Comput. Optim. Appl.
+51:259-277, which keeps the search converging as the dimension grows.  Every
+setting but the iteration cap is fixed at scipy's defaults for
+``minimize(method="Nelder-Mead", options={"adaptive": True})`` from all-ones.
+The vertices stay sorted by (objective value, creation order): each
+replacement is inserted in place, and only a shrink, which may produce a new
+best vertex, re-sorts the simplex.  It never propagates non-finite objective
+values: any NaN/Inf seen after the start point is treated as +inf so the
+offending vertex loses every comparison.
 """
 
 from __future__ import annotations
@@ -21,53 +23,27 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exceptions import Config, ConfigError, NumericError, bounded
+from .exceptions import Config, NumericError, bounded
 
 Objective = Callable[[np.ndarray], float]
 
 
+#: The start step along each axis, and the spreads in x and f that end a search.
+INITIAL_STEP = 0.05
+X_TOLERANCE = F_TOLERANCE = 1e-4
+
+
 @dataclass(frozen=True)
 class SimplexConfig(Config):
-    """Coefficients and stopping rules for :func:`minimize`.
+    """The iteration cap of :func:`minimize`; ``None`` resolves to 200 n for
+    dimension n."""
 
-    ``None`` resolves at call time, for dimension n: ``max_iterations`` to
-    200 n, and ``expansion``, ``contraction`` and ``shrink`` to Gao & Han's
-    1 + 2/n, 3/4 - 1/(2n) and 1 - 1/n (the textbook 2, 1/2 and 1/2 at n = 2).
-    The initial simplex is the start point plus one vertex per coordinate,
-    displaced by the absolute ``initial_step``.
-    """
-
-    reflection: float = bounded(1.0, gt=0)
-    expansion: float | None = None
-    contraction: float | None = bounded(None, gt=0, lt=1)
-    shrink: float | None = bounded(None, gt=0, lt=1)
-    initial_step: float = 0.05
-    x_tolerance: float = bounded(1e-4, gt=0)
-    f_tolerance: float = bounded(1e-4, gt=0)
     max_iterations: int | None = bounded(None, ge=1)
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.expansion is None:
-            # 1 + 2/n falls toward 1 as n grows, below any reflection > 1.
-            if self.reflection > 1.0:
-                raise ConfigError("expansion must be given when reflection > 1, got None")
-        elif not self.expansion > max(self.reflection, 1.0):
-            raise ConfigError(f"expansion must exceed max(reflection, 1), got {self.expansion!r}")
-        if self.initial_step == 0:
-            raise ConfigError("initial_step must be nonzero")
 
     def resolved_max_iterations(self, dimension: int) -> int:
         if self.max_iterations is not None:
             return self.max_iterations
         return 200 * int(dimension)
-
-    def coefficients(self, dimension: int) -> tuple[float, float, float, float]:
-        """Reflection, expansion, contraction and shrink for ``dimension``."""
-        n = int(dimension)
-        adaptive = (1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n)
-        given = (self.expansion, self.contraction, self.shrink)
-        return (self.reflection, *(a if g is None else g for g, a in zip(given, adaptive)))
 
 
 @dataclass(frozen=True)
@@ -83,9 +59,12 @@ class MinimizeResult:
 def minimize(objective: Objective, x0: Sequence[float], config: SimplexConfig = SimplexConfig()) -> MinimizeResult:
     """Minimize ``objective`` from ``x0`` until the simplex collapses.
 
-    Convergence requires both the infinity-norm spread of the vertices
-    around the best one to fall below ``x_tolerance`` and the best-to-worst
-    objective spread to fall below ``f_tolerance``.  The returned point is
+    The initial simplex is ``x0`` plus one vertex per coordinate, displaced by
+    :data:`INITIAL_STEP`.  For dimension n, reflection is 1 and expansion,
+    contraction and shrink are Gao & Han's 1 + 2/n, 3/4 - 1/(2n) and 1 - 1/n.
+    Convergence requires both the infinity-norm spread of the vertices around
+    the best one to fall below :data:`X_TOLERANCE` and the best-to-worst
+    objective spread to fall below :data:`F_TOLERANCE`.  The returned point is
     never worse than the start: ``x0`` is itself a vertex of the initial
     simplex and the best vertex value is non-increasing across iterations.
 
@@ -96,8 +75,7 @@ def minimize(objective: Objective, x0: Sequence[float], config: SimplexConfig = 
     if dim < 1:
         raise ValueError("x0 must have dimension >= 1")
     max_iter = config.resolved_max_iterations(dim)
-    reflection, expansion, contraction, shrink = config.coefficients(dim)
-    x_tolerance, f_tolerance = config.x_tolerance, config.f_tolerance
+    expansion, contraction, shrink = 1 + 2 / dim, 0.75 - 1 / (2 * dim), 1 - 1 / dim
 
     def evaluate(x: np.ndarray) -> float:
         value = float(objective(x))
@@ -111,7 +89,7 @@ def minimize(objective: Objective, x0: Sequence[float], config: SimplexConfig = 
     # sorted by (value, creation order).
     vertices = np.tile(start, (dim + 1, 1))
     axes = np.arange(dim)
-    vertices[axes + 1, axes] += config.initial_step
+    vertices[axes + 1, axes] += INITIAL_STEP
     fvalues = [f0] + [evaluate(v) for v in vertices[1:]]
     # Work buffers, written in place each iteration; every candidate is a new
     # array, since the objective may keep the one it is given.
@@ -136,10 +114,10 @@ def minimize(objective: Objective, x0: Sequence[float], config: SimplexConfig = 
     iterations = 0
     converged = False
     while True:
-        if fvalues[-1] - fvalues[0] < f_tolerance:
+        if fvalues[-1] - fvalues[0] < F_TOLERANCE:
             np.subtract(others, best, out=spread)
             np.abs(spread, out=spread)
-            if np.maximum.reduce(spread, axis=None) < x_tolerance:
+            if np.maximum.reduce(spread, axis=None) < X_TOLERANCE:
                 converged = True
                 break
         if iterations >= max_iter:
@@ -151,7 +129,7 @@ def minimize(objective: Objective, x0: Sequence[float], config: SimplexConfig = 
         np.subtract(centroid, worst, out=toward)
         f_worst = fvalues[-1]
 
-        x_reflect = candidate(toward, reflection)
+        x_reflect = toward + centroid
         f_reflect = evaluate(x_reflect)
         replacement: tuple[np.ndarray, float] | None
         if f_reflect < fvalues[0]:

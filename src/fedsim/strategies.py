@@ -323,7 +323,7 @@ class FedYogi(FedOpt):
 @dataclass(frozen=True)
 class FedAvgOpt(Config):
     """Weighted mean with one scaling coefficient per client, solved each
-    round by :func:`aggregate_fedavgopt` with the ``solver`` settings.  The
+    round by :func:`aggregate_fedavgopt` under the ``solver`` cap.  The
     state is the round's :class:`AlphaSolution`; the next round's search
     does not read it, since it restarts at all-ones."""
 

@@ -109,9 +109,11 @@ from fedsim.strategies import DENOMINATOR_FLOOR, Rule, _params_and_counts, candi
 def minimize(objective: Objective, x0: Sequence[float], config: SimplexConfig = SimplexConfig()) -> MinimizeResult:
     """Minimize ``objective`` from ``x0`` until the simplex collapses.
 
-    Convergence requires both the infinity-norm spread of the vertices
-    around the best one to fall below ``x_tolerance`` and the best-to-worst
-    objective spread to fall below ``f_tolerance``.  The returned point is
+    The start simplex steps 0.05 along each axis, and the coefficients are
+    Gao & Han's for dimension n: reflection 1, expansion 1 + 2/n,
+    contraction 3/4 - 1/(2n) and shrink 1 - 1/n.  Convergence requires both
+    the infinity-norm spread of the vertices around the best one and the
+    best-to-worst objective spread to fall below 1e-4.  The returned point is
     never worse than the start: ``x0`` is itself a vertex of the initial
     simplex and the best vertex value is non-increasing across iterations.
 
@@ -122,7 +124,7 @@ def minimize(objective: Objective, x0: Sequence[float], config: SimplexConfig = 
     if dim < 1:
         raise ValueError("x0 must have dimension >= 1")
     max_iter = config.resolved_max_iterations(dim)
-    reflection, expansion, contraction, shrink = config.coefficients(dim)
+    reflection, expansion, contraction, shrink = 1.0, 1 + 2 / dim, 0.75 - 1 / (2 * dim), 1 - 1 / dim
 
     def evaluate(x: np.ndarray) -> float:
         value = float(objective(x))
@@ -140,7 +142,7 @@ def minimize(objective: Objective, x0: Sequence[float], config: SimplexConfig = 
     next_id = 1
     for i in range(dim):
         vertex = start.copy()
-        vertex[i] += config.initial_step
+        vertex[i] += 0.05
         vertices.append(vertex)
         fvalues.append(evaluate(vertex))
         created.append(next_id)
@@ -160,7 +162,7 @@ def minimize(objective: Objective, x0: Sequence[float], config: SimplexConfig = 
         best = vertices[0]
         x_spread = max(float(np.max(np.abs(v - best))) for v in vertices[1:])
         f_spread = fvalues[-1] - fvalues[0]
-        if x_spread < config.x_tolerance and f_spread < config.f_tolerance:
+        if x_spread < 1e-4 and f_spread < 1e-4:
             converged = True
             break
         if iterations >= max_iter:

@@ -71,12 +71,7 @@ CONFIGS = {
           fedmedian: {server_lr: 0.6}
           fedopt: {server_lr: 0.05, tau: 1.0e-3, beta1: 0.5, beta2: 0.9, server_optimizer: adam}
           fedyogi: {server_lr: 0.03, beta2: 0.95}
-        solver:
-          expansion: 1.5
-          contraction: 0.625
-          shrink: 0.75
-          initial_step: 0.1
-          max_iterations: 60
+        solver: {max_iterations: 60}
         """,
     "mlp-relu-csv": """
         dataset: {kind: csv, path: data.csv, label_column: label}

@@ -1,15 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import oracles
-from fedsim import ConfigError, NumericError, ParamVector, SimplexConfig, minimize
+from fedsim import NumericError, ParamVector, SimplexConfig, minimize
 from fedsim.strategies import objective_f
 from helpers import random_vectors
-
-# The coefficients of the 1965 method, which a config restores by naming them.
-TEXTBOOK = {"expansion": 2.0, "contraction": 0.5, "shrink": 0.5}
 
 
 def quadratic(x):
@@ -22,66 +20,29 @@ def rosenbrock(x):
 
 class TestSimplexConfig:
     def test_defaults(self):
-        cfg = SimplexConfig()
-        assert (cfg.reflection, cfg.expansion, cfg.contraction, cfg.shrink) == (
-            1.0, None, None, None,
-        )
-        assert cfg.coefficients(4) == (1.0, 1.5, 0.625, 0.75)
-        assert cfg.initial_step == 0.05
-        assert cfg.x_tolerance == 1e-4
-        assert cfg.f_tolerance == 1e-4
-        assert cfg.resolved_max_iterations(3) == 600
+        # minimize fixes every other setting at scipy's adaptive defaults.
+        assert [f.name for f in dataclasses.fields(SimplexConfig)] == ["max_iterations"]
+        assert SimplexConfig().max_iterations is None
+        assert SimplexConfig().resolved_max_iterations(3) == 600
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "reflection", "expansion", "contraction", "shrink",
+            "initial_step", "x_tolerance", "f_tolerance",
+        ],
+    )
+    def test_removed_setting_is_a_type_error(self, field):
+        with pytest.raises(TypeError, match=f"'{field}'"):
+            SimplexConfig(**{field: 0.5})
 
     def test_explicit_max_iterations_wins(self):
         assert SimplexConfig(max_iterations=42).resolved_max_iterations(10) == 42
 
-    @pytest.mark.parametrize(
-        "dim, expected",
-        [(1, (1.0, 3.0, 0.25, 0.0)), (2, (1.0, 2.0, 0.5, 0.5)), (10, (1.0, 1.2, 0.7, 0.9))],
-    )
-    def test_gao_han_coefficients(self, dim, expected):
-        assert SimplexConfig().coefficients(dim) == expected
-
-    def test_explicit_coefficients_used_as_given(self):
-        config = SimplexConfig(reflection=0.75, expansion=1.25, contraction=0.625, shrink=0.25)
-        assert config.coefficients(7) == (0.75, 1.25, 0.625, 0.25)
-        assert SimplexConfig(**TEXTBOOK).coefficients(16) == (1.0, 2.0, 0.5, 0.5)
-
-    def test_adaptive_expansion_needs_reflection_at_most_one(self):
-        with pytest.raises(ConfigError, match="^expansion must be given when reflection > 1, got None$"):
-            SimplexConfig(reflection=1.5)
-        assert SimplexConfig(reflection=1.5, expansion=2.0).coefficients(3)[:2] == (1.5, 2.0)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"reflection": 0.0},
-            {"reflection": -1.0},
-            {"expansion": 1.0},
-            {"reflection": 3.0, "expansion": 2.0},
-            {"contraction": 0.0},
-            {"contraction": 1.0},
-            {"shrink": 0.0},
-            {"shrink": 1.0},
-            {"initial_step": 0.0},
-            {"x_tolerance": 0.0},
-            {"f_tolerance": -1e-4},
-            {"max_iterations": 0},
-        ],
-    )
+    @pytest.mark.parametrize("kwargs", [{"max_iterations": 0}])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SimplexConfig(**kwargs)
-
-    @pytest.mark.parametrize(
-        "field",
-        ["reflection", "expansion", "initial_step", "x_tolerance", "f_tolerance"],
-    )
-    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
-    def test_non_finite_rejected_by_name(self, field, value):
-        message = f"^{field} must be a finite number[^,]*, got {value!r}$"
-        with pytest.raises(ValueError, match=message):
-            SimplexConfig(**{field: value})
 
 
 class TestMinimize:
@@ -195,18 +156,11 @@ def assert_same_result(new, old):
     assert new.converged == old.converged
 
 
-@pytest.fixture(params=["adaptive", "textbook"])
-def coefficients(request):
-    """The keys of one coefficient set: the default adaptive or the textbook."""
-    return {} if request.param == "adaptive" else TEXTBOOK
-
-
 class TestMatchesListOracle:
-    """The array-backed simplex reproduces the list-based one bit for bit,
-    under the default adaptive coefficients and the textbook ones."""
+    """The array-backed simplex reproduces the list-based one bit for bit."""
 
     @pytest.mark.parametrize("dim", range(1, 33))
-    def test_quadratic_rosenbrock_and_plateaus(self, dim, coefficients):
+    def test_quadratic_rosenbrock_and_plateaus(self, dim):
         rng = np.random.default_rng(dim)
         center = rng.uniform(-1, 1, size=dim)
         scales = rng.uniform(0.5, 3.0, size=dim)
@@ -224,7 +178,7 @@ class TestMatchesListOracle:
             # reaches mid-run, where the objective is infinite.
             return math.inf if x[0] > 0.3 else float(np.sum(scales * (x - 1.0) ** 2))
 
-        config = SimplexConfig(max_iterations=100, **coefficients)
+        config = SimplexConfig(max_iterations=100)
         for objective, x0 in (
             (quadratic_nd, np.zeros(dim)),
             (rosenbrock_nd, np.full(dim, -1.0)),
@@ -235,28 +189,25 @@ class TestMatchesListOracle:
                 minimize(objective, x0, config), oracles.minimize(objective, x0, config)
             )
 
-    def test_sixteen_client_fedavgopt_objective(self, coefficients):
+    def test_sixteen_client_fedavgopt_objective(self):
         rng = np.random.default_rng(16)
         base = rng.normal(size=200)
         params = [v.with_values(base + 0.1 * v.values) for v in random_vectors(rng, 16, 200)]
         objective = objective_f(params, rng.integers(1, 100, size=16))
         x0 = np.ones(16)
-        config = SimplexConfig(**coefficients)
-        result = minimize(objective, x0, config)
-        # Only the adaptive coefficients converge within the 3,200-iteration cap.
-        assert result.converged == (coefficients == {})
-        assert_same_result(result, oracles.minimize(objective, x0, config))
+        result = minimize(objective, x0)
+        assert result.converged
+        assert_same_result(result, oracles.minimize(objective, x0))
 
-    def test_thirty_two_client_fedavgopt_objective_to_the_cap(self, coefficients):
+    def test_thirty_two_client_fedavgopt_objective_to_the_cap(self):
         rng = np.random.default_rng(32)
         base = rng.normal(size=84)
         params = [v.with_values(base + 0.05 * v.values) for v in random_vectors(rng, 32, 84)]
         objective = objective_f(params, rng.integers(50, 151, size=32))
         x0 = np.ones(32)
-        config = SimplexConfig(**coefficients)
-        result = minimize(objective, x0, config)
+        result = minimize(objective, x0)
         assert (result.iterations, result.converged) == (6400, False)
-        assert_same_result(result, oracles.minimize(objective, x0, config))
+        assert_same_result(result, oracles.minimize(objective, x0))
 
 
 def client_objective(clients: int, seed: int, size: int = 84):
@@ -268,13 +219,6 @@ def client_objective(clients: int, seed: int, size: int = 84):
 
 
 class TestAdaptiveDefault:
-    def test_two_dimensions_default_is_textbook_bit_for_bit(self):
-        for objective in (rosenbrock, client_objective(2, 0), client_objective(2, 1)):
-            x0 = np.ones(2)
-            assert_same_result(
-                minimize(objective, x0), minimize(objective, x0, SimplexConfig(**TEXTBOOK))
-            )
-
     def test_one_dimension_shrink_collapses_onto_the_best_vertex(self):
         # shrink resolves to 0 at n = 1: on a plateau the first failed
         # contraction shrinks both vertices onto the best one, the start.
@@ -291,27 +235,44 @@ class TestAdaptiveDefault:
         assert result.converged
         assert result.f_star <= objective(np.ones(1))
 
-    @pytest.mark.parametrize("clients", [2, 4, 8, 16])
-    @pytest.mark.parametrize("seed", [0, 1])
+    # The coefficients depend on the dimension, so every client count is pinned.
+    @pytest.mark.parametrize("clients", range(1, 17))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_scipy_adaptive(self, clients, seed):
+        # scipy's own defaults, so moving any fixed setting of minimize fails here.
         optimize = pytest.importorskip("scipy.optimize")
         objective = client_objective(clients, seed)
         x0 = np.ones(clients)
-        config = SimplexConfig()
-        ours = minimize(objective, x0, config)
-        theirs = optimize.minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "adaptive": True,
-                "initial_simplex": np.vstack([x0, x0 + config.initial_step * np.eye(clients)]),
-                "xatol": config.x_tolerance,
-                "fatol": config.f_tolerance,
-                "maxiter": config.resolved_max_iterations(clients),
-            },
-        )
+        ours = minimize(objective, x0)
+        theirs = optimize.minimize(objective, x0, method="Nelder-Mead", options={"adaptive": True})
         # scipy counts the iteration that finds the simplex converged.
-        assert abs(ours.iterations - theirs.nit) <= 1
+        assert ours.iterations + 1 == theirs.nit
         assert ours.converged == theirs.success
+        assert np.max(np.abs(ours.x_star - theirs.x)) <= 1e-12
+
+    @pytest.mark.parametrize("dim", range(1, 33))
+    @pytest.mark.parametrize("coupled", [False, True], ids=["diagonal", "coupled"])
+    def test_quadratic_matches_scipy_adaptive(self, dim, coupled):
+        # scipy's default also stops after 200 n objective evaluations, which
+        # the quadratics at n = 29 and n = 31 reach before they converge;
+        # minimize caps iterations only, so that one limit is lifted.
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(dim)
+        center = rng.uniform(-1, 1, size=dim)
+        if coupled:
+            m = rng.normal(size=(dim, dim))
+            hessian = m @ m.T / dim + np.eye(dim)
+        else:
+            hessian = np.diag(rng.uniform(0.5, 3.0, size=dim))
+
+        def objective(x):
+            return float((x - center) @ hessian @ (x - center))
+
+        x0 = np.ones(dim)
+        ours = minimize(objective, x0)
+        theirs = optimize.minimize(
+            objective, x0, method="Nelder-Mead", options={"adaptive": True, "maxfev": math.inf}
+        )
+        assert ours.converged and theirs.success
+        assert ours.iterations + 1 == theirs.nit
         assert np.max(np.abs(ours.x_star - theirs.x)) <= 1e-10

@@ -151,8 +151,8 @@ def aggregation_failure(monkeypatch, caplog):
 
 
 def capped_solve(monkeypatch, caplog):
-    # Tolerances no 60-iteration search meets: every round stops at the cap.
-    solver = SimplexConfig(x_tolerance=1e-300, f_tolerance=1e-300, max_iterations=60)
+    # A cap too small for the two-client search to converge: every round stops at it.
+    solver = SimplexConfig(max_iterations=2)
     run_rounds(FedAvgOpt(solver), 3)
     assert len(caplog.records) == 3
     return caplog.records[2].getMessage()

@@ -124,7 +124,7 @@ class TestHyperparams:
 # A valid value for every field that is no rule's default.
 PERTURBED = {
     "server_lr": 0.37, "momentum_beta": 0.37, "tau": 0.37, "beta1": 0.37, "beta2": 0.37,
-    "solver": SimplexConfig(initial_step=0.37),
+    "solver": SimplexConfig(max_iterations=37),
 }
 
 
@@ -432,52 +432,6 @@ class TestFedOpt:
         assert out2[0] == pytest.approx(out1[0] + m2, rel=1e-14)
 
 
-class TestObjectiveF:
-    def test_identical_clients_at_ones_is_zero(self):
-        w = make_vec([0.4, -1.1, 2.2])
-        params = [w, w, w, w]
-        assert objective_f(params, [5, 5, 5, 5])(np.ones(4)) == 0.0
-
-    def test_orthogonal_pair_at_ones(self):
-        params = [make_vec([1.0, 0.0]), make_vec([0.0, 1.0])]
-        value = objective_f(params, [1, 1])(np.ones(2))
-        # 2*sqrt(0.5/2.5) by hand
-        assert value == pytest.approx(2.0 * math.sqrt(0.2), abs=1e-6)
-
-    def test_orthogonal_pair_at_sqrt2(self):
-        params = [make_vec([1.0, 0.0]), make_vec([0.0, 1.0])]
-        s = math.sqrt(2.0)
-        value = objective_f(params, [1, 1])(np.full(2, s))
-        # analytic minimum on the symmetric axis: 2*sqrt((2-sqrt2)/(2+sqrt2))
-        expected = 2.0 * math.sqrt((2.0 - s) / (2.0 + s))
-        assert value == pytest.approx(expected, abs=1e-6)
-        assert value == pytest.approx(0.82843, abs=1e-5)
-
-    def test_permutation_invariance(self):
-        rng = np.random.default_rng(61)
-        params = random_vectors(rng, 4, 9)
-        counts = [3, 1, 4, 2]
-        x = rng.uniform(0.5, 1.5, size=4)
-        perm = [2, 0, 3, 1]
-        a = objective_f(params, counts)(x)
-        b = objective_f([params[k] for k in perm], [counts[k] for k in perm])(x[perm])
-        assert a == pytest.approx(b, rel=1e-12)
-
-    def test_denominator_guard_keeps_value_finite(self):
-        # candidate equals -w1 exactly, so that summand hits the 1e-12 floor
-        params = [make_vec([1.0, 0.0]), make_vec([-3.0, 0.0])]
-        value = objective_f(params, [1, 1])(np.ones(2))
-        assert math.isfinite(value)
-        assert value == pytest.approx(2.0 / 1e-12 + 0.5, rel=1e-15)
-
-    def test_summands_nonnegative(self):
-        rng = np.random.default_rng(62)
-        for _ in range(20):
-            params = random_vectors(rng, 3, 6)
-            x = rng.uniform(-2, 2, size=3)
-            assert objective_f(params, [1, 2, 3])(x) >= 0.0
-
-
 def clustered_clients(seed, num_clients, size, spread, scale=1.0):
     """Client vectors at ``spread`` around a shared N(0, 1) center, times
     ``scale``, with counts in [1, 500]."""
@@ -522,7 +476,7 @@ def cancelling_x(counts, rng):
 
 class TestGramObjective:
     """objective_f's closure, which scores x in the QR factor of the client
-    basis, against the direct evaluation, oracles.objective_f."""
+    basis, against hand values and the direct evaluation, oracles.objective_f."""
 
     @gram_settings
     @given(seed=seeds, k=num_clients, size=st.integers(1, 200), spread=spreads)
@@ -554,10 +508,48 @@ class TestGramObjective:
         assert same_value(gram(x), oracles.objective_f(x, params, counts))
 
     def test_denominator_floor(self):
+        # The candidate equals -w1 exactly, so that summand hits the 1e-12 floor.
         params = [make_vec([1.0, 0.0]), make_vec([-3.0, 0.0])]
         value = objective_f(params, [1, 1])(np.ones(2))
         assert value == pytest.approx(2.0 / 1e-12 + 0.5, rel=1e-15)
         assert same_value(value, oracles.objective_f([1.0, 1.0], params, [1, 1]))
+
+    def test_identical_clients_at_ones_is_zero(self):
+        w = make_vec([0.4, -1.1, 2.2])
+        params = [w, w, w, w]
+        assert objective_f(params, [5, 5, 5, 5])(np.ones(4)) == 0.0
+
+    def test_orthogonal_pair_at_ones(self):
+        params = [make_vec([1.0, 0.0]), make_vec([0.0, 1.0])]
+        value = objective_f(params, [1, 1])(np.ones(2))
+        # 2*sqrt(0.5/2.5) by hand
+        assert value == pytest.approx(2.0 * math.sqrt(0.2), abs=1e-6)
+
+    def test_orthogonal_pair_at_sqrt2(self):
+        params = [make_vec([1.0, 0.0]), make_vec([0.0, 1.0])]
+        s = math.sqrt(2.0)
+        value = objective_f(params, [1, 1])(np.full(2, s))
+        # analytic minimum on the symmetric axis: 2*sqrt((2-sqrt2)/(2+sqrt2))
+        expected = 2.0 * math.sqrt((2.0 - s) / (2.0 + s))
+        assert value == pytest.approx(expected, abs=1e-6)
+        assert value == pytest.approx(0.82843, abs=1e-5)
+
+    def test_permutation_invariance(self):
+        rng = np.random.default_rng(61)
+        params = random_vectors(rng, 4, 9)
+        counts = [3, 1, 4, 2]
+        x = rng.uniform(0.5, 1.5, size=4)
+        perm = [2, 0, 3, 1]
+        a = objective_f(params, counts)(x)
+        b = objective_f([params[k] for k in perm], [counts[k] for k in perm])(x[perm])
+        assert a == pytest.approx(b, rel=1e-12)
+
+    def test_summands_nonnegative(self):
+        rng = np.random.default_rng(62)
+        for _ in range(20):
+            params = random_vectors(rng, 3, 6)
+            x = rng.uniform(-2, 2, size=3)
+            assert objective_f(params, [1, 2, 3])(x) >= 0.0
 
     @gram_settings
     @given(seed=seeds, k=num_clients, size=st.integers(1, 200), spread=spreads,
