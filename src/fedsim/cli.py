@@ -31,7 +31,7 @@ from .exceptions import Config, ConfigError, FedsimError, bounded
 from .models import ACTIVATIONS, ModelSpec, TrainConfig
 from .nelder_mead import SimplexConfig
 from .orchestrator import ComparisonResult, FederationConfig, compare_strategies
-from .strategies import RULES, STRATEGIES, FedAvgOpt, Rule
+from .strategies import RULES, STRATEGIES, FedAvg, FedAvgOpt, Rule
 
 logger = logging.getLogger(__name__)
 
@@ -86,12 +86,16 @@ class ExperimentConfig(Config):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        if not self.rules:
+            raise ConfigError("need at least one strategy")
+        if not self.seeds:
+            raise ConfigError("need at least one seed")
         if not self.output_dir:
             raise ConfigError(f"output_dir must be a nonempty string, got {self.output_dir!r}")
 
 
-# parse_config's value for each unset key; dataset and rules have none.
-_DEFAULTS = ExperimentConfig(dataset=DatasetConfig(kind="blobs"), rules=())
+# parse_config's value for each unset key; it always replaces the placeholder dataset and rules.
+_DEFAULTS = ExperimentConfig(dataset=DatasetConfig(kind="blobs"), rules=(FedAvg(),))
 
 
 def _as_mapping(value, key: str) -> dict:
@@ -121,22 +125,6 @@ def _parse_dataset(raw) -> DatasetConfig:
     return _parse_section(raw, "dataset", _DEFAULTS.dataset, keys)
 
 
-def _one_or_list(raw: Mapping, one: str, many: str, items: str, default=None) -> tuple:
-    """The value under ``one``, or the nonempty list under ``many`` (not
-    both); with neither key, ``default``, or an error when there is none."""
-    if one in raw and many in raw:
-        raise ConfigError(f"give either '{one}' or '{many}', not both")
-    if one in raw:
-        return (raw[one],)
-    if many not in raw:
-        if default is None:
-            raise ConfigError(f"config must name a {one} ('{one}' or '{many}')")
-        return default
-    if not isinstance(raw[many], list) or not raw[many]:
-        raise ConfigError(f"{many}: expected a nonempty list of {items}")
-    return tuple(raw[many])
-
-
 def _parse_section(raw, section: str, defaults, keys: Sequence[str] | None = None):
     """Apply one flat config section to the ``defaults`` dataclass, which
     checks every value.
@@ -158,11 +146,15 @@ def _parse_section(raw, section: str, defaults, keys: Sequence[str] | None = Non
         raise ConfigError(f"{section}: {exc}") from exc
 
 
-def _parse_rules(raw: Mapping, names: tuple[str, ...]) -> tuple[Rule, ...]:
-    """The rule of each listed strategy.  ``hyperparams.<name>`` accepts the
-    fields of that strategy's rule type, and the ``solver`` section fills
-    :attr:`FedAvgOpt.solver`; a section for an unlisted strategy is
+def _parse_rules(raw: Mapping) -> tuple[Rule, ...]:
+    """The rule of each strategy in the ``strategies`` list.  ``hyperparams.<name>``
+    accepts the fields of that strategy's rule type, and the ``solver`` section
+    fills :attr:`FedAvgOpt.solver`; a section for an unlisted strategy is
     validated all the same."""
+    names = raw.get("strategies")
+    if not isinstance(names, list):
+        raise ConfigError(f"strategies: expected a list of strategy names, got {names!r}")
+    names = [_as_choice(name, "strategy", STRATEGIES) for name in names]
     mapping = _as_mapping(raw.get("hyperparams", {}), "hyperparams")
     rules = {name: rule() for name, rule in RULES.items()}
     for name, section in mapping.items():
@@ -174,17 +166,17 @@ def _parse_rules(raw: Mapping, names: tuple[str, ...]) -> tuple[Rule, ...]:
 
 
 _TOP_LEVEL_KEYS = (
-    "dataset", "strategy", "strategies", "seed", "seeds", "rounds",
-    "num_clients", "train_fraction", "model", "train", "hyperparams",
-    "solver", "output_dir",
+    "dataset", "strategies", "seeds", "rounds", "num_clients", "train_fraction",
+    "model", "train", "hyperparams", "solver", "output_dir",
 )
 # The top-level keys that set an ExperimentConfig field directly, and the model keys.
-_FLAT_KEYS = ("rounds", "num_clients", "train_fraction", "output_dir")
+_FLAT_KEYS = ("seeds", "rounds", "num_clients", "train_fraction", "output_dir")
 _MODEL_KEYS = ("hidden_dims", "activation")
 
 
 def parse_config(path: str) -> ExperimentConfig:
-    """Load and validate a YAML experiment config; unset keys get defaults."""
+    """Load a YAML experiment config, whose ``strategies`` and ``seeds`` are lists;
+    unset keys get defaults, and ExperimentConfig checks every value."""
     try:
         with open(path, encoding="utf-8") as handle:
             raw = yaml.safe_load(handle)
@@ -197,21 +189,13 @@ def parse_config(path: str) -> ExperimentConfig:
     if "dataset" not in mapping:
         raise ConfigError("config must have a 'dataset' section")
 
-    names = _one_or_list(mapping, "strategy", "strategies", "strategy names")
-    for name in names:
-        _as_choice(name, "strategy", STRATEGIES)
     dataset = _parse_dataset(mapping["dataset"])
-    seeds = _one_or_list(mapping, "seed", "seeds", "integers", _DEFAULTS.seeds)
     flat = {key: mapping[key] for key in _FLAT_KEYS if key in mapping}
     config = _parse_section(flat, "config", _DEFAULTS, _FLAT_KEYS)
     config = _parse_section(mapping.get("model", {}), "model", config, _MODEL_KEYS)
     train = _parse_section(mapping.get("train", {}), "train", _DEFAULTS.train)
-    rules = _parse_rules(mapping, names)
-    try:
-        config = dataclasses.replace(config, dataset=dataset, seeds=seeds, train=train, rules=rules)
-    except ValueError as exc:  # the seeds
-        raise ConfigError(f"config: {exc}") from exc
-    return config
+    rules = _parse_rules(mapping)
+    return dataclasses.replace(config, dataset=dataset, train=train, rules=rules)
 
 
 def run_comparison(config: ExperimentConfig) -> ComparisonResult:

@@ -76,14 +76,15 @@ def small_config(tmp_path, extra="", **overrides):
 
 # Each int-typed field of every config type with its least accepted value
 # and, where the YAML reader fills the field, config text that puts it one
-# below; both seed keys fill ``seeds``.  run_comparison builds the ModelSpec
-# and FederationConfig from the ExperimentConfig.
+# below; ``seeds`` has a case for its first entry and one for a later entry.
+# run_comparison builds the ModelSpec and FederationConfig from the
+# ExperimentConfig.
 BELOW_BOUND = [
     (DatasetConfig, "samples_per_class", 1, "dataset: {kind: blobs, samples_per_class: 0}"),
     (DatasetConfig, "num_classes", 2, "dataset: {kind: blobs, num_classes: 1}"),
     (DatasetConfig, "dim", 1, "dataset: {kind: blobs, dim: 0}"),
     (ExperimentConfig, "seeds", 0, "seeds: [2, -1]"),
-    (ExperimentConfig, "seeds", 0, "seed: -1"),
+    (ExperimentConfig, "seeds", 0, "seeds: [-1]"),
     (ExperimentConfig, "rounds", 1, "rounds: 0"),
     (ExperimentConfig, "num_clients", 1, "num_clients: 0"),
     (ExperimentConfig, "hidden_dims", 1, "model: {hidden_dims: [4, 0]}"),
@@ -104,7 +105,7 @@ FLOAT_TYPES = ("float", "float | None")
 
 class TestParseConfig:
     def test_minimal_config_gets_defaults(self, tmp_path):
-        path = write_config(tmp_path, "dataset: {kind: blobs}\nstrategy: fedavg\n")
+        path = write_config(tmp_path, "dataset: {kind: blobs}\nstrategies: [fedavg]\n")
         config = parse_config(path)
         assert config.rules == (FedAvg(),)
         assert config.seeds == (0,)
@@ -171,7 +172,7 @@ class TestParseConfig:
             tmp_path,
             """
             dataset: {kind: blobs}
-            strategy: fedyogi
+            strategies: [fedyogi]
             hyperparams:
               fedyogi: {server_lr: 0.5}
             """,
@@ -188,7 +189,7 @@ class TestParseConfig:
             tmp_path,
             """
             dataset: {kind: csv, path: data.csv, label_column: label}
-            strategy: fedavg
+            strategies: [fedavg]
             """,
         )
         config = parse_config(path)
@@ -196,132 +197,123 @@ class TestParseConfig:
         assert config.dataset.path == "data.csv"
         assert config.dataset.label_column == "label"
 
-    def test_single_seed_key(self, tmp_path):
-        path = write_config(tmp_path, "dataset: {kind: blobs}\nstrategy: fedavg\nseed: 7\n")
-        assert parse_config(path).seeds == (7,)
-
     @pytest.mark.parametrize(
         "text, fragment",
         [
-            ("dataset: {kind: blobs}\nstrategy: fedprox\n", "fedyogi"),
-            ("dataset: {kind: blobs}\nstrategy: fedavg\nrounds: 0\n", "rounds"),
-            ("dataset: {kind: blobs}\nstrategy: fedavg\nrounds: true\n", "rounds"),
+            ("dataset: {kind: blobs}\nstrategies: [fedprox]\n", "fedyogi"),
+            ("dataset: {kind: blobs}\nstrategies: [fedavg]\nrounds: 0\n", "rounds"),
+            ("dataset: {kind: blobs}\nstrategies: [fedavg]\nrounds: true\n", "rounds"),
             (
-                "dataset: {kind: blobs}\nstrategy: fedavg\ntrain_fraction: 1.2\n",
+                "dataset: {kind: blobs}\nstrategies: [fedavg]\ntrain_fraction: 1.2\n",
                 "train_fraction",
             ),
             (
-                "dataset: {kind: blobs}\nstrategy: fedavg\ntrain_fraction: 0\n",
+                "dataset: {kind: blobs}\nstrategies: [fedavg]\ntrain_fraction: 0\n",
                 "train_fraction",
             ),
-            ("dataset: {kind: blobs}\nstrategy: fedavg\nbogus: 1\n", "bogus"),
-            ("dataset: {kind: blobs, widht: 3}\nstrategy: fedavg\n", "widht"),
-            ("dataset: {kind: parquet}\nstrategy: fedavg\n", "dataset.kind"),
-            ("dataset: {kind: blobs, spread: 0}\nstrategy: fedavg\n", "spread"),
-            (
-                "dataset: {kind: blobs}\nstrategy: fedavg\nstrategies: [fedavg]\n",
-                "not both",
-            ),
-            ("dataset: {kind: blobs}\nstrategy: fedavg\nseed: 1\nseeds: [2]\n", "not both"),
-            ("strategy: fedavg\n", "dataset"),
+            ("dataset: {kind: blobs}\nstrategies: [fedavg]\nbogus: 1\n", "bogus"),
+            ("dataset: {kind: blobs, widht: 3}\nstrategies: [fedavg]\n", "widht"),
+            ("dataset: {kind: parquet}\nstrategies: [fedavg]\n", "dataset.kind"),
+            ("dataset: {kind: blobs, spread: 0}\nstrategies: [fedavg]\n", "spread"),
+            ("strategies: [fedavg]\n", "dataset"),
             ("dataset: {kind: blobs}\n", "strategy"),
-            ("dataset: {kind: blobs}\nstrategies: []\n", "strategies"),
+            ("dataset: {kind: blobs}\nstrategies: []\n", "^need at least one strategy$"),
             (
-                "dataset: {kind: blobs}\nstrategy: fedavg\nseeds: []\n",
-                "^seeds: expected a nonempty list of integers$",
+                "dataset: {kind: blobs}\nstrategies: [fedavg]\nseeds: []\n",
+                "^config: need at least one seed$",
             ),
             (
                 # The bound is the type's, not a blanket one of the reader.
-                "dataset: {kind: blobs, num_classes: 0}\nstrategy: fedavg\n",
+                "dataset: {kind: blobs, num_classes: 0}\nstrategies: [fedavg]\n",
                 "^dataset: num_classes must be an integer >= 2, got 0$",
             ),
-            ("dataset: {kind: csv, path: x.csv}\nstrategy: fedavg\n", "label_column"),
+            ("dataset: {kind: csv, path: x.csv}\nstrategies: [fedavg]\n", "label_column"),
             (
-                "dataset: {kind: blobs}\nstrategy: fedavg\n"
+                "dataset: {kind: blobs}\nstrategies: [fedavg]\n"
                 "model: {activation: sigmoid}\n",
                 "activation",
             ),
             (
-                "dataset: {kind: blobs}\nstrategy: fedavg\n"
+                "dataset: {kind: blobs}\nstrategies: [fedavg]\n"
                 "hyperparams: {fedavgm: {momentum_beta: 1.5}}\n",
                 "fedavgm",
             ),
             (
-                "dataset: {kind: blobs}\nstrategy: fedavg\n"
+                "dataset: {kind: blobs}\nstrategies: [fedavg]\n"
                 "train: {epochs: 2}\n",
                 "unknown key 'epochs' in train",
             ),
             (
-                "dataset: {kind: blobs}\nstrategy: fedavg\n"
+                "dataset: {kind: blobs}\nstrategies: [fedavg]\n"
                 "train: {batch_size: 0}\n",
                 "^train: batch_size must be an integer >= 1, got 0$",
             ),
             (
-                "dataset: {kind: blobs}\nstrategy: fedavg\n"
+                "dataset: {kind: blobs}\nstrategies: [fedavg]\n"
                 "train: {learning_rate: fast}\n",
                 "^train: learning_rate must be a finite number >= 0, got 'fast'$",
             ),
             (
-                "dataset: {kind: blobs}\nstrategy: fedavg\n"
+                "dataset: {kind: blobs}\nstrategies: [fedavg]\n"
                 "solver: {max_iterations: 0}\n",
                 "^solver: max_iterations must be an integer >= 1, got 0$",
             ),
             (
-                "dataset: {kind: blobs}\nstrategy: fedavg\n"
+                "dataset: {kind: blobs}\nstrategies: [fedavg]\n"
                 "solver: {max_iterations: 1.5}\n",
                 "^solver: max_iterations must be an integer >= 1, got 1.5$",
             ),
             (
-                "dataset: {kind: blobs}\nstrategy: fedavg\n"
+                "dataset: {kind: blobs}\nstrategies: [fedavg]\n"
                 "hyperparams: {fedopt: {server_optimizer: sgdm}}\n",
                 "hyperparams.fedopt: server_optimizer must be one of",
             ),
             (
-                "dataset: {kind: blobs}\nstrategy: fedavg\n"
+                "dataset: {kind: blobs}\nstrategies: [fedavg]\n"
                 "hyperparams: {fedavg: {lr: 1}}\n",
                 "unknown key 'lr' in hyperparams.fedavg",
             ),
             (
-                "dataset: {kind: blobs}\nstrategy: fedyogi\n"
+                "dataset: {kind: blobs}\nstrategies: [fedyogi]\n"
                 "hyperparams: {fedyogi: {tau: .inf}}\n",
                 "^hyperparams.fedyogi: tau must be a finite number > 0, got inf$",
             ),
             (
-                "dataset: {kind: blobs, spread: .inf}\nstrategy: fedavg\n",
+                "dataset: {kind: blobs, spread: .inf}\nstrategies: [fedavg]\n",
                 "^dataset: spread must be a finite number > 0, got inf$",
             ),
             (
-                "dataset: {kind: blobs}\nstrategy: fedavg\ntrain: {learning_rate: .inf}\n",
+                "dataset: {kind: blobs}\nstrategies: [fedavg]\ntrain: {learning_rate: .inf}\n",
                 "^train: learning_rate must be a finite number >= 0, got inf$",
             ),
             (
-                "dataset: {kind: blobs}\nstrategy: fedavg\ntrain: {learning_rate: .nan}\n",
+                "dataset: {kind: blobs}\nstrategies: [fedavg]\ntrain: {learning_rate: .nan}\n",
                 "^train: learning_rate must be a finite number >= 0, got nan$",
             ),
             (
                 # Top-level keys are named without a section prefix.
-                "dataset: {kind: blobs}\nstrategy: fedavg\nnum_clients: 0\n",
+                "dataset: {kind: blobs}\nstrategies: [fedavg]\nnum_clients: 0\n",
                 "^config: num_clients must be an integer >= 1, got 0$",
             ),
             (
-                "dataset: {kind: blobs}\nstrategy: fedavg\nmodel: {hidden_dims: [true]}\n",
+                "dataset: {kind: blobs}\nstrategies: [fedavg]\nmodel: {hidden_dims: [true]}\n",
                 "^model: hidden_dims must be integers >= 1, got True$",
             ),
             (
-                "dataset: {kind: blobs}\nstrategy: fedavg\nmodel: {hidden_dims: [1.5]}\n",
+                "dataset: {kind: blobs}\nstrategies: [fedavg]\nmodel: {hidden_dims: [1.5]}\n",
                 "^model: hidden_dims must be integers >= 1, got 1.5$",
             ),
             (
-                "dataset: {kind: blobs}\nstrategy: fedavg\nmodel: {hidden_dims: 3}\n",
+                "dataset: {kind: blobs}\nstrategies: [fedavg]\nmodel: {hidden_dims: 3}\n",
                 "^model: hidden_dims must be a list of integers, got 3$",
             ),
             (
                 # The type check runs first, so True is not taken for a repeated 1.
-                "dataset: {kind: blobs}\nstrategy: fedavg\nseeds: [1, true]\n",
+                "dataset: {kind: blobs}\nstrategies: [fedavg]\nseeds: [1, true]\n",
                 "^config: seeds must be integers >= 0, got True$",
             ),
             (
-                "dataset: {kind: blobs}\nstrategy: fedavg\nseed: 0.5\n",
+                "dataset: {kind: blobs}\nstrategies: [fedavg]\nseeds: [0.5]\n",
                 "^config: seeds must be integers >= 0, got 0.5$",
             ),
         ],
@@ -346,12 +338,12 @@ class TestParseConfig:
     def test_int_below_its_bound_names_the_field(self, tmp_path, field, least, text):
         if not text.startswith("dataset:"):
             text = f"dataset: {{kind: blobs}}\n{text}"
-        path = write_config(tmp_path, f"strategy: fedavg\n{text}\n")
+        path = write_config(tmp_path, f"strategies: [fedavg]\n{text}\n")
         with pytest.raises(ConfigError, match=rf": {field} must be .* >= {least}, got {least - 1}$"):
             parse_config(path)
 
     def test_integer_beyond_float_range_rejected(self, tmp_path):
-        text = f"dataset: {{kind: blobs, spread: 1{'0' * 400}}}\nstrategy: fedavg\n"
+        text = f"dataset: {{kind: blobs, spread: 1{'0' * 400}}}\nstrategies: [fedavg]\n"
         with pytest.raises(ConfigError, match="^dataset: spread must be a finite number > 0, got 1"):
             parse_config(write_config(tmp_path, text))
 
@@ -391,16 +383,16 @@ class TestParseConfig:
             ),
             (
                 "epochs: 3",
-                "unknown key 'epochs' in config; allowed keys: dataset, strategy, strategies, "
-                "seed, seeds, rounds, num_clients, train_fraction, model, train, hyperparams, "
-                "solver, output_dir",
+                "unknown key 'epochs' in config; allowed keys: dataset, strategies, seeds, "
+                "rounds, num_clients, train_fraction, model, train, hyperparams, solver, "
+                "output_dir",
             ),
         ],
     )
     def test_section_allowed_keys_message(self, tmp_path, section, message):
         if not section.startswith("dataset:"):
             section = f"dataset: {{kind: blobs}}\n{section}"
-        path = write_config(tmp_path, f"strategy: fedavg\n{section}\n")
+        path = write_config(tmp_path, f"strategies: [fedavg]\n{section}\n")
         with pytest.raises(ConfigError) as info:
             parse_config(path)
         assert str(info.value) == message
@@ -419,7 +411,7 @@ class TestParseConfig:
         value = "adam" if key == "server_optimizer" else 0.5
         path = write_config(
             tmp_path,
-            f"dataset: {{kind: blobs}}\nstrategy: {strategy}\n"
+            f"dataset: {{kind: blobs}}\nstrategies: [{strategy}]\n"
             f"hyperparams: {{{strategy}: {{{key}: {value}}}}}\n",
         )
         if accepted:
@@ -641,6 +633,9 @@ class TestConfigTypes:
                 f"rules must be a list of instances of {RULE_TYPES}, got FedAvg()",
             ),
             (ExperimentConfig, {"output_dir": 3}, "output_dir must be an instance of str, got 3"),
+            # Each once constructed, and refused only by run_comparison, after a CSV was read.
+            (ExperimentConfig, {"seeds": ()}, "need at least one seed"),
+            (ExperimentConfig, {"rules": ()}, "need at least one strategy"),
         ],
     )
     def test_bounds_name_the_field_and_value(self, config_type, kwargs, message):
@@ -651,7 +646,9 @@ class TestConfigTypes:
         assert issubclass(ConfigError, ValueError)
 
     def test_numpy_integer_seed_accepted(self):
-        config = ExperimentConfig(dataset=DatasetConfig("blobs"), rules=(), seeds=(np.int64(3),))
+        config = ExperimentConfig(
+            dataset=DatasetConfig("blobs"), rules=(FedAvg(),), seeds=(np.int64(3),)
+        )
         assert config.seeds == (3,)
 
     @pytest.mark.parametrize("config_type, field, least", [row[:3] for row in BELOW_BOUND])
@@ -722,7 +719,7 @@ class TestConfigTypes:
     def test_numpy_integers_accepted(self):
         config = ExperimentConfig(
             dataset=DatasetConfig("blobs", samples_per_class=np.int64(8), dim=np.int32(3)),
-            rules=(),
+            rules=(FedAvg(),),
             rounds=np.int64(2),
             num_clients=np.int16(3),
             hidden_dims=(np.int64(4),),
@@ -896,7 +893,7 @@ class TestMain:
         assert "error:" in capsys.readouterr().err
 
     def test_config_error_is_reported(self, tmp_path, capsys):
-        path = write_config(tmp_path, "dataset: {kind: blobs}\nstrategy: fedprox\n")
+        path = write_config(tmp_path, "dataset: {kind: blobs}\nstrategies: [fedprox]\n")
         assert main(["compare", path]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "fedprox" in err
@@ -988,7 +985,7 @@ class TestMain:
             ),
             # The seeds are checked first.
             ("strategies: [fedavg, fedavg]\nseeds: [0, 0]\n", "seed 0 is given more than once"),
-            ("strategy: fedavg\nseeds: [3, 1, 3]\n", "seed 3 is given more than once"),
+            ("strategies: [fedavg]\nseeds: [3, 1, 3]\n", "seed 3 is given more than once"),
         ],
     )
     def test_repeated_strategy_or_seed_is_rejected(self, tmp_path, capsys, text, message):
@@ -1018,6 +1015,33 @@ class TestMain:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["strategy", "seed"])
+    def test_removed_top_level_key_is_rejected(self, tmp_path, capsys, key):
+        # Each list has one spelling, so the singular keys are unknown, not aliases.
+        path = write_config(tmp_path, SMALL_YAML + f"{key}: 0\n")
+        out = tmp_path / "out"
+        assert main(["compare", path, "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err.strip() == (
+            f"error: unknown key '{key}' in config; allowed keys: dataset, strategies, seeds, "
+            "rounds, num_clients, train_fraction, model, train, hyperparams, solver, output_dir"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("strategies: [fedavg]\nseeds: []\n", "config: need at least one seed"),
+            ("strategies: []\n", "need at least one strategy"),
+        ],
+        ids=["seeds", "strategies"],
+    )
+    def test_empty_run_list_is_rejected(self, tmp_path, capsys, text, message):
+        path = write_config(tmp_path, f"dataset: {{kind: blobs}}\n{text}")
+        out = tmp_path / "out"
+        assert main(["compare", path, "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err.strip() == f"error: {message}"
+        assert not out.exists()
+
     def test_rounds_and_seed_overrides(self, tmp_path):
         path = write_config(tmp_path, SMALL_YAML)
         out = tmp_path / "out"
@@ -1035,7 +1059,8 @@ class TestMain:
         csv_path.write_text("x1,label\n1.0,a\n2.0,a\n3.0,a\n4.0,a\n", encoding="utf-8")
         path = write_config(
             tmp_path,
-            f"dataset: {{kind: csv, path: {csv_path}, label_column: label}}\nstrategy: fedavg\n",
+            f"dataset: {{kind: csv, path: {csv_path}, label_column: label}}\n"
+            "strategies: [fedavg]\n",
         )
         out = tmp_path / "out"
         assert main(["compare", path, "--output-dir", str(out)]) == 2
@@ -1065,7 +1090,8 @@ class TestMain:
         csv_path.write_bytes(data)
         path = write_config(
             tmp_path,
-            f"dataset: {{kind: csv, path: {csv_path}, label_column: label}}\nstrategy: fedavg\n",
+            f"dataset: {{kind: csv, path: {csv_path}, label_column: label}}\n"
+            "strategies: [fedavg]\n",
         )
         out = tmp_path / "out"
         assert main(["compare", path, "--output-dir", str(out)]) == 2
@@ -1085,7 +1111,7 @@ class TestMain:
               kind: csv
               path: {tmp_path / "data.csv"}
               label_column: label
-            strategy: fedavg
+            strategies: [fedavg]
             rounds: 2
             num_clients: 2
             train_fraction: 0.5
@@ -1110,7 +1136,7 @@ class TestMain:
             tmp_path / "configs",
             """
             dataset: {kind: csv, path: data.csv, label_column: label}
-            strategy: fedavg
+            strategies: [fedavg]
             rounds: 1
             num_clients: 2
             train_fraction: 0.5

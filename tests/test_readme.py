@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import fedsim.cli
 import fedsim.orchestrator
 from fedsim import (
     FedAvg,
@@ -97,6 +98,14 @@ def test_readme_flags_are_defined(capsys):
     assert flags, "the CLI section names no flag"
     helps = " ".join(help_text(name, capsys) for name in readme_subcommands())
     assert sorted(f for f in flags if not re.search(rf"(?<![\w-]){f}(?![\w-])", helps)) == []
+
+
+def test_readme_top_level_keys_are_the_parsers():
+    reference = README.split("\n### Config reference\n", 1)[1]
+    paragraph = " ".join(reference.split("Top level:", 1)[1].split("\n\n", 1)[0].split())
+    # The key list is the first sentence, less each key's parenthesized note.
+    listed = re.sub(r"\([^()]*\)", "", paragraph).split(". ", 1)[0]
+    assert set(re.findall(r"`([a-z_]+)`", listed)) == set(fedsim.cli._TOP_LEVEL_KEYS)
 
 
 def run_rounds(rule, rounds):
